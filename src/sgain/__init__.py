@@ -15,12 +15,12 @@ from .errors import (CannotCertifyError, DerivationError,
                      SgainError, ShapeError, SmallGainViolatedError,
                      UnknownScenarioError)
 from .seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
-from .network import (CounterexampleGain, CounterexampleSlow, LinearChain,
-                      LureBanded, NetworkGenerator, SubsystemSpec, Traffic,
-                      TruncatedNetwork, classify_traffic_cell, evaluate_rhs,
-                      generate_spec, generator_from_dict, generator_to_dict,
+from .network import (FAMILIES, CounterexampleGain, CounterexampleSlow,
+                      Family, LinearChain, LureBanded, NetworkGenerator,
+                      Traffic, TruncatedNetwork, classify_traffic_cell,
+                      evaluate_rhs, generator_from_dict, generator_to_dict,
                       load_generator, save_generator, truncate)
-from .gains import (AssumptionReport, GainData, GainOperator, HalfSquareForm,
+from .gains import (HALF_SQUARE, AssumptionReport, GainData, GainOperator,
                     QuadraticForm, SpectralBracket,
                     build_gain_operator, check_assumptions, check_lure_lmi,
                     derive_gains_linear_chain, derive_gains_lure,
@@ -30,7 +30,7 @@ from .gains import (AssumptionReport, GainData, GainOperator, HalfSquareForm,
 from .certificate import (CompositeLyapunov, EtaVector, SmallGainCertificate,
                           TrajectoryBound, assemble_lyapunov,
                           build_certificate, cap_decay_rates,
-                          certificate_from_dict, certify, eval_V,
+                          certificate_from_dict, certify,
                           iss_trajectory_bound, neumann_eta,
                           verify_certificate)
 from .sim import (ConstantOnFirstK, DecayFit, GeometricProfile,

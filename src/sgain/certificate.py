@@ -400,9 +400,6 @@ class CompositeLyapunov:
         self.p = gains.p
         self.q = gains.q
 
-    def weights(self, n_subsystems: int) -> np.ndarray:
-        return np.array([float(self.cert.mu.at(i)) for i in range(1, n_subsystems + 1)])
-
     def bind(self, net: TruncatedNetwork) -> "BoundLyapunov":
         return BoundLyapunov(self, net)
 
@@ -421,19 +418,13 @@ class BoundLyapunov:
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != self.net.dim:
+            raise ShapeError(f"state has dimension {x.shape[0]}, network needs {self.net.dim}")
         return float(x @ (self._q @ x))
 
 
 def assemble_lyapunov(cert: SmallGainCertificate, g: GainData) -> CompositeLyapunov:
     return CompositeLyapunov(cert, g)
-
-
-def eval_V(lyap: CompositeLyapunov, x: np.ndarray, net: TruncatedNetwork) -> float:
-    """Value of the composite function on a truncated state."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != net.dim:
-        raise ShapeError(f"state has dimension {x.shape[0]}, network needs {net.dim}")
-    return lyap.bind(net).value(x)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from .certificate import (assemble_lyapunov, certificate_from_dict, certify,
 from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError)
 from .gains import check_assumptions
-from .network import generator_from_dict, load_generator, truncate
-from .scenarios import (derive_scenario_gains, make_scenario, run_pipeline,
-                        _gain_summary)
+from .network import generator_from_dict, truncate
+from .scenarios import make_scenario, run_pipeline, _gain_summary
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -65,55 +64,43 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(cfg: dict):
-    """(generator, derivation params, sim config, scenario-or-None)."""
+    """(generator, derivation params, sim config)."""
     net = cfg.get("network")
     if net is None:
         raise ParameterError("config lacks a 'network' entry")
+    scenario = None
     if isinstance(net, str):
-        gen = load_generator(net)
-        scenario = None
+        gen = generator_from_dict(_load_config(net))
     elif "scenario" in net:
         scenario = make_scenario(net["scenario"], net.get("overrides"))
         gen = scenario.generator
     else:
         gen = generator_from_dict(net)
-        scenario = None
-    derivation = cfg.get("derivation", scenario.derivation if scenario else {})
+    derivation = cfg.get("derivation") or (scenario.derivation if scenario else {})
     sim_cfg = {**(scenario.sim if scenario else {}), **cfg.get("sim", {})}
-    return gen, derivation, sim_cfg, scenario
+    return gen, derivation, sim_cfg
 
 
-def _gains_for(gen, derivation, scenario):
-    if scenario is not None and not derivation:
-        return derive_scenario_gains(scenario)
-    from .scenarios import ExampleScenario, Outcome
-    stub = ExampleScenario(
-        name=scenario.name if scenario else gen.family_name,
-        generator=gen, derivation=dict(derivation), sim={},
-        expected_outcome=scenario.expected_outcome if scenario else Outcome("certify"))
-    return derive_scenario_gains(stub)
+def _analysis(args):
+    """(config, gains, assumption report, report head) of analyze and certify."""
+    cfg = _load_config(args.config)
+    gen, derivation, _ = _resolve(cfg)
+    g = gen.family.derive_gains(gen, derivation)
+    assumptions = check_assumptions(g)
+    report = {"schema": "sgain/1", "command": args.command, "seed": args.seed,
+              "network_family": gen.family_name, "gains": _gain_summary(g),
+              "assumptions": assumptions.to_dict()}
+    return cfg, g, assumptions, report
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    gen, derivation, _, scenario = _resolve(cfg)
-    g = _gains_for(gen, derivation, scenario)
-    assumptions = check_assumptions(g)
-    report = {"schema": "sgain/1", "command": "analyze", "seed": args.seed,
-              "network_family": gen.family_name, "gains": _gain_summary(g),
-              "assumptions": assumptions.to_dict()}
+    _, _, assumptions, report = _analysis(args)
     _write_report(Path(args.out), "gains.json", report)
     return EXIT_OK if assumptions.ok else EXIT_ASSUMPTION
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
-    gen, derivation, _, scenario = _resolve(cfg)
-    g = _gains_for(gen, derivation, scenario)
-    assumptions = check_assumptions(g)
-    report = {"schema": "sgain/1", "command": "certify", "seed": args.seed,
-              "network_family": gen.family_name, "gains": _gain_summary(g),
-              "assumptions": assumptions.to_dict()}
+    cfg, g, assumptions, report = _analysis(args)
     out = Path(args.out)
     if not assumptions.ok:
         _write_report(out, "certificate.json", report)
@@ -153,11 +140,11 @@ def _build_sim(gen, sim_cfg):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    gen, derivation, sim_cfg, scenario = _resolve(cfg)
+    gen, derivation, sim_cfg = _resolve(cfg)
     net, signal, x0, horizon, step = _build_sim(gen, sim_cfg)
     lyap = None
     try:
-        g = _gains_for(gen, derivation, scenario)
+        g = gen.family.derive_gains(gen, derivation)
         if check_assumptions(g).ok:
             cert, g_used, _, _ = certify(g)
             lyap = assemble_lyapunov(cert, g_used)
@@ -188,8 +175,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    gen, derivation, sim_cfg, scenario = _resolve(cfg)
-    g = _gains_for(gen, derivation, scenario)
+    gen, derivation, sim_cfg = _resolve(cfg)
+    g = gen.family.derive_gains(gen, derivation)
     assumptions = check_assumptions(g)
     if not assumptions.ok:
         _write_report(Path(args.out), "verification.json",
@@ -236,13 +223,10 @@ def cmd_scenario(args) -> int:
         _write_report(out, "certificate.json",
                       {"schema": "sgain/1", "certificate": report["certificate"]})
     kind = report["outcome"]["kind"]
-    if kind == "certify":
-        return EXIT_OK if report.get("empirical_violations", 0) == 0 else EXIT_VIOLATIONS
-    if kind == "reject-assumption":
-        return EXIT_ASSUMPTION
-    if kind == "small-gain-violated":
-        return EXIT_SMALL_GAIN
-    return EXIT_INPUT
+    if kind == "certify" and report.get("empirical_violations", 0):
+        return EXIT_VIOLATIONS
+    return {"certify": EXIT_OK, "reject-assumption": EXIT_ASSUMPTION,
+            "small-gain-violated": EXIT_SMALL_GAIN}.get(kind, EXIT_INPUT)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,27 +25,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (CannotCertifyError, DerivationError,
                      InvalidCertificateError, ParameterError, ResourceError,
                      ShapeError)
-from .network import LinearChain, LureBanded, NetworkGenerator, Traffic
 from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_number,
                        exact_div)
+
+if TYPE_CHECKING:
+    from .network import NetworkGenerator
 
 # --------------------------------------------------------------------------
 # Subsystem Lyapunov function shapes
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HalfSquareForm:
-    """V_i(x_i) = x_i^2 / 2 for scalar subsystems."""
-
-    def matrix(self, i: int) -> np.ndarray:
-        return np.array([[0.5]])
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class QuadraticForm:
         return np.asarray(self.m, dtype=float)
 
 
-VForm = HalfSquareForm | QuadraticForm
+HALF_SQUARE = QuadraticForm(((0.5,),))  # V_i(x_i) = x_i^2 / 2 for scalar subsystems
 
 
 # --------------------------------------------------------------------------
@@ -85,7 +80,7 @@ class GainData:
     p: Real
     q: Real
     bandwidth: int
-    vform: VForm
+    vform: QuadraticForm
     free_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,8 +185,6 @@ def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> Ga
     When eps/delta are omitted they are chosen by a coarse grid search.
     """
     fam = gen.family
-    if not isinstance(fam, LinearChain):
-        raise ParameterError("generator is not a linear chain")
     _require_quadratic_exponents(gen)
     if eps is None and delta is None:
         eps, delta = optimize_chain_free_params(gen)
@@ -225,7 +218,7 @@ def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> Ga
         gamma_u=PeriodicSeq.constant(0),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=HalfSquareForm(),
+        p=2, q=2, bandwidth=1, vform=HALF_SQUARE,
         free_params={"eps": eps_r, "delta": delta_r})
 
 
@@ -277,23 +270,25 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
     largest singular value (computed from the symmetric product).
     """
     fam = gen.family
-    if not isinstance(fam, LureBanded):
-        raise ParameterError("generator is not a Lur'e banded family")
     _require_quadratic_exponents(gen)
-    m = np.atleast_2d(np.asarray(m_matrix, dtype=float))
+    try:
+        m = np.atleast_2d(np.asarray(m_matrix, dtype=float))
+        kappa, eps, tau = float(kappa), float(eps), float(tau)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed Lur'e derivation parameter: {exc}") from None
     if m.shape != (fam.n, fam.n) or not np.allclose(m, m.T, atol=1e-12):
         raise InvalidCertificateError("M must be symmetric of the block dimension")
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] <= 0:
         raise InvalidCertificateError(f"M is not positive definite (lambda_min = {eigs[0]:.3e})")
     m_lo, m_hi = float(eigs[0]), float(eigs[-1])
-    kappa, eps, tau = float(kappa), float(eps), float(tau)
     if eps <= 0:
         raise ParameterError("eps must be positive")
     lam = kappa - 2.0 * eps
     if lam <= 0:
         raise DerivationError(f"kappa - 2 eps = {lam} is not positive")
-    a, e, g, b, _ = fam.matrices(1)
+    a, _, b = fam.blocks(1)
+    e, g, _ = fam.nonlinearity()
     ok, worst = check_lure_lmi(a, m, e, g, kappa, fam.sector_l, fam.sector_r, tau)
     if not ok:
         raise DerivationError(
@@ -304,16 +299,12 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
             return 0.0
         return float(np.linalg.eigvalsh(mat.T @ m @ mat)[-1])
 
-    gamma_u = sq_weighted_norm(np.asarray(b, dtype=float)) / eps
+    gamma_u = sq_weighted_norm(b) / eps
     rows = []
     for i in (1, 2):
-        d = fam.matrices(i)[4]
-        if d:
-            stacked = np.hstack([d[off] for off in sorted(d)])
-            val = sq_weighted_norm(stacked) / (m_lo * eps)
-            rows.append({off: val for off in d})
-        else:
-            rows.append({})
+        d = fam.blocks(i)[1]
+        val = sq_weighted_norm(np.hstack([d[off] for off in sorted(d)])) / (m_lo * eps) if d else 0
+        rows.append({off: val for off in d})
     return GainData(
         lam=PeriodicSeq.constant(lam),
         gamma=PeriodicRows((rows[0],), (rows[1],), bandwidth=1),
@@ -333,8 +324,6 @@ def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
     cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``.
     """
     fam = gen.family
-    if not isinstance(fam, Traffic):
-        raise ParameterError("generator is not a traffic network")
     _require_quadratic_exponents(gen)
     eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
     if eps_r.min() <= 0:
@@ -364,7 +353,7 @@ def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
         gamma_u=PeriodicSeq(tuple(gu_vals[:pre]), tuple(gu_vals[pre:])),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=4, vform=HalfSquareForm(),
+        p=2, q=2, bandwidth=4, vform=HALF_SQUARE,
         free_params={"eps": eps_r})
 
 

@@ -1,6 +1,7 @@
 """Finite descriptions of countably infinite ODE networks.
 
-Supported subsystem families (all with banded neighbor coupling):
+Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
+(all with banded neighbor coupling):
 
 * ``LinearChain`` — scalar subsystems
   ``dx_i/dt = -b_ii x_i + b_i(i-1) x_(i-1) + b_i(i+1) x_(i+1)``
@@ -31,31 +32,106 @@ out-of-range couplings read a zero boundary state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericInputError, ParameterError, ShapeError
-from .seqrules import (PeriodicSeq, Real, as_number, exact_div,
-                       _check_index)
+from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
+                    derive_gains_lure, derive_gains_traffic,
+                    traffic_small_gain_sufficient)
+from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
+                       as_number, exact_div, _check_index)
 
 # --------------------------------------------------------------------------
 # Families
 # --------------------------------------------------------------------------
 
 
-def _as_seq(x) -> PeriodicSeq:
-    if isinstance(x, PeriodicSeq):
-        return x
-    return PeriodicSeq.constant(as_number(x))
+def _seq_to_json(s: PeriodicSeq):
+    if s.preamble_len == 0 and s.period == 1:
+        return _num_to_json(s.cycle[0])
+    return {"preamble": [_num_to_json(v) for v in s.preamble],
+            "cycle": [_num_to_json(v) for v in s.cycle]}
+
+
+def _num_to_json(v: Real):
+    if isinstance(v, Fraction):
+        return str(v) if v.denominator != 1 else v.numerator
+    return v
+
+
+def _seq_from_json(obj) -> PeriodicSeq:
+    if isinstance(obj, Mapping):
+        return PeriodicSeq(tuple(as_number(v) for v in obj.get("preamble", [])),
+                           tuple(as_number(v) for v in obj["cycle"]))
+    return PeriodicSeq.constant(as_number(obj))
+
+
+def _scalar(v: Real) -> np.ndarray:
+    return np.array([[float(v)]])
+
+
+class Family:
+    """One subsystem family: its blocks, description codec and gain data.
+
+    A subclass sets ``name`` (the ``family`` entry of a description) and
+    ``bandwidth``, and defines :meth:`blocks` and :meth:`derive_gains`;
+    one with coefficients also defines :meth:`to_json` and
+    :meth:`from_json`.  Neighbors, dimensions and truncations follow from
+    the blocks.
+    """
+
+    name: ClassVar[str]
+    bandwidth: ClassVar[int] = 1
+
+    def blocks(self, i: int):
+        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i as float arrays."""
+        raise NotImplementedError
+
+    @property
+    def structure(self) -> tuple[int, int] | None:
+        """(preamble length, period) of the blocks, or None for a closed form."""
+        return None
+
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return tuple(sorted(i + off for off, d in self.blocks(i)[1].items() if np.any(d)))
+
+    def state_dim(self, i: int) -> int:
+        return self.blocks(i)[0].shape[0]
+
+    def input_dim(self, i: int) -> int:
+        b = self.blocks(i)[2]
+        return b.shape[1] if np.any(b) else 0
+
+    def nonlinearity(self):
+        """``(E row, G row, phi)`` of a sector channel, or None."""
+        return None
+
+    def to_json(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_json(cls, coeff: Mapping) -> "Family":
+        return cls()
+
+    def derive_gains(self, gen: NetworkGenerator, derivation: Mapping) -> GainData:
+        raise NotImplementedError
+
+    def report_notes(self, gen: NetworkGenerator, derivation: Mapping) -> dict:
+        """Family-specific entries of a pipeline report's gain summary."""
+        return {}
 
 
 @dataclass(frozen=True)
-class LinearChain:
+class LinearChain(Family):
     """Tridiagonally coupled scalar subsystems."""
+
+    name = "linear-chain"
 
     diag: PeriodicSeq
     sub: PeriodicSeq
@@ -67,53 +143,46 @@ class LinearChain:
 
     @staticmethod
     def uniform(b_diag: Real, b_off: Real) -> "LinearChain":
-        b_off = as_number(b_off)
-        return LinearChain(diag=_as_seq(b_diag), sub=_as_seq(b_off), sup=_as_seq(b_off))
-
-    @property
-    def bandwidth(self) -> int:
-        return 1
-
-    @property
-    def coeff_bound(self) -> Real:
-        """Uniform bound on all coefficient magnitudes (well-posedness)."""
-        return max(max(abs(v) for v in s.values()) for s in (self.diag, self.sub, self.sup))
+        off = PeriodicSeq.constant(b_off)
+        return LinearChain(diag=PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
     def coefficients(self, i: int):
         b_sub = 0 if i == 1 else self.sub.at(i)
         return self.diag.at(i), b_sub, self.sup.at(i)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        _, b_sub, b_sup = self.coefficients(i)
-        out = []
-        if b_sub != 0:
-            out.append(i - 1)
-        if b_sup != 0:
-            out.append(i + 1)
-        return tuple(out)
-
-    def state_dim(self, i: int) -> int:
-        return 1
-
-    def input_dim(self, i: int) -> int:
-        return 0
+    def blocks(self, i: int):
+        b_diag, b_sub, b_sup = self.coefficients(i)
+        d = {off: _scalar(v) for off, v in ((-1, b_sub), (1, b_sup)) if v}
+        return _scalar(-b_diag), d, np.zeros((1, 0))
 
     @property
     def structure(self) -> tuple[int, int]:
-        """(preamble length, period) of the subsystem description."""
         pre = max(1, self.diag.preamble_len, self.sub.preamble_len, self.sup.preamble_len)
-        period = 1
-        for s in (self.diag, self.sub, self.sup):
-            period = int(np.lcm(period, s.period))
-        return pre, period
+        return pre, math.lcm(self.diag.period, self.sub.period, self.sup.period)
+
+    def to_json(self) -> dict:
+        return {"diag": _seq_to_json(self.diag), "sub": _seq_to_json(self.sub),
+                "sup": _seq_to_json(self.sup)}
+
+    @classmethod
+    def from_json(cls, coeff: Mapping) -> "LinearChain":
+        return cls(diag=_seq_from_json(coeff["diag"]), sub=_seq_from_json(coeff["sub"]),
+                   sup=_seq_from_json(coeff["sup"]))
+
+    def derive_gains(self, gen, derivation):
+        return derive_gains_linear_chain(gen, derivation.get("eps"), derivation.get("delta"))
 
 
 def _mat(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
+_LURE_MATRICES = (("A", "a"), ("E", "e"), ("G", "g"), ("B", "b"),
+                  ("D_left", "d_left"), ("D_right", "d_right"))
+
+
 @dataclass(frozen=True)
-class LureBanded:
+class LureBanded(Family):
     """Banded network of identical-size blocks with sector nonlinearity.
 
     Matrices are stored as nested tuples so the description is hashable
@@ -121,6 +190,8 @@ class LureBanded:
     ``d_left``/``d_right`` are the per-neighbor coupling blocks; subsystem 1
     has only a right neighbor.
     """
+
+    name = "lure-banded"
 
     a: tuple
     e: tuple
@@ -140,9 +211,9 @@ class LureBanded:
         if self.phi == "zero" and not (self.sector_l <= 0 <= self.sector_r):
             raise ParameterError("phi = 0 lies in the sector only when l <= 0 <= r")
         n = self.n
-        if _mat(self.a).shape != (n, n):
-            raise ShapeError("A must be square")
-        for name, m, shape in (("E", self.e, (n, 1)), ("G", self.g, (1, n)),
+        if _mat(self.b).shape[0] != n:
+            raise ShapeError(f"B must have {n} rows")
+        for name, m, shape in (("A", self.a, (n, n)), ("E", self.e, (n, 1)), ("G", self.g, (1, n)),
                                ("D_left", self.d_left, (n, n)), ("D_right", self.d_right, (n, n))):
             if _mat(m).shape != shape:
                 raise ShapeError(f"{name} must have shape {shape}")
@@ -175,25 +246,11 @@ class LureBanded:
     def n(self) -> int:
         return len(self.a)
 
-    @property
-    def bandwidth(self) -> int:
-        return 1
-
-    def matrices(self, i: int):
-        """(A, E, G, B, {offset: D block}) for subsystem i."""
-        d = {} if np.all(_mat(self.d_right) == 0) else {1: _mat(self.d_right)}
-        if i > 1 and not np.all(_mat(self.d_left) == 0):
-            d[-1] = _mat(self.d_left)
-        return _mat(self.a), _mat(self.e), _mat(self.g), _mat(self.b), d
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(i + off for off in self.matrices(i)[4]))
-
-    def state_dim(self, i: int) -> int:
-        return self.n
-
-    def input_dim(self, i: int) -> int:
-        return _mat(self.b).shape[1] if np.any(_mat(self.b) != 0) else 0
+    def blocks(self, i: int):
+        _check_index(i)
+        d = {off: _mat(m) for off, m in ((1, self.d_right), (-1, self.d_left))
+             if i + off >= 1 and np.any(_mat(m))}
+        return _mat(self.a), d, _mat(self.b)
 
     def phi_eval(self, s):
         """Vectorized nonlinearity; satisfies the sector bound by design."""
@@ -205,9 +262,33 @@ class LureBanded:
             return 0.5 * (lo_s + hi_s)
         return np.clip(s, np.minimum(lo_s, hi_s), np.maximum(lo_s, hi_s))
 
+    def nonlinearity(self):
+        return _mat(self.e).ravel(), _mat(self.g).ravel(), self.phi_eval
+
     @property
     def structure(self) -> tuple[int, int]:
         return 1, 1
+
+    def to_json(self) -> dict:
+        out = {key: [[float(x) for x in r] for r in getattr(self, attr)]
+               for key, attr in _LURE_MATRICES}
+        return {**out, "sector": [_num_to_json(self.sector_l), _num_to_json(self.sector_r)],
+                "phi": self.phi}
+
+    @classmethod
+    def from_json(cls, coeff: Mapping) -> "LureBanded":
+        mats = {attr: tuple(tuple(float(as_number(x)) for x in r) for r in coeff[key])
+                for key, attr in _LURE_MATRICES}
+        return cls(**mats, sector_l=as_number(coeff["sector"][0]),
+                   sector_r=as_number(coeff["sector"][1]),
+                   phi=coeff.get("phi", "midpoint-linear"))
+
+    def derive_gains(self, gen, derivation):
+        try:
+            m, kappa, eps = derivation["M"], derivation["kappa"], derivation["eps"]
+        except KeyError as exc:
+            raise ParameterError(f"missing derivation parameter {exc}") from None
+        return derive_gains_lure(gen, m, kappa, eps, derivation.get("tau", 1.0))
 
 
 # Traffic cell classes: neighbor offsets, exit multiplier (times e), and
@@ -237,8 +318,11 @@ def classify_traffic_cell(i: int) -> str:
 
 
 @dataclass(frozen=True)
-class Traffic:
+class Traffic(Family):
     """Road network cells with per-class neighbor structure."""
+
+    name = "traffic"
+    bandwidth = 4
 
     v: PeriodicSeq
     l: PeriodicSeq
@@ -256,10 +340,6 @@ class Traffic:
         if self.v.min() <= 0 or self.l.min() <= 0:
             raise ParameterError("speeds and cell lengths must be positive")
 
-    @property
-    def bandwidth(self) -> int:
-        return 4
-
     def flow(self, i: int) -> Real:
         """v_i / l_i, the cell's outflow rate."""
         return exact_div(self.v.at(i), self.l.at(i))
@@ -271,102 +351,96 @@ class Traffic:
         d = {off: self.c * self.flow(i + off) for off in offsets}
         return name, e_mult * self.e, d, b_factor * self.r
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        offsets = _TRAFFIC_CLASSES[classify_traffic_cell(i)][0]
-        return tuple(sorted(i + off for off in offsets))
-
-    def state_dim(self, i: int) -> int:
-        return 1
-
-    def input_dim(self, i: int) -> int:
-        return 1 if _TRAFFIC_CLASSES[classify_traffic_cell(i)][2] != 0 else 0
+    def blocks(self, i: int):
+        _, e_i, d, b_i = self.cell(i)
+        return (_scalar(-(self.flow(i) + e_i)),
+                {off: _scalar(w) for off, w in d.items()}, _scalar(b_i))
 
     @property
     def structure(self) -> tuple[int, int]:
-        period = int(np.lcm(8, int(np.lcm(self.v.period, self.l.period))))
-        pre = max(3, self.v.preamble_len, self.l.preamble_len)
-        return pre, period
+        # A cell reads the flow of cells up to a bandwidth back, so past the
+        # preamble those cells must lie past the preambles of v and l too.
+        seq_pre = max(self.v.preamble_len, self.l.preamble_len)
+        pre = seq_pre + self.bandwidth if seq_pre else 3
+        return pre, math.lcm(8, self.v.period, self.l.period)
+
+    def to_json(self) -> dict:
+        return {"v": _seq_to_json(self.v), "l": _seq_to_json(self.l),
+                "c": _num_to_json(self.c), "e": _num_to_json(self.e),
+                "r": _num_to_json(self.r)}
+
+    @classmethod
+    def from_json(cls, coeff: Mapping) -> "Traffic":
+        return cls(v=_seq_from_json(coeff["v"]), l=_seq_from_json(coeff["l"]),
+                   c=as_number(coeff["c"]), e=as_number(coeff["e"]), r=as_number(coeff["r"]))
+
+    def derive_gains(self, gen, derivation):
+        return derive_gains_traffic(gen, derivation.get("eps"))
+
+    def report_notes(self, gen, derivation):
+        return {"traffic_sufficient_condition": traffic_small_gain_sufficient(
+            gen, derivation.get("eps", Fraction(1, 10)))}
 
 
 @dataclass(frozen=True)
-class CounterexampleSlow:
-    """Decoupled scalars with decay rate 1/i vanishing along the network."""
+class _DecoupledScalar(Family):
+    """Decoupled scalars ``dx_i/dt = a_i x_i + b_i u_i``.
+
+    A subclass defines ``coefficients(i) -> (a_i, b_i)`` and the gain
+    rules ``rules = (lambda_i, gamma_iu)`` for V_i = x_i^2/2.
+    """
+
+    def blocks(self, i: int):
+        _check_index(i)
+        a_i, b_i = self.coefficients(i)
+        return _scalar(a_i), {}, _scalar(b_i)
+
+    def derive_gains(self, gen, derivation):
+        lam, gamma_u = self.rules
+        return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u,
+                        alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
+                        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
+                        p=2, q=2, bandwidth=1, vform=HALF_SQUARE)
+
+
+class CounterexampleSlow(_DecoupledScalar):
+    """Decoupled scalars with decay rate 1/i vanishing along the network.
+
+    With V_i = x_i^2/2 the unforced decay rate is exactly 2/i, and any
+    Young split that keeps the declared input gain finite degrades the
+    rate further, so no choice restores uniformity.  The recorded pair
+    (lambda_i = 2/i, gamma_iu = i/2) documents both divergences; the
+    assumption checker reports the decay-rate failure first.
+    """
+
+    name = "counterexample-slow"
+    rules = (ClosedFormSeq(fn=lambda i: Fraction(2, i), inf=0, sup=2, label="2/i"),
+             ClosedFormSeq(fn=lambda i: Fraction(i, 2), inf=Fraction(1, 2), sup=math.inf,
+                           nondecreasing=True, label="i/2"))
 
     def coefficients(self, i: int):
-        return Fraction(-1, i), 1
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return ()
-
-    def state_dim(self, i: int) -> int:
-        return 1
-
-    def input_dim(self, i: int) -> int:
-        return 1
-
-    @property
-    def bandwidth(self) -> int:
-        return 1
-
-    @property
-    def structure(self) -> None:
-        return None  # closed form, no periodic structure
+        return -1 / i, 1
 
 
-@dataclass(frozen=True)
-class CounterexampleGain:
+class CounterexampleGain(_DecoupledScalar):
     """Decoupled scalars with input gain i growing along the network."""
+
+    name = "counterexample-gain"
+    rules = (PeriodicSeq.constant(Fraction(3, 2)),  # 2 (1 - eps) at eps = 1/4
+             ClosedFormSeq(fn=lambda i: 2 * Fraction(i) ** 2, inf=2, sup=math.inf,
+                           nondecreasing=True, label="i^2/(2 eps), eps = 1/4"))
 
     def coefficients(self, i: int):
         return -1, i
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return ()
 
-    def state_dim(self, i: int) -> int:
-        return 1
-
-    def input_dim(self, i: int) -> int:
-        return 1
-
-    @property
-    def bandwidth(self) -> int:
-        return 1
-
-    @property
-    def structure(self) -> None:
-        return None
-
-
-Family = LinearChain | LureBanded | Traffic | CounterexampleSlow | CounterexampleGain
-
-_FAMILY_NAMES = {
-    LinearChain: "linear-chain",
-    LureBanded: "lure-banded",
-    Traffic: "traffic",
-    CounterexampleSlow: "counterexample-slow",
-    CounterexampleGain: "counterexample-gain",
-}
+FAMILIES: dict[str, type[Family]] = {
+    f.name: f for f in (LinearChain, LureBanded, Traffic, CounterexampleSlow, CounterexampleGain)}
 
 
 # --------------------------------------------------------------------------
-# Generator and subsystem specs
+# Generator
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubsystemSpec:
-    """Materialized description of one subsystem."""
-
-    index: int
-    state_dim: int
-    input_dim: int
-    neighbors: tuple[int, ...]
-    dynamics: tuple  # family-specific coefficient record, exactly comparable
-
-    def __post_init__(self):
-        if self.index in self.neighbors:
-            raise ParameterError("a subsystem cannot neighbor itself")
 
 
 @dataclass(frozen=True)
@@ -392,39 +466,7 @@ class NetworkGenerator:
 
     @property
     def family_name(self) -> str:
-        return _FAMILY_NAMES[type(self.family)]
-
-    def spec(self, i: int) -> SubsystemSpec:
-        return generate_spec(self, i)
-
-    def truncate(self, n_subsystems: int) -> "TruncatedNetwork":
-        return truncate(self, n_subsystems)
-
-
-def _dynamics_record(fam: Family, i: int) -> tuple:
-    if isinstance(fam, LinearChain):
-        return fam.coefficients(i)
-    if isinstance(fam, LureBanded):
-        a, e, g, b, d = fam.matrices(i)
-        frozen_d = tuple(sorted((off, tuple(map(tuple, m))) for off, m in d.items()))
-        return (tuple(map(tuple, a)), tuple(map(tuple, e)), tuple(map(tuple, g)),
-                tuple(map(tuple, b)), frozen_d, fam.sector_l, fam.sector_r, fam.phi)
-    if isinstance(fam, Traffic):
-        name, e_i, d, b_i = fam.cell(i)
-        return (name, fam.flow(i), e_i, tuple(sorted(d.items())), b_i)
-    return fam.coefficients(i)
-
-
-def generate_spec(gen: NetworkGenerator, i: int) -> SubsystemSpec:
-    """Deterministic description of subsystem i (1-based)."""
-    _check_index(i)
-    fam = gen.family
-    nbrs = fam.neighbors(i)
-    if any(abs(j - i) > gen.bandwidth for j in nbrs):
-        raise ParameterError(f"neighbor set of {i} exceeds bandwidth {gen.bandwidth}")
-    return SubsystemSpec(index=i, state_dim=fam.state_dim(i),
-                         input_dim=fam.input_dim(i), neighbors=nbrs,
-                         dynamics=_dynamics_record(fam, i))
+        return self.family.name
 
 
 # --------------------------------------------------------------------------
@@ -436,95 +478,66 @@ class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
 
     The right-hand side splits into a sparse linear part, a sparse input
-    matrix, and (for the Lur'e family) a vectorized sector nonlinearity:
-    ``f(x, u) = A x + B u + nl(x)``.
+    matrix, and (for a family with a sector channel) a vectorized
+    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
+
+    Past the preamble the truncation is block-Toeplitz with the cycle as
+    its block, so it is tiled from the stored preamble plus one cycle; a
+    closed-form family stores all N of its blocks.
     """
 
     def __init__(self, gen: NetworkGenerator, n_subsystems: int):
         if n_subsystems < 1:
             raise ParameterError("truncation needs at least one subsystem")
         self.generator = gen
-        self.n_subsystems = n_subsystems
-        self.specs = tuple(generate_spec(gen, i) for i in range(1, n_subsystems + 1))
-        self.block_dims = np.array([s.state_dim for s in self.specs])
-        self.block_offsets = np.concatenate(([0], np.cumsum(self.block_dims)))
-        self.dim = int(self.block_offsets[-1])
-        self.input_dims = np.array([s.input_dim for s in self.specs])
+        self.n_subsystems = n = n_subsystems
+        fam = gen.family
+        pre, per = fam.structure or (n, 1)
+        stored = [fam.blocks(i) for i in range(1, min(n, pre + per) + 1)]
+        offsets = sorted({off for _, d, _ in stored for off in d})
+        for off in offsets:
+            if not 0 < abs(off) <= fam.bandwidth:
+                i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
+                raise ParameterError(f"neighbor set of {i} exceeds bandwidth {fam.bandwidth}")
+        idx = np.arange(n)  # subsystem idx + 1 repeats stored block pos[idx]
+        pos = np.where(idx < pre, idx, pre + (idx - pre) % per)
+        a = np.stack([s[0] for s in stored])[pos]
+        b = np.stack([s[2] for s in stored])[pos]
+        nb = a.shape[1]
+        self.block_dims = np.full(n, nb)
+        self.block_offsets = nb * np.arange(n + 1)
+        self.dim = nb * n
+        self.input_dims = np.where(b.any(axis=(1, 2)), b.shape[2], 0)
         self.input_offsets = np.concatenate(([0], np.cumsum(self.input_dims)))
         self.input_dim = int(self.input_offsets[-1])
-        self._assemble()
 
-    def block(self, x: np.ndarray, i: int) -> np.ndarray:
-        """State block of subsystem i (1-based)."""
-        return x[self.block_offsets[i - 1]:self.block_offsets[i]]
-
-    def _assemble(self) -> None:
-        fam = self.generator.family
-        a = sp.lil_matrix((self.dim, self.dim))
-        b = sp.lil_matrix((self.dim, max(self.input_dim, 1)))
-        n = self.n_subsystems
-        if isinstance(fam, LinearChain):
-            for i in range(1, n + 1):
-                bd, bs, bp = (float(v) for v in fam.coefficients(i))
-                a[i - 1, i - 1] = -bd
-                if i >= 2 and bs:
-                    a[i - 1, i - 2] = bs
-                if i < n and bp:
-                    a[i - 1, i] = bp
-        elif isinstance(fam, Traffic):
-            for i in range(1, n + 1):
-                _, e_i, d, b_i = fam.cell(i)
-                a[i - 1, i - 1] = -float(fam.flow(i) + e_i)
-                for off, w in d.items():
-                    j = i + off
-                    if 1 <= j <= n:
-                        a[i - 1, j - 1] = float(w)
-                if b_i:
-                    b[i - 1, self.input_offsets[i - 1]] = float(b_i)
-        elif isinstance(fam, (CounterexampleSlow, CounterexampleGain)):
-            for i in range(1, n + 1):
-                decay, gain = fam.coefficients(i)
-                a[i - 1, i - 1] = float(decay)
-                b[i - 1, self.input_offsets[i - 1]] = float(gain)
-        elif isinstance(fam, LureBanded):
-            nb = fam.n
-            for i in range(1, n + 1):
-                ai, ei, gi, bi, d = fam.matrices(i)
-                r0 = self.block_offsets[i - 1]
-                a[r0:r0 + nb, r0:r0 + nb] = ai
-                for off, dm in d.items():
-                    j = i + off
-                    if 1 <= j <= n:
-                        c0 = self.block_offsets[j - 1]
-                        a[r0:r0 + nb, c0:c0 + nb] = dm
-                if self.specs[i - 1].input_dim:
-                    c0 = self.input_offsets[i - 1]
-                    b[r0:r0 + nb, c0:c0 + self.specs[i - 1].input_dim] = bi
-        self._a = sp.csr_matrix(a)
-        self._b = sp.csr_matrix(b)
-        if isinstance(fam, LureBanded):
-            self._e_stack = np.vstack([fam.matrices(i)[1].ravel() for i in range(1, n + 1)])
-            self._g_stack = np.vstack([fam.matrices(i)[2].ravel() for i in range(1, n + 1)])
-        else:
-            self._e_stack = None
-
-    @property
-    def linear_matrix(self) -> sp.csr_matrix:
-        return self._a
-
-    @property
-    def input_matrix(self) -> sp.csr_matrix:
-        return self._b
+        zero = np.zeros((nb, nb))
+        parts = [(0, a)] + [(off, np.stack([d.get(off, zero) for _, d, _ in stored])[pos])
+                            for off in offsets]
+        rows, cols, vals = [], [], []
+        for off, blk in parts:
+            k, r, c = np.nonzero(blk)
+            j = k + off
+            keep = (j >= 0) & (j < n)
+            rows.append(k[keep] * nb + r[keep])
+            cols.append(j[keep] * nb + c[keep])
+            vals.append(blk[k[keep], r[keep], c[keep]])
+        self.linear_matrix = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim))
+        k, r, c = np.nonzero(b)
+        self.input_matrix = sp.csr_matrix((b[k, r, c], (k * nb + r, self.input_offsets[k] + c)),
+                                          shape=(self.dim, max(self.input_dim, 1)))
+        self._nonlinearity = fam.nonlinearity()
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = self._a @ x
+        out = self.linear_matrix @ x
         if self.input_dim:
-            out += self._b @ u
-        if self._e_stack is not None:
-            fam = self.generator.family
-            xb = x.reshape(self.n_subsystems, fam.n)
-            s = (xb * self._g_stack).sum(axis=1)
-            out += (self._e_stack * fam.phi_eval(s)[:, None]).ravel()
+            out += self.input_matrix @ u
+        if self._nonlinearity is not None:
+            e, g, phi = self._nonlinearity
+            s = (x.reshape(self.n_subsystems, -1) * g).sum(axis=1)
+            out += (e * phi(s)[:, None]).ravel()
         return out
 
     def block_norms(self, x: np.ndarray) -> np.ndarray:
@@ -559,82 +572,21 @@ def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def _seq_to_json(s: PeriodicSeq):
-    if s.preamble_len == 0 and s.period == 1:
-        return _num_to_json(s.cycle[0])
-    return {"preamble": [_num_to_json(v) for v in s.preamble],
-            "cycle": [_num_to_json(v) for v in s.cycle]}
-
-
-def _num_to_json(v: Real):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else v.numerator
-    return v
-
-
-def _seq_from_json(obj) -> PeriodicSeq:
-    if isinstance(obj, Mapping):
-        return PeriodicSeq(tuple(as_number(v) for v in obj.get("preamble", [])),
-                           tuple(as_number(v) for v in obj["cycle"]))
-    return PeriodicSeq.constant(as_number(obj))
-
-
 def generator_to_dict(gen: NetworkGenerator) -> dict:
-    fam = gen.family
-    coeff: dict
-    if isinstance(fam, LinearChain):
-        coeff = {"diag": _seq_to_json(fam.diag), "sub": _seq_to_json(fam.sub),
-                 "sup": _seq_to_json(fam.sup)}
-    elif isinstance(fam, Traffic):
-        coeff = {"v": _seq_to_json(fam.v), "l": _seq_to_json(fam.l),
-                 "c": _num_to_json(fam.c), "e": _num_to_json(fam.e),
-                 "r": _num_to_json(fam.r)}
-    elif isinstance(fam, LureBanded):
-        coeff = {"A": [[float(x) for x in r] for r in fam.a],
-                 "E": [[float(x) for x in r] for r in fam.e],
-                 "G": [[float(x) for x in r] for r in fam.g],
-                 "B": [[float(x) for x in r] for r in fam.b],
-                 "D_left": [[float(x) for x in r] for r in fam.d_left],
-                 "D_right": [[float(x) for x in r] for r in fam.d_right],
-                 "sector": [_num_to_json(fam.sector_l), _num_to_json(fam.sector_r)],
-                 "phi": fam.phi}
-    else:
-        coeff = {}
     structure = gen.structure
     mode = ({"eventually_periodic": {"preamble": structure[0], "period": structure[1]}}
             if structure else {"closed_form": {}})
     return {"schema": "sgain/1", "family": gen.family_name, "mode": mode,
             "bandwidth": gen.bandwidth, "p": _num_to_json(gen.p),
-            "q": _num_to_json(gen.q), "coefficients": coeff}
+            "q": _num_to_json(gen.q), "coefficients": gen.family.to_json()}
 
 
 def generator_from_dict(obj: Mapping) -> NetworkGenerator:
     try:
         name = obj["family"]
-        coeff = obj.get("coefficients", {})
-        if name == "linear-chain":
-            fam: Family = LinearChain(diag=_seq_from_json(coeff["diag"]),
-                                      sub=_seq_from_json(coeff["sub"]),
-                                      sup=_seq_from_json(coeff["sup"]))
-        elif name == "traffic":
-            fam = Traffic(v=_seq_from_json(coeff["v"]), l=_seq_from_json(coeff["l"]),
-                          c=as_number(coeff["c"]), e=as_number(coeff["e"]),
-                          r=as_number(coeff["r"]))
-        elif name == "lure-banded":
-            def rows(key):
-                return tuple(tuple(float(x) for x in r) for r in coeff[key])
-            fam = LureBanded(
-                a=rows("A"), e=rows("E"), g=rows("G"), b=rows("B"),
-                d_left=rows("D_left"), d_right=rows("D_right"),
-                sector_l=as_number(coeff["sector"][0]),
-                sector_r=as_number(coeff["sector"][1]),
-                phi=coeff.get("phi", "midpoint-linear"))
-        elif name == "counterexample-slow":
-            fam = CounterexampleSlow()
-        elif name == "counterexample-gain":
-            fam = CounterexampleGain()
-        else:
+        if name not in FAMILIES:
             raise ParameterError(f"unknown family {name!r}")
+        fam = FAMILIES[name].from_json(obj.get("coefficients", {}))
         return NetworkGenerator(family=fam, p=as_number(obj.get("p", 2)),
                                 q=as_number(obj.get("q", 2)))
     except (KeyError, TypeError, IndexError) as exc:

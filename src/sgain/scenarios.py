@@ -15,13 +15,6 @@ Default parameters live in packaged JSON files (decimal literals are
 parsed exactly); ``make_scenario`` applies validated overrides on top.
 ``run_pipeline`` executes derive -> assumption checks -> spectral
 bracket -> certificate -> simulation checks and aggregates one report.
-
-The counterexample gain data deserve a note: for ``dx_i = -(1/i) x_i + u``
-with V_i = x_i^2/2 the unforced decay rate is exactly 2/i, and any Young
-split that keeps the declared input gain finite degrades the rate
-further, so no choice restores uniformity.  The recorded pair
-(lambda_i = 2/i, gamma_iu = i/2) documents both divergences; the
-assumption checker reports the decay-rate failure first.
 """
 
 from __future__ import annotations
@@ -39,12 +32,9 @@ from . import sim as simmod
 from .certificate import assemble_lyapunov, certify, verify_certificate
 from .errors import (CannotCertifyError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
-from .gains import (GainData, HalfSquareForm, check_assumptions,
-                    derive_gains_linear_chain, derive_gains_lure,
-                    derive_gains_traffic, gamma_norm,
-                    traffic_small_gain_sufficient)
-from .network import (NetworkGenerator, generator_from_dict, truncate)
-from .seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq, as_number
+from .gains import GainData, check_assumptions, gamma_norm
+from .network import NetworkGenerator, generator_from_dict, truncate
+from .seqrules import PeriodicSeq, as_number
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -61,10 +51,6 @@ class Outcome:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "which": self.which}
-
-    @staticmethod
-    def from_dict(obj: Mapping) -> "Outcome":
-        return Outcome(kind=obj["kind"], which=obj.get("which"))
 
 
 @dataclass(frozen=True)
@@ -101,14 +87,10 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
     raw = resources.files("sgain").joinpath("scenarios", _FILES[name]).read_text()
     obj = json.loads(raw, parse_float=Fraction)
     if overrides:
-        ov = dict(overrides)
-        net_ov = {}
-        for key in ("coefficients", "p", "q"):
-            if key in ov:
-                net_ov[key] = ov.pop(key)
-        obj = _deep_merge(obj, ov)
-        if net_ov:
-            obj["network"] = _deep_merge(obj["network"], net_ov)
+        net_keys = ("coefficients", "p", "q")
+        obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})
+        obj["network"] = _deep_merge(obj["network"],
+                                     {k: v for k, v in overrides.items() if k in net_keys})
     gen = generator_from_dict(obj["network"])
     derivation = {k: as_number(v) if isinstance(v, (str, int, float, Fraction)) else v
                   for k, v in obj.get("derivation", {}).items()}
@@ -116,42 +98,14 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
         name=name, generator=gen,
         derivation=derivation,
         sim={k: v for k, v in obj.get("sim", {}).items()},
-        expected_outcome=Outcome.from_dict(obj["expected_outcome"]),
+        expected_outcome=Outcome(obj["expected_outcome"]["kind"],
+                                 obj["expected_outcome"].get("which")),
         notes=obj.get("notes", ""))
 
 
-def _counterexample_gains(family_name: str) -> GainData:
-    common = dict(gamma=PeriodicRows.empty(), p=2, q=2, bandwidth=1,
-                  alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-                  alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-                  vform=HalfSquareForm())
-    if family_name == "counterexample-slow":
-        return GainData(
-            lam=ClosedFormSeq(fn=lambda i: Fraction(2, i), inf=0, sup=2,
-                              label="2/i"),
-            gamma_u=ClosedFormSeq(fn=lambda i: Fraction(i, 2), inf=Fraction(1, 2),
-                                  sup=math.inf, nondecreasing=True, label="i/2"),
-            **common)
-    return GainData(
-        lam=PeriodicSeq.constant(Fraction(3, 2)),  # 2 (1 - eps) at eps = 1/4
-        gamma_u=ClosedFormSeq(fn=lambda i: 2 * Fraction(i) ** 2, inf=2,
-                              sup=math.inf, nondecreasing=True,
-                              label="i^2/(2 eps), eps = 1/4"),
-        **common)
-
-
 def derive_scenario_gains(s: ExampleScenario) -> GainData:
-    """Family-appropriate gain derivation with the scenario's parameters."""
-    fam = s.generator.family_name
-    d = s.derivation
-    if fam == "linear-chain":
-        return derive_gains_linear_chain(s.generator, d.get("eps"), d.get("delta"))
-    if fam == "traffic":
-        return derive_gains_traffic(s.generator, d.get("eps"))
-    if fam == "lure-banded":
-        return derive_gains_lure(s.generator, d["M"], d["kappa"], d["eps"],
-                                 d.get("tau", 1.0))
-    return _counterexample_gains(fam)
+    """The family's gain derivation with the scenario's parameters."""
+    return s.generator.family.derive_gains(s.generator, s.derivation)
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +140,6 @@ def _coercivity_sweep(lyap, net, samples: int, seed: int) -> dict:
     bound = lyap.bind(net)
     p = float(lyap.p)
     lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
-    dims = net.block_dims
     bad = 0
     worst = 0.0
     for _ in range(samples):
@@ -225,9 +178,7 @@ def run_pipeline(s: ExampleScenario, sim_overrides: Mapping | None = None,
     report["gains"] = _gain_summary(g)
     assumptions = check_assumptions(g)
     report["assumptions"] = assumptions.to_dict()
-    if s.generator.family_name == "traffic":
-        report["gains"]["traffic_sufficient_condition"] = traffic_small_gain_sufficient(
-            s.generator, s.derivation.get("eps", Fraction(1, 10)))
+    report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
 
     if not assumptions.ok:
         outcome = Outcome("reject-assumption", assumptions.first_failed)

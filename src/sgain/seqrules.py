@@ -16,7 +16,7 @@ iteration, eigensolves, time integration) converts them to floats.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -40,7 +40,10 @@ def as_number(x) -> Real:
     if isinstance(x, (int, float, Fraction)):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ParameterError(f"not a number: {x!r}")
 
 
@@ -52,22 +55,18 @@ def exact_div(a: Real, b: Real) -> Real:
 
 
 @dataclass(frozen=True)
-class PeriodicSeq:
-    """Eventually periodic sequence: ``preamble`` then ``cycle`` forever.
+class _EventuallyPeriodic:
+    """``preamble`` then ``cycle`` repeated forever.
 
     Index convention is 1-based throughout the package.
     """
 
-    preamble: tuple[Real, ...]
-    cycle: tuple[Real, ...]
+    preamble: tuple
+    cycle: tuple
 
     def __post_init__(self):
         if len(self.cycle) < 1:
-            raise ParameterError("cycle must contain at least one value")
-
-    @staticmethod
-    def constant(value: Real) -> "PeriodicSeq":
-        return PeriodicSeq(preamble=(), cycle=(as_number(value),))
+            raise ParameterError("cycle must contain at least one entry")
 
     @property
     def preamble_len(self) -> int:
@@ -77,11 +76,32 @@ class PeriodicSeq:
     def period(self) -> int:
         return len(self.cycle)
 
-    def at(self, i: int) -> Real:
+    def at(self, i: int):
         _check_index(i)
         if i <= len(self.preamble):
             return self.preamble[i - 1]
         return self.cycle[(i - len(self.preamble) - 1) % len(self.cycle)]
+
+    def realign(self, preamble_len: int, period: int):
+        """Re-express with a longer preamble and a cycle length that is a
+        multiple of the current one.  Entries are unchanged."""
+        if preamble_len < self.preamble_len or period % self.period != 0:
+            raise ParameterError("incompatible realignment")
+        return replace(
+            self, preamble=tuple(self.at(i) for i in range(1, preamble_len + 1)),
+            cycle=tuple(self.at(i) for i in range(preamble_len + 1, preamble_len + period + 1)))
+
+
+@dataclass(frozen=True)
+class PeriodicSeq(_EventuallyPeriodic):
+    """Eventually periodic sequence of numbers."""
+
+    preamble: tuple[Real, ...]
+    cycle: tuple[Real, ...]
+
+    @staticmethod
+    def constant(value: Real) -> "PeriodicSeq":
+        return PeriodicSeq(preamble=(), cycle=(as_number(value),))
 
     def values(self) -> tuple[Real, ...]:
         """All distinct-position values (preamble plus one cycle)."""
@@ -98,19 +118,6 @@ class PeriodicSeq:
     def map(self, fn: Callable[[Real], Real]) -> "PeriodicSeq":
         return PeriodicSeq(tuple(fn(v) for v in self.preamble),
                            tuple(fn(v) for v in self.cycle))
-
-    def realign(self, preamble_len: int, period: int) -> "PeriodicSeq":
-        """Re-express with a longer preamble and a cycle length that is a
-        multiple of the current one.  Values are unchanged."""
-        if preamble_len < len(self.preamble) or period % len(self.cycle) != 0:
-            raise ParameterError("incompatible realignment")
-        pre = tuple(self.at(i) for i in range(1, preamble_len + 1))
-        cyc = tuple(self.at(i) for i in range(preamble_len + 1, preamble_len + period + 1))
-        return PeriodicSeq(pre, cyc)
-
-    @property
-    def is_periodic(self) -> bool:
-        return True
 
     def lower(self) -> Real:
         return self.min()
@@ -139,10 +146,6 @@ class ClosedFormSeq:
         _check_index(i)
         return self.fn(i)
 
-    @property
-    def is_periodic(self) -> bool:
-        return False
-
     def lower(self) -> Real:
         return self.inf
 
@@ -154,7 +157,7 @@ Seq = PeriodicSeq | ClosedFormSeq
 
 
 @dataclass(frozen=True)
-class PeriodicRows:
+class PeriodicRows(_EventuallyPeriodic):
     """Eventually periodic banded row structure.
 
     ``row(i)`` is a mapping from neighbor *offset* (j - i) to a nonnegative
@@ -170,8 +173,7 @@ class PeriodicRows:
     def __post_init__(self):
         if self.bandwidth < 1:
             raise ParameterError("bandwidth must be >= 1")
-        if len(self.cycle) < 1:
-            raise ParameterError("cycle must contain at least one row")
+        super().__post_init__()
         for pos, row in enumerate(self.preamble, start=1):
             self._check_row(row, pos)
         for r, row in enumerate(self.cycle):
@@ -189,23 +191,7 @@ class PeriodicRows:
     def empty(bandwidth: int = 1) -> "PeriodicRows":
         return PeriodicRows(preamble=(), cycle=({},), bandwidth=bandwidth)
 
-    @property
-    def preamble_len(self) -> int:
-        return len(self.preamble)
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
-    def row(self, i: int) -> Mapping[int, Real]:
-        _check_index(i)
-        if i <= len(self.preamble):
-            return self.preamble[i - 1]
-        return self.cycle[(i - len(self.preamble) - 1) % len(self.cycle)]
-
-    def entry(self, i: int, j: int) -> Real:
-        """Value at row i, column j (zero off the band)."""
-        return self.row(i).get(j - i, 0)
+    row = _EventuallyPeriodic.at
 
     def column(self, j: int) -> dict[int, Real]:
         """All nonzero entries of column j, keyed by row index."""
@@ -236,12 +222,4 @@ class PeriodicRows:
                     for pos, row in enumerate(self.preamble))
         cyc = tuple({o: v * factor(self.preamble_len + 1 + r) for o, v in row.items()}
                     for r, row in enumerate(self.cycle))
-        return PeriodicRows(pre, cyc, self.bandwidth)
-
-    def realign(self, preamble_len: int, period: int) -> "PeriodicRows":
-        if preamble_len < self.preamble_len or period % self.period != 0:
-            raise ParameterError("incompatible realignment")
-        pre = tuple(dict(self.row(i)) for i in range(1, preamble_len + 1))
-        cyc = tuple(dict(self.row(i))
-                    for i in range(preamble_len + 1, preamble_len + period + 1))
         return PeriodicRows(pre, cyc, self.bandwidth)

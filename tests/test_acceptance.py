@@ -207,7 +207,7 @@ def test_criterion_7_rate_cap():
         gamma_u=sgain.PeriodicSeq.constant(1),
         alpha_lo=sgain.PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=sgain.PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=sgain.gains.HalfSquareForm())
+        p=2, q=2, bandwidth=1, vform=sgain.HALF_SQUARE)
     cert, g_capped, *_ = sgain.certify(g)
     assert cert.h_cap is not None
     capped_scan = verify_certificate(cert, g_capped)

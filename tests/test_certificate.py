@@ -11,11 +11,11 @@ import sgain
 from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
                    ParameterError, ShapeError, SmallGainViolatedError,
                    build_certificate, build_gain_operator, cap_decay_rates,
-                   certify, derive_gains_linear_chain, eval_V,
+                   certify, derive_gains_linear_chain,
                    iss_trajectory_bound, neumann_eta, spectral_bracket,
                    verify_certificate)
 from sgain.certificate import assemble_lyapunov
-from sgain.gains import GainData, HalfSquareForm
+from sgain.gains import HALF_SQUARE, GainData
 from sgain.seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
 
 
@@ -32,7 +32,7 @@ def unbounded_rate_gains(gamma=Fraction(1, 20)):
         gamma_u=PeriodicSeq.constant(1),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=HalfSquareForm())
+        p=2, q=2, bandwidth=1, vform=HALF_SQUARE)
 
 
 class TestCapDecayRates:
@@ -228,7 +228,7 @@ class TestCompositeLyapunov:
         cert, g, *_ = chain_certified
         lyap = assemble_lyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
-        assert eval_V(lyap, np.zeros(10), net) == 0.0
+        assert lyap.bind(net).value(np.zeros(10)) == 0.0
 
     def test_unit_vector_value(self, chain_certified):
         cert, g, *_ = chain_certified
@@ -236,7 +236,7 @@ class TestCompositeLyapunov:
         net = sgain.truncate(chain_gen(), 10)
         e1 = np.zeros(10)
         e1[0] = 1.0
-        assert eval_V(lyap, e1, net) == pytest.approx(float(cert.mu.at(1)) * 0.5)
+        assert lyap.bind(net).value(e1) == pytest.approx(float(cert.mu.at(1)) * 0.5)
 
     def test_coercivity_on_unit_sphere(self, chain_certified):
         cert, g, *_ = chain_certified
@@ -244,10 +244,11 @@ class TestCompositeLyapunov:
         net = sgain.truncate(chain_gen(), 20)
         rng = np.random.default_rng(5)
         lo, hi = float(cert.mu_lo) / 2, float(cert.mu_hi) / 2
+        bound = lyap.bind(net)
         for _ in range(200):
             x = rng.standard_normal(20)
             x /= np.linalg.norm(x)
-            v = eval_V(lyap, x, net)
+            v = bound.value(x)
             assert lo - 1e-12 <= v <= hi + 1e-12
 
     def test_dimension_mismatch(self, chain_certified):
@@ -255,7 +256,7 @@ class TestCompositeLyapunov:
         lyap = assemble_lyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         with pytest.raises(ShapeError):
-            eval_V(lyap, np.zeros(7), net)
+            lyap.bind(net).value(np.zeros(7))
 
 
 class TestTrajectoryBound:

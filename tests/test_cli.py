@@ -37,11 +37,32 @@ class TestExitCodes:
         assert report["assumptions"]["failed"][0] == "lambda_lo"
 
     def test_malformed_config_is_input_error(self, cli, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        r = cli(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")], tmp_path)
-        assert r.returncode == 1, r.stderr
-        assert "error" in r.stderr
+        traffic = {"family": "traffic",
+                   "coefficients": {"v": 1, "l": 1, "c": "1/10", "e": "1/2", "r": 1}}
+        platoon = sgain.make_scenario("lure-platoon")
+        lure = sgain.generator_to_dict(platoon.generator)
+        lure["coefficients"]["A"][0][0] = "abc"
+        m_bad = [["abc", 0.5], [0.5, 0.5]]
+        bad_file = tmp_path / "bad_net.json"
+        bad_file.write_text("{not json")
+        cases = [(["analyze"], "{not json"),
+                 (["analyze"], {"network": str(bad_file)}),
+                 (["certify"], {"network": lure, "derivation": platoon.derivation}),
+                 (["certify"], {"network": sgain.generator_to_dict(platoon.generator),
+                                "derivation": {**platoon.derivation, "M": m_bad}}),
+                 (["scenario", "traffic"], {"derivation": {"eps": "abc"}})]
+        for c in ("abc", "1/0"):
+            bad = {**traffic, "coefficients": {**traffic["coefficients"], "c": c}}
+            cases += [(["certify"], {"network": bad}),
+                      (["scenario", "traffic"], {"coefficients": {"c": c}})]
+        for k, (command, content) in enumerate(cases):
+            cfg = tmp_path / f"bad{k}.json"
+            cfg.write_text(content if isinstance(content, str)
+                           else json.dumps(content, default=float))
+            r = cli([*command, "--config", str(cfg), "--out", str(tmp_path / f"o{k}")], tmp_path)
+            assert r.returncode == 1, (content, r.stderr)
+            assert r.stderr.startswith("error:"), (content, r.stderr)
+            assert "Traceback" not in r.stderr, (content, r.stderr)
 
     def test_certify_small_gain_violated(self, cli, tmp_path):
         cfg = tmp_path / "c.json"

@@ -7,7 +7,7 @@ import sgain
 from sgain import (InvalidIndexError, LinearChain, LureBanded,
                    NetworkGenerator, NumericInputError, ParameterError,
                    ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
-                   generate_spec, truncate)
+                   truncate)
 from sgain.seqrules import PeriodicSeq
 
 
@@ -19,50 +19,75 @@ def traffic_gen():
     return sgain.make_scenario("traffic").generator
 
 
+def same_blocks(x, y):
+    (a1, d1, b1), (a2, d2, b2) = x, y
+    return (np.array_equal(a1, a2) and np.array_equal(b1, b2) and d1.keys() == d2.keys()
+            and all(np.array_equal(d1[off], d2[off]) for off in d1))
+
+
 class TestGenerateSpec:
+    """Subsystem descriptions read off ``Family.blocks``."""
+
     def test_chain_first_node_has_no_left_neighbor(self):
-        spec = generate_spec(chain_gen(), 1)
-        assert spec.neighbors == (2,)
-        assert spec.dynamics[1] == 0  # forced b_10 = 0
+        fam = chain_gen().family
+        assert fam.neighbors(1) == (2,)
+        assert fam.coefficients(1)[1] == 0  # forced b_10 = 0
+        assert -1 not in fam.blocks(1)[1]
 
     def test_chain_interior_node(self):
-        spec = generate_spec(chain_gen(), 5)
-        assert spec.neighbors == (4, 6)
-        assert spec.state_dim == 1 and spec.input_dim == 0
+        fam = chain_gen().family
+        assert fam.neighbors(5) == (4, 6)
+        assert fam.state_dim(5) == 1 and fam.input_dim(5) == 0
 
     def test_traffic_cell_11(self):
-        spec = generate_spec(traffic_gen(), 11)
-        assert spec.neighbors == (7, 12)  # S9 cell: {i-4, i+1}
+        assert traffic_gen().family.neighbors(11) == (7, 12)  # S9 cell: {i-4, i+1}
 
     def test_invalid_index(self):
-        with pytest.raises(InvalidIndexError):
-            generate_spec(chain_gen(), 0)
-        with pytest.raises(InvalidIndexError):
-            generate_spec(chain_gen(), -3)
+        for name in sgain.SCENARIO_NAMES:
+            fam = sgain.make_scenario(name).generator.family
+            for i in (0, -3):
+                with pytest.raises(InvalidIndexError):
+                    fam.blocks(i)
+                with pytest.raises(InvalidIndexError):
+                    fam.neighbors(i)
 
     def test_eventual_periodicity(self):
-        for gen in (chain_gen(), traffic_gen()):
+        chain, traffic = chain_gen(), traffic_gen()
+        cases = ((chain, chain.family.coefficients),  # with the exact records
+                 (traffic, lambda i: (traffic.family.cell(i), traffic.family.flow(i))),
+                 (sgain.make_scenario("lure-platoon").generator, lambda i: None))
+        for gen, record in cases:
+            fam = gen.family
             pre, period = gen.structure
             for i in range(pre + 1, pre + 40):
-                a, b = generate_spec(gen, i), generate_spec(gen, i + period)
-                assert a.dynamics == b.dynamics
-                assert tuple(j - i for j in a.neighbors) == \
-                    tuple(j - i - period for j in b.neighbors)
+                assert same_blocks(fam.blocks(i), fam.blocks(i + period))
+                assert record(i) == record(i + period)
+                assert tuple(j - i for j in fam.neighbors(i)) == \
+                    tuple(j - i - period for j in fam.neighbors(i + period))
+                assert fam.state_dim(i) == fam.state_dim(i + period)
+                assert fam.input_dim(i) == fam.input_dim(i + period)
 
     def test_decoupled_chain_has_no_neighbors(self):
-        spec = generate_spec(chain_gen(b_off=0), 7)
-        assert spec.neighbors == ()
+        assert chain_gen(b_off=0).family.neighbors(7) == ()
+
+
+_TRAFFIC_BASES = {"S2": 4, "S3": 5, "S4": 6, "S5": 9, "S6": 2, "S7": 7, "S8": 8, "S9": 11}
+
+
+def _traffic_index_sets(limit=10_100):
+    sets = {"S1": {1, 3}}
+    for name, base in _TRAFFIC_BASES.items():
+        sets[name] = {base + 8 * k for k in range(limit // 8 + 2)}
+    return sets
 
 
 class TestTrafficClassification:
-    # independent enumeration of the nine index sets
-    @staticmethod
-    def brute_force_class(i, limit=10_100):
-        sets = {"S1": {1, 3}}
-        bases = {"S2": 4, "S3": 5, "S4": 6, "S5": 9, "S6": 2, "S7": 7, "S8": 8, "S9": 11}
-        for name, base in bases.items():
-            sets[name] = {base + 8 * k for k in range(limit // 8 + 2)}
-        hits = [name for name, s in sets.items() if i in s]
+    # independent enumeration of the nine index sets, built once
+    SETS = _traffic_index_sets()
+
+    @classmethod
+    def brute_force_class(cls, i):
+        hits = [name for name, s in cls.SETS.items() if i in s]
         assert len(hits) == 1, f"index {i} in classes {hits}"
         return hits[0]
 
@@ -116,6 +141,15 @@ class TestTruncate:
         with pytest.raises(ParameterError):
             truncate(chain_gen(), 0)
 
+    def test_couplings_beyond_bandwidth_are_rejected(self):
+        class NarrowTraffic(Traffic):
+            bandwidth = 3
+
+        fam = traffic_gen().family
+        narrow = NarrowTraffic(v=fam.v, l=fam.l, c=fam.c, e=fam.e, r=fam.r)
+        with pytest.raises(ParameterError, match="exceeds bandwidth 3"):
+            truncate(NetworkGenerator(family=narrow), 12)
+
 
 class TestEvaluateRhs:
     def test_origin_is_equilibrium_everywhere(self):
@@ -147,7 +181,7 @@ class TestEvaluateRhs:
         x = rng.standard_normal(net.dim)
         base = evaluate_rhs(net, x, np.zeros(net.input_dim))
         i = 10
-        allowed = set(net.specs[i - 1].neighbors) | {i}
+        allowed = set(gen.family.neighbors(i)) | {i}
         for j in range(1, 31):
             if j in allowed:
                 continue
