@@ -42,7 +42,7 @@ from .gains import (GainData, GainOperator, SpectralBracket, adjoint_apply,
                     build_gain_operator, operator_power_column_sums,
                     spectral_bracket)
 from .network import TruncatedNetwork
-from .seqrules import ClosedFormSeq, PeriodicSeq, Real, exact_div
+from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div
 
 # --------------------------------------------------------------------------
 # Step-5 rate capping
@@ -228,17 +228,24 @@ class SmallGainCertificate:
 
 
 def certificate_from_dict(obj: dict) -> SmallGainCertificate:
-    mu = obj["mu"]
-    br = obj["bracket"]
-    return SmallGainCertificate(
-        mu=PeriodicSeq(tuple(mu["preamble"]), tuple(mu["period"])),
-        mu_lo=mu["mu_lo"], mu_hi=mu["mu_hi"],
-        lambda_inf=obj["lambda_inf"], r_tilde=obj["r_tilde"], rho=obj["rho"],
-        bracket=SpectralBracket(lower=br["lower"], upper=br["upper"],
-                                k_used=br["k_used"], n_used=br["n_used"],
-                                satisfied=br["satisfied"],
-                                lower_converged=br["lower_converged"]),
-        h_cap=obj.get("h_cap"))
+    """Read back ``SmallGainCertificate.to_dict``, every number as a float."""
+    def num(v):
+        return float(as_number(v))
+
+    try:
+        mu, br = obj["mu"], obj["bracket"]
+        return SmallGainCertificate(
+            mu=PeriodicSeq(tuple(map(num, mu["preamble"])), tuple(map(num, mu["period"]))),
+            mu_lo=num(mu["mu_lo"]), mu_hi=num(mu["mu_hi"]),
+            lambda_inf=num(obj["lambda_inf"]), r_tilde=num(obj["r_tilde"]),
+            rho=num(obj["rho"]),
+            bracket=SpectralBracket(lower=num(br["lower"]), upper=num(br["upper"]),
+                                    k_used=br["k_used"], n_used=br["n_used"],
+                                    satisfied=br["satisfied"],
+                                    lower_converged=br["lower_converged"]),
+            h_cap=None if obj.get("h_cap") is None else num(obj["h_cap"]))
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed certificate: {exc}") from None
 
 
 @dataclass(frozen=True)

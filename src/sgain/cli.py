@@ -23,19 +23,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import sim as simmod
-from .certificate import (assemble_lyapunov, certificate_from_dict, certify,
-                          verify_certificate)
-from .errors import (CannotCertifyError, ParameterError, SgainError,
-                     SmallGainViolatedError)
-from .gains import check_assumptions
-from .network import generator_from_dict, truncate
-from .scenarios import make_scenario, run_pipeline, _gain_summary
+from .certificate import certificate_from_dict
+from .errors import DerivationError, InvalidCertificateError, ParameterError, SgainError
+from .network import generator_from_dict
+from .scenarios import (build_sim, certify_gains, check_run, derive_and_check,
+                        make_scenario, run_pipeline)
+from .seqrules import as_object
 
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_ASSUMPTION = 2
-EXIT_SMALL_GAIN = 3
-EXIT_VIOLATIONS = 4
+# The exit code of each outcome kind a subcommand returns.
+EXIT_CODES = {"ok": 0, "certify": 0, "error": 1, "reject-assumption": 2,
+              "small-gain-violated": 3, "violations": 4}
 
 
 def _json_default(o):
@@ -44,19 +41,20 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _write_report(out_dir: Path, name: str, report: dict) -> Path:
+def _write_report(out_dir: Path, name: str, report: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w") as f:
+    with open(out_dir / name, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
-    return path
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path, parse_float=Fraction) -> dict:
+    """A JSON object from a file, decimals parsed exactly by default."""
+    if not isinstance(path, str):
+        raise ParameterError(f"expected a file path, got {path!r}")
     try:
         with open(path) as f:
-            return json.load(f, parse_float=Fraction)
+            return as_object(json.load(f, parse_float=parse_float), f"the content of {path}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
@@ -64,103 +62,64 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(cfg: dict):
-    """(generator, derivation params, sim config)."""
+    """(generator, derivation, analysis, sim) of a run configuration."""
     net = cfg.get("network")
     if net is None:
         raise ParameterError("config lacks a 'network' entry")
     scenario = None
     if isinstance(net, str):
         gen = generator_from_dict(_load_config(net))
-    elif "scenario" in net:
+    elif "scenario" in as_object(net, "'network'"):
         scenario = make_scenario(net["scenario"], net.get("overrides"))
         gen = scenario.generator
     else:
         gen = generator_from_dict(net)
-    derivation = cfg.get("derivation") or (scenario.derivation if scenario else {})
-    sim_cfg = {**(scenario.sim if scenario else {}), **cfg.get("sim", {})}
-    return gen, derivation, sim_cfg
+    derivation, analysis, sim = (as_object(cfg.get(key), repr(key))
+                                 for key in ("derivation", "analysis", "sim"))
+    if scenario is not None:
+        derivation, sim = derivation or scenario.derivation, {**scenario.sim, **sim}
+    return gen, derivation, analysis, sim
 
 
-def _analysis(args):
-    """(config, gains, assumption report, report head) of analyze and certify."""
-    cfg = _load_config(args.config)
-    gen, derivation, _ = _resolve(cfg)
-    g = gen.family.derive_gains(gen, derivation)
-    assumptions = check_assumptions(g)
+def _gains(args, cfg):
+    """(gains, assumption report, analysis, report) of analyze and certify."""
+    gen, derivation, analysis, _ = _resolve(cfg)
     report = {"schema": "sgain/1", "command": args.command, "seed": args.seed,
-              "network_family": gen.family_name, "gains": _gain_summary(g),
-              "assumptions": assumptions.to_dict()}
-    return cfg, g, assumptions, report
+              "network_family": gen.family_name}
+    return (*derive_and_check(gen, derivation, report), analysis, report)
 
 
-def cmd_analyze(args) -> int:
-    _, _, assumptions, report = _analysis(args)
+def cmd_analyze(args, cfg) -> str:
+    _, assumptions, _, report = _gains(args, cfg)
     _write_report(Path(args.out), "gains.json", report)
-    return EXIT_OK if assumptions.ok else EXIT_ASSUMPTION
+    return "ok" if assumptions.ok else "reject-assumption"
 
 
-def cmd_certify(args) -> int:
-    cfg, g, assumptions, report = _analysis(args)
-    out = Path(args.out)
-    if not assumptions.ok:
-        _write_report(out, "certificate.json", report)
-        return EXIT_ASSUMPTION
-    analysis = cfg.get("analysis", {})
-    try:
-        cert, g_used, _, bracket = certify(
-            g, rho=analysis.get("rho"),
-            k_max=int(analysis.get("k_max", 12)),
-            n_max=int(analysis.get("N_max", 64)),
-            terms=int(analysis.get("K", 60)),
-            h_start=analysis.get("h_start"),
-            h_doublings=int(analysis.get("h_doublings", 40)))
-    except (SmallGainViolatedError, CannotCertifyError) as exc:
-        report["error"] = str(exc)
-        if getattr(exc, "bracket", None) is not None:
-            report["bracket"] = exc.bracket.to_dict()
-        _write_report(out, "certificate.json", report)
-        return EXIT_SMALL_GAIN
-    report["bracket"] = bracket.to_dict()
-    report["certificate"] = cert.to_dict()
-    report["verification"] = verify_certificate(
-        cert, g_used, check_horizon=int(analysis.get("check_horizon", 0))).to_dict()
-    _write_report(out, "certificate.json", report)
-    return EXIT_OK
+def cmd_certify(args, cfg) -> str:
+    g, assumptions, analysis, report = _gains(args, cfg)
+    kind = "reject-assumption"
+    if assumptions.ok:
+        kind = "ok" if certify_gains(g, analysis, report) else "small-gain-violated"
+    _write_report(Path(args.out), "certificate.json", report)
+    return kind
 
 
-def _build_sim(gen, sim_cfg):
-    n = int(sim_cfg.get("N", 100))
-    net = truncate(gen, n)
-    signal = simmod.signal_from_dict(dict(sim_cfg.get("input", {"kind": "zero"})))
-    x0 = simmod.initial_state(net, sim_cfg.get("x0", {"kind": "zero"}))
-    horizon = float(sim_cfg.get("T", 10.0))
-    step = float(sim_cfg.get("h", 1e-3))
-    return net, signal, x0, horizon, step
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    gen, derivation, sim_cfg = _resolve(cfg)
-    net, signal, x0, horizon, step = _build_sim(gen, sim_cfg)
-    lyap = None
-    try:
-        g = gen.family.derive_gains(gen, derivation)
-        if check_assumptions(g).ok:
-            cert, g_used, _, _ = certify(g)
-            lyap = assemble_lyapunov(cert, g_used)
-    except SgainError:
-        lyap = None  # simulate without a Lyapunov channel
-    csv_states = bool(sim_cfg.get("csv_states", False))
-    store = bool(sim_cfg.get("store_states", False)) or csv_states
-    traj = simmod.integrate(net, x0, signal, horizon, step, lyapunov=lyap,
-                            store_states=store)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    simmod.export_csv(traj, out / "trajectory.csv", include_states=csv_states)
+def cmd_simulate(args, cfg) -> str:
+    gen, derivation, analysis, sim = _resolve(cfg)
+    setup = build_sim(gen, sim)
+    try:  # without gains, assumptions or a certificate: no V channel
+        g, assumptions = derive_and_check(gen, derivation, {})
+        ok = assumptions.ok
+    except (DerivationError, InvalidCertificateError):
+        ok = False
+    lyap = certify_gains(g, analysis, {}) if ok else None
+    csv_states = bool(sim.get("csv_states", False))
+    store = bool(sim.get("store_states", False)) or csv_states
+    traj = simmod.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
+                            lyapunov=lyap, store_states=store)
     summary = {"schema": "sgain/1", "command": "simulate", "seed": args.seed,
-               "N": net.n_subsystems, "T": horizon, "h": step,
-               "input": signal.to_dict(), "diverged": traj.diverged,
-               "u_sup_norm": traj.u_sup_norm,
+               **setup.to_dict(), "input": setup.signal.to_dict(),
+               "diverged": traj.diverged, "u_sup_norm": traj.u_sup_norm,
                "final_norm_p": float(traj.norm_p[-1]),
                "final_V": None if traj.v is None else float(traj.v[-1]),
                "samples": int(traj.t.size)}
@@ -169,64 +128,48 @@ def cmd_simulate(args) -> int:
             traj, "v" if traj.v is not None else "norm").to_dict()
     except SgainError:
         summary["decay_fit"] = None
-    _write_report(out, "summary.json", summary)
-    return EXIT_OK
+    _write_report(Path(args.out), "summary.json", summary)
+    simmod.export_csv(traj, Path(args.out) / "trajectory.csv", include_states=csv_states)
+    return "ok"
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    gen, derivation, sim_cfg = _resolve(cfg)
-    g = gen.family.derive_gains(gen, derivation)
-    assumptions = check_assumptions(g)
+def cmd_verify(args, cfg) -> str:
+    gen, derivation, analysis, sim = _resolve(cfg)
+    head: dict = {}
+    g, assumptions = derive_and_check(gen, derivation, head)
+    report = {"schema": "sgain/1", "command": "verify", "assumptions": head["assumptions"]}
     if not assumptions.ok:
-        _write_report(Path(args.out), "verification.json",
-                      {"schema": "sgain/1", "command": "verify",
-                       "assumptions": assumptions.to_dict()})
-        return EXIT_ASSUMPTION
-    cert_path = cfg.get("certificate")
-    if cert_path:
-        with open(cert_path) as f:
-            obj = json.load(f)
-        cert = certificate_from_dict(obj.get("certificate", obj))
-        g_used = g
-    else:
-        cert, g_used, _, _ = certify(g)
-    scan = verify_certificate(cert, g_used)
-    lyap = assemble_lyapunov(cert, g_used)
-    net, signal, x0, horizon, step = _build_sim(gen, sim_cfg)
-    c_tol = float(sim_cfg.get("c_tol", 20.0))
-    traj = simmod.integrate(net, x0, signal, horizon, step, lyapunov=lyap,
-                            store_states=False)
-    dissipation = simmod.verify_dissipation(traj, lyap, c_tol=c_tol)
-    envelope = simmod.verify_envelope(traj, lyap, c_tol=c_tol)
-    n_violations = ((0 if scan.ok else 1) + len(dissipation.violations)
-                    + len(envelope.violations))
-    report = {"schema": "sgain/1", "command": "verify", "seed": args.seed,
-              "assumptions": assumptions.to_dict(),
-              "certificate_scan": scan.to_dict(),
-              "dissipation": dissipation.to_dict(),
-              "envelope": envelope.to_dict(),
-              "n_violations": n_violations,
-              "sim": {"N": net.n_subsystems, "T": horizon, "h": step,
-                      "input": signal.to_dict()}}
+        _write_report(Path(args.out), "verification.json", report)
+        return "reject-assumption"
+    obj = _load_config(cfg["certificate"], float) if cfg.get("certificate") else None
+    stored = None if obj is None else certificate_from_dict(obj.get("certificate", obj))
+    lyap = certify_gains(g, analysis, head, stored)
+    if lyap is None:
+        print(f"error: {head['error']}", file=sys.stderr)
+        return "small-gain-violated"
+    setup = build_sim(gen, sim)
+    _, dissipation, envelope = check_run(setup, lyap, setup.signal)
+    scan = head["verification"]
+    n_violations = int(not scan["ok"]) + len(dissipation.violations) + len(envelope.violations)
+    report.update({"seed": args.seed, "certificate_scan": scan,
+                   "dissipation": dissipation.to_dict(), "envelope": envelope.to_dict(),
+                   "n_violations": n_violations,
+                   "sim": {**setup.to_dict(), "input": setup.signal.to_dict()}})
     _write_report(Path(args.out), "verification.json", report)
-    return EXIT_OK if n_violations == 0 else EXIT_VIOLATIONS
+    return "violations" if n_violations else "ok"
 
 
-def cmd_scenario(args) -> int:
-    overrides = _load_config(args.config) if args.config else None
-    scenario = make_scenario(args.name, overrides)
-    report = run_pipeline(scenario, seed=args.seed)
+def cmd_scenario(args, cfg) -> str:
+    report = run_pipeline(make_scenario(args.name, cfg), seed=args.seed)
     out = Path(args.out)
     _write_report(out, "report.json", report)
     if report.get("certificate"):
         _write_report(out, "certificate.json",
                       {"schema": "sgain/1", "certificate": report["certificate"]})
     kind = report["outcome"]["kind"]
-    if kind == "certify" and report.get("empirical_violations", 0):
-        return EXIT_VIOLATIONS
-    return {"certify": EXIT_OK, "reject-assumption": EXIT_ASSUMPTION,
-            "small-gain-violated": EXIT_SMALL_GAIN}.get(kind, EXIT_INPUT)
+    if kind == "error":
+        print(f"error: {report['error']}", file=sys.stderr)
+    return "violations" if report.get("empirical_violations") else kind
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,36 +177,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sgain",
         description="Stability certification for infinite networks of ODE subsystems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (("analyze", cmd_analyze, True),
-                                   ("certify", cmd_certify, True),
-                                   ("simulate", cmd_simulate, True),
-                                   ("verify", cmd_verify, True)):
+    for name, fn in (("analyze", cmd_analyze), ("certify", cmd_certify),
+                     ("simulate", cmd_simulate), ("verify", cmd_verify),
+                     ("scenario", cmd_scenario)):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config)
+        if name == "scenario":
+            p.add_argument("name")
+        p.add_argument("--config", required=name != "scenario")
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(fn=fn)
-    p = sub.add_parser("scenario")
-    p.add_argument("name")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_scenario)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except SgainError as exc:
+        kind = args.fn(args, None if args.config is None else _load_config(args.config))
+    except (SgainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (SmallGainViolatedError, CannotCertifyError)):
-            return EXIT_SMALL_GAIN
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        kind = "error"
+    return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ Five named scenarios cover the supported families:
 
 Default parameters live in packaged JSON files (decimal literals are
 parsed exactly); ``make_scenario`` applies validated overrides on top.
-``run_pipeline`` executes derive -> assumption checks -> spectral
-bracket -> certificate -> simulation checks and aggregates one report.
+``run_pipeline`` runs the four pipeline stages that the CLI subcommands
+also call: ``derive_and_check``, ``certify_gains``, ``build_sim`` and
+``check_run``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from typing import Mapping
 import numpy as np
 
 from . import sim as simmod
-from .certificate import assemble_lyapunov, certify, verify_certificate
-from .errors import (CannotCertifyError, SgainError,
+from .certificate import (CompositeLyapunov, SmallGainCertificate,
+                          assemble_lyapunov, certify, verify_certificate)
+from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
-from .gains import GainData, check_assumptions, gamma_norm
-from .network import NetworkGenerator, generator_from_dict, truncate
-from .seqrules import PeriodicSeq, as_number
+from .gains import AssumptionReport, GainData, check_assumptions, gamma_norm
+from .network import (NetworkGenerator, TruncatedNetwork, generator_from_dict,
+                      truncate)
+from .seqrules import PeriodicSeq, as_number, as_object
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -81,7 +84,8 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
     Out-of-range values are rejected by the family constructors with the
     documented range in the message.
     """
-    if name not in _FILES:
+    overrides = as_object(overrides, "scenario overrides")
+    if not isinstance(name, str) or name not in _FILES:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
     raw = resources.files("sgain").joinpath("scenarios", _FILES[name]).read_text()
@@ -93,11 +97,10 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
                                      {k: v for k, v in overrides.items() if k in net_keys})
     gen = generator_from_dict(obj["network"])
     derivation = {k: as_number(v) if isinstance(v, (str, int, float, Fraction)) else v
-                  for k, v in obj.get("derivation", {}).items()}
+                  for k, v in as_object(obj.get("derivation"), "'derivation'").items()}
     return ExampleScenario(
-        name=name, generator=gen,
-        derivation=derivation,
-        sim={k: v for k, v in obj.get("sim", {}).items()},
+        name=name, generator=gen, derivation=derivation,
+        sim=dict(as_object(obj.get("sim"), "'sim'")),
         expected_outcome=Outcome(obj["expected_outcome"]["kind"],
                                  obj["expected_outcome"].get("which")),
         notes=obj.get("notes", ""))
@@ -109,8 +112,16 @@ def derive_scenario_gains(s: ExampleScenario) -> GainData:
 
 
 # --------------------------------------------------------------------------
-# Pipeline
+# Pipeline stages
 # --------------------------------------------------------------------------
+
+COERCIVITY_SAMPLES = 1000
+
+
+def _number(section: Mapping, key: str, default=None):
+    """The number at ``key`` of a config section, or ``default`` when absent."""
+    value = section.get(key)
+    return default if value is None else as_number(value)
 
 
 def _gain_summary(g: GainData) -> dict:
@@ -135,6 +146,80 @@ def _gain_summary(g: GainData) -> dict:
             "conservative": g.conservative}
 
 
+def derive_and_check(gen: NetworkGenerator, derivation: Mapping,
+                     report: dict) -> tuple[GainData, AssumptionReport]:
+    """Stage 1: the family's gains and the uniformity assumption checks,
+    written into ``report`` as ``gains`` and ``assumptions``."""
+    g = gen.family.derive_gains(gen, derivation)
+    assumptions = check_assumptions(g)
+    report["gains"] = _gain_summary(g)
+    report["assumptions"] = assumptions.to_dict()
+    return g, assumptions
+
+
+def certify_gains(g: GainData, analysis: Mapping, report: dict,
+                  stored: SmallGainCertificate | None = None) -> CompositeLyapunov | None:
+    """Stage 2: certify ``g`` with the settings of an ``analysis`` section
+    (or scan a ``stored`` certificate against ``g``) and return the composite
+    Lyapunov function.  Writes the ``bracket``, ``certificate`` and its scan
+    ``verification`` into ``report``; with no certificate, the ``error`` and
+    its ``bracket`` instead, and returns None."""
+    cert, g_used = stored, g
+    if stored is None:
+        try:
+            cert, g_used, _, bracket = certify(
+                g, rho=_number(analysis, "rho"), k_max=int(_number(analysis, "k_max", 12)),
+                n_max=int(_number(analysis, "N_max", 64)), terms=int(_number(analysis, "K", 60)),
+                h_start=_number(analysis, "h_start"),
+                h_doublings=int(_number(analysis, "h_doublings", 40)))
+        except (SmallGainViolatedError, CannotCertifyError) as exc:
+            report["error"] = str(exc)
+            if getattr(exc, "bracket", None) is not None:
+                report["bracket"] = exc.bracket.to_dict()
+            return None
+        report["bracket"] = bracket.to_dict()
+        report["certificate"] = cert.to_dict()
+    report["verification"] = verify_certificate(
+        cert, g_used, check_horizon=int(_number(analysis, "check_horizon", 0))).to_dict()
+    return assemble_lyapunov(cert, g_used)
+
+
+@dataclass(frozen=True)
+class SimSetup:
+    """One truncation with its input signal, initial state and step sizes."""
+
+    net: TruncatedNetwork
+    signal: simmod.InputSignal
+    x0: np.ndarray
+    horizon: float
+    step: float
+    c_tol: float
+
+    def to_dict(self) -> dict:
+        return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
+
+
+def build_sim(gen: NetworkGenerator, sim: Mapping) -> SimSetup:
+    """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
+    net = truncate(gen, int(_number(sim, "N", 100)))
+    try:
+        signal = simmod.signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
+        x0 = simmod.initial_state(net, sim.get("x0") or {"kind": "zero"})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed 'sim' entry: {exc}") from None
+    return SimSetup(net=net, signal=signal, x0=x0, horizon=float(_number(sim, "T", 10.0)),
+                    step=float(_number(sim, "h", 1e-3)), c_tol=float(_number(sim, "c_tol", 20.0)))
+
+
+def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: simmod.InputSignal):
+    """Stage 4: integrate ``signal`` with the Lyapunov channel; returns the
+    trajectory and its dissipation and ISS envelope checks."""
+    traj = simmod.integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
+                            lyapunov=lyap, store_states=False)
+    return (traj, simmod.verify_dissipation(traj, lyap, c_tol=setup.c_tol),
+            simmod.verify_envelope(traj, lyap, c_tol=setup.c_tol))
+
+
 def _coercivity_sweep(lyap, net, samples: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     bound = lyap.bind(net)
@@ -155,83 +240,48 @@ def _coercivity_sweep(lyap, net, samples: int, seed: int) -> dict:
     return {"samples": samples, "violations": bad, "worst_relative_excess": worst}
 
 
-def run_pipeline(s: ExampleScenario, sim_overrides: Mapping | None = None,
-                 seed: int = 0, coercivity_samples: int = 1000) -> dict:
-    """Derive, check, bracket, certify, simulate, and aggregate a report.
+def _conclude(report: dict, s: ExampleScenario, outcome: Outcome, violations: int = 0) -> dict:
+    report["outcome"] = outcome.to_dict()
+    report["matches_expected"] = outcome == s.expected_outcome and violations == 0
+    return report
+
+
+def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
+    """Run the four stages on a scenario and aggregate one report.
 
     Module errors become report outcomes rather than exceptions; the
     report's ``outcome`` equals the scenario's ``expected_outcome`` for
     every shipped scenario at default parameters.
     """
-    sim_cfg = {**s.sim, **(sim_overrides or {})}
     report: dict = {"schema": "sgain/1", "scenario": s.name, "seed": seed,
                     "expected_outcome": s.expected_outcome.to_dict(),
                     "notes": s.notes}
     try:
-        g = derive_scenario_gains(s)
+        g, assumptions = derive_and_check(s.generator, s.derivation, report)
     except SgainError as exc:
-        report["outcome"] = Outcome("error", None).to_dict()
         report["error"] = str(exc)
-        report["matches_expected"] = False
-        return report
-
-    report["gains"] = _gain_summary(g)
-    assumptions = check_assumptions(g)
-    report["assumptions"] = assumptions.to_dict()
+        return _conclude(report, s, Outcome("error"))
     report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
-
     if not assumptions.ok:
-        outcome = Outcome("reject-assumption", assumptions.first_failed)
-        report["outcome"] = outcome.to_dict()
-        report["matches_expected"] = outcome == s.expected_outcome
-        return report
+        return _conclude(report, s, Outcome("reject-assumption", assumptions.first_failed))
+    lyap = certify_gains(g, {}, report)
+    if lyap is None:
+        return _conclude(report, s, Outcome("small-gain-violated"))
 
-    try:
-        cert, g_used, op, bracket = certify(g)
-    except (SmallGainViolatedError, CannotCertifyError) as exc:
-        outcome = Outcome("small-gain-violated")
-        report["outcome"] = outcome.to_dict()
-        report["error"] = str(exc)
-        if getattr(exc, "bracket", None) is not None:
-            report["bracket"] = exc.bracket.to_dict()
-        report["matches_expected"] = outcome == s.expected_outcome
-        return report
-
-    report["bracket"] = bracket.to_dict()
-    report["certificate"] = cert.to_dict()
-    report["verification"] = verify_certificate(cert, g_used).to_dict()
-
-    lyap = assemble_lyapunov(cert, g_used)
-    n = int(sim_cfg.get("N", 100))
-    horizon = float(sim_cfg.get("T", 10.0))
-    step = float(sim_cfg.get("h", 1e-3))
-    net = truncate(s.generator, n)
-    x0 = simmod.initial_state(net, sim_cfg.get("x0", {"kind": "first-k", "K": 5}))
-    simrep: dict = {"N": n, "T": horizon, "h": step}
-
-    decay_traj = simmod.integrate(net, x0, simmod.Zero(), horizon, step,
-                                  lyapunov=lyap, store_states=False)
-    simrep["decay_fit"] = simmod.fit_decay(decay_traj, "v").to_dict()
-    simrep["dissipation_zero_input"] = simmod.verify_dissipation(decay_traj, lyap).to_dict()
-
-    input_cfg = sim_cfg.get("input", {"kind": "zero"})
-    signal = simmod.signal_from_dict(dict(input_cfg)) if isinstance(input_cfg, Mapping) else input_cfg
-    if not isinstance(signal, simmod.Zero) and net.input_dim:
-        forced = simmod.integrate(net, x0, signal, horizon, step,
-                                  lyapunov=lyap, store_states=False)
-        simrep["input"] = signal.to_dict()
+    setup = build_sim(s.generator, s.sim)
+    simrep = setup.to_dict()
+    decay, dissipation, _ = check_run(setup, lyap, simmod.Zero())
+    simrep["decay_fit"] = simmod.fit_decay(decay, "v").to_dict()
+    simrep["dissipation_zero_input"] = dissipation.to_dict()
+    violations = len(dissipation.violations)
+    if not isinstance(setup.signal, simmod.Zero) and setup.net.input_dim:
+        forced, dissipation, envelope = check_run(setup, lyap, setup.signal)
+        simrep["input"] = setup.signal.to_dict()
         simrep["u_sup_norm"] = forced.u_sup_norm
-        simrep["dissipation_forced"] = simmod.verify_dissipation(forced, lyap).to_dict()
-        simrep["envelope_forced"] = simmod.verify_envelope(forced, lyap).to_dict()
-    simrep["coercivity"] = _coercivity_sweep(lyap, net, coercivity_samples, seed)
+        simrep["dissipation_forced"] = dissipation.to_dict()
+        simrep["envelope_forced"] = envelope.to_dict()
+        violations += len(dissipation.violations) + len(envelope.violations)
+    simrep["coercivity"] = _coercivity_sweep(lyap, setup.net, COERCIVITY_SAMPLES, seed)
     report["simulation"] = simrep
-
-    outcome = Outcome("certify")
-    report["outcome"] = outcome.to_dict()
-    violations = (simrep["dissipation_zero_input"]["n_violations"]
-                  + simrep.get("dissipation_forced", {}).get("n_violations", 0)
-                  + simrep.get("envelope_forced", {}).get("n_violations", 0)
-                  + simrep["coercivity"]["violations"])
-    report["empirical_violations"] = violations
-    report["matches_expected"] = (outcome == s.expected_outcome) and violations == 0
-    return report
+    report["empirical_violations"] = violations + simrep["coercivity"]["violations"]
+    return _conclude(report, s, Outcome("certify"), report["empirical_violations"])

@@ -47,6 +47,13 @@ def as_number(x) -> Real:
     raise ParameterError(f"not a number: {x!r}")
 
 
+def as_object(x, what: str) -> Mapping:
+    """A JSON object entry of a configuration ({} when absent or null)."""
+    if x is not None and not isinstance(x, Mapping):
+        raise ParameterError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x or {}
+
+
 def exact_div(a: Real, b: Real) -> Real:
     """Division that stays rational for int/Fraction operands."""
     if isinstance(a, float) or isinstance(b, float):

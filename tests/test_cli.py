@@ -8,6 +8,23 @@ from pathlib import Path
 import pytest
 
 import sgain
+from sgain.cli import main
+
+FAST_SIM = {"N": 20, "T": 0.2, "h": 0.002}
+
+
+@pytest.fixture()
+def run_main(capsys):
+    """Run ``sgain.cli.main(argv)`` in-process; returns (exit code, stderr)."""
+    def run(argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+    return run
+
+
+def _write(path, content):
+    path.write_text(content if isinstance(content, str) else json.dumps(content, default=float))
+    return path
 
 
 @pytest.fixture()
@@ -36,7 +53,7 @@ class TestExitCodes:
         report = json.loads((tmp_path / "o" / "gains.json").read_text())
         assert report["assumptions"]["failed"][0] == "lambda_lo"
 
-    def test_malformed_config_is_input_error(self, cli, tmp_path):
+    def test_malformed_config_is_input_error(self, cli, run_main, tmp_path):
         traffic = {"family": "traffic",
                    "coefficients": {"v": 1, "l": 1, "c": "1/10", "e": "1/2", "r": 1}}
         platoon = sgain.make_scenario("lure-platoon")
@@ -63,6 +80,37 @@ class TestExitCodes:
             assert r.returncode == 1, (content, r.stderr)
             assert r.stderr.startswith("error:"), (content, r.stderr)
             assert "Traceback" not in r.stderr, (content, r.stderr)
+
+        # Further cases run in-process: an escaping exception fails the test.
+        chain = {"scenario": "chain-a"}
+        cert = sgain.certify(sgain.derive_scenario_gains(sgain.make_scenario("chain-a")))[0]
+        cert = cert.to_dict()
+        cert_files = [_write(tmp_path / "cert_broken.json", "{oops"),
+                      _write(tmp_path / "cert_nobracket.json",
+                             {k: v for k, v in cert.items() if k != "bracket"}),
+                      _write(tmp_path / "cert_nomu.json",
+                             {"certificate": {k: v for k, v in cert.items() if k != "mu"}})]
+        cases = [(["certify"], {"network": chain, "analysis": {"k_max": "abc"}}),
+                 (["analyze"], {"network": chain, "derivation": [1, 2]}),
+                 (["simulate"], {"network": chain, "sim": [1]}),
+                 (["analyze"], [1, 2]),
+                 (["scenario", "chain-a"], [1, 2]),
+                 (["simulate"], {"network": chain, "derivation": {"eps": "abc"},
+                                 "sim": FAST_SIM}),
+                 (["scenario", "lure-platoon"], {"derivation": {"M": m_bad}})]
+        cases += [(["verify"], {"network": chain, "sim": FAST_SIM, "certificate": str(f)})
+                  for f in cert_files]
+        errs = []
+        for k, (command, content) in enumerate(cases):
+            cfg = _write(tmp_path / f"p{k}.json", content)
+            code, err = run_main([*command, "--config", cfg, "--out", tmp_path / f"p{k}"])
+            assert code == 1, (content, err)
+            assert err.startswith("error:"), (content, err)
+            errs.append(err)
+        # A scenario whose gains cannot be derived still writes its report.
+        report = json.loads((tmp_path / "p6" / "report.json").read_text())
+        assert report["outcome"]["kind"] == "error"
+        assert errs[6] == f"error: {report['error']}\n"
 
     def test_certify_small_gain_violated(self, cli, tmp_path):
         cfg = tmp_path / "c.json"
@@ -181,3 +229,39 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
+    def test_certify_agrees_with_scenario_report(self, run_main, tmp_path, name):
+        fast = _write(tmp_path / "fast.json", {"sim": FAST_SIM})
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": name}})
+        assert run_main(["scenario", name, "--config", fast, "--out", tmp_path / "s"]) == (0, "")
+        assert run_main(["certify", "--config", cfg, "--out", tmp_path / "c"]) == (0, "")
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        for key in ("assumptions", "bracket", "certificate", "verification"):
+            assert cert[key] == report[key], key
+        s = sgain.make_scenario(name)
+        notes = s.generator.family.report_notes(s.generator, s.derivation)
+        assert cert["gains"] == {k: v for k, v in report["gains"].items() if k not in notes}
+
+    def test_verify_scans_the_certificate_of_the_analysis_settings(self, run_main, tmp_path):
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
+                                             "analysis": {"rho": 0.01}, "sim": FAST_SIM})
+        assert run_main(["certify", "--config", cfg, "--out", tmp_path / "o"]) == (0, "")
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o"]) == (0, "")
+        cert = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        rep = json.loads((tmp_path / "o" / "verification.json").read_text())
+        assert rep["certificate_scan"] == cert["verification"]
+
+    @pytest.mark.parametrize("network", [
+        {"scenario": "counter-slow"},
+        {"scenario": "chain-a", "overrides": {"coefficients": {"sub": 1, "sup": 1},
+                                              "derivation": {"eps": 0.25, "delta": 0.25}}}])
+    def test_simulate_without_certificate_has_no_v(self, run_main, tmp_path, network):
+        cfg = _write(tmp_path / "cfg.json", {"network": network, "sim": {
+            **FAST_SIM, "x0": {"kind": "first-k", "K": 3}}})
+        assert run_main(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == (0, "")
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["final_V"] is None

@@ -42,23 +42,23 @@ class TestExpectedOutcomes:
         ("counter-gain", "reject-assumption", "gamma_u"),
     ])
     def test_pipeline_matches_expected(self, name, kind, which):
-        s = make_scenario(name)
-        rep = run_pipeline(s, sim_overrides=FAST_SIM, coercivity_samples=100)
+        s = make_scenario(name, {"sim": FAST_SIM})
+        rep = run_pipeline(s)
         assert rep["outcome"] == {"kind": kind, "which": which}
         assert rep["matches_expected"]
         assert rep["expected_outcome"] == s.expected_outcome.to_dict()
 
     def test_certified_reports_have_zero_empirical_violations(self):
         for name in ("chain-a", "traffic"):
-            rep = run_pipeline(make_scenario(name), sim_overrides=FAST_SIM,
-                               coercivity_samples=100)
+            rep = run_pipeline(make_scenario(name, {"sim": FAST_SIM}))
             assert rep["empirical_violations"] == 0
             assert rep["verification"]["ok"]
 
     def test_raised_coupling_violates_small_gain(self):
         s = make_scenario("chain-a", {"coefficients": {"sub": 1, "sup": 1},
-                                      "derivation": {"eps": "0.25", "delta": "0.25"}})
-        rep = run_pipeline(s, sim_overrides=FAST_SIM)
+                                      "derivation": {"eps": "0.25", "delta": "0.25"},
+                                      "sim": FAST_SIM})
+        rep = run_pipeline(s)
         assert rep["outcome"] == {"kind": "small-gain-violated", "which": None}
         assert rep["bracket"]["lower"] > 1
 
@@ -77,8 +77,7 @@ class TestChainScalingFamily:
 
 class TestTrafficSufficientCondition:
     def test_reported_value(self):
-        rep = run_pipeline(make_scenario("traffic"), sim_overrides=FAST_SIM,
-                           coercivity_samples=50)
+        rep = run_pipeline(make_scenario("traffic", {"sim": FAST_SIM}))
         # 2 (c v)^2/(eps l^2) / (v/l - 2 eps) = (2/100/(1/10)) / (8/10) = 1/4
         assert rep["gains"]["traffic_sufficient_condition"] == pytest.approx(0.25)
         assert rep["gains"]["traffic_sufficient_condition"] < 1
