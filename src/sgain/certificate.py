@@ -114,80 +114,59 @@ class EtaVector:
 
 
 def neumann_eta(op: GainOperator, lam_shift: Real, terms: int = 60,
-                witness_order: int | None = None, k_max: int = 16) -> EtaVector:
+                k_max: int = 16) -> EtaVector:
     """Partial sums of ``sum_k Theta^k 1 / lam_shift^(k+1)`` on the band.
 
-    ``witness_order`` must satisfy ``||Theta^m0|| < lam_shift^m0`` (found
-    by scanning powers when omitted); this certifies geometric decay of
-    the series blocks and hence the tail bound.  The number of retained
-    terms is raised, if necessary, until the truncated vector satisfies
-    ``Theta eta <= lam_shift * eta`` componentwise exactly.
+    The witness order m0, the first k <= ``k_max`` with ``||Theta^k|| <
+    lam_shift^k``, certifies geometric decay of the series blocks and hence
+    the tail bound.  The series stops at a multiple of m0, where its last
+    iterate shows ``Theta eta <= lam_shift * eta`` componentwise exactly.
     """
     if lam_shift <= 0:
         raise ParameterError("lam_shift must be positive")
-    norms: dict[int, Real] = {0: 1}
-
-    def norm_of(k: int) -> Real:
-        if k not in norms:
-            norms[k] = operator_power_column_sums(op, k)
-        return norms[k]
-
-    m0 = witness_order
+    norms = operator_power_column_sums(op, k_max)
+    m0 = next((k for k in range(1, k_max + 1) if norms[k] < lam_shift ** k), None)
     if m0 is None:
-        for k in range(1, k_max + 1):
-            if norm_of(k) < lam_shift ** k:
-                m0 = k
-                break
-        else:
-            raise CannotCertifyError(
-                f"no Gelfand witness ||Theta^k||^(1/k) < {float(lam_shift):g} "
-                f"for k <= {k_max}; small-gain condition not established")
-    elif not norm_of(m0) < lam_shift ** m0:
         raise CannotCertifyError(
-            f"||Theta^{m0}|| = {float(norm_of(m0)):g} is no witness below "
-            f"shift^{m0} = {float(lam_shift) ** m0:g}")
+            f"no Gelfand witness ||Theta^k||^(1/k) < {float(lam_shift):g} "
+            f"for k <= {k_max}; small-gain condition not established")
 
     # Stop the series at a multiple of the witness order: submultiplicativity
     # gives ||Theta^(a m0)|| <= ||Theta^m0||^a < shift^(a m0), so the exact
-    # norm check below is guaranteed to close there.
+    # check of the last iterate below closes there.
     k_eff = max(1, math.ceil((int(terms) + 1) / m0)) * m0 - 1
-    for _ in range(8):
-        if norm_of(k_eff + 1) <= lam_shift ** (k_eff + 1):
-            break
-        k_eff += m0
-    else:
-        raise InternalInconsistencyError("series length search did not close")
+    op.require_band(k_eff + 1)
 
-    m = op.bandwidth
+    m, period = op.bandwidth, op.period
     pre_len = op.preamble_len + k_eff * m
-    period = op.period
     checked = pre_len + 2 * period
-    window = checked + (k_eff + 1) * m
+    horizon = max(checked, pre_len + m + period)  # also the Gelfand horizon of Theta^(k_eff+1)
 
     inv = exact_div(1, lam_shift)
-    v = [1] * window
+    v = [1] * (horizon + (k_eff + 1) * m)
     coef = inv
-    eta = [coef] * window
+    eta = [coef] * checked
     for _ in range(k_eff):
         v = adjoint_apply(op, v, len(v) - m)
         coef = coef * inv
-        for i in range(len(v)):
+        for i in range(checked):
             eta[i] += coef * v[i]
     v = adjoint_apply(op, v, len(v) - m)  # Theta^(k_eff + 1) 1
     shift_pow = lam_shift ** (k_eff + 1)
-    worst = max(float(exact_div(v[i], shift_pow)) - 1.0 for i in range(checked))
-    if worst > 0:
+    top = max(v)
+    worst = float(exact_div(top, shift_pow)) - 1.0
+    if top > shift_pow:
         raise InternalInconsistencyError(
-            f"series residual positive ({worst:g}) despite the norm check")
+            f"series residual positive ({worst:g}) despite the witness")
 
     eta_seq = PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:pre_len + period]))
-    for offset in range(period):  # exact repetition across the next cycle
+    for offset in range(period):  # repetition across the next cycle, exact for rationals
         a, b = eta[pre_len + offset], eta[pre_len + period + offset]
-        if not (a == b or abs(float(a - b)) <= 1e-12 * max(1.0, abs(float(a)))):
+        if a != b and (not isinstance(a, float) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
             raise InternalInconsistencyError("eta lost its periodic structure")
 
-    w = float(norm_of(m0)) / float(lam_shift) ** m0
-    c_blocks = max(float(norm_of(b)) / float(lam_shift) ** b for b in range(m0))
+    w = float(norms[m0]) / float(lam_shift) ** m0
+    c_blocks = max(float(norms[b]) / float(lam_shift) ** b for b in range(m0))
     tail = (c_blocks * m0 / float(lam_shift)) * w ** ((k_eff + 1) // m0) / (1.0 - w)
     return EtaVector(lam_shift=lam_shift, eta=eta_seq, terms_used=k_eff,
                      witness_order=m0, tail_bound=tail, worst_residual=worst,
@@ -298,7 +277,7 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
 
 
 def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = None,
-                      *, terms: int = 60, k_max: int = 16) -> SmallGainCertificate:
+                      *, terms: int = 60) -> SmallGainCertificate:
     """Construct and verify the scaling vector for bounded-rate gain data.
 
     The contraction factor is placed a tenth of the way from the bracket
@@ -327,7 +306,8 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     lam_inf = (1 - r_tilde) * lam_lo
 
     op = build_gain_operator(g)
-    eta_vec = neumann_eta(op, r_tilde, terms=terms, k_max=k_max)
+    # r_tilde > upper >= ||Psi^k_used||^(1/k_used): a witness order exists up to k_used.
+    eta_vec = neumann_eta(op, r_tilde, terms=terms, k_max=bracket.k_used)
 
     pre = max(eta_vec.eta.preamble_len, g.lam.preamble_len)
     period = math.lcm(eta_vec.eta.period, g.lam.period)
@@ -359,7 +339,7 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     if isinstance(g.lam, PeriodicSeq):
         op = build_gain_operator(g)
         bracket = spectral_bracket(op, k_max=k_max, n_max=n_max)
-        cert = build_certificate(g, bracket, rho, terms=terms, k_max=max(k_max, 16))
+        cert = build_certificate(g, bracket, rho, terms=terms)
         return cert, g, op, bracket
     lam_lo = g.lam.lower()
     if lam_lo <= 0:
@@ -374,7 +354,7 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
         op = build_gain_operator(gh)
         bracket = spectral_bracket(op, k_max=k_max, n_max=n_max)
         if bracket.satisfied:
-            cert = build_certificate(gh, bracket, rho, terms=terms, k_max=max(k_max, 16))
+            cert = build_certificate(gh, bracket, rho, terms=terms)
             return dataclasses.replace(cert, h_cap=h), gh, op, bracket
         last = bracket
         h = h * 2

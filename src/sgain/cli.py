@@ -104,8 +104,17 @@ def cmd_certify(args, cfg) -> str:
     return kind
 
 
+def _flag(sim: dict, key: str) -> bool:
+    value = sim.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise ParameterError(f"'sim.{key}' must be true or false, got {value!r}")
+    return bool(value)
+
+
 def cmd_simulate(args, cfg) -> str:
     gen, derivation, analysis, sim = _resolve(cfg)
+    csv_states = _flag(sim, "csv_states")
+    store = _flag(sim, "store_states") or csv_states
     setup = build_sim(gen, sim)
     try:  # without gains, assumptions or a certificate: no V channel
         g, assumptions = derive_and_check(gen, derivation, {})
@@ -113,8 +122,6 @@ def cmd_simulate(args, cfg) -> str:
     except (DerivationError, InvalidCertificateError):
         ok = False
     lyap = certify_gains(g, analysis, {}) if ok else None
-    csv_states = bool(sim.get("csv_states", False))
-    store = bool(sim.get("store_states", False)) or csv_states
     traj = simmod.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
                             lyapunov=lyap, store_states=store)
     summary = {"schema": "sgain/1", "command": "simulate", "seed": args.seed,

@@ -371,6 +371,8 @@ def traffic_small_gain_sufficient(gen: NetworkGenerator, eps) -> float:
 # The gain operator
 # --------------------------------------------------------------------------
 
+BAND_BUDGET = 4096  # most diagonals the band of a computed power Psi^k may span
+
 
 @dataclass(frozen=True)
 class GainOperator:
@@ -393,6 +395,12 @@ class GainOperator:
     def norm_1(self) -> Real:
         """Exact ||Psi||_{1,1} = sup_j sum_i psi_ij."""
         return self.rows.sup_column_sum()
+
+    def require_band(self, k: int) -> None:
+        """Refuse a computation with Psi^k when its band exceeds BAND_BUDGET."""
+        if k * self.bandwidth > BAND_BUDGET:
+            raise ResourceError(f"band of Psi^{k} spans {k * self.bandwidth} diagonals, "
+                                f"over the budget {BAND_BUDGET}")
 
     def truncation(self, n: int) -> np.ndarray:
         """Dense leading n-by-n principal submatrix (float entries)."""
@@ -423,42 +431,36 @@ def adjoint_apply(op: GainOperator, v: list, out_len: int) -> list:
     (Theta v)_i = sum_j psi_ji v_j needs v on [i - m, i + m]; the output
     is therefore valid on a window m shorter than the input.
     """
-    m = op.bandwidth
-    if out_len + m > len(v):
+    if out_len + op.bandwidth > len(v):
         raise ParameterError("window too short for one adjoint application")
-    rows = op.rows
     out = []
     for i in range(1, out_len + 1):
         acc = 0
-        for j in range(max(1, i - m), i + m + 1):
-            w = rows.row(j).get(i - j)
-            if w:
-                acc += w * v[j - 1]
+        for j, w in op.rows.column(i).items():
+            acc += w * v[j - 1]
         out.append(acc)
     return out
 
 
-def operator_power_column_sums(op: GainOperator, k: int,
-                               band_budget: int = 4096) -> Real:
-    """Exact ``||Psi^k||_{1,1}``.
+def operator_power_column_sums(op: GainOperator, k_max: int) -> tuple[Real, ...]:
+    """Exact ``(||Psi^0||_{1,1}, ..., ||Psi^k_max||_{1,1})`` from one run of
+    ``k_max`` adjoint applications.
 
     Column j of Psi^k sums to (Theta^k 1)_j; the vector Theta^k 1 is
-    eventually periodic with preamble ``preamble + k m``, so the supremum
-    over all j is attained on a finite window.
+    eventually periodic with preamble ``preamble + k m``, so its supremum
+    is the maximum over its first ``preamble + k m + period`` entries, all
+    valid in a starting window of ``preamble + 2 k_max m + period``.
     """
-    if k < 0:
+    if k_max < 0:
         raise ParameterError("power must be nonnegative")
-    if k == 0:
-        return 1
+    op.require_band(k_max)
     m = op.bandwidth
-    if k * m > band_budget:
-        raise ResourceError(
-            f"band of Psi^{k} spans {k * m} diagonals, over the budget {band_budget}")
-    horizon = op.preamble_len + k * m + op.period
-    v = [1] * (horizon + k * m)
-    for step in range(k):
+    v = [1] * (op.preamble_len + 2 * k_max * m + op.period)
+    norms = [1]
+    for k in range(1, k_max + 1):
         v = adjoint_apply(op, v, len(v) - m)
-    return max(v[:horizon])
+        norms.append(max(v[:op.preamble_len + k * m + op.period]))
+    return tuple(norms)
 
 
 @dataclass(frozen=True)
@@ -519,16 +521,14 @@ def _perron_lower(a: np.ndarray, max_iters: int, tol: float):
 
 
 def _certified_root(s: Real, k: int) -> float:
-    """Float k-th root of s rounded up until it really is an upper bound."""
-    if s == 0:
-        return 0.0
+    """Float k-th root of s rounded up to a true upper bound, or inf when
+    nine candidates fall short (as when ``float(s)`` underflows)."""
     x = float(s) ** (1.0 / k)
-    target = Fraction(s) if not isinstance(s, float) else Fraction.from_float(s)
-    for _ in range(8):
-        if Fraction.from_float(x) ** k >= target:
-            break
+    for _ in range(9):
+        if Fraction(x) ** k >= s:
+            return x
         x = math.nextafter(x, math.inf)
-    return x
+    return math.inf
 
 
 def spectral_bracket(op: GainOperator, k_max: int = 12, n_max: int = 64,
@@ -539,19 +539,19 @@ def spectral_bracket(op: GainOperator, k_max: int = 12, n_max: int = 64,
     value is kept in exact arithmetic so that rational inputs give a
     rational upper bound whenever the plain norm is already the best
     estimate, and higher roots are rounded up so every candidate is a
-    true upper bound.  Non-convergence of the truncation power iteration
-    is reported through ``lower_converged`` with lower = 0, never as a
-    failure of the bracket.
+    true upper bound (a k whose root cannot be certified is left out).
+    Non-convergence of the truncation power iteration is reported through
+    ``lower_converged`` with lower = 0, never as a failure of the bracket.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
     if n_max < op.bandwidth:
         raise ParameterError("n_max must be at least the bandwidth")
-    best, best_k = None, 1
-    for k in range(1, k_max + 1):
-        s = operator_power_column_sums(op, k)
-        est = s if k == 1 else _certified_root(s, k)
-        if best is None or est < best:
+    norms = operator_power_column_sums(op, k_max)
+    best, best_k = norms[1], 1
+    for k in range(2, k_max + 1):
+        est = _certified_root(norms[k], k)
+        if est < best:
             best, best_k = est, k
     lower, converged = _perron_lower(op.truncation(n_max), max_iters, tol)
     return SpectralBracket(lower=lower, upper=best, k_used=best_k, n_used=n_max,

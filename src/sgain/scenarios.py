@@ -96,13 +96,15 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
         obj["network"] = _deep_merge(obj["network"],
                                      {k: v for k, v in overrides.items() if k in net_keys})
     gen = generator_from_dict(obj["network"])
+    expected = as_object(obj.get("expected_outcome"), "'expected_outcome'")
+    if not isinstance(expected.get("kind"), str):
+        raise ParameterError("'expected_outcome' needs a string 'kind'")
     derivation = {k: as_number(v) if isinstance(v, (str, int, float, Fraction)) else v
                   for k, v in as_object(obj.get("derivation"), "'derivation'").items()}
     return ExampleScenario(
         name=name, generator=gen, derivation=derivation,
         sim=dict(as_object(obj.get("sim"), "'sim'")),
-        expected_outcome=Outcome(obj["expected_outcome"]["kind"],
-                                 obj["expected_outcome"].get("which")),
+        expected_outcome=Outcome(expected["kind"], expected.get("which")),
         notes=obj.get("notes", ""))
 
 
@@ -249,8 +251,9 @@ def _conclude(report: dict, s: ExampleScenario, outcome: Outcome, violations: in
 def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
     """Run the four stages on a scenario and aggregate one report.
 
-    Module errors become report outcomes rather than exceptions; the
-    report's ``outcome`` equals the scenario's ``expected_outcome`` for
+    Module errors become report outcomes rather than exceptions: a failed
+    stage gives the outcome ``error`` and keeps what earlier stages wrote.
+    The report's ``outcome`` equals the scenario's ``expected_outcome`` for
     every shipped scenario at default parameters.
     """
     report: dict = {"schema": "sgain/1", "scenario": s.name, "seed": seed,
@@ -258,30 +261,30 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
                     "notes": s.notes}
     try:
         g, assumptions = derive_and_check(s.generator, s.derivation, report)
+        report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
+        if not assumptions.ok:
+            return _conclude(report, s, Outcome("reject-assumption", assumptions.first_failed))
+        lyap = certify_gains(g, {}, report)
+        if lyap is None:
+            return _conclude(report, s, Outcome("small-gain-violated"))
+
+        setup = build_sim(s.generator, s.sim)
+        simrep = setup.to_dict()
+        decay, dissipation, _ = check_run(setup, lyap, simmod.Zero())
+        simrep["decay_fit"] = simmod.fit_decay(decay, "v").to_dict()
+        simrep["dissipation_zero_input"] = dissipation.to_dict()
+        violations = len(dissipation.violations)
+        if not isinstance(setup.signal, simmod.Zero) and setup.net.input_dim:
+            forced, dissipation, envelope = check_run(setup, lyap, setup.signal)
+            simrep["input"] = setup.signal.to_dict()
+            simrep["u_sup_norm"] = forced.u_sup_norm
+            simrep["dissipation_forced"] = dissipation.to_dict()
+            simrep["envelope_forced"] = envelope.to_dict()
+            violations += len(dissipation.violations) + len(envelope.violations)
+        simrep["coercivity"] = _coercivity_sweep(lyap, setup.net, COERCIVITY_SAMPLES, seed)
     except SgainError as exc:
         report["error"] = str(exc)
         return _conclude(report, s, Outcome("error"))
-    report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
-    if not assumptions.ok:
-        return _conclude(report, s, Outcome("reject-assumption", assumptions.first_failed))
-    lyap = certify_gains(g, {}, report)
-    if lyap is None:
-        return _conclude(report, s, Outcome("small-gain-violated"))
-
-    setup = build_sim(s.generator, s.sim)
-    simrep = setup.to_dict()
-    decay, dissipation, _ = check_run(setup, lyap, simmod.Zero())
-    simrep["decay_fit"] = simmod.fit_decay(decay, "v").to_dict()
-    simrep["dissipation_zero_input"] = dissipation.to_dict()
-    violations = len(dissipation.violations)
-    if not isinstance(setup.signal, simmod.Zero) and setup.net.input_dim:
-        forced, dissipation, envelope = check_run(setup, lyap, setup.signal)
-        simrep["input"] = setup.signal.to_dict()
-        simrep["u_sup_norm"] = forced.u_sup_norm
-        simrep["dissipation_forced"] = dissipation.to_dict()
-        simrep["envelope_forced"] = envelope.to_dict()
-        violations += len(dissipation.violations) + len(envelope.violations)
-    simrep["coercivity"] = _coercivity_sweep(lyap, setup.net, COERCIVITY_SAMPLES, seed)
     report["simulation"] = simrep
     report["empirical_violations"] = violations + simrep["coercivity"]["violations"]
     return _conclude(report, s, Outcome("certify"), report["empirical_violations"])

@@ -206,7 +206,7 @@ class PeriodicRows(_EventuallyPeriodic):
         out = {}
         for i in range(max(1, j - self.bandwidth), j + self.bandwidth + 1):
             v = self.row(i).get(j - i)
-            if v is not None and v != 0:
+            if v:
                 out[i] = v
         return out
 

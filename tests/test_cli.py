@@ -100,6 +100,10 @@ class TestExitCodes:
                  (["scenario", "lure-platoon"], {"derivation": {"M": m_bad}})]
         cases += [(["verify"], {"network": chain, "sim": FAST_SIM, "certificate": str(f)})
                   for f in cert_files]
+        cases += [(["scenario", "chain-a"], {"expected_outcome": 5}),
+                  (["simulate"], {"network": chain, "sim": {**FAST_SIM, "csv_states": "false"}}),
+                  (["simulate"], {"network": chain, "sim": {**FAST_SIM, "store_states": 0}}),
+                  (["scenario", "chain-a"], {"sim": {"x0": {"kind": "unit", "index": 500}}})]
         errs = []
         for k, (command, content) in enumerate(cases):
             cfg = _write(tmp_path / f"p{k}.json", content)
@@ -111,6 +115,13 @@ class TestExitCodes:
         report = json.loads((tmp_path / "p6" / "report.json").read_text())
         assert report["outcome"]["kind"] == "error"
         assert errs[6] == f"error: {report['error']}\n"
+        # A failed simulation stage keeps the certificate it was given.
+        out = tmp_path / f"p{len(cases) - 1}"
+        report = json.loads((out / "report.json").read_text())
+        assert report["outcome"]["kind"] == "error" and "simulation" not in report
+        assert errs[-1] == f"error: {report['error']}\n" and "outside" in report["error"]
+        stored = json.loads((out / "certificate.json").read_text())["certificate"]
+        assert stored == report["certificate"] and report["verification"]["ok"]
 
     def test_certify_small_gain_violated(self, cli, tmp_path):
         cfg = tmp_path / "c.json"

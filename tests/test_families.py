@@ -1,15 +1,20 @@
-"""Property tests of the family protocol: tiled truncations and the codec."""
+"""Property tests of the family protocol (tiled truncations, the codec) and
+of the power table and certificates over random chain and traffic gains."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgain import (CounterexampleGain, CounterexampleSlow, LinearChain,
-                   LureBanded, NetworkGenerator, Traffic, generator_from_dict,
-                   generator_to_dict, truncate)
+from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
+                   DerivationError, LinearChain, LureBanded, NetworkGenerator,
+                   Traffic, build_certificate, build_gain_operator,
+                   generator_from_dict, generator_to_dict,
+                   operator_power_column_sums, spectral_bracket, truncate,
+                   verify_certificate)
 from sgain.seqrules import PeriodicSeq
 
 
@@ -93,3 +98,40 @@ def test_codec_round_trip(fam, p, q):
     assert generator_from_dict(generator_to_dict(gen)) == gen
     text = json.dumps(generator_to_dict(gen))
     assert generator_from_dict(json.loads(text, parse_float=Fraction)) == gen
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=st.one_of(chains, traffics), eps=fractions("1/12", "1/4"))
+def test_power_table_and_certificate(fam, eps):
+    gen = NetworkGenerator(family=fam)
+    try:
+        g = fam.derive_gains(gen, {"eps": eps, "delta": eps})
+    except DerivationError:
+        return
+    op = build_gain_operator(g)
+    m, k_max = op.bandwidth, 5
+    table = operator_power_column_sums(op, k_max)
+    n = op.preamble_len + 2 * k_max * m + op.period
+    dense, power = op.truncation(n), np.eye(n)
+    for k in range(1, k_max + 1):
+        power = power @ dense
+        horizon = op.preamble_len + k * m + op.period
+        assert float(table[k]) == pytest.approx(power[:, :horizon].sum(axis=0).max(), rel=1e-12)
+
+    # certify's path for bounded rates, with a short Perron iteration: the
+    # lower bound plays no part in the certificate.
+    bracket = spectral_bracket(op, k_max=4, n_max=16, max_iters=2000)
+    if not bracket.satisfied:
+        return
+    try:
+        cert = build_certificate(g, bracket, terms=8)
+    except CannotCertifyError:
+        return
+    assert verify_certificate(cert, g).ok
+    ev = cert.eta
+    tol = 0 if isinstance(ev.lam_shift, Fraction) else 1e-12
+    for i in range(1, ev.checked_len - m):
+        theta_eta = sum(op.rows.row(j).get(i - j, 0) * ev.eta.at(j)
+                        for j in range(max(1, i - m), i + m + 1))
+        bound = ev.lam_shift * ev.eta.at(i)
+        assert theta_eta <= bound + tol * abs(bound)

@@ -217,13 +217,13 @@ class TestGainOperator:
 
 class TestOperatorPowers:
     def test_k1_equals_column_sums(self, chain_operator):
-        assert operator_power_column_sums(chain_operator, 1) == chain_operator.norm_1()
+        assert operator_power_column_sums(chain_operator, 1)[1] == chain_operator.norm_1()
 
     def test_zero_operator(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         op = build_gain_operator(g)
         for k in (1, 2, 5):
-            assert operator_power_column_sums(op, k) == 0
+            assert operator_power_column_sums(op, k)[k] == 0
 
     @pytest.mark.parametrize("fixture,k", [("chain", 2), ("chain", 5), ("traffic", 3)])
     def test_dense_oracle(self, fixture, k, chain_gains, traffic_gains):
@@ -233,7 +233,7 @@ class TestOperatorPowers:
         pad = n + (k + 1) * op.bandwidth
         dense = np.linalg.matrix_power(dense_psi(op, pad), k)
         interior = dense[:, :n].sum(axis=0)
-        mine = float(operator_power_column_sums(op, k))
+        mine = float(operator_power_column_sums(op, k)[k])
         horizon = op.preamble_len + k * op.bandwidth + op.period
         assert horizon <= n
         assert mine == pytest.approx(interior[:horizon].max(), rel=1e-12)
@@ -241,14 +241,25 @@ class TestOperatorPowers:
     def test_submultiplicativity(self, chain_gains, traffic_gains):
         for g in (chain_gains, traffic_gains):
             op = build_gain_operator(g)
-            norms = {k: float(operator_power_column_sums(op, k)) for k in range(1, 7)}
+            norms = [float(x) for x in operator_power_column_sums(op, 6)]
             for j in range(1, 4):
                 for k in range(1, 4):
                     assert norms[j + k] <= norms[j] * norms[k] * (1 + 1e-12)
 
+    def test_one_table_matches_separate_runs(self, chain_gains, traffic_gains):
+        ops = [build_gain_operator(g) for g in (chain_gains, traffic_gains,
+                                                TestNontrivialPeriodicStructures.make_gains())]
+        for op in ops:
+            table = operator_power_column_sums(op, 6)
+            assert len(table) == 7 and table[0] == 1
+            for k in range(1, 7):
+                assert table[k] == operator_power_column_sums(op, k)[k]
+
     def test_band_budget(self, chain_operator):
         with pytest.raises(ResourceError):
             operator_power_column_sums(chain_operator, 10_000)
+        with pytest.raises(ResourceError):
+            sgain.neumann_eta(chain_operator, Fraction(1, 10), terms=100_000)
 
 
 class TestSpectralBracket:
@@ -282,6 +293,15 @@ class TestSpectralBracket:
         br = spectral_bracket(op, k_max=4, n_max=16)
         assert br.lower > 1 and not br.satisfied
 
+    def test_underflowing_powers_keep_a_true_upper_bound(self):
+        g = derive_gains_linear_chain(chain_gen(1, Fraction(1, 10 ** 16)),
+                                      Fraction(1, 10), Fraction(1, 10))
+        op = build_gain_operator(g)
+        br = spectral_bracket(op, k_max=12, n_max=16)
+        assert br.lower <= br.upper
+        norm = operator_power_column_sums(op, br.k_used)[br.k_used]
+        assert Fraction(br.upper) ** br.k_used >= norm
+
     def test_zero_operator_bracket(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         br = spectral_bracket(build_gain_operator(g), k_max=3, n_max=8)
@@ -295,8 +315,8 @@ class TestSpectralBracket:
         op0 = build_gain_operator(chain_gains)
         op1 = build_gain_operator(scaled)
         for k in (1, 2, 4):
-            a = operator_power_column_sums(op0, k)
-            b = operator_power_column_sums(op1, k)
+            a = operator_power_column_sums(op0, k)[k]
+            b = operator_power_column_sums(op1, k)[k]
             assert b == s ** k * a
         br0 = spectral_bracket(op0, k_max=3, n_max=32)
         br1 = spectral_bracket(op1, k_max=3, n_max=32)
@@ -359,7 +379,7 @@ class TestNontrivialPeriodicStructures:
             dense = np.linalg.matrix_power(op.truncation(pad), k)
             horizon = op.preamble_len + k * op.bandwidth + op.period
             interior = dense[:, :horizon].sum(axis=0)
-            mine = float(operator_power_column_sums(op, k))
+            mine = float(operator_power_column_sums(op, k)[k])
             assert mine == pytest.approx(interior.max(), rel=1e-12)
 
     def test_certificate_brute_force_scan(self):
