@@ -219,9 +219,8 @@ def certificate_from_dict(obj: dict) -> SmallGainCertificate:
             lambda_inf=num(obj["lambda_inf"]), r_tilde=num(obj["r_tilde"]),
             rho=num(obj["rho"]),
             bracket=SpectralBracket(lower=num(br["lower"]), upper=num(br["upper"]),
-                                    k_used=br["k_used"], n_used=br["n_used"],
-                                    satisfied=br["satisfied"],
-                                    lower_converged=br["lower_converged"]),
+                                    k_used=br["k_used"], satisfied=br["satisfied"],
+                                    lower_from=br.get("lower_from", "section")),
             h_cap=None if obj.get("h_cap") is None else num(obj["h_cap"]))
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed certificate: {exc}") from None
@@ -325,7 +324,7 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
 
 
 def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
-            n_max: int = 64, terms: int = 60, h_start: Real | None = None,
+            terms: int = 60, h_start: Real | None = None,
             h_doublings: int = 40):
     """End-to-end certification: bracket the spectral radius, cap rates
     when they are unbounded, and build a verified certificate.
@@ -338,7 +337,7 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     """
     if isinstance(g.lam, PeriodicSeq):
         op = build_gain_operator(g)
-        bracket = spectral_bracket(op, k_max=k_max, n_max=n_max)
+        bracket = spectral_bracket(op, k_max=k_max)
         cert = build_certificate(g, bracket, rho, terms=terms)
         return cert, g, op, bracket
     lam_lo = g.lam.lower()
@@ -352,7 +351,7 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
             raise CannotCertifyError(
                 "capped rates are still aperiodic (rule not marked nondecreasing)")
         op = build_gain_operator(gh)
-        bracket = spectral_bracket(op, k_max=k_max, n_max=n_max)
+        bracket = spectral_bracket(op, k_max=k_max)
         if bracket.satisfied:
             cert = build_certificate(gh, bracket, rho, terms=terms)
             return dataclasses.replace(cert, h_cap=h), gh, op, bracket

@@ -15,9 +15,9 @@ is that its l1 spectral radius lies below one.
 Because the operator inherits the band and the eventual periodicity of
 the coefficients, its column sums, the column sums of all its powers,
 and hence the Gelfand upper bounds ``||Psi^k||^(1/k)`` are computed
-exactly on a finite window.  Lower bounds on the spectral radius come
-from Perron roots of leading finite truncations (power iteration with
-Collatz-Wielandt bracketing), which are monotone in the truncation size.
+exactly on a finite window.  The lower bound is the larger of two
+Collatz-Wielandt bounds, on the period symbol and on a short leading
+section, exact for rational gains.
 """
 
 from __future__ import annotations
@@ -372,6 +372,7 @@ def traffic_small_gain_sufficient(gen: NetworkGenerator, eps) -> float:
 # --------------------------------------------------------------------------
 
 BAND_BUDGET = 4096  # most diagonals the band of a computed power Psi^k may span
+SECTION_CAP = 64  # most rows of the leading section behind the lower bound
 
 
 @dataclass(frozen=True)
@@ -468,71 +469,55 @@ class SpectralBracket:
     """Two-sided evidence on the spectral radius of the gain operator.
 
     ``upper`` is the best Gelfand bound min_k ||Psi^k||^(1/k) (a true
-    upper bound for every k); ``lower`` is a certified Collatz-Wielandt
-    lower bound obtained from the Perron root of the leading N-by-N
-    truncation, which can only increase with N.
+    upper bound for every k).  ``lower`` is the larger of two
+    Collatz-Wielandt bounds, exact for rational gains; ``lower_from``
+    names its source, ``"symbol"`` or ``"section"``.
     """
 
-    lower: float
+    lower: Real
     upper: Real
     k_used: int
-    n_used: int
     satisfied: bool
-    lower_converged: bool
+    lower_from: str
 
     def to_dict(self) -> dict:
-        return {"lower": float(self.lower), "upper": float(self.upper),
-                "k_used": self.k_used, "n_used": self.n_used,
-                "satisfied": bool(self.satisfied),
-                "lower_converged": bool(self.lower_converged)}
+        return {"lower": float(self.lower), "lower_from": self.lower_from,
+                "upper": float(self.upper), "k_used": self.k_used,
+                "satisfied": bool(self.satisfied)}
 
 
-def _perron_lower(a: np.ndarray, max_iters: int, tol: float):
-    """Certified lower bound on the Perron root of a nonnegative matrix.
+def _perron_vector(a: np.ndarray) -> list[Fraction]:
+    """``|x|`` for an eigenvector x of the nonnegative ``a`` at an eigenvalue
+    of largest modulus r, so ``a |x| >= r |x|``; scaled to max 1, float noise
+    below 1e-12 dropped and the rest rounded to rationals (relative 1e-12)."""
+    vals, vecs = np.linalg.eig(a)
+    x = np.abs(vecs[:, np.argmax(np.abs(vals))])
+    return [Fraction(t).limit_denominator(10 ** 12) if t >= 1e-12 else Fraction(0)
+            for t in (x / x.max()).tolist()]
 
-    Power iteration on the shifted matrix A + cI keeps the iterate
-    strictly positive, so min_i (Ax)_i / x_i - c is always a valid lower
-    bound; at the Perron vector the min/max ratios coincide.
-    """
-    n = a.shape[0]
-    if not np.any(a):
-        return 0.0, True
-    c = 0.05 * float(a.sum(axis=0).max()) + 1e-30
-    x = np.full(n, 1.0 / n)
-    lo = 0.0
-    stagnant, prev_hi = 0, math.inf
-    converged = False
-    for _ in range(max_iters):
-        y = a @ x + c * x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * max(1.0, hi):
-            converged = True
-            break
-        if abs(hi - prev_hi) <= 1e-15 * max(1.0, hi):
-            stagnant += 1
-            if stagnant >= 200:
-                break
-        else:
-            stagnant = 0
-        prev_hi = hi
-        x = y / y.sum()
-    return max(0.0, lo - c), converged
+
+def _collatz_wielandt(op: GainOperator, v: list, first: int, count: int) -> Real:
+    """``s = min (Theta v)_j / v_j`` over the support of ``v`` in entries first + 1
+    to first + count, so that ``Theta v >= s v`` holds there (and off the support)."""
+    theta = adjoint_apply(op, v, first + count)
+    return min(t / x for t, x in zip(theta[first:], v[first:first + count]) if x)
 
 
 def _certified_root(s: Real, k: int) -> float:
-    """Float k-th root of s rounded up to a true upper bound, or inf when
-    nine candidates fall short (as when ``float(s)`` underflows)."""
-    x = float(s) ** (1.0 / k)
-    for _ in range(9):
-        if Fraction(x) ** k >= s:
-            return x
-        x = math.nextafter(x, math.inf)
+    """Float k-th root of s rounded up to a true upper bound, or inf when nine
+    candidates fall short (``float(s)`` underflows) or s does not fit a float."""
+    try:
+        x = float(s) ** (1.0 / k)
+        for _ in range(9):
+            if Fraction(x) ** k >= s:
+                return x
+            x = math.nextafter(x, math.inf)
+    except OverflowError:
+        pass
     return math.inf
 
 
-def spectral_bracket(op: GainOperator, k_max: int = 12, n_max: int = 64,
-                     max_iters: int = 50_000, tol: float = 1e-12) -> SpectralBracket:
+def spectral_bracket(op: GainOperator, k_max: int = 12) -> SpectralBracket:
     """Bracket the l1 spectral radius of the gain operator.
 
     The Gelfand estimates are exact column-sum computations; the k = 1
@@ -540,22 +525,29 @@ def spectral_bracket(op: GainOperator, k_max: int = 12, n_max: int = 64,
     rational upper bound whenever the plain norm is already the best
     estimate, and higher roots are rounded up so every candidate is a
     true upper bound (a k whose root cannot be certified is left out).
-    Non-convergence of the truncation power iteration is reported through
-    ``lower_converged`` with lower = 0, never as a failure of the bracket.
+    The lower bound is the larger of the symbol and the section bounds.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    if n_max < op.bandwidth:
-        raise ParameterError("n_max must be at least the bandwidth")
     norms = operator_power_column_sums(op, k_max)
     best, best_k = norms[1], 1
     for k in range(2, k_max + 1):
         est = _certified_root(norms[k], k)
         if est < best:
             best, best_k = est, k
-    lower, converged = _perron_lower(op.truncation(n_max), max_iters, tol)
-    return SpectralBracket(lower=lower, upper=best, k_used=best_k, n_used=n_max,
-                           satisfied=bool(best < 1), lower_converged=converged)
+    pre, m, per = op.preamble_len, op.bandwidth, op.period
+    # Symbol: w periodic past the preamble with Phi(1)^T w >= s w has Theta^k w
+    # >= s^k w far out, so ||Psi^k|| >= s^k; past preamble + m, Theta w = Phi(1)^T w.
+    w = _perron_vector(np.array(op.rows.symbol(), dtype=float).T)
+    v = [w[(j - pre - 1) % per] for j in range(1, pre + 2 * m + per + 1)]
+    symbol = _collatz_wielandt(op, v, pre + m, per)
+    # Section: Psi dominates its leading sections; a short one catches an
+    # isolated eigenvalue that comes from the preamble.
+    v = _perron_vector(op.truncation(min(pre + 2 * per, SECTION_CAP)).T)
+    section = _collatz_wielandt(op, v + [0] * m, 0, len(v))
+    lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
+    return SpectralBracket(lower=lower, upper=best, k_used=best_k,
+                           satisfied=bool(best < 1), lower_from=lower_from)
 
 
 # --------------------------------------------------------------------------

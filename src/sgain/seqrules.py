@@ -9,8 +9,8 @@ reduce to a maximum or minimum over preamble plus one cycle.
 
 Values are ordinary Python numbers.  When callers supply `fractions.Fraction`
 coefficients (the scenario files are parsed that way), all derived
-quantities stay exact rationals until a genuinely numerical step (power
-iteration, eigensolves, time integration) converts them to floats.
+quantities stay exact rationals until a genuinely numerical step
+(eigensolves, time integration) converts them to floats.
 """
 
 from __future__ import annotations
@@ -221,6 +221,15 @@ class PeriodicRows(_EventuallyPeriodic):
         """
         horizon = self.preamble_len + self.bandwidth + self.period
         return max(self.column_sum(j) for j in range(1, horizon + 1))
+
+    def symbol(self) -> list[list[Real]]:
+        """Exact period symbol ``Phi(1)``: the ``period x period`` sum of the
+        cycle's block diagonals, with offsets folded mod the period."""
+        out = [[0] * self.period for _ in self.cycle]
+        for r, row in enumerate(self.cycle):
+            for off, v in row.items():
+                out[r][(r + off) % self.period] += v
+        return out
 
     def scale_rows(self, factor: Callable[[int], Real]) -> "PeriodicRows":
         """Multiply row i by factor(i); factor must share the periodic

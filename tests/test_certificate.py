@@ -109,7 +109,7 @@ class TestBuildCertificate:
         assert cert.h_cap is None
 
     def test_explicit_rho_lemma_lower_bound(self, chain_gains, chain_operator):
-        bracket = spectral_bracket(chain_operator, k_max=4, n_max=32)
+        bracket = spectral_bracket(chain_operator, k_max=4)
         rho = Fraction(1, 5)
         cert = build_certificate(chain_gains, bracket, rho)
         target = (1 - bracket.upper) * chain_gains.lam_lo - rho
@@ -166,7 +166,7 @@ class TestVerifyCertificate:
         # the scaling inequality with margin -lam_lo mu / 2 at every index.
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         op = build_gain_operator(g)
-        bracket = spectral_bracket(op, k_max=2, n_max=8)
+        bracket = spectral_bracket(op, k_max=2)
         cert = sgain.SmallGainCertificate(
             mu=PeriodicSeq.constant(1), mu_lo=1, mu_hi=1,
             lambda_inf=g.lam_lo / 2, r_tilde=Fraction(1, 2),
@@ -212,7 +212,7 @@ class TestRandomizedSoundness:
             delta = Fraction(int(f2 * 1000), 1000) * diag.min()
             g = derive_gains_linear_chain(NetworkGenerator(family=fam), eps, delta)
             op = build_gain_operator(g)
-            bracket = spectral_bracket(op, k_max=4, n_max=16, max_iters=4000)
+            bracket = spectral_bracket(op, k_max=4)
             if not bracket.satisfied:
                 rejected += 1
                 continue
@@ -297,6 +297,17 @@ class TestSerialization:
         rep = verify_certificate(back, g)
         assert rep.ok
         assert back.lambda_inf == pytest.approx(float(cert.lambda_inf))
+
+    def test_certificate_without_lower_from_still_loads(self, traffic_certified):
+        import json
+        from sgain import certificate_from_dict
+        cert, g, *_ = traffic_certified
+        old = json.loads(json.dumps(cert.to_dict()))
+        del old["bracket"]["lower_from"]
+        old["bracket"].update(n_used=64, lower_converged=True)
+        back = certificate_from_dict(old)
+        assert back.bracket.lower_from == "section"
+        assert verify_certificate(back, g).ok
 
     def test_bracket_ordering_invariant(self, chain_certified, traffic_certified):
         for cert, *_ in (chain_certified, traffic_certified):

@@ -118,9 +118,11 @@ def test_power_table_and_certificate(fam, eps):
         horizon = op.preamble_len + k * m + op.period
         assert float(table[k]) == pytest.approx(power[:, :horizon].sum(axis=0).max(), rel=1e-12)
 
-    # certify's path for bounded rates, with a short Perron iteration: the
-    # lower bound plays no part in the certificate.
-    bracket = spectral_bracket(op, k_max=4, n_max=16, max_iters=2000)
+    bracket = spectral_bracket(op, k_max=4)
+    symbol_radius = np.abs(np.linalg.eigvals(np.array(op.rows.symbol(), dtype=float))).max()
+    assert bracket.lower <= bracket.upper
+    assert isinstance(bracket.lower, Fraction)
+    assert bracket.lower >= 0.999 * symbol_radius
     if not bracket.satisfied:
         return
     try:

@@ -248,6 +248,16 @@ class TestSequenceRules:
         for i in range(1, 100):
             assert dict(re.row(i)) == dict(rows.row(i))
 
+    def test_symbol_folds_offsets_mod_the_period(self):
+        from sgain.seqrules import PeriodicRows
+        rows = PeriodicRows(({1: 2},), ({-1: 1, 1: 3}, {-1: 5}), bandwidth=1)
+        assert rows.symbol() == [[0, 4], [5, 0]]
+        wide = PeriodicRows(({1: 1, 2: 1},), ({-1: 1, 1: 2, 2: 3},), bandwidth=2)
+        assert wide.symbol() == [[6]]
+        # the realigned rows describe the same operator: same symbol up to
+        # the relabelling of residues by the longer preamble
+        assert rows.realign(2, 2).symbol() == [[0, 5], [4, 0]]
+
     def test_min_max_are_attained(self):
         seq = PeriodicSeq((5,), (2, 9, 4))
         assert seq.min() == 2 and seq.max() == 9
