@@ -268,6 +268,18 @@ class TestSpectralBracket:
         assert br.lower == br.upper == Fraction(1, 16)
         assert br.satisfied
 
+    def test_lower_monotone_in_n(self, chain_operator):
+        # Psi dominates its leading sections, so the section Collatz-Wielandt
+        # bound grows with the section size and stays under the bracket's lower.
+        from sgain.gains import _collatz_wielandt, _perron_vector
+        m = chain_operator.bandwidth
+        lowers = []
+        for n in (8, 16, 32, 64):
+            v = _perron_vector(chain_operator.truncation(n).T)
+            lowers.append(_collatz_wielandt(chain_operator, v + [0] * m, 0, n))
+        assert all(b >= a - 1e-9 for a, b in zip(lowers, lowers[1:]))
+        assert lowers[-1] <= spectral_bracket(chain_operator, k_max=2).lower
+
     def test_bracket_contains_dense_perron_root(self, chain_gains, traffic_gains):
         for g in (chain_gains, traffic_gains):
             op = build_gain_operator(g)
