@@ -36,9 +36,8 @@ from .certificate import (CompositeLyapunov, EtaVector, SmallGainCertificate,
 from .sim import (ConstantOnFirstK, DecayFit, GeometricProfile,
                   SinusoidOnFirstK, TrafficLights, TrajectoryRecord, Zero,
                   export_csv, fit_decay, initial_state, integrate, lp_norm,
-                  lq_input_norm, signal_from_dict,
-                  truncation_convergence_probe, verify_dissipation,
-                  verify_envelope)
+                  signal_from_dict, truncation_convergence_probe,
+                  verify_dissipation, verify_envelope)
 from .scenarios import (SCENARIO_NAMES, ExampleScenario, Outcome,
                         derive_scenario_gains, make_scenario, run_pipeline)
 

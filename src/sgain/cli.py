@@ -28,7 +28,7 @@ from .errors import DerivationError, InvalidCertificateError, ParameterError, Sg
 from .network import generator_from_dict
 from .scenarios import (build_sim, certify_gains, check_run, derive_and_check,
                         make_scenario, run_pipeline)
-from .seqrules import as_object
+from .seqrules import as_object, load_json
 
 # The exit code of each outcome kind a subcommand returns.
 EXIT_CODES = {"ok": 0, "certify": 0, "error": 1, "reject-assumption": 2,
@@ -54,7 +54,7 @@ def _load_config(path, parse_float=Fraction) -> dict:
         raise ParameterError(f"expected a file path, got {path!r}")
     try:
         with open(path) as f:
-            return as_object(json.load(f, parse_float=parse_float), f"the content of {path}")
+            return as_object(load_json(f, parse_float), f"the content of {path}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:

@@ -288,8 +288,7 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
     if lam <= 0:
         raise DerivationError(f"kappa - 2 eps = {lam} is not positive")
     a, _, b = fam.blocks(1)
-    e, g, _ = fam.nonlinearity()
-    ok, worst = check_lure_lmi(a, m, e, g, kappa, fam.sector_l, fam.sector_r, tau)
+    ok, worst = check_lure_lmi(a, m, fam.e, fam.g, kappa, fam.sector_l, fam.sector_r, tau)
     if not ok:
         raise DerivationError(
             f"decay-rate matrix inequality fails: largest eigenvalue {worst:.3e} > 0")

@@ -45,7 +45,7 @@ from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     derive_gains_lure, derive_gains_traffic,
                     traffic_small_gain_sufficient)
 from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
-                       as_number, exact_div, _check_index)
+                       as_number, exact_div, load_json, _check_index)
 
 # --------------------------------------------------------------------------
 # Families
@@ -109,7 +109,7 @@ class Family:
         return b.shape[1] if np.any(b) else 0
 
     def nonlinearity(self):
-        """``(E row, G row, phi)`` of a sector channel, or None."""
+        """``(E row, G row, phi)`` of a sector channel that can act, or None."""
         return None
 
     def to_json(self) -> dict:
@@ -263,7 +263,10 @@ class LureBanded(Family):
         return np.clip(s, np.minimum(lo_s, hi_s), np.maximum(lo_s, hi_s))
 
     def nonlinearity(self):
-        return _mat(self.e).ravel(), _mat(self.g).ravel(), self.phi_eval
+        e, g = _mat(self.e).ravel(), _mat(self.g).ravel()
+        if self.phi == "zero" or not (e.any() and g.any()):
+            return None  # the channel adds phi(0) = 0 or E phi = 0
+        return e, g, self.phi_eval
 
     @property
     def structure(self) -> tuple[int, int]:
@@ -478,8 +481,9 @@ class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
 
     The right-hand side splits into a sparse linear part, a sparse input
-    matrix, and (for a family with a sector channel) a vectorized
-    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
+    matrix, and (for a family with an active sector channel) a vectorized
+    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  :meth:`rhs` takes the
+    applied input ``B u``, so a caller that holds it forms it once.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so it is tiled from the stored preamble plus one cycle; a
@@ -530,10 +534,11 @@ class TruncatedNetwork:
                                           shape=(self.dim, max(self.input_dim, 1)))
         self._nonlinearity = fam.nonlinearity()
 
-    def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
+        """``A x + forcing + nl(x)``, where ``forcing`` is the applied input ``B u``."""
         out = self.linear_matrix @ x
-        if self.input_dim:
-            out += self.input_matrix @ u
+        if forcing is not None:
+            out += forcing
         if self._nonlinearity is not None:
             e, g, phi = self._nonlinearity
             s = (x.reshape(self.n_subsystems, -1) * g).sum(axis=1)
@@ -564,7 +569,7 @@ def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray,
         raise ShapeError(f"input has dimension {u.shape[0]}, network needs {net.input_dim}")
     if not np.all(np.isfinite(x)) or (u.size and not np.all(np.isfinite(u))):
         raise NumericInputError("non-finite component in state or input")
-    return net.rhs(x, u)
+    return net.rhs(x, net.input_matrix @ u if net.input_dim else None)
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +601,7 @@ def generator_from_dict(obj: Mapping) -> NetworkGenerator:
 def load_generator(path) -> NetworkGenerator:
     """Read a network description file (JSON, decimals parsed exactly)."""
     with open(path) as f:
-        obj = json.load(f, parse_float=Fraction)
-    return generator_from_dict(obj)
+        return generator_from_dict(load_json(f))
 
 
 def save_generator(gen: NetworkGenerator, path) -> None:

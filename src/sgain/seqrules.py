@@ -15,6 +15,8 @@ quantities stay exact rationals until a genuinely numerical step
 
 from __future__ import annotations
 
+import json
+import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -36,7 +38,9 @@ def _check_index(i: int) -> None:
 
 
 def as_number(x) -> Real:
-    """Coerce scenario-file values (int/float/Fraction/str) to a number."""
+    """Coerce scenario-file values (int/float/Fraction/str) to a finite number."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ParameterError(f"not a finite number: {x!r}")
     if isinstance(x, (int, float, Fraction)):
         return x
     if isinstance(x, str):
@@ -45,6 +49,13 @@ def as_number(x) -> Real:
         except (ValueError, ZeroDivisionError):
             pass
     raise ParameterError(f"not a number: {x!r}")
+
+
+def load_json(f, parse_float=Fraction):
+    """A JSON document from an open file; ``NaN`` and ``Infinity`` are input errors."""
+    def reject(token):
+        raise ParameterError(f"non-finite number {token} in {f.name}")
+    return json.load(f, parse_float=parse_float, parse_constant=reject)
 
 
 def as_object(x, what: str) -> Mapping:

@@ -1,8 +1,10 @@
 """Time integration of finite truncations and empirical validation.
 
 Trajectories are produced by the classical fixed-step fourth-order
-Runge-Kutta scheme with inputs sampled from their closed-form
-descriptors at the stage times (no zero-order hold).  Along each
+Runge-Kutta scheme.  Every input signal is separable,
+``u(t) = level * unit(t) * shape(net)`` with ``|unit| <= 1``: the applied
+input ``B shape`` is formed once per run, and each stage scales it by
+``level * unit(t)`` at the stage time (no zero-order hold).  Along each
 trajectory the block-wise lp norm, the composite Lyapunov value (when a
 certificate is attached), and the instantaneous input norm are recorded,
 so that the dissipation inequality and the exponential envelopes can be
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,97 +29,97 @@ from .network import NetworkGenerator, TruncatedNetwork, truncate
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zero:
-    """No external forcing."""
-
-    def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        return np.zeros(net.input_dim)
-
-    def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        return 0.0
-
-    def to_dict(self) -> dict:
-        return {"kind": "zero"}
-
-
 def _channel_subsystems(net: TruncatedNetwork) -> np.ndarray:
     return np.repeat(np.arange(1, net.n_subsystems + 1), net.input_dims)
 
 
 @dataclass(frozen=True)
-class ConstantOnFirstK:
-    """Constant amplitude on every channel of the first K subsystems."""
+class InputSignal:
+    """An input ``u(t) = level * unit(t) * shape(net)`` with ``|unit| <= 1``.
 
-    k: int
-    amplitude: float
+    A kind defines :meth:`shape`, and :meth:`unit` when it varies in time.
+    ``level`` is the amplitude, unless the kind's shape carries it.
+    """
 
-    def _mask(self, net: TruncatedNetwork) -> np.ndarray:
-        return _channel_subsystems(net) <= self.k
+    kind: ClassVar[str]
+
+    @property
+    def level(self) -> float:
+        return float(self.amplitude)
+
+    def unit(self, t: float) -> float:
+        return 1.0
 
     def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        return np.where(self._mask(net), float(self.amplitude), 0.0)
+        return self.level * self.unit(t) * self.shape(net)
 
     def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        count = int(self._mask(net).sum())
-        return abs(float(self.amplitude)) * count ** (1.0 / q)
+        return abs(self.level) * lp_norm(self.shape(net), q)
 
     def to_dict(self) -> dict:
-        return {"kind": "constant-first-k", "k": self.k, "amplitude": self.amplitude}
+        return {"kind": self.kind, **asdict(self)}
 
 
 @dataclass(frozen=True)
-class GeometricProfile:
+class Zero(InputSignal):
+    """No external forcing."""
+
+    kind = "zero"
+    level = 0.0
+
+    def shape(self, net):
+        return np.zeros(net.input_dim)
+
+
+@dataclass(frozen=True)
+class ConstantOnFirstK(InputSignal):
+    """Constant amplitude on every channel of the first K subsystems."""
+
+    kind = "constant-first-k"
+    k: int
+    amplitude: float
+
+    def shape(self, net):
+        return (_channel_subsystems(net) <= self.k).astype(float)
+
+
+@dataclass(frozen=True)
+class GeometricProfile(InputSignal):
     """Time-constant profile u_i = amplitude * ratio^i across channels."""
 
+    kind = "geometric"
     amplitude: float
     ratio: float
+    level = 1.0  # the profile carries the amplitude
 
     def __post_init__(self):
         if not 0 < self.ratio < 1:
             raise ParameterError("geometric ratio must lie in (0, 1)")
 
-    def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        idx = _channel_subsystems(net).astype(float)
-        return float(self.amplitude) * float(self.ratio) ** idx
-
-    def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        idx = _channel_subsystems(net).astype(float)
-        return float((np.abs(self.values(net, 0.0)) ** q).sum() ** (1.0 / q)) if idx.size else 0.0
-
-    def to_dict(self) -> dict:
-        return {"kind": "geometric", "amplitude": self.amplitude, "ratio": self.ratio}
+    def shape(self, net):
+        return float(self.amplitude) * float(self.ratio) ** _channel_subsystems(net).astype(float)
 
 
 @dataclass(frozen=True)
-class SinusoidOnFirstK:
+class SinusoidOnFirstK(ConstantOnFirstK):
     """In-phase sinusoids on the channels of the first K subsystems."""
 
-    k: int
-    amplitude: float
+    kind = "sinusoid-first-k"
     frequency: float
 
-    def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        mask = _channel_subsystems(net) <= self.k
-        return np.where(mask, float(self.amplitude) * math.sin(2 * math.pi * self.frequency * t), 0.0)
-
-    def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        count = int((_channel_subsystems(net) <= self.k).sum())
-        return abs(float(self.amplitude)) * count ** (1.0 / q)
-
-    def to_dict(self) -> dict:
-        return {"kind": "sinusoid-first-k", "k": self.k,
-                "amplitude": self.amplitude, "frequency": self.frequency}
+    def unit(self, t):
+        return math.sin(2 * math.pi * self.frequency * t)
 
 
 @dataclass(frozen=True)
-class TrafficLights:
+class TrafficLights(InputSignal):
     """Square-wave green phases on the controlled entries.
 
     All controlled channels share the schedule: green (amplitude) for
     ``t_on``, red (zero) for ``t_off``, repeating.
     """
 
+    kind = "traffic-lights"
     t_on: float
     t_off: float
     amplitude: float = 1.0
@@ -125,37 +128,25 @@ class TrafficLights:
         if self.t_on <= 0 or self.t_off < 0:
             raise ParameterError("green phase must be positive, red phase nonnegative")
 
-    def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        period = self.t_on + self.t_off
-        on = (t % period) < self.t_on if period > 0 else True
-        return np.full(net.input_dim, float(self.amplitude) if on else 0.0)
+    def unit(self, t):
+        return 1.0 if t % (self.t_on + self.t_off) < self.t_on else 0.0
 
-    def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        return abs(float(self.amplitude)) * net.input_dim ** (1.0 / q) if net.input_dim else 0.0
-
-    def to_dict(self) -> dict:
-        return {"kind": "traffic-lights", "t_on": self.t_on, "t_off": self.t_off,
-                "amplitude": self.amplitude}
+    def shape(self, net):
+        return np.ones(net.input_dim)
 
 
-InputSignal = Zero | ConstantOnFirstK | GeometricProfile | SinusoidOnFirstK | TrafficLights
+SIGNALS: dict[str, type[InputSignal]] = {
+    cls.kind: cls for cls in (Zero, ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
+                              TrafficLights)}
 
 
 def signal_from_dict(obj: dict) -> InputSignal:
     kind = obj.get("kind", "zero")
-    if kind == "zero":
-        return Zero()
-    if kind == "constant-first-k":
-        return ConstantOnFirstK(k=int(obj["k"]), amplitude=float(obj["amplitude"]))
-    if kind == "geometric":
-        return GeometricProfile(amplitude=float(obj["amplitude"]), ratio=float(obj["ratio"]))
-    if kind == "sinusoid-first-k":
-        return SinusoidOnFirstK(k=int(obj["k"]), amplitude=float(obj["amplitude"]),
-                                frequency=float(obj["frequency"]))
-    if kind == "traffic-lights":
-        return TrafficLights(t_on=float(obj["t_on"]), t_off=float(obj["t_off"]),
-                             amplitude=float(obj.get("amplitude", 1.0)))
-    raise ParameterError(f"unknown input signal kind {kind!r}")
+    if kind not in SIGNALS:
+        raise ParameterError(f"unknown input signal kind {kind!r}")
+    cls = SIGNALS[kind]
+    return cls(**{f.name: (int if f.name == "k" else float)(obj[f.name])
+                  for f in fields(cls) if f.name in obj or f.default is MISSING})
 
 
 # --------------------------------------------------------------------------
@@ -181,11 +172,6 @@ def lp_norm(x: np.ndarray, p: float, block_dims=None) -> float:
     return float((blocks ** p).sum() ** (1.0 / p))
 
 
-def lq_input_norm(signal: InputSignal, net: TruncatedNetwork, q: float, t: float) -> float:
-    """Instantaneous |u(t)|_q of a signal on one truncation."""
-    return lp_norm(signal.values(net, t), q)
-
-
 # --------------------------------------------------------------------------
 # Initial states
 # --------------------------------------------------------------------------
@@ -209,7 +195,10 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
         x0[net.block_offsets[i - 1]] = float(desc.get("value", 1.0))
         return x0
     if kind == "first-k":
-        k = min(int(desc["K"]), net.n_subsystems)
+        k = int(desc["K"])
+        if k < 0:
+            raise ParameterError(f"first-k needs K >= 0, got {k}")
+        k = min(k, net.n_subsystems)
         x0[: net.block_offsets[k]] = float(desc.get("value", 1.0))
         return x0
     raise ParameterError(f"unknown initial-state kind {kind!r}")
@@ -230,16 +219,8 @@ class TrajectoryRecord:
     v: np.ndarray | None
     u_norm: np.ndarray
     u_sup_norm: float
-    p: float
-    q: float
     step: float
-    method: str
     diverged: bool
-    n_subsystems: int
-
-    @property
-    def horizon(self) -> float:
-        return float(self.t[-1]) if self.t.size else 0.0
 
 
 def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
@@ -248,8 +229,10 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
               store_states: bool = True, blow_up: float = 1e12) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the truncated interconnection.
 
-    Divergence (block-norm beyond ``blow_up``) flags the record and halts
-    integration; it is a reported outcome, not an error.
+    The applied input ``B u(t)`` is formed once as ``B @ shape``; each
+    stage scales it by ``level * unit(t)``.  Divergence (block-norm beyond
+    ``blow_up``) flags the record and halts integration; it is a reported
+    outcome, not an error.
     """
     if step <= 0 or horizon < step:
         raise ParameterError("need step > 0 and horizon >= step")
@@ -260,11 +243,16 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     if not np.all(np.isfinite(x)):
         raise NumericInputError("non-finite component in the initial state")
 
-    gen = net.generator
-    p, q = float(gen.p), float(gen.q)
+    p, q = float(net.generator.p), float(net.generator.q)
     bound = lyapunov.bind(net) if lyapunov is not None else None
     n_steps = int(round(horizon / step))
     h = step
+    shape = signal.shape(net)
+    shape_norm = lp_norm(shape, q)
+    forcing = net.input_matrix @ shape if net.input_dim and signal.level else None
+
+    def applied(t: float):
+        return None if forcing is None else signal.level * signal.unit(t) * forcing
 
     ts = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
@@ -277,7 +265,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         norms[k] = lp_norm(net.block_norms(x), p)
         if vs is not None:
             vs[k] = bound.value(x)
-        u_norms[k] = lp_norm(signal.values(net, t), q) if net.input_dim else 0.0
+        u_norms[k] = abs(signal.level * signal.unit(t)) * shape_norm
         if states is not None:
             states[k] = x
         return norms[k]
@@ -287,13 +275,11 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     record(0, 0.0)
     for k in range(n_steps):
         t = k * h
-        u1 = signal.values(net, t)
-        u2 = signal.values(net, t + 0.5 * h)
-        u4 = signal.values(net, t + h)
-        k1 = net.rhs(x, u1)
-        k2 = net.rhs(x + 0.5 * h * k1, u2)
-        k3 = net.rhs(x + 0.5 * h * k2, u2)
-        k4 = net.rhs(x + h * k3, u4)
+        f1, f2, f4 = applied(t), applied(t + 0.5 * h), applied(t + h)
+        k1 = net.rhs(x, f1)
+        k2 = net.rhs(x + 0.5 * h * k1, f2)
+        k3 = net.rhs(x + 0.5 * h * k2, f2)
+        k4 = net.rhs(x + h * k3, f4)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         last = k + 1
         n = record(last, t + h)
@@ -305,8 +291,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         t=ts[sl], states=states[sl] if states is not None else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
         u_norm=u_norms[sl], u_sup_norm=signal.sup_norm_q(net, q),
-        p=p, q=q, step=h, method="rk4", diverged=diverged,
-        n_subsystems=net.n_subsystems)
+        step=h, diverged=diverged)
 
 
 # --------------------------------------------------------------------------
@@ -321,6 +306,16 @@ class ViolationReport:
     violations: tuple[tuple[float, float], ...]  # (time, margin)
     worst_margin: float
     tol_coefficient: float
+
+    @classmethod
+    def of(cls, name: str, t: np.ndarray, margins: np.ndarray,
+           tol_coefficient: float) -> "ViolationReport":
+        """The report of one margin per sample; a positive margin violates."""
+        bad = np.nonzero(margins > 0)[0]
+        return cls(name=name, n_checked=int(margins.size),
+                   violations=tuple((float(t[i]), float(margins[i])) for i in bad),
+                   worst_margin=float(margins.max()) if margins.size else -math.inf,
+                   tol_coefficient=tol_coefficient)
 
     @property
     def ok(self) -> bool:
@@ -349,13 +344,7 @@ def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov,
     forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** float(lyap.q)
     quotients = np.diff(traj.v) / h
     rhs = -lam_inf * traj.v[:-1] + forcing + c_tol * h * (1.0 + traj.v[:-1])
-    margins = quotients - rhs
-    bad = np.nonzero(margins > 0)[0]
-    return ViolationReport(
-        name="dissipation", n_checked=int(margins.size),
-        violations=tuple((float(traj.t[i]), float(margins[i])) for i in bad),
-        worst_margin=float(margins.max()) if margins.size else -math.inf,
-        tol_coefficient=c_tol)
+    return ViolationReport.of("dissipation", traj.t, quotients - rhs, c_tol)
 
 
 def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov,
@@ -368,13 +357,7 @@ def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov,
     bound = iss_trajectory_bound(lyap, eps)
     env = bound.envelope_v(traj.t, float(traj.v[0]), traj.u_sup_norm)
     tol = c_tol * traj.step * (1.0 + env)
-    margins = traj.v - env - tol
-    bad = np.nonzero(margins > 0)[0]
-    return ViolationReport(
-        name="envelope", n_checked=int(traj.v.size),
-        violations=tuple((float(traj.t[i]), float(margins[i])) for i in bad),
-        worst_margin=float(margins.max()) if margins.size else -math.inf,
-        tol_coefficient=c_tol)
+    return ViolationReport.of("envelope", traj.t, traj.v - env - tol, c_tol)
 
 
 @dataclass(frozen=True)
@@ -433,9 +416,7 @@ def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
     runs = []
     for n in n_list:
         net = truncate(gen, n)
-        x0 = initial_state(net, x0_desc if not isinstance(x0_desc, dict)
-                           else {**x0_desc})
-        traj = integrate(net, x0, signal, horizon, step, store_states=True)
+        traj = integrate(net, initial_state(net, x0_desc), signal, horizon, step)
         dim_k = int(net.block_offsets[first_k])
         runs.append((n, net, traj.states[:, :dim_k]))
     out = []

@@ -100,6 +100,20 @@ class TestExitCodes:
                  (["scenario", "lure-platoon"], {"derivation": {"M": m_bad}})]
         cases += [(["verify"], {"network": chain, "sim": FAST_SIM, "certificate": str(f)})
                   for f in cert_files]
+        # JSON's NaN and Infinity are read as non-finite floats unless rejected.
+        nan, inf = float("nan"), float("inf")
+        nan_net = _write(tmp_path / "nan_net.json",
+                         {**traffic, "coefficients": {**traffic["coefficients"], "c": nan}})
+        cases += [(["simulate"], {"network": chain, "sim": {**FAST_SIM, key: value}})
+                  for key in ("T", "h", "N") for value in (inf, nan)]
+        cases += [(["certify"], {"network": chain, "analysis": {"k_max": inf}}),
+                  (["certify"], {"network": chain, "analysis": {"k_max": nan}}),
+                  (["certify"], {"network": chain, "analysis": {"rho": nan}}),
+                  (["analyze"], {"network": chain, "derivation": {"eps": nan, "delta": 0.1}}),
+                  (["analyze"], {"network": str(nan_net)}),
+                  (["scenario", "traffic"], {"coefficients": {"r": -inf}})]
+        cases += [(["simulate"], {"network": chain, "sim": {
+            **FAST_SIM, "N": 10, "x0": {"kind": "first-k", "K": k}}}) for k in (-1, -3)]
         cases += [(["scenario", "chain-a"], {"expected_outcome": 5}),
                   (["simulate"], {"network": chain, "sim": {**FAST_SIM, "csv_states": "false"}}),
                   (["simulate"], {"network": chain, "sim": {**FAST_SIM, "store_states": 0}}),

@@ -10,9 +10,10 @@ import pytest
 import sgain
 from sgain import (InsufficientDataError, LinearChain, NetworkGenerator,
                    ParameterError, Zero, fit_decay, initial_state, integrate,
-                   lp_norm, lq_input_norm, truncate,
-                   truncation_convergence_probe, verify_dissipation)
+                   lp_norm, truncate, truncation_convergence_probe,
+                   verify_dissipation)
 from sgain.certificate import assemble_lyapunov
+from sgain.network import evaluate_rhs
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
                        TrafficLights, export_csv, signal_from_dict,
                        verify_envelope)
@@ -101,7 +102,7 @@ class TestSignals:
         sig = make()
         sup = sig.sup_norm_q(net, 2.0)
         for t in np.linspace(0.0, 7.0, 113):
-            assert lq_input_norm(sig, net, 2.0, float(t)) <= sup + 1e-12
+            assert lp_norm(sig.values(net, float(t)), 2.0) <= sup + 1e-12
 
     def test_traffic_channels_only_on_controlled_cells(self):
         net = truncate(sgain.make_scenario("traffic").generator, 16)
@@ -120,6 +121,94 @@ class TestSignals:
     def test_geometric_ratio_validated(self):
         with pytest.raises(ParameterError):
             GeometricProfile(1.0, 1.5)
+
+
+SIGNAL_KINDS = [Zero(), ConstantOnFirstK(7, 1.7), GeometricProfile(1.3, 0.7),
+                SinusoidOnFirstK(9, 0.9, 1.3), TrafficLights(0.03, 0.02, -1.1)]
+ACTIVE_SECTOR = {"E": [[0.0], [0.1]], "G": [[0.2, 0.1]]}
+# (scenario, overrides, exact): the shipped networks must match bit for bit.
+FORCED_NETWORKS = [
+    ("traffic", {}, True),
+    ("lure-platoon", {}, True),
+    ("lure-platoon", {"coefficients": {"phi": "saturation", **ACTIVE_SECTOR}}, False),
+    ("lure-platoon", {"coefficients": {"phi": "midpoint-linear", **ACTIVE_SECTOR}}, False),
+    ("counter-gain", {}, False),
+]
+
+
+def _stagewise_rk4(net, x0, sig, horizon, h):
+    """Classical RK4 over ``evaluate_rhs`` with u sampled at every stage."""
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for k in range(int(round(horizon / h))):
+        t = k * h
+        u1, u2, u4 = (sig.values(net, s) for s in (t, t + 0.5 * h, t + h))
+        k1 = evaluate_rhs(net, x, u1)
+        k2 = evaluate_rhs(net, x + 0.5 * h * k1, u2)
+        k3 = evaluate_rhs(net, x + 0.5 * h * k2, u2)
+        k4 = evaluate_rhs(net, x + h * k3, u4)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+@dataclasses.dataclass(frozen=True)
+class _UnsampledSinusoid(SinusoidOnFirstK):
+    def values(self, net, t):
+        raise AssertionError("the input vector was sampled during integration")
+
+
+class _CountingMatrix:
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+class TestSeparableForcing:
+    """``integrate`` applies ``B u`` once per run and scales it per stage."""
+
+    @pytest.mark.parametrize("name, overrides, exact", FORCED_NETWORKS)
+    @pytest.mark.parametrize("sig", SIGNAL_KINDS, ids=lambda s: s.kind)
+    def test_matches_stagewise_sampling(self, name, overrides, exact, sig):
+        net = truncate(sgain.make_scenario(name, overrides).generator, 20)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        traj = integrate(net, x0, sig, horizon=0.2, step=0.004)
+        ref = _stagewise_rk4(net, x0, sig, 0.2, 0.004)
+        assert traj.states.shape == ref.shape
+        if exact:
+            assert np.array_equal(traj.states, ref)
+        else:
+            assert np.abs(traj.states - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(traj.u_norm <= traj.u_sup_norm * (1 + 1e-12))
+
+    def test_step_loop_forms_no_input_vector(self):
+        net = truncate(sgain.make_scenario("traffic").generator, 20)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        plain = integrate(net, x0, SinusoidOnFirstK(9, 0.9, 1.3), 0.2, 0.004)
+        net.input_matrix = _CountingMatrix(net.input_matrix)
+        traj = integrate(net, x0, _UnsampledSinusoid(9, 0.9, 1.3), 0.2, 0.004)
+        assert net.input_matrix.products == 1
+        assert np.array_equal(traj.states, plain.states)
+
+    def test_inactive_sector_channel_is_never_evaluated(self, monkeypatch):
+        from sgain.network import LureBanded
+
+        def refuse(self, s):
+            raise AssertionError("an inactive sector channel was evaluated")
+
+        monkeypatch.setattr(LureBanded, "phi_eval", refuse)
+        for phi in ("zero", "saturation", "midpoint-linear"):
+            gen = sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi}}).generator
+            net = truncate(gen, 10)
+            x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+            integrate(net, x0, GeometricProfile(1.0, 0.5), 0.02, 0.004)
+        active = {"coefficients": {"phi": "saturation", **ACTIVE_SECTOR}}
+        net = truncate(sgain.make_scenario("lure-platoon", active).generator, 10)
+        with pytest.raises(AssertionError, match="inactive sector"):
+            integrate(net, np.ones(net.dim), Zero(), 0.02, 0.004)
 
 
 class TestDissipation:
