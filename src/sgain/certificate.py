@@ -403,10 +403,14 @@ class BoundLyapunov:
         self._q = sp.block_diag(blocks, format="csr")
 
     def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.net.dim:
-            raise ShapeError(f"state has dimension {x.shape[0]}, network needs {self.net.dim}")
-        return float(x @ (self._q @ x))
+        return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """V of every row of ``states``, as one row-wise quadratic form."""
+        if states.shape[-1] != self.net.dim:
+            raise ShapeError(f"state has dimension {states.shape[-1]}, "
+                             f"network needs {self.net.dim}")
+        return np.einsum("ij,ij->i", states, (self._q @ states.T).T)
 
 
 def assemble_lyapunov(cert: SmallGainCertificate, g: GainData) -> CompositeLyapunov:

@@ -39,6 +39,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericInputError, ParameterError, ShapeError
 from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
@@ -109,7 +110,11 @@ class Family:
         return b.shape[1] if np.any(b) else 0
 
     def nonlinearity(self):
-        """``(E row, G row, phi)`` of a sector channel that can act, or None."""
+        """``(E row, G row, phi)`` of a sector channel that can act, or None.
+
+        ``phi`` is a vectorized callable, or the slope of a linear ``phi``,
+        which a truncation folds into its diagonal blocks.
+        """
         return None
 
     def to_json(self) -> dict:
@@ -266,6 +271,8 @@ class LureBanded(Family):
         e, g = _mat(self.e).ravel(), _mat(self.g).ravel()
         if self.phi == "zero" or not (e.any() and g.any()):
             return None  # the channel adds phi(0) = 0 or E phi = 0
+        if self.phi == "midpoint-linear":
+            return e, g, 0.5 * (float(self.sector_l) + float(self.sector_r))
         return e, g, self.phi_eval
 
     @property
@@ -455,7 +462,7 @@ class NetworkGenerator:
     q: Real = 2
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        if not (1 <= self.p < math.inf and 1 <= self.q < math.inf):
             raise ParameterError("exponents p, q must lie in [1, inf)")
 
     @property
@@ -482,8 +489,12 @@ class TruncatedNetwork:
 
     The right-hand side splits into a sparse linear part, a sparse input
     matrix, and (for a family with an active sector channel) a vectorized
-    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  :meth:`rhs` takes the
-    applied input ``B u``, so a caller that holds it forms it once.
+    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  ``linear_matrix`` is
+    assembled from the family's blocks, and ``drift_matrix`` is the ``A`` of
+    ``f``: ``linear_matrix`` plus a linear sector channel ``E (l+r)/2 G`` on
+    the diagonal blocks.  So ``nonlinearity`` is None exactly when the
+    truncation is linear time-invariant.  :meth:`rhs` takes the applied
+    input ``B u``, so a caller that holds it forms it once.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so it is tiled from the stored preamble plus one cycle; a
@@ -532,25 +543,45 @@ class TruncatedNetwork:
         k, r, c = np.nonzero(b)
         self.input_matrix = sp.csr_matrix((b[k, r, c], (k * nb + r, self.input_offsets[k] + c)),
                                           shape=(self.dim, max(self.input_dim, 1)))
-        self._nonlinearity = fam.nonlinearity()
+        self.drift_matrix = self.linear_matrix
+        self.nonlinearity = fam.nonlinearity()
+        if self.nonlinearity is not None and not callable(self.nonlinearity[2]):
+            e, g, slope = self.nonlinearity
+            fold = sp.kron(sp.identity(n), slope * np.outer(e, g))
+            self.drift_matrix = (self.linear_matrix + fold).tocsr()
+            self.nonlinearity = None
 
     def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
         """``A x + forcing + nl(x)``, where ``forcing`` is the applied input ``B u``."""
-        out = self.linear_matrix @ x
+        out = _matvec(self.drift_matrix, x, np.zeros(self.dim))
         if forcing is not None:
             out += forcing
-        if self._nonlinearity is not None:
-            e, g, phi = self._nonlinearity
+        if self.nonlinearity is not None:
+            e, g, phi = self.nonlinearity
             s = (x.reshape(self.n_subsystems, -1) * g).sum(axis=1)
             out += (e * phi(s)[:, None]).ravel()
         return out
 
     def block_norms(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean norm of every state block."""
-        if np.all(self.block_dims == 1):
-            return np.abs(x)
+        """Euclidean norm of every state block, along the last axis of ``x``.
+
+        ``x`` holds one state or a prefix of whole blocks per row.
+        """
         nb = int(self.block_dims[0])
-        return np.linalg.norm(x.reshape(self.n_subsystems, nb), axis=1)
+        if nb == 1:
+            return np.abs(x)
+        blocks = x.reshape(*x.shape[:-1], -1, nb)
+        return np.sqrt(np.einsum("...i,...i->...", blocks, blocks))
+
+
+def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add ``m @ x`` into ``out`` with scipy's compiled CSR kernel; returns ``out``.
+
+    This is the kernel behind ``m @ x`` without its dispatch: from a zero
+    ``out`` the result is the same bit for bit.
+    """
+    csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, out)
+    return out
 
 
 def truncate(gen: NetworkGenerator, n_subsystems: int) -> TruncatedNetwork:

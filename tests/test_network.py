@@ -1,5 +1,7 @@
 """Subsystem descriptions, traffic classification, truncation, and RHS."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,26 @@ class TestEvaluateRhs:
         expected = net.linear_matrix @ x + net.input_matrix @ u
         assert dx == pytest.approx(expected)
 
+    @pytest.mark.parametrize("phi", ["midpoint-linear", "saturation"])
+    def test_active_sector_channel_matches_block_formula(self, phi):
+        # A x + E phi(G x) + B u per block; midpoint-linear is folded into A.
+        sector = {"E": [[0.0], [0.4]], "G": [[0.3, -0.2]], "sector": ["-0.5", "1.5"]}
+        gen = sgain.make_scenario("lure-platoon",
+                                  {"coefficients": {"phi": phi, **sector}}).generator
+        fam, net = gen.family, truncate(gen, 6)
+        assert (net.nonlinearity is None) == (phi == "midpoint-linear")
+        rng = np.random.default_rng(3)
+        x = 10.0 * rng.standard_normal(net.dim)
+        u = rng.standard_normal(net.input_dim)
+        blocks = x.reshape(6, 2)
+        e, g, b = (np.array(m, dtype=float) for m in (fam.e, fam.g, fam.b))
+        a, dl, dr = (np.array(m, dtype=float) for m in (fam.a, fam.d_left, fam.d_right))
+        padded = np.vstack([np.zeros(2), blocks, np.zeros(2)])
+        expected = (blocks @ a.T + padded[:-2] @ dl.T + padded[2:] @ dr.T
+                    + fam.phi_eval(blocks @ g.ravel())[:, None] * e.ravel()
+                    + u[:, None] * b.ravel()).ravel()
+        assert evaluate_rhs(net, x, u) == pytest.approx(expected, rel=1e-14, abs=1e-13)
+
     def test_banded_locality(self):
         gen = traffic_gen()
         net = truncate(gen, 30)
@@ -222,6 +244,12 @@ class TestDescriptionFiles:
             sgain.save_generator(gen, path)
             back = sgain.load_generator(path)
             assert back == gen
+
+    @pytest.mark.parametrize("p, q", [(math.inf, 2), (2, math.inf), (math.inf, math.inf),
+                                      (math.nan, 2), (0.5, 2)])
+    def test_exponents_finite_and_at_least_one(self, p, q):
+        with pytest.raises(ParameterError, match=r"\[1, inf\)"):
+            NetworkGenerator(family=LinearChain.uniform(1, "0.1"), p=p, q=q)
 
     def test_traffic_parameter_ranges(self):
         ones = PeriodicSeq.constant(1)
