@@ -18,7 +18,8 @@ with the right sign).  Setting ``mu_i = eta_i / lambda_i`` then yields
 which is the pointwise inequality certifying that
 ``V(x) = sum_i mu_i V_i(x_i)`` dissipates at rate lambda_inf.  All
 quantities inherit the eventual periodicity of the gain data, so the
-infinitely-quantified inequality reduces to a finite, exact scan.
+infinitely-quantified inequality reduces to a finite scan, exact (with
+zero tolerance) when every number in it is rational.
 
 Unbounded decay-rate rules are handled by capping: rates are replaced by
 ``min(lambda_i, h)``, which preserves the dissipation inequalities,
@@ -32,17 +33,19 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, ShapeError, SmallGainViolatedError)
-from .gains import (GainData, GainOperator, SpectralBracket, adjoint_apply,
+from .gains import (GainData, SpectralBracket, adjoint_apply,
                     build_gain_operator, operator_power_column_sums,
-                    spectral_bracket)
+                    require_band, spectral_bracket)
 from .network import TruncatedNetwork
-from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div
+from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
+                       as_number, exact_div)
 
 # --------------------------------------------------------------------------
 # Step-5 rate capping
@@ -102,7 +105,8 @@ def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real,
 
 @dataclass(frozen=True)
 class EtaVector:
-    """Truncated resolvent vector with a certified geometric tail bound."""
+    """Truncated resolvent vector with a certified geometric tail bound;
+    ``checked_len`` is the preamble of ``eta`` plus two of its periods."""
 
     lam_shift: Real
     eta: PeriodicSeq
@@ -113,18 +117,20 @@ class EtaVector:
     checked_len: int
 
 
-def neumann_eta(op: GainOperator, lam_shift: Real, terms: int = 60,
+def neumann_eta(psi: PeriodicRows, lam_shift: Real, terms: int = 60,
                 k_max: int = 16) -> EtaVector:
-    """Partial sums of ``sum_k Theta^k 1 / lam_shift^(k+1)`` on the band.
+    """Partial sums of ``sum_k Theta^k 1 / lam_shift^(k+1)`` as a periodic sequence.
 
     The witness order m0, the first k <= ``k_max`` with ``||Theta^k|| <
     lam_shift^k``, certifies geometric decay of the series blocks and hence
     the tail bound.  The series stops at a multiple of m0, where its last
     iterate shows ``Theta eta <= lam_shift * eta`` componentwise exactly.
+    Each ``Theta^k 1`` is periodic past ``preamble + k m``, so eta is periodic
+    past ``preamble + K m`` with the operator's period.
     """
     if lam_shift <= 0:
         raise ParameterError("lam_shift must be positive")
-    norms = operator_power_column_sums(op, k_max)
+    norms = operator_power_column_sums(psi, k_max)
     m0 = next((k for k in range(1, k_max + 1) if norms[k] < lam_shift ** k), None)
     if m0 is None:
         raise CannotCertifyError(
@@ -135,42 +141,33 @@ def neumann_eta(op: GainOperator, lam_shift: Real, terms: int = 60,
     # gives ||Theta^(a m0)|| <= ||Theta^m0||^a < shift^(a m0), so the exact
     # check of the last iterate below closes there.
     k_eff = max(1, math.ceil((int(terms) + 1) / m0)) * m0 - 1
-    op.require_band(k_eff + 1)
+    require_band(psi, k_eff + 1)
 
-    m, period = op.bandwidth, op.period
-    pre_len = op.preamble_len + k_eff * m
-    checked = pre_len + 2 * period
-    horizon = max(checked, pre_len + m + period)  # also the Gelfand horizon of Theta^(k_eff+1)
-
+    theta, period = psi.transpose(), psi.period
+    pre_len = psi.preamble_len + k_eff * psi.bandwidth
     inv = exact_div(1, lam_shift)
-    v = [1] * (horizon + (k_eff + 1) * m)
-    coef = inv
-    eta = [coef] * checked
+    v, coef = PeriodicSeq.constant(1), inv
+    eta = [coef] * (pre_len + period)
     for _ in range(k_eff):
-        v = adjoint_apply(op, v, len(v) - m)
+        v = adjoint_apply(theta, v)
         coef = coef * inv
-        for i in range(checked):
-            eta[i] += coef * v[i]
-    v = adjoint_apply(op, v, len(v) - m)  # Theta^(k_eff + 1) 1
+        for i, x in enumerate(v.head(len(eta))):
+            eta[i] += coef * x
+    v = adjoint_apply(theta, v)  # Theta^(k_eff + 1) 1
     shift_pow = lam_shift ** (k_eff + 1)
-    top = max(v)
+    top = v.max()
     worst = float(exact_div(top, shift_pow)) - 1.0
     if top > shift_pow:
         raise InternalInconsistencyError(
             f"series residual positive ({worst:g}) despite the witness")
 
-    eta_seq = PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:pre_len + period]))
-    for offset in range(period):  # repetition across the next cycle, exact for rationals
-        a, b = eta[pre_len + offset], eta[pre_len + period + offset]
-        if a != b and (not isinstance(a, float) or abs(a - b) > 1e-12 * max(1.0, abs(a))):
-            raise InternalInconsistencyError("eta lost its periodic structure")
-
     w = float(norms[m0]) / float(lam_shift) ** m0
     c_blocks = max(float(norms[b]) / float(lam_shift) ** b for b in range(m0))
     tail = (c_blocks * m0 / float(lam_shift)) * w ** ((k_eff + 1) // m0) / (1.0 - w)
-    return EtaVector(lam_shift=lam_shift, eta=eta_seq, terms_used=k_eff,
-                     witness_order=m0, tail_bound=tail, worst_residual=worst,
-                     checked_len=checked)
+    return EtaVector(lam_shift=lam_shift,
+                     eta=PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:])),
+                     terms_used=k_eff, witness_order=m0, tail_bound=tail,
+                     worst_residual=worst, checked_len=pre_len + 2 * period)
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +247,8 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
     The horizon covers every preamble, two full combined periods, and a
     bandwidth margin; when rates, gains and mu are all eventually
     periodic this finite scan certifies the inequality for every index.
-    Violations are reported, never raised.
+    ``tol`` is 0 when every margin is exact (int or Fraction data), else
+    ``1e-9 (1 + scale)``.  Violations are reported, never raised.
     """
     lam_periodic = isinstance(g.lam, PeriodicSeq)
     periods = [cert.mu.period, g.gamma.period] + ([g.lam.period] if lam_periodic else [])
@@ -259,20 +257,24 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
                g.lam.preamble_len if lam_periodic else 0)
     horizon = base + 2 * p_hat + g.bandwidth + max(0, int(check_horizon))
 
+    columns = g.gamma.transpose()
     worst, worst_i = -math.inf, 0
+    top, exact = -math.inf, True
     scale = 0.0
     for i in range(1, horizon + 1):
         mu_i = cert.mu.at(i)
         term = g.lam.at(i) * mu_i
-        incoming = sum(cert.mu.at(j) * v for j, v in g.gamma.column(i).items())
-        margin = float(-term + incoming + cert.lambda_inf * mu_i)
+        incoming = sum(cert.mu.at(i + off) * v for off, v in columns.row(i).items())
+        margin = -term + incoming + cert.lambda_inf * mu_i
+        exact = exact and isinstance(margin, (int, Fraction))
+        top = max(top, margin)
         scale = max(scale, abs(float(term)))
-        if margin > worst:
-            worst, worst_i = margin, i
-    tol = 1e-9 * (1.0 + scale)
-    return CertificateReport(ok=worst <= tol, worst_margin=worst,
-                             worst_index=worst_i, n_checked=horizon, tol=tol,
-                             exhaustive=lam_periodic)
+        if (f := float(margin)) > worst:
+            worst, worst_i = f, i
+    tol = 0.0 if exact else 1e-9 * (1.0 + scale)
+    return CertificateReport(ok=bool(top <= 0 if exact else worst <= tol),
+                             worst_margin=worst, worst_index=worst_i,
+                             n_checked=horizon, tol=tol, exhaustive=lam_periodic)
 
 
 def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = None,
@@ -396,11 +398,12 @@ class BoundLyapunov:
     def __init__(self, lyap: CompositeLyapunov, net: TruncatedNetwork):
         self.lyap = lyap
         self.net = net
-        blocks = []
-        for i in range(1, net.n_subsystems + 1):
-            mu_i = float(lyap.cert.mu.at(i))
-            blocks.append(mu_i * lyap.gains.vform.matrix(i))
-        self._q = sp.block_diag(blocks, format="csr")
+        mu = lyap.cert.mu
+        idx = np.arange(net.n_subsystems)  # subsystem idx + 1 reads stored pos[idx]
+        pos = np.where(idx < mu.preamble_len, idx,
+                       mu.preamble_len + (idx - mu.preamble_len) % mu.period)
+        mu_vec = np.array([float(v) for v in mu.values()])[pos]
+        self._q = sp.kron(sp.diags(mu_vec), lyap.gains.vform.matrix(), format="csr")
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])

@@ -12,12 +12,13 @@ operator* is the infinite nonnegative matrix with entries
 ``psi_ij = gamma_ij / lambda_i``; the network-level stability condition
 is that its l1 spectral radius lies below one.
 
-Because the operator inherits the band and the eventual periodicity of
-the coefficients, its column sums, the column sums of all its powers,
-and hence the Gelfand upper bounds ``||Psi^k||^(1/k)`` are computed
-exactly on a finite window.  The lower bound is the larger of two
-Collatz-Wielandt bounds, on the period symbol and on a short leading
-section, exact for rational gains.
+The operator inherits the band and the eventual periodicity of the
+coefficients, so Psi is a :class:`PeriodicRows`, and Theta = Psi^T maps an
+eventually periodic :class:`PeriodicSeq` to another.  The column sums of all
+powers (``Theta^k 1``), and hence the Gelfand upper bounds
+``||Psi^k||^(1/k)``, are exact maxima over a preamble and one cycle.  The
+lower bound is the larger of two Collatz-Wielandt bounds, on the period
+symbol and on a short leading section, exact for rational gains.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class QuadraticForm:
 
     m: tuple
 
-    def matrix(self, i: int) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         return np.asarray(self.m, dtype=float)
 
 
@@ -374,92 +375,61 @@ BAND_BUDGET = 4096  # most diagonals the band of a computed power Psi^k may span
 SECTION_CAP = 64  # most rows of the leading section behind the lower bound
 
 
-@dataclass(frozen=True)
-class GainOperator:
-    """Banded nonnegative infinite matrix psi_ij = gamma_ij / lambda_i."""
-
-    rows: PeriodicRows
-
-    @property
-    def bandwidth(self) -> int:
-        return self.rows.bandwidth
-
-    @property
-    def preamble_len(self) -> int:
-        return self.rows.preamble_len
-
-    @property
-    def period(self) -> int:
-        return self.rows.period
-
-    def norm_1(self) -> Real:
-        """Exact ||Psi||_{1,1} = sup_j sum_i psi_ij."""
-        return self.rows.sup_column_sum()
-
-    def require_band(self, k: int) -> None:
-        """Refuse a computation with Psi^k when its band exceeds BAND_BUDGET."""
-        if k * self.bandwidth > BAND_BUDGET:
-            raise ResourceError(f"band of Psi^{k} spans {k * self.bandwidth} diagonals, "
-                                f"over the budget {BAND_BUDGET}")
-
-    def truncation(self, n: int) -> np.ndarray:
-        """Dense leading n-by-n principal submatrix (float entries)."""
-        out = np.zeros((n, n))
-        for i in range(1, n + 1):
-            for off, v in self.rows.row(i).items():
-                j = i + off
-                if 1 <= j <= n:
-                    out[i - 1, j - 1] = float(v)
-        return out
+def require_band(psi: PeriodicRows, k: int) -> None:
+    """Refuse a computation with Psi^k when its band exceeds BAND_BUDGET."""
+    if k * psi.bandwidth > BAND_BUDGET:
+        raise ResourceError(f"band of Psi^{k} spans {k * psi.bandwidth} diagonals, "
+                            f"over the budget {BAND_BUDGET}")
 
 
-def build_gain_operator(g: GainData) -> GainOperator:
-    """Divide each gain row by its decay rate, preserving periodicity."""
+def build_gain_operator(g: GainData) -> PeriodicRows:
+    """The rows of Psi: each gain row divided by its decay rate, preserving
+    periodicity."""
     if not isinstance(g.lam, PeriodicSeq):
         raise CannotCertifyError(
             "decay rates are not eventually periodic; apply a rate cap first")
     pre = max(g.gamma.preamble_len, g.lam.preamble_len)
     per = math.lcm(g.gamma.period, g.lam.period)
     rows = g.gamma.realign(pre, per)
-    psi = rows.scale_rows(lambda i: exact_div(1, g.lam.at(i)))
-    return GainOperator(rows=psi)
+    return rows.scale_rows(lambda i: exact_div(1, g.lam.at(i)))
 
 
-def adjoint_apply(op: GainOperator, v: list, out_len: int) -> list:
-    """One application of Theta = Psi^T to the leading window of v.
+def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
+    """One application of Theta = Psi^T, given as ``psi.transpose()``, to v.
 
-    (Theta v)_i = sum_j psi_ji v_j needs v on [i - m, i + m]; the output
-    is therefore valid on a window m shorter than the input.
+    (Theta v)_i = sum_j psi_ji v_j reads v on [i - m, i + m], so the image
+    is periodic past ``max(v.preamble_len + m, theta.preamble_len)`` with the
+    lcm of the two periods.
     """
-    if out_len + op.bandwidth > len(v):
-        raise ParameterError("window too short for one adjoint application")
+    m = theta.bandwidth
+    pre = max(v.preamble_len + m, theta.preamble_len)
+    n = pre + math.lcm(v.period, theta.period)
+    vals = v.head(n + m)
     out = []
-    for i in range(1, out_len + 1):
+    for i, row in enumerate(theta.head(n)):
         acc = 0
-        for j, w in op.rows.column(i).items():
-            acc += w * v[j - 1]
+        for off, w in row.items():
+            acc += w * vals[i + off]
         out.append(acc)
-    return out
+    return PeriodicSeq(tuple(out[:pre]), tuple(out[pre:]))
 
 
-def operator_power_column_sums(op: GainOperator, k_max: int) -> tuple[Real, ...]:
+def operator_power_column_sums(psi: PeriodicRows, k_max: int) -> tuple[Real, ...]:
     """Exact ``(||Psi^0||_{1,1}, ..., ||Psi^k_max||_{1,1})`` from one run of
     ``k_max`` adjoint applications.
 
-    Column j of Psi^k sums to (Theta^k 1)_j; the vector Theta^k 1 is
-    eventually periodic with preamble ``preamble + k m``, so its supremum
-    is the maximum over its first ``preamble + k m + period`` entries, all
-    valid in a starting window of ``preamble + 2 k_max m + period``.
+    Column j of Psi^k sums to (Theta^k 1)_j, an eventually periodic
+    sequence, so its supremum is the maximum over its preamble and one cycle.
     """
     if k_max < 0:
         raise ParameterError("power must be nonnegative")
-    op.require_band(k_max)
-    m = op.bandwidth
-    v = [1] * (op.preamble_len + 2 * k_max * m + op.period)
+    require_band(psi, k_max)
+    theta = psi.transpose()
+    v = PeriodicSeq.constant(1)
     norms = [1]
-    for k in range(1, k_max + 1):
-        v = adjoint_apply(op, v, len(v) - m)
-        norms.append(max(v[:op.preamble_len + k * m + op.period]))
+    for _ in range(k_max):
+        v = adjoint_apply(theta, v)
+        norms.append(v.max())
     return tuple(norms)
 
 
@@ -495,11 +465,12 @@ def _perron_vector(a: np.ndarray) -> list[Fraction]:
             for t in (x / x.max()).tolist()]
 
 
-def _collatz_wielandt(op: GainOperator, v: list, first: int, count: int) -> Real:
-    """``s = min (Theta v)_j / v_j`` over the support of ``v`` in entries first + 1
-    to first + count, so that ``Theta v >= s v`` holds there (and off the support)."""
-    theta = adjoint_apply(op, v, first + count)
-    return min(t / x for t, x in zip(theta[first:], v[first:first + count]) if x)
+def _collatz_wielandt(theta: PeriodicRows, v: PeriodicSeq, first: int) -> Real:
+    """``s = min (Theta v)_j / v_j`` over the support of ``v`` past entry ``first``,
+    so that ``Theta v >= s v`` holds there (and off the support)."""
+    t = adjoint_apply(theta, v)
+    n = t.preamble_len + t.period  # past n both repeat with the period of t
+    return min(x / y for x, y in zip(t.head(n)[first:], v.head(n)[first:]) if y)
 
 
 def _certified_root(s: Real, k: int) -> float:
@@ -516,7 +487,7 @@ def _certified_root(s: Real, k: int) -> float:
     return math.inf
 
 
-def spectral_bracket(op: GainOperator, k_max: int = 12) -> SpectralBracket:
+def spectral_bracket(psi: PeriodicRows, k_max: int = 12) -> SpectralBracket:
     """Bracket the l1 spectral radius of the gain operator.
 
     The Gelfand estimates are exact column-sum computations; the k = 1
@@ -528,22 +499,22 @@ def spectral_bracket(op: GainOperator, k_max: int = 12) -> SpectralBracket:
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    norms = operator_power_column_sums(op, k_max)
+    norms = operator_power_column_sums(psi, k_max)
     best, best_k = norms[1], 1
     for k in range(2, k_max + 1):
         est = _certified_root(norms[k], k)
         if est < best:
             best, best_k = est, k
-    pre, m, per = op.preamble_len, op.bandwidth, op.period
+    pre, m, per, theta = psi.preamble_len, psi.bandwidth, psi.period, psi.transpose()
     # Symbol: w periodic past the preamble with Phi(1)^T w >= s w has Theta^k w
     # >= s^k w far out, so ||Psi^k|| >= s^k; past preamble + m, Theta w = Phi(1)^T w.
-    w = _perron_vector(np.array(op.rows.symbol(), dtype=float).T)
-    v = [w[(j - pre - 1) % per] for j in range(1, pre + 2 * m + per + 1)]
-    symbol = _collatz_wielandt(op, v, pre + m, per)
+    w = _perron_vector(np.array(psi.symbol(), dtype=float).T)
+    wrapped = tuple(w[(j - pre - 1) % per] for j in range(1, pre + 1))
+    symbol = _collatz_wielandt(theta, PeriodicSeq(wrapped, tuple(w)), pre + m)
     # Section: Psi dominates its leading sections; a short one catches an
     # isolated eigenvalue that comes from the preamble.
-    v = _perron_vector(op.truncation(min(pre + 2 * per, SECTION_CAP)).T)
-    section = _collatz_wielandt(op, v + [0] * m, 0, len(v))
+    v = _perron_vector(psi.section(min(pre + 2 * per, SECTION_CAP)).T)
+    section = _collatz_wielandt(theta, PeriodicSeq(tuple(v), (0,)), 0)
     lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
     return SpectralBracket(lower=lower, upper=best, k_used=best_k,
                            satisfied=bool(best < 1), lower_from=lower_from)

@@ -5,7 +5,9 @@ either as an *eventually periodic* rule (explicit preamble, then a cycle
 that repeats forever) or as a *closed form* rule (a callable together
 with certified lower/upper bounds).  Eventual periodicity is what makes
 suprema and infima over the whole index set exactly computable: they
-reduce to a maximum or minimum over preamble plus one cycle.
+reduce to a maximum or minimum over preamble plus one cycle.  Banded
+:class:`PeriodicRows` have eventually periodic columns too (the rows of
+:meth:`PeriodicRows.transpose`), so they map a PeriodicSeq to a PeriodicSeq.
 
 Values are ordinary Python numbers.  When callers supply `fractions.Fraction`
 coefficients (the scenario files are parsed that way), all derived
@@ -20,7 +22,10 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import InvalidIndexError, ParameterError
 
@@ -99,6 +104,11 @@ class _EventuallyPeriodic:
         if i <= len(self.preamble):
             return self.preamble[i - 1]
         return self.cycle[(i - len(self.preamble) - 1) % len(self.cycle)]
+
+    def head(self, n: int) -> list:
+        """Entries 1 to n: the preamble, then the cycle repeated."""
+        reps = -(-max(0, n - self.preamble_len) // self.period)
+        return (list(self.preamble) + list(self.cycle) * reps)[:n]
 
     def realign(self, preamble_len: int, period: int):
         """Re-express with a longer preamble and a cycle length that is a
@@ -211,27 +221,39 @@ class PeriodicRows(_EventuallyPeriodic):
 
     row = _EventuallyPeriodic.at
 
-    def column(self, j: int) -> dict[int, Real]:
-        """All nonzero entries of column j, keyed by row index."""
-        _check_index(j)
-        out = {}
-        for i in range(max(1, j - self.bandwidth), j + self.bandwidth + 1):
-            v = self.row(i).get(j - i)
-            if v:
-                out[i] = v
-        return out
+    def transpose(self) -> "PeriodicRows":
+        """Rows of the transpose, formed once: columns past ``preamble_len +
+        bandwidth`` repeat with the period.  A row lists the nonzero entries
+        of its column in ascending source-row order."""
+        return self._transposed
+
+    @cached_property
+    def _transposed(self) -> "PeriodicRows":
+        m = self.bandwidth
+        n = self.preamble_len + m + self.period
+        cols = [{} for _ in range(n)]
+        for i, row in enumerate(self.head(n + m), start=1):
+            for off, v in row.items():
+                if v and i + off <= n:
+                    cols[i + off - 1][-off] = v
+        return PeriodicRows(tuple(cols[:n - self.period]), tuple(cols[n - self.period:]), m)
 
     def column_sum(self, j: int) -> Real:
-        return sum(self.column(j).values(), start=0)
+        return sum(self.transpose().row(j).values(), start=0)
 
     def sup_column_sum(self) -> Real:
-        """Exact sup over all columns j of the column sum.
+        """Exact sup over all columns j of the column sum."""
+        t = self.transpose()
+        return max(sum(row.values(), start=0) for row in t.preamble + t.cycle)
 
-        Columns beyond preamble_len + bandwidth repeat with the cycle
-        period, so the supremum is attained on a finite window.
-        """
-        horizon = self.preamble_len + self.bandwidth + self.period
-        return max(self.column_sum(j) for j in range(1, horizon + 1))
+    def section(self, n: int) -> np.ndarray:
+        """Dense leading n-by-n principal submatrix (float entries)."""
+        out = np.zeros((n, n))
+        for i, row in enumerate(self.head(n)):
+            for off, v in row.items():
+                if 0 <= i + off < n:
+                    out[i, i + off] = float(v)
+        return out
 
     def symbol(self) -> list[list[Real]]:
         """Exact period symbol ``Phi(1)``: the ``period x period`` sum of the

@@ -167,17 +167,9 @@ def signal_from_dict(obj: dict) -> InputSignal:
 # --------------------------------------------------------------------------
 
 
-def lp_norm(x: np.ndarray, p: float, block_dims=None) -> float:
-    """lp aggregation of per-block Euclidean norms (scalar blocks default)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if block_dims is None:
-        blocks = np.abs(x)
-    else:
-        dims = np.asarray(block_dims)
-        if dims.sum() != x.size:
-            raise ShapeError("block dimensions do not sum to the vector length")
-        offs = np.concatenate(([0], np.cumsum(dims)))
-        blocks = np.array([np.linalg.norm(x[a:b]) for a, b in zip(offs[:-1], offs[1:])])
+def lp_norm(x: np.ndarray, p: float) -> float:
+    """lp norm of a vector of block norms (or of scalar blocks)."""
+    blocks = np.abs(np.asarray(x, dtype=float).ravel())
     if math.isinf(p):
         return float(blocks.max()) if blocks.size else 0.0
     if p < 1:

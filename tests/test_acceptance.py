@@ -39,7 +39,7 @@ def test_criterion_1_chain_certification():
 
     assert g.lam.at(1) == Fraction(8, 5)          # 1.6 exactly
     assert g.gamma.row(5)[1] == Fraction(1, 20)   # 0.05 exactly
-    assert op.rows.row(5)[1] == Fraction(1, 32)   # 0.03125 exactly
+    assert op.row(5)[1] == Fraction(1, 32)   # 0.03125 exactly
     assert bracket.upper <= Fraction(1, 16)
     assert bracket.lower == bracket.upper == Fraction(1, 16)
     assert float(cert.lambda_inf) >= 1.3
@@ -64,13 +64,13 @@ def test_criterion_2_neumann_construction():
     m = op.bandwidth
     worst_direct = -math.inf
     for i in range(1, ev.checked_len - m):
-        theta_eta = sum(op.rows.row(j).get(i - j, 0) * ev.eta.at(j)
+        theta_eta = sum(op.row(j).get(i - j, 0) * ev.eta.at(j)
                         for j in range(max(1, i - m), i + m + 1))
         worst_direct = max(worst_direct, float(theta_eta - shift * ev.eta.at(i)))
     assert worst_direct <= 0.0
 
     n = 200
-    theta = op.truncation(n).T
+    theta = op.section(n).T
     oracle = np.linalg.solve(float(shift) * np.eye(n) - theta, np.ones(n))
     err = max(abs(float(ev.eta.at(i)) - oracle[i - 1]) for i in range(1, 101))
     assert err <= ev.tail_bound + 1e-10

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgain
 from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
@@ -44,7 +45,7 @@ class TestCapDecayRates:
         capped = cap_decay_rates(chain_gains, 1)
         assert capped.lam.at(5) == 1
         op = build_gain_operator(capped)
-        assert op.rows.row(5)[1] == Fraction(1, 20)  # gamma / min(lam, 1)
+        assert op.row(5)[1] == Fraction(1, 20)  # gamma / min(lam, 1)
 
     def test_unbounded_rule_capped(self):
         g = unbounded_rate_gains()
@@ -79,7 +80,7 @@ class TestNeumannEta:
         m = chain_operator.bandwidth
         for i in range(1, ev.checked_len - m):
             theta_eta = sum(
-                chain_operator.rows.row(j).get(i - j, 0) * ev.eta.at(j)
+                chain_operator.row(j).get(i - j, 0) * ev.eta.at(j)
                 for j in range(max(1, i - m), i + m + 1))
             assert float(theta_eta) <= float(shift * ev.eta.at(i)) + 1e-15
 
@@ -87,7 +88,7 @@ class TestNeumannEta:
         shift = Fraction(1, 10)
         ev = neumann_eta(chain_operator, shift, terms=60)
         n = 200
-        theta = chain_operator.truncation(n).T
+        theta = chain_operator.section(n).T
         oracle = np.linalg.solve(float(shift) * np.eye(n) - theta, np.ones(n))
         for i in range(1, 101):
             assert abs(float(ev.eta.at(i)) - oracle[i - 1]) <= ev.tail_bound + 1e-10
@@ -160,6 +161,28 @@ class TestVerifyCertificate:
         bad = dataclasses.replace(cert, lambda_inf=2 * cert.lambda_inf)
         rep = verify_certificate(bad, g_used)
         assert not rep.ok and rep.worst_margin > 0
+
+    def test_exact_scan_has_no_tolerance(self, chain_certified):
+        # Raise lambda_inf until the largest exact margin is +6e-10: an exact
+        # certificate is scanned with tolerance 0, so the scan must fail.
+        cert, g, *_ = chain_certified
+        assert isinstance(cert.lambda_inf, Fraction)
+        m, target = g.bandwidth, Fraction(6, 10 ** 10)
+
+        def base(i):
+            incoming = sum(cert.mu.at(j) * g.gamma.row(j).get(i - j, 0)
+                           for j in range(max(1, i - m), i + m + 1))
+            return -g.lam.at(i) * cert.mu.at(i) + incoming
+
+        horizon = verify_certificate(cert, g).n_checked
+        lam_inf = min((target - base(i)) / cert.mu.at(i) for i in range(1, horizon + 1))
+        raised = dataclasses.replace(cert, lambda_inf=lam_inf)
+        rep = verify_certificate(raised, g)
+        assert rep.tol == 0 and not rep.ok
+        assert rep.worst_margin == pytest.approx(6e-10, rel=1e-9)
+        # The same certificate read back as floats keeps the float tolerance.
+        floats = verify_certificate(sgain.certificate_from_dict(raised.to_dict()), g)
+        assert floats.tol > rep.worst_margin and floats.ok
 
     def test_hand_built_decoupled_certificate(self):
         # With no coupling, constant mu and lambda_inf = lam_lo / 2 satisfy
@@ -250,6 +273,18 @@ class TestCompositeLyapunov:
             x /= np.linalg.norm(x)
             v = bound.value(x)
             assert lo - 1e-12 <= v <= hi + 1e-12
+
+    @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
+    def test_quadratic_form_matches_block_diagonal(self, name):
+        s = sgain.make_scenario(name)
+        cert, g, *_ = certify(sgain.derive_scenario_gains(s))
+        lyap, m = assemble_lyapunov(cert, g), g.vform.matrix()
+        for n in (1, 7, 100):
+            q = lyap.bind(sgain.truncate(s.generator, n))._q
+            ref = sp.block_diag([float(cert.mu.at(i)) * m for i in range(1, n + 1)],
+                                format="csr")
+            for a in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(q, a), getattr(ref, a)), (n, a)
 
     def test_dimension_mismatch(self, chain_certified):
         cert, g, *_ = chain_certified

@@ -1,7 +1,10 @@
-"""Property tests of the family protocol (tiled truncations, the codec) and
-of the power table and certificates over random chain and traffic gains."""
+"""Property tests of the family protocol (tiled truncations, the codec), of
+the eventually periodic gain operator, and of the power table and
+certificates over random chain and traffic gains."""
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +16,11 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    DerivationError, LinearChain, LureBanded, NetworkGenerator,
                    Traffic, build_certificate, build_gain_operator,
                    generator_from_dict, generator_to_dict,
+                   derive_scenario_gains, make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
-from sgain.seqrules import PeriodicSeq
+from sgain.gains import adjoint_apply
+from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div
 
 
 def fractions(lo, hi):
@@ -112,14 +117,14 @@ def test_power_table_and_certificate(fam, eps):
     m, k_max = op.bandwidth, 5
     table = operator_power_column_sums(op, k_max)
     n = op.preamble_len + 2 * k_max * m + op.period
-    dense, power = op.truncation(n), np.eye(n)
+    dense, power = op.section(n), np.eye(n)
     for k in range(1, k_max + 1):
         power = power @ dense
         horizon = op.preamble_len + k * m + op.period
         assert float(table[k]) == pytest.approx(power[:, :horizon].sum(axis=0).max(), rel=1e-12)
 
     bracket = spectral_bracket(op, k_max=4)
-    symbol_radius = np.abs(np.linalg.eigvals(np.array(op.rows.symbol(), dtype=float))).max()
+    symbol_radius = np.abs(np.linalg.eigvals(np.array(op.symbol(), dtype=float))).max()
     assert bracket.lower <= bracket.upper
     assert isinstance(bracket.lower, Fraction)
     assert bracket.lower >= 0.999 * symbol_radius
@@ -133,7 +138,121 @@ def test_power_table_and_certificate(fam, eps):
     ev = cert.eta
     tol = 0 if isinstance(ev.lam_shift, Fraction) else 1e-12
     for i in range(1, ev.checked_len - m):
-        theta_eta = sum(op.rows.row(j).get(i - j, 0) * ev.eta.at(j)
+        theta_eta = sum(op.row(j).get(i - j, 0) * ev.eta.at(j)
                         for j in range(max(1, i - m), i + m + 1))
         bound = ev.lam_shift * ev.eta.at(i)
         assert theta_eta <= bound + tol * abs(bound)
+
+
+@functools.cache
+def platoon_gains():
+    return derive_scenario_gains(make_scenario("lure-platoon"))
+
+
+@st.composite
+def gain_data(draw):
+    """Gains of a random chain or traffic network, with Young splits small
+    enough that every decay rate stays positive (a float split makes the
+    gains float), or the float gains of the shipped Lur'e platoon."""
+    kind = draw(st.sampled_from(["chain", "traffic", "lure"]))
+    if kind == "lure":
+        return platoon_gains()
+    fam = draw(chains if kind == "chain" else traffics)
+    room = fam.diag.min() if kind == "chain" else fam.v.min() / fam.l.max()
+    eps = draw(fractions("1/4", 1)) * room / 4
+    if draw(st.booleans()):
+        eps = float(eps)
+    return fam.derive_gains(NetworkGenerator(family=fam), {"eps": eps, "delta": eps})
+
+
+@st.composite
+def banded_rows(draw):
+    """Float rows with up to two entries per side of the diagonal, so a
+    column sum has enough terms for its order to show in the last bits."""
+    m, pre, per = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    rows = [{off: draw(st.floats(0.01, 0.3)) for off in range(-m, m + 1)
+             if off and i + off >= 1 and draw(st.booleans())}
+            for i in range(1, pre + per + 1)]
+    return PeriodicRows(tuple(rows[:pre]), tuple(rows[pre:]), m)
+
+
+operators = st.one_of(gain_data().map(build_gain_operator), banded_rows())
+
+
+def window_theta(psi, v, out_len):
+    """Theta v on a leading window of the list v, each column of Psi rebuilt
+    entry by entry in ascending row order."""
+    m, out = psi.bandwidth, []
+    for i in range(1, out_len + 1):
+        acc = 0
+        for j in range(max(1, i - m), i + m + 1):
+            w = psi.row(j).get(i - j)
+            if w:
+                acc += w * v[j - 1]
+        out.append(acc)
+    return out
+
+
+def window_power_norms(psi, k_max):
+    """``||Psi^k||`` from windows that shrink by the bandwidth per power."""
+    m, pre, per = psi.bandwidth, psi.preamble_len, psi.period
+    v, norms = [1] * (pre + 2 * k_max * m + per), [1]
+    for k in range(1, k_max + 1):
+        v = window_theta(psi, v, len(v) - m)
+        norms.append(max(v[:pre + k * m + per]))
+    return norms
+
+
+def window_eta(psi, shift, k_eff):
+    """The series entries 1 to preamble + 2 periods, on a window."""
+    m = psi.bandwidth
+    checked = psi.preamble_len + k_eff * m + 2 * psi.period
+    inv = exact_div(1, shift)
+    v, coef = [1] * (checked + k_eff * m), inv
+    eta = [coef] * checked
+    for _ in range(k_eff):
+        v = window_theta(psi, v, len(v) - m)
+        coef = coef * inv
+        for i in range(checked):
+            eta[i] += coef * v[i]
+    return eta
+
+
+def bits(values):
+    return [(type(x).__name__, repr(x)) for x in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=operators, v=rules(fractions(0, 3)))
+def test_adjoint_apply_matches_dense_section(psi, v):
+    m = psi.bandwidth
+    t = adjoint_apply(psi.transpose(), v)
+    assert t.preamble_len == max(v.preamble_len, psi.preamble_len) + m
+    assert t.period == math.lcm(v.period, psi.period)
+    n = t.preamble_len + 2 * t.period + m
+    dense = psi.section(n).T @ np.array([float(x) for x in v.head(n)])
+    for i in range(1, n - m + 1):  # entries the section determines
+        assert float(t.at(i)) == pytest.approx(dense[i - 1], rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=operators)
+def test_transpose_twice_gives_the_rows_back(psi):
+    back = psi.transpose().transpose()
+    assert (back.bandwidth, back.period) == (psi.bandwidth, psi.period)
+    m, pre, per = psi.bandwidth, psi.preamble_len, psi.period
+    for i in range(1, pre + 2 * m + 2 * per + 1):
+        assert back.row(i) == {off: w for off, w in psi.row(i).items() if w}
+
+
+@settings(max_examples=40, deadline=None)
+@given(psi=operators)
+def test_power_table_and_eta_match_window_reference(psi):
+    assert bits(operator_power_column_sums(psi, 5)) == bits(window_power_norms(psi, 5))
+    bracket = spectral_bracket(psi, k_max=4)
+    if not bracket.satisfied:
+        return
+    shift = bracket.upper + (1 - bracket.upper) / 10
+    ev = neumann_eta(psi, shift, terms=8, k_max=bracket.k_used)
+    eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
+    assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used))

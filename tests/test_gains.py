@@ -22,7 +22,7 @@ def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
 
 
 def dense_psi(op, n):
-    return op.truncation(n)
+    return op.section(n)
 
 
 class TestChainDerivation:
@@ -39,7 +39,7 @@ class TestChainDerivation:
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         assert gamma_norm(g) == 0
         op = build_gain_operator(g)
-        assert op.norm_1() == 0
+        assert op.sup_column_sum() == 0
 
     def test_precondition_boundary(self):
         with pytest.raises(DerivationError):
@@ -49,7 +49,7 @@ class TestChainDerivation:
         g = derive_gains_linear_chain(chain_gen())
         assert g.lam.min() > 0
         op = build_gain_operator(g)
-        assert float(op.norm_1()) < 1
+        assert float(op.sup_column_sum()) < 1
 
 
 class TestLureLmi:
@@ -191,15 +191,15 @@ class TestTrafficDerivation:
 
 class TestGainOperator:
     def test_chain_entries_exact(self, chain_operator):
-        assert chain_operator.rows.row(1) == {1: Fraction(1, 32)}
-        assert chain_operator.rows.row(5) == {-1: Fraction(1, 32), 1: Fraction(1, 32)}
-        assert chain_operator.norm_1() == Fraction(1, 16)
+        assert chain_operator.row(1) == {1: Fraction(1, 32)}
+        assert chain_operator.row(5) == {-1: Fraction(1, 32), 1: Fraction(1, 32)}
+        assert chain_operator.sup_column_sum() == Fraction(1, 16)
 
     def test_traffic_sparsity_matches_adjacency(self, traffic_gains):
         op = build_gain_operator(traffic_gains)
         fam = sgain.make_scenario("traffic").generator.family
         for i in range(1, 201):
-            offsets = tuple(sorted(op.rows.row(i)))
+            offsets = tuple(sorted(op.row(i)))
             assert offsets == tuple(sorted(fam.cell(i)[2]))
 
     def test_gamma_norm_chain(self, chain_gains):
@@ -212,12 +212,12 @@ class TestGainOperator:
     def test_lemma3_norm_bound(self, chain_gains, traffic_gains):
         for g in (chain_gains, traffic_gains):
             op = build_gain_operator(g)
-            assert float(op.norm_1()) <= float(gamma_norm(g)) / float(g.lam_lo) + 1e-15
+            assert float(op.sup_column_sum()) <= float(gamma_norm(g)) / float(g.lam_lo) + 1e-15
 
 
 class TestOperatorPowers:
     def test_k1_equals_column_sums(self, chain_operator):
-        assert operator_power_column_sums(chain_operator, 1)[1] == chain_operator.norm_1()
+        assert operator_power_column_sums(chain_operator, 1)[1] == chain_operator.sup_column_sum()
 
     def test_zero_operator(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
@@ -272,11 +272,11 @@ class TestSpectralBracket:
         # Psi dominates its leading sections, so the section Collatz-Wielandt
         # bound grows with the section size and stays under the bracket's lower.
         from sgain.gains import _collatz_wielandt, _perron_vector
-        m = chain_operator.bandwidth
         lowers = []
         for n in (8, 16, 32, 64):
-            v = _perron_vector(chain_operator.truncation(n).T)
-            lowers.append(_collatz_wielandt(chain_operator, v + [0] * m, 0, n))
+            v = _perron_vector(chain_operator.section(n).T)
+            lowers.append(_collatz_wielandt(chain_operator.transpose(),
+                                            PeriodicSeq(tuple(v), (0,)), 0))
         assert all(b >= a - 1e-9 for a, b in zip(lowers, lowers[1:]))
         assert lowers[-1] <= spectral_bracket(chain_operator, k_max=2).lower
 
@@ -402,7 +402,7 @@ class TestNontrivialPeriodicStructures:
         op = build_gain_operator(g)
         for k in (1, 2, 4):
             pad = 80
-            dense = np.linalg.matrix_power(op.truncation(pad), k)
+            dense = np.linalg.matrix_power(op.section(pad), k)
             horizon = op.preamble_len + k * op.bandwidth + op.period
             interior = dense[:, :horizon].sum(axis=0)
             mine = float(operator_power_column_sums(op, k)[k])

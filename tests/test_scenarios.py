@@ -66,12 +66,12 @@ class TestExpectedOutcomes:
 class TestChainScalingFamily:
     def test_off_diagonal_scaling_squares_psi(self):
         base = derive_scenario_gains(make_scenario("chain-a"))
-        psi0 = build_gain_operator(base).rows.row(5)[1]
+        psi0 = build_gain_operator(base).row(5)[1]
         for s in (2, 3):
             sc = make_scenario("chain-a", {"coefficients": {
                 "sub": Fraction(s, 10), "sup": Fraction(s, 10)}})
             g = derive_scenario_gains(sc)
-            psi = build_gain_operator(g).rows.row(5)[1]
+            psi = build_gain_operator(g).row(5)[1]
             assert psi == s * s * psi0
 
 

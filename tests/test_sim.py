@@ -74,8 +74,10 @@ class TestNorms:
         assert lp_norm(np.array([3.0, -4.0]), math.inf) == 4.0
 
     def test_block_aggregation(self):
+        net = truncate(sgain.make_scenario("lure-platoon").generator, 2)
+        assert list(net.block_dims) == [2, 2]
         x = np.array([3.0, 4.0, 0.0, 1.0])
-        assert lp_norm(x, 2, block_dims=[2, 2]) == pytest.approx(math.sqrt(26.0))
+        assert lp_norm(net.block_norms(x), 2) == pytest.approx(math.sqrt(26.0))
 
     def test_summation_oracle(self):
         rng = np.random.default_rng(11)
