@@ -31,8 +31,9 @@ automatically valid for the original ones.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +41,8 @@ import scipy.sparse as sp
 
 from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, ShapeError, SmallGainViolatedError)
-from .gains import (GainData, SpectralBracket, adjoint_apply,
-                    build_gain_operator, operator_power_column_sums,
-                    require_band, spectral_bracket)
+from .gains import (GainData, SpectralBracket, _Powers,
+                    build_gain_operator, require_band, spectral_bracket)
 from .network import TruncatedNetwork
 from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
                        as_number, exact_div)
@@ -127,10 +127,18 @@ def neumann_eta(psi: PeriodicRows, lam_shift: Real, terms: int = 60,
     iterate shows ``Theta eta <= lam_shift * eta`` componentwise exactly.
     Each ``Theta^k 1`` is periodic past ``preamble + k m``, so eta is periodic
     past ``preamble + K m`` with the operator's period.
+
+    One run of iterates feeds the witness norms and the series.  For
+    rational Psi they are int numerators ``x_k`` over ``d^k``: a float shift
+    adds ``coef * (x_k / d^k)`` (int division rounds correctly, as
+    ``float(Fraction)`` does), and a rational shift ``a/b`` accumulates
+    ``acc = acc a d + x_k b^(k+1)`` and forms one ``Fraction(acc, a^(K+1) d^K)``
+    per entry.
     """
     if lam_shift <= 0:
         raise ParameterError("lam_shift must be positive")
-    norms = operator_power_column_sums(psi, k_max)
+    powers = _Powers(psi, k_max)
+    norms = powers.norms
     m0 = next((k for k in range(1, k_max + 1) if norms[k] < lam_shift ** k), None)
     if m0 is None:
         raise CannotCertifyError(
@@ -143,19 +151,31 @@ def neumann_eta(psi: PeriodicRows, lam_shift: Real, terms: int = 60,
     k_eff = max(1, math.ceil((int(terms) + 1) / m0)) * m0 - 1
     require_band(psi, k_eff + 1)
 
-    theta, period = psi.transpose(), psi.period
+    period, d = psi.period, powers.d
     pre_len = psi.preamble_len + k_eff * psi.bandwidth
-    inv = exact_div(1, lam_shift)
-    v, coef = PeriodicSeq.constant(1), inv
-    eta = [coef] * (pre_len + period)
-    for _ in range(k_eff):
-        v = adjoint_apply(theta, v)
-        coef = coef * inv
-        for i, x in enumerate(v.head(len(eta))):
-            eta[i] += coef * x
-    v = adjoint_apply(theta, v)  # Theta^(k_eff + 1) 1
+    n = pre_len + period
+    walk = powers.walk(k_eff + 1)
+    iterates = itertools.islice(walk, k_eff)  # Theta^k 1 for 1 <= k <= k_eff
+    if d > 1 and not isinstance(lam_shift, float):
+        shift = Fraction(lam_shift)
+        num, den = shift.numerator, shift.denominator
+        acc, step, den_pow = [den] * n, num * d, den
+        for v in iterates:
+            den_pow *= den
+            acc = [y * step + x * den_pow for y, x in zip(acc, v.head(n))]
+        denom = num ** (k_eff + 1) * d ** k_eff
+        eta = [Fraction(y, denom) for y in acc]
+    else:
+        coef = inv = exact_div(1, lam_shift)
+        eta = [coef] * n
+        for k, v in enumerate(iterates, start=1):
+            coef = coef * inv
+            dk = d ** k
+            xs = [x / dk for x in v.head(n)] if d > 1 else v.head(n)
+            for i, x in enumerate(xs):
+                eta[i] += coef * x
     shift_pow = lam_shift ** (k_eff + 1)
-    top = v.max()
+    top = powers.norm(next(walk), k_eff + 1)  # ||Theta^(k_eff + 1)||
     worst = float(exact_div(top, shift_pow)) - 1.0
     if top > shift_pow:
         raise InternalInconsistencyError(
@@ -188,6 +208,7 @@ class SmallGainCertificate:
     bracket: SpectralBracket
     h_cap: Real | None = None
     eta: EtaVector | None = None
+    scan: CertificateReport | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -278,15 +299,16 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
 
 
 def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = None,
-                      *, terms: int = 60) -> SmallGainCertificate:
+                      *, terms: int = 60, check_horizon: int = 0) -> SmallGainCertificate:
     """Construct and verify the scaling vector for bounded-rate gain data.
 
     The contraction factor is placed a tenth of the way from the bracket
     upper bound to one, pulled closer when a smaller slack ``rho`` is
     requested, so that ``lambda_inf = (1 - r_tilde) inf lambda_i``
     respects ``lambda_inf >= (1 - upper) inf lambda_i - rho``.  The
-    certificate is scanned pointwise before being returned; an emitted
-    certificate is therefore always verified.
+    certificate is scanned pointwise (``check_horizon`` indices past the
+    periodic horizon) before being returned, and carries that scan as
+    ``scan``; an emitted certificate is therefore always verified.
     """
     if not bracket.satisfied:
         exc = SmallGainViolatedError(
@@ -317,19 +339,20 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     cert = SmallGainCertificate(mu=mu, mu_lo=mu.min(), mu_hi=mu.max(),
                                 lambda_inf=lam_inf, r_tilde=r_tilde, rho=rho,
                                 bracket=bracket, eta=eta_vec)
-    report = verify_certificate(cert, g)
+    report = verify_certificate(cert, g, check_horizon)
     if not report.ok:
         raise InternalInconsistencyError(
             f"freshly built certificate failed its scan: margin "
             f"{report.worst_margin:g} at index {report.worst_index}")
-    return cert
+    return dataclasses.replace(cert, scan=report)
 
 
 def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
             terms: int = 60, h_start: Real | None = None,
-            h_doublings: int = 40):
+            h_doublings: int = 40, check_horizon: int = 0):
     """End-to-end certification: bracket the spectral radius, cap rates
-    when they are unbounded, and build a verified certificate.
+    when they are unbounded, and build a verified certificate (its
+    ``scan`` reaches ``check_horizon`` indices past the periodic horizon).
 
     Returns ``(certificate, gain data actually certified, operator,
     bracket)``.  Raises :class:`SmallGainViolatedError` when the bracket
@@ -340,7 +363,7 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     if isinstance(g.lam, PeriodicSeq):
         op = build_gain_operator(g)
         bracket = spectral_bracket(op, k_max=k_max)
-        cert = build_certificate(g, bracket, rho, terms=terms)
+        cert = build_certificate(g, bracket, rho, terms=terms, check_horizon=check_horizon)
         return cert, g, op, bracket
     lam_lo = g.lam.lower()
     if lam_lo <= 0:
@@ -355,7 +378,8 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
         op = build_gain_operator(gh)
         bracket = spectral_bracket(op, k_max=k_max)
         if bracket.satisfied:
-            cert = build_certificate(gh, bracket, rho, terms=terms)
+            cert = build_certificate(gh, bracket, rho, terms=terms,
+                                     check_horizon=check_horizon)
             return dataclasses.replace(cert, h_cap=h), gh, op, bracket
         last = bracket
         h = h * 2

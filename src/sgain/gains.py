@@ -414,23 +414,48 @@ def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
     return PeriodicSeq(tuple(out[:pre]), tuple(out[pre:]))
 
 
+class _Powers:
+    """The iterates ``Theta^k 1`` of ``Theta = Psi^T`` for k <= k_max, kept,
+    and the table ``norms`` of ``||Psi^k||_{1,1}`` they give.  Rational Psi
+    runs on Theta's integer form, so the k-th iterate holds the int
+    numerators of ``Theta^k 1`` over ``d^k``."""
+
+    def __init__(self, psi: PeriodicRows, k_max: int):
+        if k_max < 0:
+            raise ParameterError("power must be nonnegative")
+        require_band(psi, k_max)
+        self.rows, self.d = psi.transpose().integer_form
+        self.iterates = [PeriodicSeq.constant(1)]
+        for _ in range(k_max):
+            self.iterates.append(adjoint_apply(self.rows, self.iterates[-1]))
+        self.norms = tuple(self.norm(v, k) for k, v in enumerate(self.iterates))
+
+    def walk(self, k: int):
+        """The iterates 1 to k: the kept ones, then further ones, not kept."""
+        v = self.iterates[0]
+        for j in range(1, k + 1):
+            v = self.iterates[j] if j < len(self.iterates) else adjoint_apply(self.rows, v)
+            yield v
+
+    def norm(self, v: PeriodicSeq, k: int) -> Real:
+        """``||Psi^k||_{1,1} = sup_j (Theta^k 1)_j`` from the k-th iterate v,
+        exact: the maximum over its preamble and one cycle."""
+        top, dk = v.max(), self.d ** k
+        # A zero norm keeps the type of entry 1 of Theta^k 1 in Fraction
+        # arithmetic: int 0 when row 1 of Theta is empty, else Fraction 0.
+        return Fraction(top, dk) if dk > 1 and (top or self.rows.row(1)) else top
+
+
 def operator_power_column_sums(psi: PeriodicRows, k_max: int) -> tuple[Real, ...]:
     """Exact ``(||Psi^0||_{1,1}, ..., ||Psi^k_max||_{1,1})`` from one run of
     ``k_max`` adjoint applications.
 
     Column j of Psi^k sums to (Theta^k 1)_j, an eventually periodic
-    sequence, so its supremum is the maximum over its preamble and one cycle.
+    sequence.  For rational Psi the iterates are exact int numerators over
+    ``d^k`` (see :attr:`PeriodicRows.integer_form`), so no entry pays a gcd;
+    each norm is one ``Fraction(max, d^k)``.
     """
-    if k_max < 0:
-        raise ParameterError("power must be nonnegative")
-    require_band(psi, k_max)
-    theta = psi.transpose()
-    v = PeriodicSeq.constant(1)
-    norms = [1]
-    for _ in range(k_max):
-        v = adjoint_apply(theta, v)
-        norms.append(v.max())
-    return tuple(norms)
+    return _Powers(psi, k_max).norms
 
 
 @dataclass(frozen=True)

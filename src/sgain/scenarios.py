@@ -164,15 +164,16 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     """Stage 2: certify ``g`` with the settings of an ``analysis`` section
     (or scan a ``stored`` certificate against ``g``) and return the composite
     Lyapunov function.  Writes the ``bracket``, ``certificate`` and its scan
-    ``verification`` into ``report``; with no certificate, the ``error`` and
-    its ``bracket`` instead, and returns None."""
-    cert, g_used = stored, g
+    ``verification`` (the build's own scan for a fresh certificate) into
+    ``report``; with no certificate, the ``error`` and its ``bracket``
+    instead, and returns None."""
+    horizon = int(_number(analysis, "check_horizon", 0))
     if stored is None:
         try:
             cert, g_used, _, bracket = certify(
                 g, rho=_number(analysis, "rho"), k_max=int(_number(analysis, "k_max", 12)),
                 terms=int(_number(analysis, "K", 60)), h_start=_number(analysis, "h_start"),
-                h_doublings=int(_number(analysis, "h_doublings", 40)))
+                h_doublings=int(_number(analysis, "h_doublings", 40)), check_horizon=horizon)
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:
@@ -180,8 +181,11 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
             return None
         report["bracket"] = bracket.to_dict()
         report["certificate"] = cert.to_dict()
-    report["verification"] = verify_certificate(
-        cert, g_used, check_horizon=int(_number(analysis, "check_horizon", 0))).to_dict()
+        scan = cert.scan  # the build's own scan, to the same horizon
+    else:
+        cert, g_used = stored, g
+        scan = verify_certificate(cert, g_used, check_horizon=horizon)
+    report["verification"] = scan.to_dict()
     return assemble_lyapunov(cert, g_used)
 
 

@@ -192,6 +192,8 @@ class PeriodicRows(_EventuallyPeriodic):
     value; offsets are confined to [-bandwidth, bandwidth] \\ {0}.  Rows in
     the cycle must never reference an index below 1, which is validated at
     construction for the smallest index at which each cycle row occurs.
+    Rational rows have an :attr:`integer_form`: int rows times a common
+    denominator d, so powers apply as int numerators over ``d^k``.
     """
 
     preamble: tuple[Mapping[int, Real], ...]
@@ -237,6 +239,22 @@ class PeriodicRows(_EventuallyPeriodic):
                 if v and i + off <= n:
                     cols[i + off - 1][-off] = v
         return PeriodicRows(tuple(cols[:n - self.period]), tuple(cols[n - self.period:]), m)
+
+    @cached_property
+    def integer_form(self) -> tuple["PeriodicRows", int]:
+        """``(d * self, d)`` with d the lcm of the entry denominators, every
+        entry of the first an int; formed once.  Rows with an entry that is
+        not a Fraction (a float, say), or with d = 1, give ``(self, 1)``."""
+        entries = [v for row in self.preamble + self.cycle for v in row.values()]
+        if not all(isinstance(v, Fraction) for v in entries):
+            return self, 1
+        d = math.lcm(*(v.denominator for v in entries))
+        if d == 1:
+            return self, 1
+        scaled = [{off: v.numerator * (d // v.denominator) for off, v in row.items()}
+                  for row in self.preamble + self.cycle]
+        return replace(self, preamble=tuple(scaled[:self.preamble_len]),
+                       cycle=tuple(scaled[self.preamble_len:])), d
 
     def column_sum(self, j: int) -> Real:
         return sum(self.transpose().row(j).values(), start=0)

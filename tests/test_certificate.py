@@ -156,6 +156,23 @@ class TestVerifyCertificate:
             worst = max(worst, margin)
         assert worst <= 1e-12
 
+    def test_fresh_certificate_is_scanned_once(self, traffic_gains, monkeypatch):
+        from sgain import scenarios
+        cert, g_used, *_ = certify(traffic_gains, check_horizon=7)
+        assert cert.scan == verify_certificate(cert, g_used, check_horizon=7)
+        assert cert.scan.ok and cert.scan.n_checked == verify_certificate(
+            cert, g_used).n_checked + 7
+        scans = []
+        monkeypatch.setattr(scenarios, "verify_certificate",
+                            lambda *a, **k: scans.append(a) or verify_certificate(*a, **k))
+        report = {}
+        scenarios.certify_gains(traffic_gains, {"check_horizon": 7}, report)
+        assert scans == [] and report["verification"] == cert.scan.to_dict()
+        stored = sgain.certificate_from_dict(cert.to_dict())
+        assert stored.scan is None
+        scenarios.certify_gains(traffic_gains, {"check_horizon": 7}, report, stored)
+        assert len(scans) == 1  # a stored certificate is scanned
+
     def test_tampered_certificate_fails(self, chain_certified):
         cert, g_used, *_ = chain_certified
         bad = dataclasses.replace(cert, lambda_inf=2 * cert.lambda_inf)

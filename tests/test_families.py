@@ -256,3 +256,55 @@ def test_power_table_and_eta_match_window_reference(psi):
     ev = neumann_eta(psi, shift, terms=8, k_max=bracket.k_used)
     eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
     assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used))
+
+
+@pytest.mark.parametrize("name, shift_type", [("traffic", float), ("chain-a", Fraction)])
+def test_long_series_matches_window_reference(name, shift_type):
+    """Shipped operators with rational entries over a common denominator
+    d > 1, at the default 60 terms: the integer-numerator iterates give the
+    same power table and the same eta, type and bits, as the per-entry
+    Fraction reference."""
+    psi = build_gain_operator(derive_scenario_gains(make_scenario(name)))
+    assert psi.transpose().integer_form[1] > 1
+    assert bits(operator_power_column_sums(psi, 12)) == bits(window_power_norms(psi, 12))
+    bracket = spectral_bracket(psi)
+    shift = bracket.upper + (1 - bracket.upper) / 10
+    assert type(shift) is shift_type
+    ev = neumann_eta(psi, shift, terms=60, k_max=bracket.k_used)
+    assert ev.terms_used >= 60
+    eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
+    assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used))
+
+
+def test_integer_form():
+    psi = build_gain_operator(derive_scenario_gains(make_scenario("chain-a")))
+    rows, d = psi.integer_form
+    entries = [v for row in psi.preamble + psi.cycle for v in row.values()]
+    assert d == math.lcm(*(v.denominator for v in entries)) > 1
+    assert (rows.preamble_len, rows.period, rows.bandwidth) == (
+        psi.preamble_len, psi.period, psi.bandwidth)
+    for row, scaled in zip(psi.preamble + psi.cycle, rows.preamble + rows.cycle):
+        assert scaled == {off: v * d for off, v in row.items()}
+        assert all(type(v) is int for v in scaled.values())
+    assert psi.integer_form is psi.integer_form  # formed once
+
+    floats = build_gain_operator(platoon_gains())
+    mixed = PeriodicRows(({1: Fraction(1, 3)},), ({-1: 0.25, 1: Fraction(1, 3)},), 1)
+    whole = PeriodicRows(({1: Fraction(3)},), ({-1: Fraction(2), 1: Fraction(3)},), 1)
+    for rows in (floats, mixed, whole):
+        form, d = rows.integer_form
+        assert form is rows and d == 1
+
+
+def test_one_run_of_iterates_per_series(monkeypatch):
+    """The witness norms are read from the series' own iterates: Theta is
+    applied max(k_max, K + 1) times, also when the series is the shorter."""
+    from sgain import gains
+    psi = build_gain_operator(derive_scenario_gains(make_scenario("traffic")))
+    calls = []
+    real = gains.adjoint_apply
+    monkeypatch.setattr(gains, "adjoint_apply", lambda *a: calls.append(1) or real(*a))
+    for terms, k_max in ((60, 12), (2, 12), (8, 1)):
+        calls.clear()
+        ev = neumann_eta(psi, Fraction(1, 5), terms=terms, k_max=k_max)
+        assert len(calls) == max(k_max, ev.terms_used + 1)
