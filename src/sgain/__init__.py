@@ -20,8 +20,8 @@ from .network import (FAMILIES, CounterexampleGain, CounterexampleSlow,
                       Traffic, TruncatedNetwork, classify_traffic_cell,
                       evaluate_rhs, generator_from_dict, generator_to_dict,
                       load_generator, save_generator, truncate)
-from .gains import (HALF_SQUARE, AssumptionReport, GainData, QuadraticForm,
-                    SpectralBracket,
+from .gains import (HALF_SQUARE, AssumptionReport, GainData, PowerTable,
+                    QuadraticForm, SpectralBracket,
                     build_gain_operator, check_assumptions, check_lure_lmi,
                     derive_gains_linear_chain, derive_gains_lure,
                     derive_gains_traffic, gamma_norm,

@@ -2,15 +2,18 @@
 
 Given gain data whose operator satisfies the spectral condition, a
 positive scaling vector mu with uniform bounds is constructed from a
-truncated Neumann series.  For any shift strictly above the spectral
-radius (witnessed through a Gelfand norm estimate), the vector
+truncated Neumann series.  For any shift above the bracket's upper bound,
+the bracket's power table, iterated from one positive start vector w,
+gives the vector
 
-    eta = sum_{k=0}^{K} Theta^k 1 / shift^(k+1),      Theta = Psi^T,
+    eta = sum_{k=0}^{K} Theta^k w / (max w * shift^(k+1)),      Theta = Psi^T,
 
-is bounded below by 1/shift and, once K is large enough that
-``||Theta^(K+1)|| <= shift^(K+1)``, satisfies ``Theta eta <= shift * eta``
+which is bounded below by ``w / (max w * shift)`` and, once
+``Theta^(K+1) w <= shift^(K+1) w``, satisfies ``Theta eta <= shift * eta``
 componentwise *exactly* (the truncated series absorbs its own remainder
-with the right sign).  Setting ``mu_i = eta_i / lambda_i`` then yields
+with the right sign).  The series stops at the first such K + 1, which is
+at most the power behind the upper bound, so it reads only iterates the
+table holds.  Setting ``mu_i = eta_i / lambda_i`` then yields
 
     -lambda_i mu_i + sum_j mu_j gamma_ji <= -lambda_inf mu_i,
     lambda_inf = (1 - shift) * inf_i lambda_i,
@@ -30,8 +33,8 @@ automatically valid for the original ones.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,10 +44,10 @@ import scipy.sparse as sp
 
 from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, ShapeError, SmallGainViolatedError)
-from .gains import (GainData, SpectralBracket, _Powers,
-                    build_gain_operator, require_band, spectral_bracket)
+from .gains import (GainData, PowerTable, SpectralBracket, adjoint_apply,
+                    build_gain_operator, spectral_bracket)
 from .network import TruncatedNetwork
-from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
+from .seqrules import (ClosedFormSeq, PeriodicSeq, Real,
                        as_number, exact_div)
 
 # --------------------------------------------------------------------------
@@ -80,20 +83,14 @@ def cap_decay_rates(g: GainData, h: Real) -> GainData:
 
 def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real,
                                  max_preamble: int = 100_000) -> PeriodicSeq:
-    if lam.at(1) >= h:
-        return PeriodicSeq((), (h,))
-    lo, hi = 1, 2
+    lo, hi = 0, 1
     while lam.at(hi) < h:
         lo, hi = hi, hi * 2
         if hi > max_preamble:
             raise CannotCertifyError(
                 f"rate rule stays below the cap {h} past index {max_preamble}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lam.at(mid) < h:
-            lo = mid
-        else:
-            hi = mid
+    # the first index with lam >= h lies in (lo, hi]
+    hi = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), h, key=lam.at)
     preamble = tuple(lam.at(i) for i in range(1, hi))
     return PeriodicSeq(preamble, (h,))
 
@@ -105,89 +102,54 @@ def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real,
 
 @dataclass(frozen=True)
 class EtaVector:
-    """Truncated resolvent vector with a certified geometric tail bound;
-    ``checked_len`` is the preamble of ``eta`` plus two of its periods."""
+    """Truncated resolvent vector of ``terms_used + 1`` terms, K in the
+    module docstring; ``worst_residual`` is ``sup_j (Theta^(K+1) w)_j /
+    (shift^(K+1) w_j) - 1 <= 0`` and ``checked_len`` the preamble of ``eta``
+    plus two of its periods."""
 
-    lam_shift: Real
     eta: PeriodicSeq
     terms_used: int
-    witness_order: int
-    tail_bound: float
     worst_residual: float
     checked_len: int
 
 
-def neumann_eta(psi: PeriodicRows, lam_shift: Real, terms: int = 60,
-                k_max: int = 16) -> EtaVector:
-    """Partial sums of ``sum_k Theta^k 1 / lam_shift^(k+1)`` as a periodic sequence.
+def neumann_eta(powers: PowerTable, lam_shift: Real) -> EtaVector:
+    """Partial sums of ``sum_k Theta^k w / (max w * lam_shift^(k+1))`` as a
+    periodic sequence, w the table's start vector.
 
-    The witness order m0, the first k <= ``k_max`` with ``||Theta^k|| <
-    lam_shift^k``, certifies geometric decay of the series blocks and hence
-    the tail bound.  The series stops at a multiple of m0, where its last
-    iterate shows ``Theta eta <= lam_shift * eta`` componentwise exactly.
-    Each ``Theta^k 1`` is periodic past ``preamble + k m``, so eta is periodic
-    past ``preamble + K m`` with the operator's period.
-
-    One run of iterates feeds the witness norms and the series.  For
-    rational Psi they are int numerators ``x_k`` over ``d^k``: a float shift
-    adds ``coef * (x_k / d^k)`` (int division rounds correctly, as
-    ``float(Fraction)`` does), and a rational shift ``a/b`` accumulates
-    ``acc = acc a d + x_k b^(k+1)`` and forms one ``Fraction(acc, a^(K+1) d^K)``
-    per entry.
+    The series stops at K, where K + 1 is the first power of the table with
+    ``||Theta^(K+1)||_w <= lam_shift^(K+1)``, compared exactly: that is
+    ``Theta^(K+1) w <= lam_shift^(K+1) w`` componentwise, which gives
+    ``Theta eta <= lam_shift * eta``.  ``Theta^k w`` is periodic past the
+    preamble of the k-th iterate, so eta is periodic past that of the K-th.
+    A float shift adds ``coef * (x_k / d^k)`` for the int numerators ``x_k``
+    of rational Psi (int division rounds correctly, as ``float(Fraction)``
+    does); a rational one keeps eta exact.
     """
     if lam_shift <= 0:
         raise ParameterError("lam_shift must be positive")
-    powers = _Powers(psi, k_max)
+    shift = Fraction(lam_shift)
     norms = powers.norms
-    m0 = next((k for k in range(1, k_max + 1) if norms[k] < lam_shift ** k), None)
-    if m0 is None:
+    close = next((k for k in range(1, len(norms)) if norms[k] <= shift ** k), None)
+    if close is None:
         raise CannotCertifyError(
-            f"no Gelfand witness ||Theta^k||^(1/k) < {float(lam_shift):g} "
-            f"for k <= {k_max}; small-gain condition not established")
+            f"no power with ||Theta^k||_w <= {float(lam_shift):g}^k for "
+            f"k <= {len(norms) - 1}; small-gain condition not established")
 
-    # Stop the series at a multiple of the witness order: submultiplicativity
-    # gives ||Theta^(a m0)|| <= ||Theta^m0||^a < shift^(a m0), so the exact
-    # check of the last iterate below closes there.
-    k_eff = max(1, math.ceil((int(terms) + 1) / m0)) * m0 - 1
-    require_band(psi, k_eff + 1)
-
-    period, d = psi.period, powers.d
-    pre_len = psi.preamble_len + k_eff * psi.bandwidth
+    iterates, d, top = powers.iterates[:close], powers.d, powers.start.max()
+    pre_len, period = iterates[-1].preamble_len, iterates[-1].period
     n = pre_len + period
-    walk = powers.walk(k_eff + 1)
-    iterates = itertools.islice(walk, k_eff)  # Theta^k 1 for 1 <= k <= k_eff
-    if d > 1 and not isinstance(lam_shift, float):
-        shift = Fraction(lam_shift)
-        num, den = shift.numerator, shift.denominator
-        acc, step, den_pow = [den] * n, num * d, den
-        for v in iterates:
-            den_pow *= den
-            acc = [y * step + x * den_pow for y, x in zip(acc, v.head(n))]
-        denom = num ** (k_eff + 1) * d ** k_eff
-        eta = [Fraction(y, denom) for y in acc]
-    else:
-        coef = inv = exact_div(1, lam_shift)
-        eta = [coef] * n
-        for k, v in enumerate(iterates, start=1):
-            coef = coef * inv
-            dk = d ** k
-            xs = [x / dk for x in v.head(n)] if d > 1 else v.head(n)
-            for i, x in enumerate(xs):
-                eta[i] += coef * x
-    shift_pow = lam_shift ** (k_eff + 1)
-    top = powers.norm(next(walk), k_eff + 1)  # ||Theta^(k_eff + 1)||
-    worst = float(exact_div(top, shift_pow)) - 1.0
-    if top > shift_pow:
-        raise InternalInconsistencyError(
-            f"series residual positive ({worst:g}) despite the witness")
-
-    w = float(norms[m0]) / float(lam_shift) ** m0
-    c_blocks = max(float(norms[b]) / float(lam_shift) ** b for b in range(m0))
-    tail = (c_blocks * m0 / float(lam_shift)) * w ** ((k_eff + 1) // m0) / (1.0 - w)
-    return EtaVector(lam_shift=lam_shift,
-                     eta=PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:])),
-                     terms_used=k_eff, witness_order=m0, tail_bound=tail,
-                     worst_residual=worst, checked_len=pre_len + 2 * period)
+    inv = exact_div(1, lam_shift)
+    coef = exact_div(inv, top)
+    eta = [coef * x for x in iterates[0].head(n)]
+    for k, v in enumerate(iterates[1:], start=1):
+        coef, dk = coef * inv, d ** k
+        for i, x in enumerate(v.head(n)):
+            eta[i] += coef * (x / dk if isinstance(coef, float) else exact_div(x, dk))
+    return EtaVector(eta=PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:])),
+                     terms_used=close - 1,
+                     worst_residual=float(norms[close] / shift ** close) - 1.0,
+                     checked_len=pre_len + 2 * period)
 
 
 # --------------------------------------------------------------------------
@@ -256,9 +218,7 @@ class CertificateReport:
     exhaustive: bool
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "worst_margin": self.worst_margin,
-                "worst_index": self.worst_index, "n_checked": self.n_checked,
-                "tol": self.tol, "exhaustive": self.exhaustive}
+        return dataclasses.asdict(self)
 
 
 def verify_certificate(cert: SmallGainCertificate, g: GainData,
@@ -269,7 +229,9 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
     bandwidth margin; when rates, gains and mu are all eventually
     periodic this finite scan certifies the inequality for every index.
     ``tol`` is 0 when every margin is exact (int or Fraction data), else
-    ``1e-9 (1 + scale)``.  Violations are reported, never raised.
+    ``1e-9 (1 + scale)``.  The scan also fails unless mu is positive and
+    within the certificate's bounds, ``0 < mu_lo <= mu_i <= mu_hi``, which
+    the coercivity of V rests on.  Violations are reported, never raised.
     """
     lam_periodic = isinstance(g.lam, PeriodicSeq)
     periods = [cert.mu.period, g.gamma.period] + ([g.lam.period] if lam_periodic else [])
@@ -278,37 +240,40 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
                g.lam.preamble_len if lam_periodic else 0)
     horizon = base + 2 * p_hat + g.bandwidth + max(0, int(check_horizon))
 
-    columns = g.gamma.transpose()
+    mu = cert.mu.head(horizon)
+    lam = g.lam.head(horizon) if lam_periodic else [g.lam.at(i) for i in range(1, horizon + 1)]
+    incoming = adjoint_apply(g.gamma.transpose(), cert.mu).head(horizon)
     worst, worst_i = -math.inf, 0
     top, exact = -math.inf, True
     scale = 0.0
-    for i in range(1, horizon + 1):
-        mu_i = cert.mu.at(i)
-        term = g.lam.at(i) * mu_i
-        incoming = sum(cert.mu.at(i + off) * v for off, v in columns.row(i).items())
-        margin = -term + incoming + cert.lambda_inf * mu_i
+    for i, (mu_i, lam_i, in_i) in enumerate(zip(mu, lam, incoming), start=1):
+        term = lam_i * mu_i
+        margin = -term + in_i + cert.lambda_inf * mu_i
         exact = exact and isinstance(margin, (int, Fraction))
         top = max(top, margin)
         scale = max(scale, abs(float(term)))
         if (f := float(margin)) > worst:
             worst, worst_i = f, i
     tol = 0.0 if exact else 1e-9 * (1.0 + scale)
-    return CertificateReport(ok=bool(top <= 0 if exact else worst <= tol),
+    bounded = 0 < cert.mu_lo <= cert.mu.min() and cert.mu.max() <= cert.mu_hi
+    return CertificateReport(ok=bounded and bool(top <= 0 if exact else worst <= tol),
                              worst_margin=worst, worst_index=worst_i,
                              n_checked=horizon, tol=tol, exhaustive=lam_periodic)
 
 
 def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = None,
-                      *, terms: int = 60, check_horizon: int = 0) -> SmallGainCertificate:
+                      *, check_horizon: int = 0) -> SmallGainCertificate:
     """Construct and verify the scaling vector for bounded-rate gain data.
 
     The contraction factor is placed a tenth of the way from the bracket
     upper bound to one, pulled closer when a smaller slack ``rho`` is
     requested, so that ``lambda_inf = (1 - r_tilde) inf lambda_i``
-    respects ``lambda_inf >= (1 - upper) inf lambda_i - rho``.  The
-    certificate is scanned pointwise (``check_horizon`` indices past the
-    periodic horizon) before being returned, and carries that scan as
-    ``scan``; an emitted certificate is therefore always verified.
+    respects ``lambda_inf >= (1 - upper) inf lambda_i - rho``.  The series
+    runs on the bracket's power table, so ``bracket`` comes from
+    :func:`spectral_bracket` on the operator of ``g``.  The certificate is
+    scanned pointwise (``check_horizon`` indices past the periodic horizon)
+    before being returned, and carries that scan as ``scan``; an emitted
+    certificate is therefore always verified.
     """
     if not bracket.satisfied:
         exc = SmallGainViolatedError(
@@ -319,6 +284,8 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     if not isinstance(g.lam, PeriodicSeq):
         raise CannotCertifyError(
             "decay rates are not eventually periodic; apply cap_decay_rates first")
+    if bracket.table is None:
+        raise ParameterError("the bracket carries no power table; use spectral_bracket")
     lam_lo = g.lam.min()
     upper = bracket.upper
     if rho is None:
@@ -328,9 +295,8 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     r_tilde = upper + min(exact_div(1 - upper, 10), exact_div(rho, lam_lo))
     lam_inf = (1 - r_tilde) * lam_lo
 
-    op = build_gain_operator(g)
-    # r_tilde > upper >= ||Psi^k_used||^(1/k_used): a witness order exists up to k_used.
-    eta_vec = neumann_eta(op, r_tilde, terms=terms, k_max=bracket.k_used)
+    # r_tilde >= upper >= ||Theta^k_used||_w^(1/k_used): the series closes by k_used.
+    eta_vec = neumann_eta(bracket.table, r_tilde)
 
     pre = max(eta_vec.eta.preamble_len, g.lam.preamble_len)
     period = math.lcm(eta_vec.eta.period, g.lam.period)
@@ -348,8 +314,7 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
 
 
 def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
-            terms: int = 60, h_start: Real | None = None,
-            h_doublings: int = 40, check_horizon: int = 0):
+            h_start: Real | None = None, h_doublings: int = 40, check_horizon: int = 0):
     """End-to-end certification: bracket the spectral radius, cap rates
     when they are unbounded, and build a verified certificate (its
     ``scan`` reaches ``check_horizon`` indices past the periodic horizon).
@@ -360,33 +325,26 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     :class:`CannotCertifyError` when no cap in the doubling schedule
     certifies.
     """
-    if isinstance(g.lam, PeriodicSeq):
-        op = build_gain_operator(g)
-        bracket = spectral_bracket(op, k_max=k_max)
-        cert = build_certificate(g, bracket, rho, terms=terms, check_horizon=check_horizon)
-        return cert, g, op, bracket
-    lam_lo = g.lam.lower()
-    if lam_lo <= 0:
-        raise CannotCertifyError("no uniform positive decay rate")
-    h = h_start if h_start is not None else 2 * max(1, math.ceil(float(lam_lo)))
-    last = None
-    for _ in range(max(1, int(h_doublings))):
-        gh = cap_decay_rates(g, h)
+    caps = [None]  # bounded rates: no cap
+    if not isinstance(g.lam, PeriodicSeq):
+        lam_lo = g.lam.lower()
+        if lam_lo <= 0:
+            raise CannotCertifyError("no uniform positive decay rate")
+        h = h_start if h_start is not None else 2 * max(1, math.ceil(float(lam_lo)))
+        caps = [h * 2 ** j for j in range(max(1, int(h_doublings)))]
+    for h in caps:
+        gh = g if h is None else cap_decay_rates(g, h)
         if not isinstance(gh.lam, PeriodicSeq):
             raise CannotCertifyError(
                 "capped rates are still aperiodic (rule not marked nondecreasing)")
         op = build_gain_operator(gh)
         bracket = spectral_bracket(op, k_max=k_max)
-        if bracket.satisfied:
-            cert = build_certificate(gh, bracket, rho, terms=terms,
-                                     check_horizon=check_horizon)
+        if h is None or bracket.satisfied:
+            cert = build_certificate(gh, bracket, rho, check_horizon=check_horizon)
             return dataclasses.replace(cert, h_cap=h), gh, op, bracket
-        last = bracket
-        h = h * 2
-    exc = CannotCertifyError(
-        "no cap in the doubling schedule satisfied the small-gain condition"
-        + (f" (last upper {float(last.upper):g})" if last else ""))
-    exc.bracket = last
+    exc = CannotCertifyError("no cap in the doubling schedule satisfied the small-gain "
+                             f"condition (last upper {float(bracket.upper):g})")
+    exc.bracket = bracket
     raise exc
 
 

@@ -14,11 +14,13 @@ is that its l1 spectral radius lies below one.
 
 The operator inherits the band and the eventual periodicity of the
 coefficients, so Psi is a :class:`PeriodicRows`, and Theta = Psi^T maps an
-eventually periodic :class:`PeriodicSeq` to another.  The column sums of all
-powers (``Theta^k 1``), and hence the Gelfand upper bounds
-``||Psi^k||^(1/k)``, are exact maxima over a preamble and one cycle.  The
-lower bound is the larger of two Collatz-Wielandt bounds, on the period
-symbol and on a short leading section, exact for rational gains.
+eventually periodic :class:`PeriodicSeq` to another.  One eigen-solve of
+the period symbol gives its Perron vector x.  The power table iterates
+``Theta^k w`` from one positive int start vector w that x rounds to; the
+weighted norms ``sup_j (Theta^k w)_j / w_j``, and hence the Gelfand upper
+bounds, are exact maxima over a preamble and one cycle.  The lower bound
+is the larger of two Collatz-Wielandt bounds, on the period symbol (with
+x itself) and on a short leading section, exact for rational gains.
 """
 
 from __future__ import annotations
@@ -373,13 +375,7 @@ def traffic_small_gain_sufficient(gen: NetworkGenerator, eps) -> float:
 
 BAND_BUDGET = 4096  # most diagonals the band of a computed power Psi^k may span
 SECTION_CAP = 64  # most rows of the leading section behind the lower bound
-
-
-def require_band(psi: PeriodicRows, k: int) -> None:
-    """Refuse a computation with Psi^k when its band exceeds BAND_BUDGET."""
-    if k * psi.bandwidth > BAND_BUDGET:
-        raise ResourceError(f"band of Psi^{k} spans {k * psi.bandwidth} diagonals, "
-                            f"over the budget {BAND_BUDGET}")
+START_SCALE, START_FLOOR = 10 ** 6, 10 ** 3  # start vector max(ceil(S x), F), x the Perron vector
 
 
 def build_gain_operator(g: GainData) -> PeriodicRows:
@@ -414,56 +410,71 @@ def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
     return PeriodicSeq(tuple(out[:pre]), tuple(out[pre:]))
 
 
-class _Powers:
-    """The iterates ``Theta^k 1`` of ``Theta = Psi^T`` for k <= k_max, kept,
-    and the table ``norms`` of ``||Psi^k||_{1,1}`` they give.  Rational Psi
-    runs on Theta's integer form, so the k-th iterate holds the int
-    numerators of ``Theta^k 1`` over ``d^k``."""
+@dataclass(frozen=True)
+class PowerTable:
+    """The iterates ``Theta^k w`` of ``Theta = Psi^T`` for k <= k_max from one
+    positive start vector w, and the w-weighted norms
+    ``||Theta^k||_w = sup_j (Theta^k w)_j / w_j`` they give.  Rational Psi runs
+    on Theta's integer form: ``iterates[k]`` holds int numerators over ``d^k``."""
 
-    def __init__(self, psi: PeriodicRows, k_max: int):
-        if k_max < 0:
-            raise ParameterError("power must be nonnegative")
-        require_band(psi, k_max)
-        self.rows, self.d = psi.transpose().integer_form
-        self.iterates = [PeriodicSeq.constant(1)]
-        for _ in range(k_max):
-            self.iterates.append(adjoint_apply(self.rows, self.iterates[-1]))
-        self.norms = tuple(self.norm(v, k) for k, v in enumerate(self.iterates))
-
-    def walk(self, k: int):
-        """The iterates 1 to k: the kept ones, then further ones, not kept."""
-        v = self.iterates[0]
-        for j in range(1, k + 1):
-            v = self.iterates[j] if j < len(self.iterates) else adjoint_apply(self.rows, v)
-            yield v
-
-    def norm(self, v: PeriodicSeq, k: int) -> Real:
-        """``||Psi^k||_{1,1} = sup_j (Theta^k 1)_j`` from the k-th iterate v,
-        exact: the maximum over its preamble and one cycle."""
-        top, dk = v.max(), self.d ** k
-        # A zero norm keeps the type of entry 1 of Theta^k 1 in Fraction
-        # arithmetic: int 0 when row 1 of Theta is empty, else Fraction 0.
-        return Fraction(top, dk) if dk > 1 and (top or self.rows.row(1)) else top
+    start: PeriodicSeq
+    d: int
+    iterates: tuple[PeriodicSeq, ...]
+    norms: tuple[Real, ...]
 
 
-def operator_power_column_sums(psi: PeriodicRows, k_max: int) -> tuple[Real, ...]:
-    """Exact ``(||Psi^0||_{1,1}, ..., ||Psi^k_max||_{1,1})`` from one run of
-    ``k_max`` adjoint applications.
+def _weighted_max(v: PeriodicSeq, w: PeriodicSeq, dk: int) -> Real:
+    """``sup_j v_j / (w_j dk)``, the maximum over the preamble and one cycle
+    of v; int numerators (dk > 1) are compared by cross-multiplication."""
+    n = v.preamble_len + v.period
+    pairs = zip(v.head(n), w.head(n))
+    if dk == 1:
+        return max(exact_div(x, y) for x, y in pairs)
+    top, bot = 0, 1
+    for x, y in pairs:
+        if x * bot > top * y:
+            top, bot = x, y
+    return Fraction(top, bot * dk)
 
-    Column j of Psi^k sums to (Theta^k 1)_j, an eventually periodic
-    sequence.  For rational Psi the iterates are exact int numerators over
-    ``d^k`` (see :attr:`PeriodicRows.integer_form`), so no entry pays a gcd;
-    each norm is one ``Fraction(max, d^k)``.
+
+def _start_vector(psi: PeriodicRows, x: list[Fraction]) -> PeriodicSeq:
+    """The positive ints ``max(ceil(START_SCALE x), START_FLOOR)`` over their
+    gcd, in the cycle's phase: entry i is ``x[(i - preamble - 1) % period]``."""
+    w = [max(math.ceil(t * START_SCALE), START_FLOOR) for t in x]
+    g, pre, per = math.gcd(*w), psi.preamble_len, psi.period
+    return PeriodicSeq(tuple(w[(j - pre - 1) % per] // g for j in range(1, pre + 1)),
+                       tuple(t // g for t in w))
+
+
+def operator_power_column_sums(psi: PeriodicRows, k_max: int,
+                               start: PeriodicSeq | None = None) -> PowerTable:
+    """The power table of ``k_max`` adjoint applications from ``start``, by
+    default the symbol's start vector (see :func:`spectral_bracket`); from the
+    constant 1 the norms are the plain ``||Psi^k||_{1,1}``.  Column j of Psi^k
+    weighted by w sums to (Theta^k w)_j, so each norm is exact and, for
+    rational Psi, no entry pays a gcd (see :attr:`PeriodicRows.integer_form`).
     """
-    return _Powers(psi, k_max).norms
+    if k_max < 0:
+        raise ParameterError("power must be nonnegative")
+    if k_max * psi.bandwidth > BAND_BUDGET:
+        raise ResourceError(f"band of Psi^{k_max} spans {k_max * psi.bandwidth} "
+                            f"diagonals, over the budget {BAND_BUDGET}")
+    rows, d = psi.transpose().integer_form
+    iterates = [start or _start_vector(psi, _perron_vector(np.array(psi.symbol(), dtype=float).T))]
+    for _ in range(k_max):
+        iterates.append(adjoint_apply(rows, iterates[-1]))
+    return PowerTable(start=iterates[0], d=d, iterates=tuple(iterates),
+                      norms=tuple(_weighted_max(v, iterates[0], d ** k)
+                                  for k, v in enumerate(iterates)))
 
 
 @dataclass(frozen=True)
 class SpectralBracket:
     """Two-sided evidence on the spectral radius of the gain operator.
 
-    ``upper`` is the best Gelfand bound min_k ||Psi^k||^(1/k) (a true
-    upper bound for every k).  ``lower`` is the larger of two
+    ``upper`` is the best Gelfand bound min_k ||Theta^k||_w^(1/k) of the
+    power ``table`` (a true upper bound for every k: the w-weighted sup
+    norm is equivalent to the plain one).  ``lower`` is the larger of two
     Collatz-Wielandt bounds, exact for rational gains; ``lower_from``
     names its source, ``"symbol"`` or ``"section"``.
     """
@@ -473,6 +484,7 @@ class SpectralBracket:
     k_used: int
     satisfied: bool
     lower_from: str
+    table: PowerTable | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"lower": float(self.lower), "lower_from": self.lower_from,
@@ -515,34 +527,36 @@ def _certified_root(s: Real, k: int) -> float:
 def spectral_bracket(psi: PeriodicRows, k_max: int = 12) -> SpectralBracket:
     """Bracket the l1 spectral radius of the gain operator.
 
-    The Gelfand estimates are exact column-sum computations; the k = 1
-    value is kept in exact arithmetic so that rational inputs give a
-    rational upper bound whenever the plain norm is already the best
-    estimate, and higher roots are rounded up so every candidate is a
-    true upper bound (a k whose root cannot be certified is left out).
-    The lower bound is the larger of the symbol and the section bounds.
+    One eigen-solve of the period symbol gives its Perron vector x: the
+    power table starts from the positive int vector it rounds to, and the
+    symbol lower bound uses x itself.  The Gelfand estimates are exact;
+    the k = 1 value is kept in exact arithmetic so that rational inputs
+    give a rational upper bound whenever it is the best estimate, and
+    higher roots are rounded up so every candidate is a true upper bound
+    (a k whose root cannot be certified is left out).  The lower bound is
+    the larger of the symbol and the section bounds.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    norms = operator_power_column_sums(psi, k_max)
-    best, best_k = norms[1], 1
-    for k in range(2, k_max + 1):
-        est = _certified_root(norms[k], k)
-        if est < best:
-            best, best_k = est, k
-    pre, m, per, theta = psi.preamble_len, psi.bandwidth, psi.period, psi.transpose()
-    # Symbol: w periodic past the preamble with Phi(1)^T w >= s w has Theta^k w
-    # >= s^k w far out, so ||Psi^k|| >= s^k; past preamble + m, Theta w = Phi(1)^T w.
-    w = _perron_vector(np.array(psi.symbol(), dtype=float).T)
-    wrapped = tuple(w[(j - pre - 1) % per] for j in range(1, pre + 1))
-    symbol = _collatz_wielandt(theta, PeriodicSeq(wrapped, tuple(w)), pre + m)
+    x = _perron_vector(np.array(psi.symbol(), dtype=float).T)
+    table = operator_power_column_sums(psi, k_max, _start_vector(psi, x))
+    norms = table.norms
+    roots = [(norms[1], 1)] + [(_certified_root(norms[k], k), k) for k in range(2, k_max + 1)]
+    best, best_k = min(roots, key=lambda root: root[0])  # ties keep the smaller k
+    m, per, theta = psi.bandwidth, psi.period, psi.transpose()
+    # Symbol: x in the cycle's phase with Phi(1)^T x >= s x has Theta^k x >= s^k x
+    # far out, so ||Psi^k|| >= s^k.  Past preamble + m, Theta's rows are its
+    # cycle and Theta x = Phi(1)^T x: row r reads x at residue m + r + offset.
+    image = [sum(v * x[(m + r + o) % per] for o, v in row.items())
+             for r, row in enumerate(theta.cycle)]
+    symbol = min(t / x[(m + r) % per] for r, t in enumerate(image) if x[(m + r) % per])
     # Section: Psi dominates its leading sections; a short one catches an
     # isolated eigenvalue that comes from the preamble.
-    v = _perron_vector(psi.section(min(pre + 2 * per, SECTION_CAP)).T)
+    v = _perron_vector(psi.section(min(psi.preamble_len + 2 * per, SECTION_CAP)).T)
     section = _collatz_wielandt(theta, PeriodicSeq(tuple(v), (0,)), 0)
     lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
     return SpectralBracket(lower=lower, upper=best, k_used=best_k,
-                           satisfied=bool(best < 1), lower_from=lower_from)
+                           satisfied=bool(best < 1), lower_from=lower_from, table=table)
 
 
 # --------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
         try:
             cert, g_used, _, bracket = certify(
                 g, rho=_number(analysis, "rho"), k_max=int(_number(analysis, "k_max", 12)),
-                terms=int(_number(analysis, "K", 60)), h_start=_number(analysis, "h_start"),
+                h_start=_number(analysis, "h_start"),
                 h_doublings=int(_number(analysis, "h_doublings", 40)), check_horizon=horizon)
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)

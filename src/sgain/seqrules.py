@@ -256,9 +256,6 @@ class PeriodicRows(_EventuallyPeriodic):
         return replace(self, preamble=tuple(scaled[:self.preamble_len]),
                        cycle=tuple(scaled[self.preamble_len:])), d
 
-    def column_sum(self, j: int) -> Real:
-        return sum(self.transpose().row(j).values(), start=0)
-
     def sup_column_sum(self) -> Real:
         """Exact sup over all columns j of the column sum."""
         t = self.transpose()

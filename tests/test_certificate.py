@@ -13,7 +13,8 @@ from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
                    ParameterError, ShapeError, SmallGainViolatedError,
                    build_certificate, build_gain_operator, cap_decay_rates,
                    certify, derive_gains_linear_chain,
-                   iss_trajectory_bound, neumann_eta, spectral_bracket,
+                   iss_trajectory_bound, neumann_eta,
+                   operator_power_column_sums, spectral_bracket,
                    verify_certificate)
 from sgain.certificate import assemble_lyapunov
 from sgain.gains import HALF_SQUARE, GainData
@@ -59,23 +60,38 @@ class TestCapDecayRates:
             cap_decay_rates(chain_gains, 0)
 
 
+def dense_partial_sum(psi, start, shift, k_last, n=200):
+    """``sum_{k <= k_last} Theta^k w / (max w * shift^(k+1))`` on the dense
+    leading n-row section, in floats."""
+    theta = psi.section(n).T
+    v = np.array([float(x) for x in start.head(n)])
+    coef = 1.0 / (float(max(start.values())) * float(shift))
+    out = coef * v
+    for _ in range(k_last):
+        v = theta @ v
+        coef /= float(shift)
+        out += coef * v
+    return out
+
+
 class TestNeumannEta:
     def test_zero_operator_unit_shift(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         op = build_gain_operator(g)
-        eta = neumann_eta(op, 1, terms=10)
+        eta = neumann_eta(operator_power_column_sums(op, 4), 1)
         assert all(v == 1 for v in eta.eta.values())
 
     def test_floor_one_over_shift(self, chain_operator):
+        table = operator_power_column_sums(chain_operator, 12)
         for shift in (Fraction(1, 10), Fraction(5, 32)):
-            eta = neumann_eta(chain_operator, shift, terms=40)
+            eta = neumann_eta(table, shift)
             floor = 1 / shift
             assert all(v >= floor for v in eta.eta.values())
             assert eta.worst_residual <= 0
 
     def test_componentwise_contraction(self, chain_operator):
         shift = Fraction(1, 10)
-        ev = neumann_eta(chain_operator, shift, terms=60)
+        ev = neumann_eta(operator_power_column_sums(chain_operator, 12), shift)
         # direct application of Theta to the stored eta, independent route
         m = chain_operator.bandwidth
         for i in range(1, ev.checked_len - m):
@@ -84,25 +100,36 @@ class TestNeumannEta:
                 for j in range(max(1, i - m), i + m + 1))
             assert float(theta_eta) <= float(shift * ev.eta.at(i)) + 1e-15
 
-    def test_matches_dense_resolvent_solve(self, chain_operator):
-        shift = Fraction(1, 10)
-        ev = neumann_eta(chain_operator, shift, terms=60)
-        n = 200
-        theta = chain_operator.section(n).T
-        oracle = np.linalg.solve(float(shift) * np.eye(n) - theta, np.ones(n))
-        for i in range(1, 101):
-            assert abs(float(ev.eta.at(i)) - oracle[i - 1]) <= ev.tail_bound + 1e-10
-        interior = 1.0 / (0.1 - 0.0625)
-        assert float(ev.eta.at(50)) == pytest.approx(interior, abs=ev.tail_bound + 1e-9)
+    @pytest.mark.parametrize("name", ["chain-a", "traffic"])
+    def test_matches_dense_partial_sum(self, name):
+        """The series from the start vector equals the same partial sum on a
+        dense section, for shifts at and a little above the upper bound."""
+        psi = build_gain_operator(sgain.derive_scenario_gains(sgain.make_scenario(name)))
+        bracket = spectral_bracket(psi)
+        for shift in (bracket.upper, bracket.upper + (1 - bracket.upper) / 10):
+            ev = neumann_eta(bracket.table, shift)
+            assert ev.terms_used < bracket.k_used
+            oracle = dense_partial_sum(psi, bracket.table.start, shift, ev.terms_used)
+            for i in range(1, 101):
+                assert float(ev.eta.at(i)) == pytest.approx(oracle[i - 1], rel=1e-12)
 
     def test_no_witness_raises(self):
         g = derive_gains_linear_chain(chain_gen(1, 1), Fraction(1, 4), Fraction(1, 4))
         op = build_gain_operator(g)  # norm 4, radius ~4
         with pytest.raises(CannotCertifyError):
-            neumann_eta(op, Fraction(1, 2), terms=20)
+            neumann_eta(operator_power_column_sums(op, 20), Fraction(1, 2))
 
 
 class TestBuildCertificate:
+    def test_near_critical_traffic_certifies(self):
+        """At c = 0.323 the radius is about 0.98; the table from the symbol's
+        Perron vector brings the upper bound under one."""
+        s = sgain.make_scenario("traffic", {"coefficients": {"c": Fraction("0.323")}})
+        g = sgain.derive_scenario_gains(s)
+        cert, g_used, op, bracket = certify(g)
+        assert 0.98 < bracket.lower <= bracket.upper < 1
+        assert cert.scan.ok and verify_certificate(cert, g).ok
+
     def test_chain_reference_certificate(self, chain_certified):
         cert, g_used, op, bracket = chain_certified
         assert cert.r_tilde == Fraction(5, 32)
@@ -256,7 +283,7 @@ class TestRandomizedSoundness:
             if not bracket.satisfied:
                 rejected += 1
                 continue
-            cert = build_certificate(g, bracket, terms=24)
+            cert = build_certificate(g, bracket)
             rep = verify_certificate(cert, g)
             assert rep.ok, f"emitted certificate failed: margin {rep.worst_margin}"
             emitted += 1

@@ -177,6 +177,23 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "o2" / "verification.json").read_text())
         assert rep["certificate_scan"]["ok"] is False
 
+    @pytest.mark.parametrize("mu", [{"preamble": [], "period": [0.0], "mu_lo": 0.0, "mu_hi": 0.0},
+                                    {"preamble": [], "period": [1.0], "mu_lo": 5.0, "mu_hi": 0.5}])
+    def test_verify_rejects_vacuous_certificate(self, run_main, tmp_path, chain_cfg, mu):
+        """A zero mu, or bounds that do not enclose mu, pass the dissipation
+        margins but certify nothing: the scan fails."""
+        out = tmp_path / "o"
+        assert run_main(["certify", "--config", chain_cfg, "--out", out])[0] == 0
+        obj = json.loads((out / "certificate.json").read_text())
+        obj["certificate"]["mu"] = mu
+        bad = _write(tmp_path / "bad_cert.json", obj)
+        cfg = _write(tmp_path / "cfg2.json", {**json.loads(chain_cfg.read_text()),
+                                              "certificate": str(bad)})
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o2"])[0] == 4
+        rep = json.loads((tmp_path / "o2" / "verification.json").read_text())
+        assert rep["certificate_scan"]["ok"] is False
+        assert rep["certificate_scan"]["worst_margin"] <= 0
+
     def test_simulate_writes_csv_and_summary(self, cli, tmp_path, chain_cfg):
         out = tmp_path / "o"
         r = cli(["simulate", "--config", str(chain_cfg), "--out", str(out)], tmp_path)
@@ -270,6 +287,16 @@ class TestOnePipeline:
         s = sgain.make_scenario(name)
         notes = s.generator.family.report_notes(s.generator, s.derivation)
         assert cert["gains"] == {k: v for k, v in report["gains"].items() if k not in notes}
+
+    def test_series_length_key_is_unread(self, run_main, tmp_path):
+        """``analysis.K`` no longer sets anything: the series stops where it closes."""
+        plain = _write(tmp_path / "a.json", {"network": {"scenario": "traffic"}})
+        with_k = _write(tmp_path / "b.json", {"network": {"scenario": "traffic"},
+                                              "analysis": {"K": 5}})
+        assert run_main(["certify", "--config", plain, "--out", tmp_path / "a"]) == (0, "")
+        assert run_main(["certify", "--config", with_k, "--out", tmp_path / "b"]) == (0, "")
+        assert ((tmp_path / "a" / "certificate.json").read_bytes()
+                == (tmp_path / "b" / "certificate.json").read_bytes())
 
     def test_verify_scans_the_certificate_of_the_analysis_settings(self, run_main, tmp_path):
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
+                   SmallGainViolatedError,
                    DerivationError, LinearChain, LureBanded, NetworkGenerator,
-                   Traffic, build_certificate, build_gain_operator,
+                   Traffic, build_certificate, build_gain_operator, certify,
                    generator_from_dict, generator_to_dict,
                    derive_scenario_gains, make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
@@ -117,11 +118,11 @@ def test_power_table_and_certificate(fam, eps):
     m, k_max = op.bandwidth, 5
     table = operator_power_column_sums(op, k_max)
     n = op.preamble_len + 2 * k_max * m + op.period
-    dense, power = op.section(n), np.eye(n)
+    dense, w = op.section(n), np.array([float(x) for x in table.start.head(n)])
     for k in range(1, k_max + 1):
-        power = power @ dense
+        w_k = np.linalg.matrix_power(dense, k).T @ w  # Theta^k w on the section
         horizon = op.preamble_len + k * m + op.period
-        assert float(table[k]) == pytest.approx(power[:, :horizon].sum(axis=0).max(), rel=1e-12)
+        assert float(table.norms[k]) == pytest.approx((w_k / w)[:horizon].max(), rel=1e-12)
 
     bracket = spectral_bracket(op, k_max=4)
     symbol_radius = np.abs(np.linalg.eigvals(np.array(op.symbol(), dtype=float))).max()
@@ -131,17 +132,45 @@ def test_power_table_and_certificate(fam, eps):
     if not bracket.satisfied:
         return
     try:
-        cert = build_certificate(g, bracket, terms=8)
+        cert = build_certificate(g, bracket)
     except CannotCertifyError:
         return
     assert verify_certificate(cert, g).ok
-    ev = cert.eta
-    tol = 0 if isinstance(ev.lam_shift, Fraction) else 1e-12
+    ev, shift = cert.eta, cert.r_tilde
+    tol = 0 if isinstance(shift, Fraction) else 1e-12
     for i in range(1, ev.checked_len - m):
         theta_eta = sum(op.row(j).get(i - j, 0) * ev.eta.at(j)
                         for j in range(max(1, i - m), i + m + 1))
-        bound = ev.lam_shift * ev.eta.at(i)
+        bound = shift * ev.eta.at(i)
         assert theta_eta <= bound + tol * abs(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=st.one_of(chains, traffics), eps=fractions("1/12", "1/4"))
+def test_certify_verdicts(fam, eps):
+    """lower <= upper, and a dense eigensolve of a 64-row section stays under
+    upper; an emitted certificate passes its scan, with zero tolerance when
+    it is exact, and a network with lower >= 1 gets none."""
+    gen = NetworkGenerator(family=fam)
+    try:
+        g = fam.derive_gains(gen, {"eps": eps, "delta": eps})
+    except DerivationError:
+        return
+    try:
+        cert, _, op, bracket = certify(g)
+    except SmallGainViolatedError as exc:
+        bracket, cert = exc.bracket, None
+        op = build_gain_operator(g)
+    assert bracket.lower <= bracket.upper
+    radius = np.abs(np.linalg.eigvals(op.section(64))).max()
+    assert radius <= float(bracket.upper) * (1 + 1e-9) + 1e-12
+    if cert is None:
+        return
+    assert bracket.lower < 1
+    rep = verify_certificate(cert, g)
+    assert rep.ok and rep == cert.scan
+    if isinstance(cert.r_tilde, Fraction):
+        assert rep.tol == 0
 
 
 @functools.cache
@@ -193,24 +222,26 @@ def window_theta(psi, v, out_len):
     return out
 
 
-def window_power_norms(psi, k_max):
-    """``||Psi^k||`` from windows that shrink by the bandwidth per power."""
+def window_power_norms(psi, k_max, start):
+    """``||Theta^k||_w = max_j (Theta^k w)_j / w_j`` from windows that shrink
+    by the bandwidth per power, w the start vector."""
     m, pre, per = psi.bandwidth, psi.preamble_len, psi.period
-    v, norms = [1] * (pre + 2 * k_max * m + per), [1]
+    w = start.head(pre + 2 * k_max * m + per)
+    v, norms = w, [exact_div(1, 1)]
     for k in range(1, k_max + 1):
         v = window_theta(psi, v, len(v) - m)
-        norms.append(max(v[:pre + k * m + per]))
+        norms.append(max(exact_div(x, y) for x, y in zip(v[:pre + k * m + per], w)))
     return norms
 
 
-def window_eta(psi, shift, k_eff):
+def window_eta(psi, shift, k_last, start):
     """The series entries 1 to preamble + 2 periods, on a window."""
     m = psi.bandwidth
-    checked = psi.preamble_len + k_eff * m + 2 * psi.period
+    checked = psi.preamble_len + k_last * m + 2 * psi.period
     inv = exact_div(1, shift)
-    v, coef = [1] * (checked + k_eff * m), inv
-    eta = [coef] * checked
-    for _ in range(k_eff):
+    v, coef = start.head(checked + k_last * m), exact_div(inv, max(start.values()))
+    eta = [coef * x for x in v[:checked]]
+    for _ in range(k_last):
         v = window_theta(psi, v, len(v) - m)
         coef = coef * inv
         for i in range(checked):
@@ -248,32 +279,34 @@ def test_transpose_twice_gives_the_rows_back(psi):
 @settings(max_examples=40, deadline=None)
 @given(psi=operators)
 def test_power_table_and_eta_match_window_reference(psi):
-    assert bits(operator_power_column_sums(psi, 5)) == bits(window_power_norms(psi, 5))
+    table = operator_power_column_sums(psi, 5)
+    assert bits(table.norms) == bits(window_power_norms(psi, 5, table.start))
     bracket = spectral_bracket(psi, k_max=4)
     if not bracket.satisfied:
         return
     shift = bracket.upper + (1 - bracket.upper) / 10
-    ev = neumann_eta(psi, shift, terms=8, k_max=bracket.k_used)
+    ev = neumann_eta(bracket.table, shift)
     eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
-    assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used))
+    assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used, bracket.table.start))
 
 
 @pytest.mark.parametrize("name, shift_type", [("traffic", float), ("chain-a", Fraction)])
-def test_long_series_matches_window_reference(name, shift_type):
+def test_shipped_series_matches_window_reference(name, shift_type):
     """Shipped operators with rational entries over a common denominator
-    d > 1, at the default 60 terms: the integer-numerator iterates give the
-    same power table and the same eta, type and bits, as the per-entry
-    Fraction reference."""
+    d > 1, with the shift at the upper bound (the longest series the table
+    allows) and above it: the integer-numerator iterates give the same
+    power table and the same eta, type and bits, as the per-entry Fraction
+    reference."""
     psi = build_gain_operator(derive_scenario_gains(make_scenario(name)))
     assert psi.transpose().integer_form[1] > 1
-    assert bits(operator_power_column_sums(psi, 12)) == bits(window_power_norms(psi, 12))
     bracket = spectral_bracket(psi)
-    shift = bracket.upper + (1 - bracket.upper) / 10
-    assert type(shift) is shift_type
-    ev = neumann_eta(psi, shift, terms=60, k_max=bracket.k_used)
-    assert ev.terms_used >= 60
-    eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
-    assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used))
+    start = bracket.table.start
+    assert bits(bracket.table.norms) == bits(window_power_norms(psi, 12, start))
+    for shift in (bracket.upper, bracket.upper + (1 - bracket.upper) / 10):
+        assert type(shift) is shift_type
+        ev = neumann_eta(bracket.table, shift)
+        eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
+        assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used, start))
 
 
 def test_integer_form():
@@ -296,15 +329,18 @@ def test_integer_form():
         assert form is rows and d == 1
 
 
-def test_one_run_of_iterates_per_series(monkeypatch):
-    """The witness norms are read from the series' own iterates: Theta is
-    applied max(k_max, K + 1) times, also when the series is the shorter."""
-    from sgain import gains
-    psi = build_gain_operator(derive_scenario_gains(make_scenario("traffic")))
+@pytest.mark.parametrize("name", ["traffic", "chain-a"])
+def test_adjoint_applications_per_certify(monkeypatch, name):
+    """A bounded-rate certify applies an operator k_max + 2 times: k_max for
+    the power table, one for the section lower bound and one for the scan;
+    the series reads the table's iterates and applies none."""
+    from sgain import certificate, gains
+    g = derive_scenario_gains(make_scenario(name))
     calls = []
     real = gains.adjoint_apply
-    monkeypatch.setattr(gains, "adjoint_apply", lambda *a: calls.append(1) or real(*a))
-    for terms, k_max in ((60, 12), (2, 12), (8, 1)):
+    for mod in (gains, certificate):
+        monkeypatch.setattr(mod, "adjoint_apply", lambda *a: calls.append(1) or real(*a))
+    for k_max in (12, 4, 1):
         calls.clear()
-        ev = neumann_eta(psi, Fraction(1, 5), terms=terms, k_max=k_max)
-        assert len(calls) == max(k_max, ev.terms_used + 1)
+        certify(g, k_max=k_max)
+        assert len(calls) == k_max + 2
