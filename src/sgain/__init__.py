@@ -5,8 +5,11 @@ families, realizes the associated infinite gain operator as a banded
 eventually-periodic nonnegative matrix, brackets its l1 spectral radius,
 constructs a composite exponential Lyapunov certificate when the radius
 lies below one, and validates the certificate numerically on finite
-truncations.
+truncations.  The numeric layer (``network`` and ``sim``, the only
+modules that import scipy) is imported on first use of one of its names.
 """
+
+import importlib
 
 from .errors import (CannotCertifyError, DerivationError,
                      InsufficientDataError, InternalInconsistencyError,
@@ -15,11 +18,10 @@ from .errors import (CannotCertifyError, DerivationError,
                      SgainError, ShapeError, SmallGainViolatedError,
                      UnknownScenarioError)
 from .seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
-from .network import (FAMILIES, CounterexampleGain, CounterexampleSlow,
-                      Family, LinearChain, LureBanded, NetworkGenerator,
-                      Traffic, TruncatedNetwork, classify_traffic_cell,
-                      evaluate_rhs, generator_from_dict, generator_to_dict,
-                      load_generator, save_generator, truncate)
+from .families import (FAMILIES, CounterexampleGain, CounterexampleSlow,
+                       Family, LinearChain, LureBanded, NetworkGenerator,
+                       Traffic, classify_traffic_cell, generator_from_dict,
+                       generator_to_dict, load_generator, save_generator)
 from .gains import (HALF_SQUARE, AssumptionReport, GainData, PowerTable,
                     QuadraticForm, SpectralBracket,
                     build_gain_operator, check_assumptions, check_lure_lmi,
@@ -33,12 +35,22 @@ from .certificate import (CompositeLyapunov, EtaVector, SmallGainCertificate,
                           certificate_from_dict, certify,
                           iss_trajectory_bound, neumann_eta,
                           verify_certificate)
-from .sim import (ConstantOnFirstK, DecayFit, GeometricProfile,
-                  SinusoidOnFirstK, TrafficLights, TrajectoryRecord, Zero,
-                  export_csv, fit_decay, initial_state, integrate, lp_norm,
-                  signal_from_dict, truncation_convergence_probe,
-                  verify_dissipation, verify_envelope)
 from .scenarios import (SCENARIO_NAMES, ExampleScenario, Outcome,
                         derive_scenario_gains, make_scenario, run_pipeline)
 
 __version__ = "0.1.0"
+
+_NUMERIC = {"network": "TruncatedNetwork evaluate_rhs truncate".split(),
+            "sim": """ConstantOnFirstK DecayFit GeometricProfile SinusoidOnFirstK TrafficLights
+            TrajectoryRecord Zero export_csv fit_decay initial_state integrate lp_norm
+            signal_from_dict truncation_convergence_probe verify_dissipation
+            verify_envelope""".split()}
+
+
+def __getattr__(name):
+    """The names of the numeric layer, imported on first use (PEP 562)."""
+    for module, names in _NUMERIC.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (CannotCertifyError, InternalInconsistencyError,
-                     ParameterError, ShapeError, SmallGainViolatedError)
+                     ParameterError, SmallGainViolatedError)
 from .gains import (GainData, PowerTable, SpectralBracket, adjoint_apply,
                     build_gain_operator, spectral_bracket)
-from .network import TruncatedNetwork
 from .seqrules import (ClosedFormSeq, PeriodicSeq, Real,
                        as_number, exact_div)
 
@@ -231,7 +229,9 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
     ``tol`` is 0 when every margin is exact (int or Fraction data), else
     ``1e-9 (1 + scale)``.  The scan also fails unless mu is positive and
     within the certificate's bounds, ``0 < mu_lo <= mu_i <= mu_hi``, which
-    the coercivity of V rests on.  Violations are reported, never raised.
+    the coercivity of V rests on, and unless ``lambda_inf > 0``: a
+    certificate that claims no decay certifies nothing.  Violations are
+    reported, never raised.
     """
     lam_periodic = isinstance(g.lam, PeriodicSeq)
     periods = [cert.mu.period, g.gamma.period] + ([g.lam.period] if lam_periodic else [])
@@ -255,8 +255,8 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
         if (f := float(margin)) > worst:
             worst, worst_i = f, i
     tol = 0.0 if exact else 1e-9 * (1.0 + scale)
-    bounded = 0 < cert.mu_lo <= cert.mu.min() and cert.mu.max() <= cert.mu_hi
-    return CertificateReport(ok=bounded and bool(top <= 0 if exact else worst <= tol),
+    sound = cert.lambda_inf > 0 and 0 < cert.mu_lo <= cert.mu.min() and cert.mu.max() <= cert.mu_hi
+    return CertificateReport(ok=sound and bool(top <= 0 if exact else worst <= tol),
                              worst_margin=worst, worst_index=worst_i,
                              n_checked=horizon, tol=tol, exhaustive=lam_periodic)
 
@@ -369,33 +369,6 @@ class CompositeLyapunov:
         self.lambda_inf = cert.lambda_inf
         self.p = gains.p
         self.q = gains.q
-
-    def bind(self, net: TruncatedNetwork) -> "BoundLyapunov":
-        return BoundLyapunov(self, net)
-
-
-class BoundLyapunov:
-    """V restricted to one truncation, evaluated as one quadratic form."""
-
-    def __init__(self, lyap: CompositeLyapunov, net: TruncatedNetwork):
-        self.lyap = lyap
-        self.net = net
-        mu = lyap.cert.mu
-        idx = np.arange(net.n_subsystems)  # subsystem idx + 1 reads stored pos[idx]
-        pos = np.where(idx < mu.preamble_len, idx,
-                       mu.preamble_len + (idx - mu.preamble_len) % mu.period)
-        mu_vec = np.array([float(v) for v in mu.values()])[pos]
-        self._q = sp.kron(sp.diags(mu_vec), lyap.gains.vform.matrix(), format="csr")
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """V of every row of ``states``, as one row-wise quadratic form."""
-        if states.shape[-1] != self.net.dim:
-            raise ShapeError(f"state has dimension {states.shape[-1]}, "
-                             f"network needs {self.net.dim}")
-        return np.einsum("ij,ij->i", states, (self._q @ states.T).T)
 
 
 def assemble_lyapunov(cert: SmallGainCertificate, g: GainData) -> CompositeLyapunov:

@@ -19,15 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from . import sim as simmod
 from .certificate import certificate_from_dict
 from .errors import DerivationError, InvalidCertificateError, ParameterError, SgainError
-from .network import generator_from_dict
-from .scenarios import (build_sim, certify_gains, check_run, derive_and_check,
-                        make_scenario, run_pipeline)
+from .families import generator_from_dict
+from .scenarios import certify_gains, derive_and_check, make_scenario, run_pipeline
 from .seqrules import as_object, load_json
 
 # The exit code of each outcome kind a subcommand returns.
@@ -85,7 +84,7 @@ def _gains(args, cfg):
     """(gains, assumption report, analysis, report) of analyze and certify."""
     gen, derivation, analysis, _ = _resolve(cfg)
     report = {"schema": "sgain/1", "command": args.command, "seed": args.seed,
-              "network_family": gen.family_name}
+              "network_family": gen.family.name}
     return (*derive_and_check(gen, derivation, report), analysis, report)
 
 
@@ -112,10 +111,11 @@ def _flag(sim: dict, key: str) -> bool:
 
 
 def cmd_simulate(args, cfg) -> str:
+    from . import sim as simmod
     gen, derivation, analysis, sim = _resolve(cfg)
     csv_states = _flag(sim, "csv_states")
     store = _flag(sim, "store_states") or csv_states
-    setup = build_sim(gen, sim)
+    setup = simmod.build_sim(gen, sim)
     try:  # without gains, assumptions or a certificate: no V channel
         g, assumptions = derive_and_check(gen, derivation, {})
         ok = assumptions.ok
@@ -131,8 +131,8 @@ def cmd_simulate(args, cfg) -> str:
                "final_V": None if traj.v is None else float(traj.v[-1]),
                "samples": int(traj.t.size)}
     try:
-        summary["decay_fit"] = simmod.fit_decay(
-            traj, "v" if traj.v is not None else "norm").to_dict()
+        summary["decay_fit"] = asdict(simmod.fit_decay(
+            traj, "v" if traj.v is not None else "norm"))
     except SgainError:
         summary["decay_fit"] = None
     _write_report(Path(args.out), "summary.json", summary)
@@ -141,6 +141,7 @@ def cmd_simulate(args, cfg) -> str:
 
 
 def cmd_verify(args, cfg) -> str:
+    from . import sim as simmod
     gen, derivation, analysis, sim = _resolve(cfg)
     head: dict = {}
     g, assumptions = derive_and_check(gen, derivation, head)
@@ -154,16 +155,15 @@ def cmd_verify(args, cfg) -> str:
     if lyap is None:
         print(f"error: {head['error']}", file=sys.stderr)
         return "small-gain-violated"
-    setup = build_sim(gen, sim)
-    _, dissipation, envelope = check_run(setup, lyap, setup.signal)
+    setup = simmod.build_sim(gen, sim)
+    _, dissipation, envelope = simmod.check_run(setup, lyap, setup.signal)
     scan = head["verification"]
-    n_violations = int(not scan["ok"]) + len(dissipation.violations) + len(envelope.violations)
-    report.update({"seed": args.seed, "certificate_scan": scan,
-                   "dissipation": dissipation.to_dict(), "envelope": envelope.to_dict(),
-                   "n_violations": n_violations,
-                   "sim": {**setup.to_dict(), "input": setup.signal.to_dict()}})
+    bad = int(not scan["ok"]) + sum(len(c.violations) for c in (dissipation, envelope) if c)
+    report.update({"certificate_scan": scan, "dissipation": dissipation.to_dict(),
+                   "envelope": envelope and envelope.to_dict(), "n_violations": bad,
+                   "seed": args.seed, "sim": {**setup.to_dict(), "input": setup.signal.to_dict()}})
     _write_report(Path(args.out), "verification.json", report)
-    return "violations" if n_violations else "ok"
+    return "violations" if bad else "ok"
 
 
 def cmd_scenario(args, cfg) -> str:

@@ -39,7 +39,7 @@ from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_number,
                        exact_div)
 
 if TYPE_CHECKING:
-    from .network import NetworkGenerator
+    from .families import NetworkGenerator
 
 # --------------------------------------------------------------------------
 # Subsystem Lyapunov function shapes

@@ -14,33 +14,30 @@ Five named scenarios cover the supported families:
 Default parameters live in packaged JSON files (decimal literals are
 parsed exactly); ``make_scenario`` applies validated overrides on top.
 ``run_pipeline`` runs the four pipeline stages that the CLI subcommands
-also call: ``derive_and_check``, ``certify_gains``, ``build_sim`` and
-``check_run``.
+also call: ``derive_and_check`` and ``certify_gains`` here, ``build_sim``
+and ``check_run`` in :mod:`sgain.sim`, imported once there is a certificate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
-from . import sim as simmod
 from .certificate import (CompositeLyapunov, SmallGainCertificate,
                           assemble_lyapunov, certify, verify_certificate)
 from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
+from .families import NetworkGenerator, generator_from_dict
 from .gains import AssumptionReport, GainData, check_assumptions, gamma_norm
-from .network import (NetworkGenerator, TruncatedNetwork, generator_from_dict,
-                      truncate)
-from .seqrules import PeriodicSeq, as_number, as_object
+from .seqrules import PeriodicSeq, as_number, as_object, number_at
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
+_DIR = Path(__file__).with_name("scenarios")
 _FILES = {name: name.replace("-", "_") + ".json" for name in SCENARIO_NAMES}
 
 
@@ -51,9 +48,6 @@ class Outcome:
 
     kind: str
     which: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "which": self.which}
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,7 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
     if not isinstance(name, str) or name not in _FILES:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
-    raw = resources.files("sgain").joinpath("scenarios", _FILES[name]).read_text()
-    obj = json.loads(raw, parse_float=Fraction)
+    obj = json.loads((_DIR / _FILES[name]).read_text(), parse_float=Fraction)
     if overrides:
         net_keys = ("coefficients", "p", "q")
         obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})
@@ -116,15 +109,6 @@ def derive_scenario_gains(s: ExampleScenario) -> GainData:
 # --------------------------------------------------------------------------
 # Pipeline stages
 # --------------------------------------------------------------------------
-
-COERCIVITY_SAMPLES = 1000
-
-
-def _number(section: Mapping, key: str, default=None):
-    """The number at ``key`` of a config section, or ``default`` when absent."""
-    value = section.get(key)
-    return default if value is None else as_number(value)
-
 
 def _gain_summary(g: GainData) -> dict:
     def fin(x):
@@ -167,13 +151,13 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     ``verification`` (the build's own scan for a fresh certificate) into
     ``report``; with no certificate, the ``error`` and its ``bracket``
     instead, and returns None."""
-    horizon = int(_number(analysis, "check_horizon", 0))
+    horizon = int(number_at(analysis, "check_horizon", 0))
     if stored is None:
         try:
             cert, g_used, _, bracket = certify(
-                g, rho=_number(analysis, "rho"), k_max=int(_number(analysis, "k_max", 12)),
-                h_start=_number(analysis, "h_start"),
-                h_doublings=int(_number(analysis, "h_doublings", 40)), check_horizon=horizon)
+                g, rho=number_at(analysis, "rho"), k_max=int(number_at(analysis, "k_max", 12)),
+                h_start=number_at(analysis, "h_start"),
+                h_doublings=int(number_at(analysis, "h_doublings", 40)), check_horizon=horizon)
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:
@@ -189,67 +173,8 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     return assemble_lyapunov(cert, g_used)
 
 
-@dataclass(frozen=True)
-class SimSetup:
-    """One truncation with its input signal, initial state and step sizes."""
-
-    net: TruncatedNetwork
-    signal: simmod.InputSignal
-    x0: np.ndarray
-    horizon: float
-    step: float
-    c_tol: float
-
-    def to_dict(self) -> dict:
-        return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
-
-
-def build_sim(gen: NetworkGenerator, sim: Mapping) -> SimSetup:
-    """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
-    net = truncate(gen, int(_number(sim, "N", 100)))
-    try:
-        signal = simmod.signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
-        x0 = simmod.initial_state(net, sim.get("x0") or {"kind": "zero"})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed 'sim' entry: {exc}") from None
-    return SimSetup(net=net, signal=signal, x0=x0, horizon=float(_number(sim, "T", 10.0)),
-                    step=float(_number(sim, "h", 1e-3)), c_tol=float(_number(sim, "c_tol", 20.0)))
-
-
-def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: simmod.InputSignal):
-    """Stage 4: integrate ``signal`` with the Lyapunov channel; returns the
-    trajectory and its dissipation and ISS envelope checks."""
-    traj = simmod.integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
-                            lyapunov=lyap, store_states=False)
-    return (traj, simmod.verify_dissipation(traj, lyap, c_tol=setup.c_tol),
-            simmod.verify_envelope(traj, lyap, c_tol=setup.c_tol))
-
-
-def _coercivity_sweep(lyap, net, samples: int, seed: int) -> dict:
-    """Compare V with its coercivity bounds on random states, drawn one per
-    row in a fixed order and evaluated a block of rows at a time."""
-    rng = np.random.default_rng(seed)
-    bound = lyap.bind(net)
-    p = float(lyap.p)
-    lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
-    bad = 0
-    worst = 0.0
-    block = np.empty((simmod._block_rows(net.dim), net.dim))
-    for start in range(0, samples, len(block)):
-        xs = block[:min(len(block), samples - start)]
-        for x in xs:
-            rng.standard_normal(out=x)
-            x *= rng.choice([1e-3, 1.0, 1e3])
-        v = bound.values(xs)
-        npow = simmod._lp_rows(net.block_norms(xs), p) ** p
-        gap = np.maximum(lo * npow - v, v - hi * npow)
-        worst = max(worst, float((gap / np.maximum(npow, 1e-300)).max()))
-        bad += int(np.count_nonzero(gap > 1e-9 * (1.0 + np.abs(v))))
-    return {"samples": samples, "violations": bad, "worst_relative_excess": worst}
-
-
 def _conclude(report: dict, s: ExampleScenario, outcome: Outcome, violations: int = 0) -> dict:
-    report["outcome"] = outcome.to_dict()
+    report["outcome"] = asdict(outcome)
     report["matches_expected"] = outcome == s.expected_outcome and violations == 0
     return report
 
@@ -263,7 +188,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
     every shipped scenario at default parameters.
     """
     report: dict = {"schema": "sgain/1", "scenario": s.name, "seed": seed,
-                    "expected_outcome": s.expected_outcome.to_dict(),
+                    "expected_outcome": asdict(s.expected_outcome),
                     "notes": s.notes}
     try:
         g, assumptions = derive_and_check(s.generator, s.derivation, report)
@@ -274,20 +199,21 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
         if lyap is None:
             return _conclude(report, s, Outcome("small-gain-violated"))
 
-        setup = build_sim(s.generator, s.sim)
+        from . import sim as simmod
+        setup = simmod.build_sim(s.generator, s.sim)
         simrep = setup.to_dict()
-        decay, dissipation, _ = check_run(setup, lyap, simmod.Zero())
-        simrep["decay_fit"] = simmod.fit_decay(decay, "v").to_dict()
+        decay, dissipation, _ = simmod.check_run(setup, lyap, simmod.Zero())
+        simrep["decay_fit"] = asdict(simmod.fit_decay(decay, "v"))
         simrep["dissipation_zero_input"] = dissipation.to_dict()
         violations = len(dissipation.violations)
         if not isinstance(setup.signal, simmod.Zero) and setup.net.input_dim:
-            forced, dissipation, envelope = check_run(setup, lyap, setup.signal)
+            forced, dissipation, envelope = simmod.check_run(setup, lyap, setup.signal)
             simrep["input"] = setup.signal.to_dict()
             simrep["u_sup_norm"] = forced.u_sup_norm
             simrep["dissipation_forced"] = dissipation.to_dict()
             simrep["envelope_forced"] = envelope.to_dict()
             violations += len(dissipation.violations) + len(envelope.violations)
-        simrep["coercivity"] = _coercivity_sweep(lyap, setup.net, COERCIVITY_SAMPLES, seed)
+        simrep["coercivity"] = simmod.coercivity_sweep(lyap, setup.net, seed)
     except SgainError as exc:
         report["error"] = str(exc)
         return _conclude(report, s, Outcome("error"))

@@ -70,6 +70,12 @@ def as_object(x, what: str) -> Mapping:
     return x or {}
 
 
+def number_at(section: Mapping, key: str, default=None):
+    """The number at ``key`` of a config section, or ``default`` when absent."""
+    value = section.get(key)
+    return default if value is None else as_number(value)
+
+
 def exact_div(a: Real, b: Real) -> Real:
     """Division that stays rational for int/Fraction operands."""
     if isinstance(a, float) or isinstance(b, float):

@@ -1,4 +1,8 @@
-"""Time integration of finite truncations and empirical validation.
+"""Simulation of finite truncations and empirical validation: the numeric layer.
+
+With :mod:`sgain.network`, the only module that imports scipy.  It holds V
+on a truncation, the integrator, the checks along trajectories, and the
+pipeline stages 3-4 that ``run_pipeline`` and the CLI share.
 
 Trajectories are the iterates of the classical fixed-step fourth-order
 Runge-Kutta scheme.  Every input signal is separable,
@@ -28,14 +32,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import ClassVar
+from typing import ClassVar, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from .certificate import CompositeLyapunov, iss_trajectory_bound
 from .errors import InsufficientDataError, NumericInputError, ParameterError, ShapeError
-from .network import NetworkGenerator, TruncatedNetwork, _matvec, truncate
+from .families import NetworkGenerator
+from .network import TruncatedNetwork, _matvec, truncate
+from .seqrules import as_object, number_at
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -301,6 +307,29 @@ def _rk4_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     return advance
 
 
+class BoundLyapunov:
+    """V restricted to one truncation, evaluated as one quadratic form."""
+
+    def __init__(self, lyap: CompositeLyapunov, net: TruncatedNetwork):
+        self.net = net
+        mu = lyap.cert.mu
+        idx = np.arange(net.n_subsystems)  # subsystem idx + 1 reads stored pos[idx]
+        pos = np.where(idx < mu.preamble_len, idx,
+                       mu.preamble_len + (idx - mu.preamble_len) % mu.period)
+        mu_vec = np.array([float(v) for v in mu.values()])[pos]
+        self._q = sp.kron(sp.diags(mu_vec), lyap.gains.vform.matrix(), format="csr")
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """V of every row of ``states``, as one row-wise quadratic form."""
+        if states.shape[-1] != self.net.dim:
+            raise ShapeError(f"state has dimension {states.shape[-1]}, "
+                             f"network needs {self.net.dim}")
+        return np.einsum("ij,ij->i", states, (self._q @ states.T).T)
+
+
 def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
               horizon: float = 10.0, step: float = 1e-3,
               lyapunov: CompositeLyapunov | None = None,
@@ -324,7 +353,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         raise NumericInputError("non-finite component in the initial state")
 
     p, q = float(net.generator.p), float(net.generator.q)
-    bound = lyapunov.bind(net) if lyapunov is not None else None
+    bound = BoundLyapunov(lyapunov, net) if lyapunov is not None else None
     n_steps = int(round(horizon / step))
     h = step
     shape = signal.shape(net)
@@ -445,10 +474,6 @@ class DecayFit:
     n_points: int
     channel: str
 
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "prefactor": self.prefactor,
-                "n_points": self.n_points, "channel": self.channel}
-
 
 def fit_decay(traj: TrajectoryRecord, channel: str = "v",
               floor: float = 1e-10) -> DecayFit:
@@ -486,9 +511,11 @@ def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
     window.  No convergence claim is made; the numbers are the evidence.
     """
     n_list = list(n_list)
+    if not n_list:
+        raise ParameterError("the probe needs at least one truncation size")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("truncation sizes must be strictly increasing")
-    if n_list[0] < first_k + gen.bandwidth:
+    if n_list[0] < first_k + gen.family.bandwidth:
         raise ParameterError("smallest truncation must cover the window plus bandwidth")
     p = float(gen.p)
     runs = []
@@ -502,6 +529,75 @@ def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
         dev = _lp_rows(net1.block_norms(s1[:rows] - s2[:rows]), p).max()
         out.append({"n_small": n1, "n_large": n2, "max_deviation": float(dev)})
     return out
+
+
+# --------------------------------------------------------------------------
+# Pipeline stages 3-4
+# --------------------------------------------------------------------------
+
+COERCIVITY_SAMPLES = 1000
+
+
+@dataclass(frozen=True)
+class SimSetup:
+    """One truncation with its input signal, initial state and step sizes."""
+
+    net: TruncatedNetwork
+    signal: InputSignal
+    x0: np.ndarray
+    horizon: float
+    step: float
+    c_tol: float
+
+    def to_dict(self) -> dict:
+        return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
+
+
+def build_sim(gen: NetworkGenerator, sim: Mapping) -> SimSetup:
+    """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
+    net = truncate(gen, int(number_at(sim, "N", 100)))
+    try:
+        signal = signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
+        x0 = initial_state(net, sim.get("x0") or {"kind": "zero"})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed 'sim' entry: {exc}") from None
+    return SimSetup(net=net, signal=signal, x0=x0, horizon=float(number_at(sim, "T", 10.0)),
+                    step=float(number_at(sim, "h", 1e-3)),
+                    c_tol=float(number_at(sim, "c_tol", 20.0)))
+
+
+def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
+    """Stage 4: integrate ``signal`` with the Lyapunov channel; returns the
+    trajectory and its dissipation and ISS envelope checks.  The envelope
+    check is None when ``lambda_inf <= 0``: no decay, no envelope."""
+    traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
+                     lyapunov=lyap, store_states=False)
+    envelope = verify_envelope(traj, lyap, c_tol=setup.c_tol) if lyap.lambda_inf > 0 else None
+    return traj, verify_dissipation(traj, lyap, c_tol=setup.c_tol), envelope
+
+
+def coercivity_sweep(lyap: CompositeLyapunov, net: TruncatedNetwork, seed: int,
+                     samples: int = COERCIVITY_SAMPLES) -> dict:
+    """Compare V with its coercivity bounds on random states, drawn one per
+    row in a fixed order and evaluated a block of rows at a time."""
+    rng = np.random.default_rng(seed)
+    bound = BoundLyapunov(lyap, net)
+    p = float(lyap.p)
+    lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
+    bad = 0
+    worst = 0.0
+    block = np.empty((_block_rows(net.dim), net.dim))
+    for start in range(0, samples, len(block)):
+        xs = block[:min(len(block), samples - start)]
+        for x in xs:
+            rng.standard_normal(out=x)
+            x *= rng.choice([1e-3, 1.0, 1e3])
+        v = bound.values(xs)
+        npow = _lp_rows(net.block_norms(xs), p) ** p
+        gap = np.maximum(lo * npow - v, v - hi * npow)
+        worst = max(worst, float((gap / np.maximum(npow, 1e-300)).max()))
+        bad += int(np.count_nonzero(gap > 1e-9 * (1.0 + np.abs(v))))
+    return {"samples": samples, "violations": bad, "worst_relative_excess": worst}
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from sgain import (LinearChain, NetworkGenerator, SmallGainViolatedError,
                    make_scenario, neumann_eta, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.certificate import assemble_lyapunov
-from sgain.sim import (GeometricProfile, Zero, fit_decay, initial_state,
+from sgain.sim import (BoundLyapunov, GeometricProfile, Zero, fit_decay, initial_state,
                        integrate, verify_dissipation, verify_envelope)
 
 
@@ -242,7 +242,7 @@ def test_criterion_8_numerical_hygiene(cli, tmp_path):
         cert, g_used, *_ = sgain.certify(derive_scenario_gains(s))
         lyap = assemble_lyapunov(cert, g_used)
         net = truncate(s.generator, 40)
-        bound = lyap.bind(net)
+        bound = BoundLyapunov(lyap, net)
         lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
         p = float(lyap.p)
         for _ in range(10_000):

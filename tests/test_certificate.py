@@ -19,6 +19,7 @@ from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
 from sgain.certificate import assemble_lyapunov
 from sgain.gains import HALF_SQUARE, GainData
 from sgain.seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
+from sgain.sim import BoundLyapunov
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -295,7 +296,7 @@ class TestCompositeLyapunov:
         cert, g, *_ = chain_certified
         lyap = assemble_lyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
-        assert lyap.bind(net).value(np.zeros(10)) == 0.0
+        assert BoundLyapunov(lyap, net).value(np.zeros(10)) == 0.0
 
     def test_unit_vector_value(self, chain_certified):
         cert, g, *_ = chain_certified
@@ -303,7 +304,7 @@ class TestCompositeLyapunov:
         net = sgain.truncate(chain_gen(), 10)
         e1 = np.zeros(10)
         e1[0] = 1.0
-        assert lyap.bind(net).value(e1) == pytest.approx(float(cert.mu.at(1)) * 0.5)
+        assert BoundLyapunov(lyap, net).value(e1) == pytest.approx(float(cert.mu.at(1)) * 0.5)
 
     def test_coercivity_on_unit_sphere(self, chain_certified):
         cert, g, *_ = chain_certified
@@ -311,7 +312,7 @@ class TestCompositeLyapunov:
         net = sgain.truncate(chain_gen(), 20)
         rng = np.random.default_rng(5)
         lo, hi = float(cert.mu_lo) / 2, float(cert.mu_hi) / 2
-        bound = lyap.bind(net)
+        bound = BoundLyapunov(lyap, net)
         for _ in range(200):
             x = rng.standard_normal(20)
             x /= np.linalg.norm(x)
@@ -324,7 +325,7 @@ class TestCompositeLyapunov:
         cert, g, *_ = certify(sgain.derive_scenario_gains(s))
         lyap, m = assemble_lyapunov(cert, g), g.vform.matrix()
         for n in (1, 7, 100):
-            q = lyap.bind(sgain.truncate(s.generator, n))._q
+            q = BoundLyapunov(lyap, sgain.truncate(s.generator, n))._q
             ref = sp.block_diag([float(cert.mu.at(i)) * m for i in range(1, n + 1)],
                                 format="csr")
             for a in ("indptr", "indices", "data"):
@@ -335,7 +336,7 @@ class TestCompositeLyapunov:
         lyap = assemble_lyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         with pytest.raises(ShapeError):
-            lyap.bind(net).value(np.zeros(7))
+            BoundLyapunov(lyap, net).value(np.zeros(7))
 
 
 class TestTrajectoryBound:

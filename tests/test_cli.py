@@ -194,6 +194,24 @@ class TestExitCodes:
         assert rep["certificate_scan"]["ok"] is False
         assert rep["certificate_scan"]["worst_margin"] <= 0
 
+    @pytest.mark.parametrize("lambda_inf", [-0.1, 0.0])
+    def test_verify_rejects_certificate_without_decay(self, run_main, tmp_path, chain_cfg,
+                                                      lambda_inf):
+        """A rate lambda_inf <= 0 only makes the margins more negative, but a
+        certificate that claims no decay certifies nothing, and has no envelope."""
+        out = tmp_path / "o"
+        assert run_main(["certify", "--config", chain_cfg, "--out", out])[0] == 0
+        obj = json.loads((out / "certificate.json").read_text())
+        obj["certificate"]["lambda_inf"] = lambda_inf
+        bad = _write(tmp_path / "bad_cert.json", obj)
+        cfg = _write(tmp_path / "cfg2.json", {**json.loads(chain_cfg.read_text()),
+                                              "certificate": str(bad)})
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o2"]) == (4, "")
+        rep = json.loads((tmp_path / "o2" / "verification.json").read_text())
+        assert rep["certificate_scan"]["ok"] is False
+        assert rep["envelope"] is None and rep["dissipation"]["ok"]
+        assert rep["n_violations"] == 1
+
     def test_simulate_writes_csv_and_summary(self, cli, tmp_path, chain_cfg):
         out = tmp_path / "o"
         r = cli(["simulate", "--config", str(chain_cfg), "--out", str(out)], tmp_path)

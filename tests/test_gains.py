@@ -13,7 +13,7 @@ from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    derive_gains_linear_chain, derive_gains_lure,
                    derive_gains_traffic, gamma_norm,
                    operator_power_column_sums, spectral_bracket)
-from sgain.network import LureBanded
+from sgain.families import LureBanded
 from sgain.seqrules import PeriodicSeq
 
 

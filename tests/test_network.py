@@ -60,7 +60,7 @@ class TestGenerateSpec:
                  (sgain.make_scenario("lure-platoon").generator, lambda i: None))
         for gen, record in cases:
             fam = gen.family
-            pre, period = gen.structure
+            pre, period = gen.family.structure
             for i in range(pre + 1, pre + 40):
                 assert same_blocks(fam.blocks(i), fam.blocks(i + period))
                 assert record(i) == record(i + period)

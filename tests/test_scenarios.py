@@ -1,5 +1,6 @@
 """Shipped scenarios reach their expected outcomes; overrides behave."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ class TestExpectedOutcomes:
         rep = run_pipeline(s)
         assert rep["outcome"] == {"kind": kind, "which": which}
         assert rep["matches_expected"]
-        assert rep["expected_outcome"] == s.expected_outcome.to_dict()
+        assert rep["expected_outcome"] == dataclasses.asdict(s.expected_outcome)
 
     def test_certified_reports_have_zero_empirical_violations(self):
         for name in ("chain-a", "traffic"):

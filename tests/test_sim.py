@@ -197,7 +197,7 @@ class TestSeparableForcing:
         assert np.array_equal(traj.states, plain.states)
 
     def test_inactive_sector_channel_is_never_evaluated(self, monkeypatch):
-        from sgain.network import LureBanded
+        from sgain.families import LureBanded
 
         def refuse(self, s):
             raise AssertionError("an inactive sector channel was evaluated")
@@ -305,7 +305,7 @@ class TestLureSectorEndToEnd:
 
     @pytest.mark.parametrize("phi", ["saturation", "midpoint-linear"])
     def test_certified_dissipation_under_sector_nonlinearity(self, phi):
-        from sgain.network import LureBanded
+        from sgain.families import LureBanded
         fam = LureBanded(a=((-2.0,),), e=((1.0,),), g=((1.0,),), b=((1.0,),),
                          d_left=((0.1,),), d_right=((0.1,),),
                          sector_l=Fraction(-1, 2), sector_r=Fraction(1, 2),
@@ -385,6 +385,11 @@ class TestTruncationProbe:
             truncation_convergence_probe(
                 chain_gen(), {"kind": "first-k", "K": 5}, Zero(),
                 1.0, 1e-2, n_list=(4, 8), first_k=5)
+
+    def test_empty_size_list(self):
+        with pytest.raises(ParameterError, match="at least one truncation size"):
+            truncation_convergence_probe(
+                chain_gen(), {"kind": "first-k", "K": 5}, Zero(), 1.0, 1e-2, n_list=[], first_k=5)
 
     def test_unstable_chain_reported_without_judgment(self):
         # gain-condition-violating chain: the probe still returns rows
