@@ -26,14 +26,11 @@ from .gains import (HALF_SQUARE, AssumptionReport, GainData, PowerTable,
                     QuadraticForm, SpectralBracket,
                     build_gain_operator, check_assumptions, check_lure_lmi,
                     derive_gains_linear_chain, derive_gains_lure,
-                    derive_gains_traffic, gamma_norm,
-                    operator_power_column_sums, optimize_chain_free_params,
-                    spectral_bracket)
+                    derive_gains_traffic, operator_power_column_sums,
+                    optimize_chain_free_params, spectral_bracket)
 from .certificate import (CompositeLyapunov, EtaVector, SmallGainCertificate,
-                          TrajectoryBound, assemble_lyapunov,
                           build_certificate, cap_decay_rates,
-                          certificate_from_dict, certify,
-                          iss_trajectory_bound, neumann_eta,
+                          certificate_from_dict, certify, neumann_eta,
                           verify_certificate)
 from .scenarios import (SCENARIO_NAMES, ExampleScenario, Outcome,
                         derive_scenario_gains, make_scenario, run_pipeline)

@@ -19,16 +19,17 @@ table holds.  Setting ``mu_i = eta_i / lambda_i`` then yields
     lambda_inf = (1 - shift) * inf_i lambda_i,
 
 which is the pointwise inequality certifying that
-``V(x) = sum_i mu_i V_i(x_i)`` dissipates at rate lambda_inf.  All
-quantities inherit the eventual periodicity of the gain data, so the
-infinitely-quantified inequality reduces to a finite scan, exact (with
-zero tolerance) when every number in it is rational.
+``V(x) = sum_i mu_i V_i(x_i)`` dissipates at rate lambda_inf;
+:class:`CompositeLyapunov` is that V, with its coercivity constants and
+the ISS envelope of its dissipation.  All quantities inherit the eventual
+periodicity of the gain data, so the infinitely-quantified inequality
+reduces to a finite scan over a horizon the inputs fix, exact (with zero
+tolerance) when every number in it is rational.
 
-Unbounded decay-rate rules are handled by capping: rates are replaced by
-``min(lambda_i, h)``, which preserves the dissipation inequalities,
-makes the rates eventually periodic, and (for h large enough) keeps the
-spectral condition intact.  A certificate built against capped rates is
-automatically valid for the original ones.
+Unbounded decay rates are capped: ``min(lambda_i, h)`` keeps the
+dissipation inequalities, makes the rates eventually periodic and (for h
+large enough) keeps the spectral condition, so a certificate for capped
+rates is valid for the original ones.
 """
 
 from __future__ import annotations
@@ -59,23 +60,19 @@ def cap_decay_rates(g: GainData, h: Real) -> GainData:
     The subsystem dissipation inequalities remain valid with the reduced
     rates, so any certificate for the capped data transfers to the
     original data.  Nondecreasing closed-form rules that cross h become
-    exactly periodic (constant h beyond a finite preamble).
+    exactly periodic (constant h beyond a finite preamble); any other
+    closed-form rule stays aperiodic and raises :class:`CannotCertifyError`.
     """
     if h <= 0:
         raise ParameterError("rate cap h must be positive")
     lam = g.lam
     if isinstance(lam, PeriodicSeq):
-        capped: PeriodicSeq | ClosedFormSeq = lam.map(lambda v: min(v, h))
-    elif lam.nondecreasing:
-        if lam.upper() <= h:
-            capped = lam  # cap inactive, rule unchanged
-        else:
-            capped = _periodize_nondecreasing_cap(lam, h)
+        capped = lam.map(lambda v: min(v, h))
+    elif lam.nondecreasing and lam.upper() > h:
+        capped = _periodize_nondecreasing_cap(lam, h)
     else:
-        fn = lam.fn
-        capped = ClosedFormSeq(fn=lambda i: min(fn(i), h),
-                               inf=min(lam.inf, h), sup=min(lam.sup, h),
-                               nondecreasing=False, label=f"min({lam.label}, h)")
+        raise CannotCertifyError("closed-form rates cap to eventually periodic ones only when "
+                                 f"marked nondecreasing with sup above the cap {h}")
     return dataclasses.replace(g, lam=capped)
 
 
@@ -102,13 +99,11 @@ def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real,
 class EtaVector:
     """Truncated resolvent vector of ``terms_used + 1`` terms, K in the
     module docstring; ``worst_residual`` is ``sup_j (Theta^(K+1) w)_j /
-    (shift^(K+1) w_j) - 1 <= 0`` and ``checked_len`` the preamble of ``eta``
-    plus two of its periods."""
+    (shift^(K+1) w_j) - 1 <= 0``."""
 
     eta: PeriodicSeq
     terms_used: int
     worst_residual: float
-    checked_len: int
 
 
 def neumann_eta(powers: PowerTable, lam_shift: Real) -> EtaVector:
@@ -146,8 +141,7 @@ def neumann_eta(powers: PowerTable, lam_shift: Real) -> EtaVector:
             eta[i] += coef * (x / dk if isinstance(coef, float) else exact_div(x, dk))
     return EtaVector(eta=PeriodicSeq(tuple(eta[:pre_len]), tuple(eta[pre_len:])),
                      terms_used=close - 1,
-                     worst_residual=float(norms[close] / shift ** close) - 1.0,
-                     checked_len=pre_len + 2 * period)
+                     worst_residual=float(norms[close] / shift ** close) - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -215,12 +209,8 @@ class CertificateReport:
     tol: float
     exhaustive: bool
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-
-def verify_certificate(cert: SmallGainCertificate, g: GainData,
-                       check_horizon: int = 0) -> CertificateReport:
+def verify_certificate(cert: SmallGainCertificate, g: GainData) -> CertificateReport:
     """Scan ``-lambda_i mu_i + sum_j mu_j gamma_ji + lambda_inf mu_i <= tol``.
 
     The horizon covers every preamble, two full combined periods, and a
@@ -234,11 +224,9 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
     reported, never raised.
     """
     lam_periodic = isinstance(g.lam, PeriodicSeq)
-    periods = [cert.mu.period, g.gamma.period] + ([g.lam.period] if lam_periodic else [])
-    p_hat = math.lcm(*periods)
-    base = max(cert.mu.preamble_len, g.gamma.preamble_len,
-               g.lam.preamble_len if lam_periodic else 0)
-    horizon = base + 2 * p_hat + g.bandwidth + max(0, int(check_horizon))
+    seqs = [cert.mu, g.gamma] + [g.lam] * lam_periodic
+    horizon = (max(s.preamble_len for s in seqs) + 2 * math.lcm(*(s.period for s in seqs))
+               + g.gamma.bandwidth)
 
     mu = cert.mu.head(horizon)
     lam = g.lam.head(horizon) if lam_periodic else [g.lam.at(i) for i in range(1, horizon + 1)]
@@ -261,8 +249,8 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData,
                              n_checked=horizon, tol=tol, exhaustive=lam_periodic)
 
 
-def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = None,
-                      *, check_horizon: int = 0) -> SmallGainCertificate:
+def build_certificate(g: GainData, bracket: SpectralBracket,
+                      rho: Real | None = None) -> SmallGainCertificate:
     """Construct and verify the scaling vector for bounded-rate gain data.
 
     The contraction factor is placed a tenth of the way from the bracket
@@ -271,9 +259,8 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     respects ``lambda_inf >= (1 - upper) inf lambda_i - rho``.  The series
     runs on the bracket's power table, so ``bracket`` comes from
     :func:`spectral_bracket` on the operator of ``g``.  The certificate is
-    scanned pointwise (``check_horizon`` indices past the periodic horizon)
-    before being returned, and carries that scan as ``scan``; an emitted
-    certificate is therefore always verified.
+    scanned pointwise before being returned, and carries that scan as
+    ``scan``; an emitted certificate is therefore always verified.
     """
     if not bracket.satisfied:
         exc = SmallGainViolatedError(
@@ -305,7 +292,7 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
     cert = SmallGainCertificate(mu=mu, mu_lo=mu.min(), mu_hi=mu.max(),
                                 lambda_inf=lam_inf, r_tilde=r_tilde, rho=rho,
                                 bracket=bracket, eta=eta_vec)
-    report = verify_certificate(cert, g, check_horizon)
+    report = verify_certificate(cert, g)
     if not report.ok:
         raise InternalInconsistencyError(
             f"freshly built certificate failed its scan: margin "
@@ -314,10 +301,9 @@ def build_certificate(g: GainData, bracket: SpectralBracket, rho: Real | None = 
 
 
 def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
-            h_start: Real | None = None, h_doublings: int = 40, check_horizon: int = 0):
+            h_start: Real | None = None, h_doublings: int = 40):
     """End-to-end certification: bracket the spectral radius, cap rates
-    when they are unbounded, and build a verified certificate (its
-    ``scan`` reaches ``check_horizon`` indices past the periodic horizon).
+    when they are unbounded, and build a verified certificate.
 
     Returns ``(certificate, gain data actually certified, operator,
     bracket)``.  Raises :class:`SmallGainViolatedError` when the bracket
@@ -334,13 +320,10 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
         caps = [h * 2 ** j for j in range(max(1, int(h_doublings)))]
     for h in caps:
         gh = g if h is None else cap_decay_rates(g, h)
-        if not isinstance(gh.lam, PeriodicSeq):
-            raise CannotCertifyError(
-                "capped rates are still aperiodic (rule not marked nondecreasing)")
         op = build_gain_operator(gh)
         bracket = spectral_bracket(op, k_max=k_max)
         if h is None or bracket.satisfied:
-            cert = build_certificate(gh, bracket, rho, check_horizon=check_horizon)
+            cert = build_certificate(gh, bracket, rho)
             return dataclasses.replace(cert, h_cap=h), gh, op, bracket
     exc = CannotCertifyError("no cap in the doubling schedule satisfied the small-gain "
                              f"condition (last upper {float(bracket.upper):g})")
@@ -354,67 +337,36 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
 
 
 class CompositeLyapunov:
-    """V(x) = sum_i mu_i V_i(x_i) with exact coercivity constants.
+    """V(x) = sum_i mu_i V_i(x_i) with exact coercivity constants, and the
+    exponential envelope its dissipation inequality gives.
 
     Coercivity: ``mu_lo alpha_lo |x|_p^p <= V(x) <= mu_hi alpha_hi |x|_p^p``.
-    Dissipation: ``D+ V <= -lambda_inf V + mu_hi gamma_u_hi |u|_{q,inf}^q``.
+    Dissipation: ``D+ V <= -lambda_inf V + mu_hi sup gamma_iu |u|_{q,inf}^q``.
+    For any 0 < eps < lambda_inf this gives ``V(t) <= exp(-eps t) V(0) +
+    chi(||u||)`` with ``chi(r) = mu_hi sup gamma_iu r^q / (lambda_inf - eps)``,
+    and the norm-level estimate with prefactor ``(2 alpha_hi mu_hi /
+    (alpha_lo mu_lo))^(1/p)`` and gain ``(2 chi(r)/(alpha_lo mu_lo))^(1/p)``.
     """
 
     def __init__(self, cert: SmallGainCertificate, gains: GainData):
         self.cert = cert
         self.gains = gains
-        self.coercivity_lo = cert.mu_lo * gains.alpha_lo_bound
-        self.coercivity_hi = cert.mu_hi * gains.alpha_hi_bound
-        self.input_coefficient = cert.mu_hi * gains.gamma_u_hi
-        self.lambda_inf = cert.lambda_inf
-        self.p = gains.p
-        self.q = gains.q
+        self.coercivity_lo = cert.mu_lo * gains.alpha_lo.lower()
+        self.coercivity_hi = cert.mu_hi * gains.alpha_hi.upper()
+        self.input_coefficient = cert.mu_hi * gains.gamma_u.upper()
 
+    def chi(self, u_norm: float, eps: float) -> float:
+        """The input gain of the envelope for a margin eps in (0, lambda_inf)."""
+        lam_inf, eps, q = float(self.cert.lambda_inf), float(eps), float(self.gains.q)
+        if not 0 < eps < lam_inf:
+            raise ParameterError(f"eps must lie in (0, {lam_inf:g}), got {eps:g}")
+        return float(self.input_coefficient) / (lam_inf - eps) * float(u_norm) ** q
 
-def assemble_lyapunov(cert: SmallGainCertificate, g: GainData) -> CompositeLyapunov:
-    return CompositeLyapunov(cert, g)
+    def envelope_v(self, t, v0: float, u_norm: float, eps: float):
+        return np.exp(-float(eps) * np.asarray(t, dtype=float)) * v0 + self.chi(u_norm, eps)
 
-
-@dataclass(frozen=True)
-class TrajectoryBound:
-    """Exponential envelope from the dissipation inequality.
-
-    For any 0 < eps < lambda_inf the value function obeys
-    ``V(t) <= exp(-eps t) V(0) + chi(||u||)`` with
-    ``chi(r) = mu_hi gamma_u_hi r^q / (lambda_inf - eps)``, which yields
-    the norm-level estimate with prefactor ``(2 alpha_hi mu_hi /
-    (alpha_lo mu_lo))^(1/p)`` and gain ``(2 chi(r)/(alpha_lo mu_lo))^(1/p)``.
-    """
-
-    eps: float
-    lambda_inf: float
-    chi_coef: float
-    q: float
-    p: float
-    omega_lo: float
-    omega_hi: float
-
-    def chi(self, u_norm: float) -> float:
-        return self.chi_coef * float(u_norm) ** self.q
-
-    def envelope_v(self, t, v0: float, u_norm: float):
-        return np.exp(-self.eps * np.asarray(t, dtype=float)) * v0 + self.chi(u_norm)
-
-    def envelope_norm(self, t, x0_norm: float, u_norm: float):
-        pref = (2.0 * self.omega_hi / self.omega_lo) ** (1.0 / self.p)
-        gain = (2.0 * self.chi(u_norm) / self.omega_lo) ** (1.0 / self.p)
-        decay = np.exp(-self.eps * np.asarray(t, dtype=float) / self.p)
-        return pref * decay * x0_norm + gain
-
-
-def iss_trajectory_bound(lyap: CompositeLyapunov, eps: float) -> TrajectoryBound:
-    """Envelope descriptor for a chosen margin eps in (0, lambda_inf)."""
-    lam_inf = float(lyap.lambda_inf)
-    eps = float(eps)
-    if not 0 < eps < lam_inf:
-        raise ParameterError(f"eps must lie in (0, {lam_inf:g}), got {eps:g}")
-    return TrajectoryBound(
-        eps=eps, lambda_inf=lam_inf,
-        chi_coef=float(lyap.input_coefficient) / (lam_inf - eps),
-        q=float(lyap.q), p=float(lyap.p),
-        omega_lo=float(lyap.coercivity_lo), omega_hi=float(lyap.coercivity_hi))
+    def envelope_norm(self, t, x0_norm: float, u_norm: float, eps: float):
+        p, lo = float(self.gains.p), float(self.coercivity_lo)
+        pref = (2.0 * float(self.coercivity_hi) / lo) ** (1.0 / p)
+        gain = (2.0 * self.chi(u_norm, eps) / lo) ** (1.0 / p)
+        return pref * np.exp(-float(eps) * np.asarray(t, dtype=float) / p) * x0_norm + gain

@@ -404,7 +404,7 @@ class _DecoupledScalar(Family):
         return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u,
                         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
                         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-                        p=2, q=2, bandwidth=1, vform=HALF_SQUARE)
+                        p=2, q=2, vform=HALF_SQUARE)
 
 
 class CounterexampleSlow(_DecoupledScalar):
@@ -418,9 +418,9 @@ class CounterexampleSlow(_DecoupledScalar):
     """
 
     name = "counterexample-slow"
-    rules = (ClosedFormSeq(fn=lambda i: Fraction(2, i), inf=0, sup=2, label="2/i"),
+    rules = (ClosedFormSeq(fn=lambda i: Fraction(2, i), inf=0, sup=2),
              ClosedFormSeq(fn=lambda i: Fraction(i, 2), inf=Fraction(1, 2), sup=math.inf,
-                           nondecreasing=True, label="i/2"))
+                           nondecreasing=True))
 
     def coefficients(self, i: int):
         return -1 / i, 1
@@ -432,7 +432,7 @@ class CounterexampleGain(_DecoupledScalar):
     name = "counterexample-gain"
     rules = (PeriodicSeq.constant(Fraction(3, 2)),  # 2 (1 - eps) at eps = 1/4
              ClosedFormSeq(fn=lambda i: 2 * Fraction(i) ** 2, inf=2, sup=math.inf,
-                           nondecreasing=True, label="i^2/(2 eps), eps = 1/4"))
+                           nondecreasing=True))  # i^2/(2 eps), eps = 1/4
 
     def coefficients(self, i: int):
         return -1, i
@@ -477,7 +477,7 @@ def generator_from_dict(obj: Mapping) -> NetworkGenerator:
         fam = FAMILIES[name].from_json(obj.get("coefficients", {}))
         return NetworkGenerator(family=fam, p=as_number(obj.get("p", 2)),
                                 q=as_number(obj.get("q", 2)))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParameterError(f"malformed network description: {exc}") from exc
 
 

@@ -7,10 +7,11 @@ Each supported family admits quadratic subsystem Lyapunov functions
 
 The derivations here produce the sequences ``lambda_i``, ``gamma_ij``,
 ``gamma_iu`` together with the coercivity constants of ``V_i``, all as
-eventually periodic (or certified closed-form) rules.  The *gain
-operator* is the infinite nonnegative matrix with entries
-``psi_ij = gamma_ij / lambda_i``; the network-level stability condition
-is that its l1 spectral radius lies below one.
+eventually periodic (or certified closed-form) rules, held once each in a
+:class:`GainData`: a uniform bound is read off its sequence, the band off
+``gamma``.  The *gain operator* is the infinite nonnegative matrix with
+entries ``psi_ij = gamma_ij / lambda_i``; the network-level stability
+condition is that its l1 spectral radius lies below one.
 
 The operator inherits the band and the eventual periodicity of the
 coefficients, so Psi is a :class:`PeriodicRows`, and Theta = Psi^T maps an
@@ -70,9 +71,10 @@ class GainData:
     """Sequences (lambda_i, gamma_ij, gamma_iu, alpha bounds) plus exponents.
 
     ``gamma`` stores row i as a map from neighbor offset j - i to
-    gamma_ij; rows and rates share the band structure of the generator.
-    Uniform bounds over all i are exact for periodic rules and fall back
-    to the certified declarations for closed-form rules.
+    gamma_ij, within the band ``gamma.bandwidth`` of the generator.
+    Uniform bounds over all i are each sequence's ``lower()`` or
+    ``upper()``: exact for periodic rules, the certified declarations for
+    closed-form rules.
     """
 
     lam: Seq
@@ -82,7 +84,6 @@ class GainData:
     alpha_hi: Seq
     p: Real
     q: Real
-    bandwidth: int
     vform: QuadraticForm
     free_params: dict = field(default_factory=dict)
 
@@ -93,30 +94,10 @@ class GainData:
             raise DerivationError("coercivity lower constants must be positive")
 
     @property
-    def lam_lo(self) -> Real:
-        return self.lam.lower()
-
-    @property
-    def lam_hi(self) -> Real:
-        return self.lam.upper()
-
-    @property
-    def gamma_u_hi(self) -> Real:
-        return self.gamma_u.upper()
-
-    @property
     def gamma_hi(self) -> Real:
         """Exact sup over all single internal gains gamma_ij."""
         rows = self.gamma.preamble + self.gamma.cycle
         return max((max(r.values()) for r in rows if r), default=0)
-
-    @property
-    def alpha_lo_bound(self) -> Real:
-        return self.alpha_lo.lower()
-
-    @property
-    def alpha_hi_bound(self) -> Real:
-        return self.alpha_hi.upper()
 
     @property
     def conservative(self) -> bool:
@@ -124,11 +105,6 @@ class GainData:
         than an exact periodic computation."""
         return not all(isinstance(s, PeriodicSeq)
                        for s in (self.lam, self.gamma_u, self.alpha_lo, self.alpha_hi))
-
-
-def gamma_norm(g: GainData) -> Real:
-    """Exact ``sup_j sum_i gamma_ij`` (the l1 operator norm of Gamma)."""
-    return g.gamma.sup_column_sum()
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +197,7 @@ def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> Ga
         gamma_u=PeriodicSeq.constant(0),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=HALF_SQUARE,
+        p=2, q=2, vform=HALF_SQUARE,
         free_params={"eps": eps_r, "delta": delta_r})
 
 
@@ -313,7 +289,7 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
         gamma_u=PeriodicSeq.constant(gamma_u),
         alpha_lo=PeriodicSeq.constant(m_lo),
         alpha_hi=PeriodicSeq.constant(m_hi),
-        p=2, q=2, bandwidth=1, vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
+        p=2, q=2, vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
         free_params={"kappa": kappa, "eps": eps, "tau": tau})
 
 
@@ -355,7 +331,7 @@ def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
         gamma_u=PeriodicSeq(tuple(gu_vals[:pre]), tuple(gu_vals[pre:])),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=4, vform=HALF_SQUARE,
+        p=2, q=2, vform=HALF_SQUARE,
         free_params={"eps": eps_r})
 
 
@@ -594,10 +570,6 @@ class AssumptionReport:
     def failed(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.ok)
 
-    @property
-    def first_failed(self) -> str | None:
-        return self.failed[0] if self.failed else None
-
     def to_dict(self) -> dict:
         return {"ok": self.ok, "failed": list(self.failed),
                 "conservative": self.conservative,
@@ -606,10 +578,10 @@ class AssumptionReport:
 
 def check_assumptions(g: GainData) -> AssumptionReport:
     """Evaluate the uniformity assumptions; never raises on violations."""
-    a_lo, a_hi = float(g.alpha_lo_bound), float(g.alpha_hi_bound)
-    lam_lo = float(g.lam_lo)
-    gu_hi = float(g.gamma_u_hi)
-    gnorm = float(gamma_norm(g))
+    a_lo, a_hi = float(g.alpha_lo.lower()), float(g.alpha_hi.upper())
+    lam_lo = float(g.lam.lower())
+    gu_hi = float(g.gamma_u.upper())
+    gnorm = float(g.gamma.sup_column_sum())
     checks = (
         AssumptionCheck("alpha", 0 < a_lo <= a_hi < math.inf, a_lo,
                         f"coercivity constants within [{a_lo:g}, {a_hi:g}]"),

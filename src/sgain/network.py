@@ -48,13 +48,12 @@ class TruncatedNetwork:
         pos = np.where(idx < pre, idx, pre + (idx - pre) % per)
         a = np.stack([s[0] for s in stored])[pos]
         b = np.stack([s[2] for s in stored])[pos]
-        nb = a.shape[1]
-        self.block_dims = np.full(n, nb)
+        self.block_dim = nb = a.shape[1]
         self.block_offsets = nb * np.arange(n + 1)
         self.dim = nb * n
         self.input_dims = np.where(b.any(axis=(1, 2)), b.shape[2], 0)
-        self.input_offsets = np.concatenate(([0], np.cumsum(self.input_dims)))
-        self.input_dim = int(self.input_offsets[-1])
+        input_offsets = np.concatenate(([0], np.cumsum(self.input_dims)))
+        self.input_dim = int(input_offsets[-1])
 
         zero = np.zeros((nb, nb))
         parts = [(0, a)] + [(off, np.stack([d.get(off, zero) for _, d, _ in stored])[pos])
@@ -71,7 +70,7 @@ class TruncatedNetwork:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dim, self.dim))
         k, r, c = np.nonzero(b)
-        self.input_matrix = sp.csr_matrix((b[k, r, c], (k * nb + r, self.input_offsets[k] + c)),
+        self.input_matrix = sp.csr_matrix((b[k, r, c], (k * nb + r, input_offsets[k] + c)),
                                           shape=(self.dim, max(self.input_dim, 1)))
         self.drift_matrix = self.linear_matrix
         self.nonlinearity = fam.nonlinearity()
@@ -97,10 +96,9 @@ class TruncatedNetwork:
 
         ``x`` holds one state or a prefix of whole blocks per row.
         """
-        nb = int(self.block_dims[0])
-        if nb == 1:
+        if self.block_dim == 1:
             return np.abs(x)
-        blocks = x.reshape(*x.shape[:-1], -1, nb)
+        blocks = x.reshape(*x.shape[:-1], -1, self.block_dim)
         return np.sqrt(np.einsum("...i,...i->...", blocks, blocks))
 
 
@@ -119,8 +117,7 @@ def truncate(gen: NetworkGenerator, n_subsystems: int) -> TruncatedNetwork:
     return TruncatedNetwork(gen, n_subsystems)
 
 
-def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray,
-                 t: float = 0.0) -> np.ndarray:
+def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Stacked right-hand side of the truncated interconnection."""
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel() if u is not None else np.zeros(0)

@@ -27,13 +27,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .certificate import (CompositeLyapunov, SmallGainCertificate,
-                          assemble_lyapunov, certify, verify_certificate)
+from .certificate import (CompositeLyapunov, SmallGainCertificate, certify,
+                          verify_certificate)
 from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import NetworkGenerator, generator_from_dict
-from .gains import AssumptionReport, GainData, check_assumptions, gamma_norm
-from .seqrules import PeriodicSeq, as_number, as_object, number_at
+from .gains import AssumptionReport, GainData, check_assumptions
+from .seqrules import PeriodicSeq, as_integer, as_number, as_object, number_at
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -123,11 +123,11 @@ def _gain_summary(g: GainData) -> dict:
             return float(v)
         return [[float(x) for x in row] for row in v]  # small matrices
 
-    return {"p": float(g.p), "q": float(g.q), "bandwidth": g.bandwidth,
-            "lam_lo": fin(g.lam_lo), "lam_hi": fin(g.lam_hi),
-            "gamma_u_hi": fin(g.gamma_u_hi), "gamma_hi": float(g.gamma_hi),
-            "gamma_norm": float(gamma_norm(g)),
-            "alpha_lo": float(g.alpha_lo_bound), "alpha_hi": float(g.alpha_hi_bound),
+    return {"p": float(g.p), "q": float(g.q), "bandwidth": g.gamma.bandwidth,
+            "lam_lo": fin(g.lam.lower()), "lam_hi": fin(g.lam.upper()),
+            "gamma_u_hi": fin(g.gamma_u.upper()), "gamma_hi": float(g.gamma_hi),
+            "gamma_norm": float(g.gamma.sup_column_sum()),
+            "alpha_lo": float(g.alpha_lo.lower()), "alpha_hi": float(g.alpha_hi.upper()),
             "free_params": {k: param(v) for k, v in sorted(g.free_params.items())},
             "conservative": g.conservative}
 
@@ -151,13 +151,13 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     ``verification`` (the build's own scan for a fresh certificate) into
     ``report``; with no certificate, the ``error`` and its ``bracket``
     instead, and returns None."""
-    horizon = int(number_at(analysis, "check_horizon", 0))
     if stored is None:
         try:
             cert, g_used, _, bracket = certify(
-                g, rho=number_at(analysis, "rho"), k_max=int(number_at(analysis, "k_max", 12)),
-                h_start=number_at(analysis, "h_start"),
-                h_doublings=int(number_at(analysis, "h_doublings", 40)), check_horizon=horizon)
+                g, rho=number_at(analysis, "rho"), h_start=number_at(analysis, "h_start"),
+                k_max=as_integer(number_at(analysis, "k_max", 12), "'analysis.k_max'"),
+                h_doublings=as_integer(number_at(analysis, "h_doublings", 40),
+                                       "'analysis.h_doublings'"))
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:
@@ -165,12 +165,12 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
             return None
         report["bracket"] = bracket.to_dict()
         report["certificate"] = cert.to_dict()
-        scan = cert.scan  # the build's own scan, to the same horizon
+        scan = cert.scan  # the build's own scan
     else:
         cert, g_used = stored, g
-        scan = verify_certificate(cert, g_used, check_horizon=horizon)
-    report["verification"] = scan.to_dict()
-    return assemble_lyapunov(cert, g_used)
+        scan = verify_certificate(cert, g_used)
+    report["verification"] = asdict(scan)
+    return CompositeLyapunov(cert, g_used)
 
 
 def _conclude(report: dict, s: ExampleScenario, outcome: Outcome, violations: int = 0) -> dict:
@@ -194,7 +194,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
         g, assumptions = derive_and_check(s.generator, s.derivation, report)
         report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
         if not assumptions.ok:
-            return _conclude(report, s, Outcome("reject-assumption", assumptions.first_failed))
+            return _conclude(report, s, Outcome("reject-assumption", assumptions.failed[0]))
         lyap = certify_gains(g, {}, report)
         if lyap is None:
             return _conclude(report, s, Outcome("small-gain-violated"))

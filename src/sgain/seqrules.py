@@ -43,10 +43,10 @@ def _check_index(i: int) -> None:
 
 
 def as_number(x) -> Real:
-    """Coerce scenario-file values (int/float/Fraction/str) to a finite number."""
+    """Coerce scenario-file values (int/float/Fraction/str, not bool) to a finite number."""
     if isinstance(x, float) and not math.isfinite(x):
         raise ParameterError(f"not a finite number: {x!r}")
-    if isinstance(x, (int, float, Fraction)):
+    if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
@@ -54,6 +54,14 @@ def as_number(x) -> Real:
         except (ValueError, ZeroDivisionError):
             pass
     raise ParameterError(f"not a number: {x!r}")
+
+
+def as_integer(x, what: str) -> int:
+    """An integral number (``3``, ``"3"``, ``3.0``; not ``2.5``) as an int."""
+    v = as_number(x)
+    if v != int(v):
+        raise ParameterError(f"{what} must be an integer, got {float(v):g}")
+    return int(v)
 
 
 def load_json(f, parse_float=Fraction):
@@ -174,7 +182,6 @@ class ClosedFormSeq:
     inf: Real
     sup: Real
     nondecreasing: bool = False
-    label: str = ""
 
     def at(self, i: int) -> Real:
         _check_index(i)

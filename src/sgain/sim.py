@@ -37,11 +37,11 @@ from typing import ClassVar, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .certificate import CompositeLyapunov, iss_trajectory_bound
+from .certificate import CompositeLyapunov
 from .errors import InsufficientDataError, NumericInputError, ParameterError, ShapeError
 from .families import NetworkGenerator
 from .network import TruncatedNetwork, _matvec, truncate
-from .seqrules import as_object, number_at
+from .seqrules import as_integer, as_number, as_object, number_at
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -159,13 +159,17 @@ SIGNALS: dict[str, type[InputSignal]] = {
                               TrafficLights)}
 
 
-def signal_from_dict(obj: dict) -> InputSignal:
-    kind = obj.get("kind", "zero")
-    if kind not in SIGNALS:
+def signal_from_dict(obj: Mapping) -> InputSignal:
+    kind = as_object(obj, "an input signal").get("kind", "zero")
+    if not isinstance(kind, str) or kind not in SIGNALS:
         raise ParameterError(f"unknown input signal kind {kind!r}")
     cls = SIGNALS[kind]
-    return cls(**{f.name: (int if f.name == "k" else float)(obj[f.name])
-                  for f in fields(cls) if f.name in obj or f.default is MISSING})
+    try:
+        return cls(**{f.name: as_integer(obj[f.name], "'k'") if f.name == "k"
+                      else float(as_number(obj[f.name]))
+                      for f in fields(cls) if f.name in obj or f.default is MISSING})
+    except KeyError as exc:
+        raise ParameterError(f"input signal {kind!r} lacks the field {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -205,13 +209,13 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
     if kind == "zero":
         return x0
     if kind == "unit":
-        i = int(desc["index"])
+        i = as_integer(desc["index"], "unit index")
         if not 1 <= i <= net.n_subsystems:
             raise ParameterError(f"unit index {i} outside the truncation")
         x0[net.block_offsets[i - 1]] = float(desc.get("value", 1.0))
         return x0
     if kind == "first-k":
-        k = int(desc["K"])
+        k = as_integer(desc["K"], "first-k K")
         if k < 0:
             raise ParameterError(f"first-k needs K >= 0, got {k}")
         k = min(k, net.n_subsystems)
@@ -441,14 +445,14 @@ def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov,
     """Forward-difference check of the dissipation inequality.
 
     Each consecutive pair must satisfy
-    ``(V(t+h) - V(t))/h <= -lambda_inf V(t) + mu_hi gamma_u_hi ||u||^q + tol``
+    ``(V(t+h) - V(t))/h <= -lambda_inf V(t) + mu_hi sup gamma_iu ||u||^q + tol``
     with the step-proportional tolerance ``tol = c_tol h (1 + V(t))``.
     """
     if traj.v is None or traj.v.size < 2:
         raise InsufficientDataError("trajectory lacks a Lyapunov channel or samples")
     h = traj.step
-    lam_inf = float(lyap.lambda_inf)
-    forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** float(lyap.q)
+    lam_inf = float(lyap.cert.lambda_inf)
+    forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** float(lyap.gains.q)
     quotients = np.diff(traj.v) / h
     rhs = -lam_inf * traj.v[:-1] + forcing + c_tol * h * (1.0 + traj.v[:-1])
     return ViolationReport.of("dissipation", traj.t, quotients - rhs, c_tol)
@@ -460,9 +464,8 @@ def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov,
     if traj.v is None or traj.v.size < 1:
         raise InsufficientDataError("trajectory lacks a Lyapunov channel")
     if eps is None:
-        eps = 0.5 * float(lyap.lambda_inf)
-    bound = iss_trajectory_bound(lyap, eps)
-    env = bound.envelope_v(traj.t, float(traj.v[0]), traj.u_sup_norm)
+        eps = 0.5 * float(lyap.cert.lambda_inf)
+    env = lyap.envelope_v(traj.t, float(traj.v[0]), traj.u_sup_norm, eps)
     tol = c_tol * traj.step * (1.0 + env)
     return ViolationReport.of("envelope", traj.t, traj.v - env - tol, c_tol)
 
@@ -515,8 +518,10 @@ def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
         raise ParameterError("the probe needs at least one truncation size")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("truncation sizes must be strictly increasing")
-    if n_list[0] < first_k + gen.family.bandwidth:
-        raise ParameterError("smallest truncation must cover the window plus bandwidth")
+    first_k = as_integer(first_k, "first_k")
+    if not 1 <= first_k <= n_list[0] - gen.family.bandwidth:
+        raise ParameterError("the window needs first_k >= 1, and the smallest "
+                             "truncation must cover it plus the bandwidth")
     p = float(gen.p)
     runs = []
     for n in n_list:
@@ -555,7 +560,7 @@ class SimSetup:
 
 def build_sim(gen: NetworkGenerator, sim: Mapping) -> SimSetup:
     """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
-    net = truncate(gen, int(number_at(sim, "N", 100)))
+    net = truncate(gen, as_integer(number_at(sim, "N", 100), "'sim.N'"))
     try:
         signal = signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
         x0 = initial_state(net, sim.get("x0") or {"kind": "zero"})
@@ -572,7 +577,7 @@ def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
     check is None when ``lambda_inf <= 0``: no decay, no envelope."""
     traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
                      lyapunov=lyap, store_states=False)
-    envelope = verify_envelope(traj, lyap, c_tol=setup.c_tol) if lyap.lambda_inf > 0 else None
+    envelope = verify_envelope(traj, lyap, c_tol=setup.c_tol) if lyap.cert.lambda_inf > 0 else None
     return traj, verify_dissipation(traj, lyap, c_tol=setup.c_tol), envelope
 
 
@@ -582,7 +587,7 @@ def coercivity_sweep(lyap: CompositeLyapunov, net: TruncatedNetwork, seed: int,
     row in a fixed order and evaluated a block of rows at a time."""
     rng = np.random.default_rng(seed)
     bound = BoundLyapunov(lyap, net)
-    p = float(lyap.p)
+    p = float(lyap.gains.p)
     lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
     bad = 0
     worst = 0.0

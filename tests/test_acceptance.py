@@ -18,7 +18,7 @@ from sgain import (LinearChain, NetworkGenerator, SmallGainViolatedError,
                    derive_gains_linear_chain, derive_scenario_gains,
                    make_scenario, neumann_eta, spectral_bracket, truncate,
                    verify_certificate)
-from sgain.certificate import assemble_lyapunov
+from sgain.certificate import CompositeLyapunov
 from sgain.sim import (BoundLyapunov, GeometricProfile, Zero, fit_decay, initial_state,
                        integrate, verify_dissipation, verify_envelope)
 
@@ -64,7 +64,7 @@ def test_criterion_2_neumann_construction():
     # componentwise Theta eta <= shift * eta via direct application
     m = op.bandwidth
     worst_direct = -math.inf
-    for i in range(1, ev.checked_len - m):
+    for i in range(1, ev.eta.preamble_len + 2 * ev.eta.period - m):
         theta_eta = sum(op.row(j).get(i - j, 0) * ev.eta.at(j)
                         for j in range(max(1, i - m), i + m + 1))
         worst_direct = max(worst_direct, float(theta_eta - shift * ev.eta.at(i)))
@@ -92,7 +92,7 @@ def test_criterion_3_dissipation_and_decay(name):
     s = make_scenario(name)
     g = derive_scenario_gains(s)
     cert, g_used, *_ = sgain.certify(g)
-    lyap = assemble_lyapunov(cert, g_used)
+    lyap = CompositeLyapunov(cert, g_used)
     net = truncate(s.generator, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
     traj = integrate(net, x0, Zero(), horizon=10.0, step=1e-3, lyapunov=lyap,
@@ -114,7 +114,7 @@ def test_criterion_4_envelope(name):
     s = make_scenario(name)
     g = derive_scenario_gains(s)
     cert, g_used, *_ = sgain.certify(g)
-    lyap = assemble_lyapunov(cert, g_used)
+    lyap = CompositeLyapunov(cert, g_used)
     net = truncate(s.generator, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
     traj = integrate(net, x0, GeometricProfile(1.0, 0.5), horizon=10.0,
@@ -206,14 +206,14 @@ def test_criterion_6_failing_small_gain(cli, tmp_path):
 def test_criterion_7_rate_cap():
     g = sgain.GainData(
         lam=sgain.ClosedFormSeq(fn=lambda i: 1 + i, inf=2, sup=math.inf,
-                                nondecreasing=True, label="1 + i"),
+                                nondecreasing=True),
         gamma=sgain.PeriodicRows(({1: Fraction(1, 20)},),
                                  ({-1: Fraction(1, 20), 1: Fraction(1, 20)},),
                                  bandwidth=1),
         gamma_u=sgain.PeriodicSeq.constant(1),
         alpha_lo=sgain.PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=sgain.PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=sgain.HALF_SQUARE)
+        p=2, q=2, vform=sgain.HALF_SQUARE)
     cert, g_capped, *_ = sgain.certify(g)
     assert cert.h_cap is not None
     capped_scan = verify_certificate(cert, g_capped)
@@ -240,11 +240,11 @@ def test_criterion_8_numerical_hygiene(cli, tmp_path):
     for name in ("chain-a", "traffic", "lure-platoon"):
         s = make_scenario(name)
         cert, g_used, *_ = sgain.certify(derive_scenario_gains(s))
-        lyap = assemble_lyapunov(cert, g_used)
+        lyap = CompositeLyapunov(cert, g_used)
         net = truncate(s.generator, 40)
         bound = BoundLyapunov(lyap, net)
         lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
-        p = float(lyap.p)
+        p = float(lyap.gains.p)
         for _ in range(10_000):
             x = rng.standard_normal(net.dim) * rng.choice([1e-2, 1.0, 1e2])
             v = bound.value(x)

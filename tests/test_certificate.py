@@ -13,10 +13,10 @@ from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
                    ParameterError, ShapeError, SmallGainViolatedError,
                    build_certificate, build_gain_operator, cap_decay_rates,
                    certify, derive_gains_linear_chain,
-                   iss_trajectory_bound, neumann_eta,
+                   neumann_eta,
                    operator_power_column_sums, spectral_bracket,
                    verify_certificate)
-from sgain.certificate import assemble_lyapunov
+from sgain.certificate import CompositeLyapunov
 from sgain.gains import HALF_SQUARE, GainData
 from sgain.seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
 from sgain.sim import BoundLyapunov
@@ -30,12 +30,12 @@ def unbounded_rate_gains(gamma=Fraction(1, 20)):
     """Tridiagonal gains with decay rates 1 + i (no uniform upper bound)."""
     return GainData(
         lam=ClosedFormSeq(fn=lambda i: 1 + i, inf=2, sup=math.inf,
-                          nondecreasing=True, label="1 + i"),
+                          nondecreasing=True),
         gamma=PeriodicRows(({1: gamma},), ({-1: gamma, 1: gamma},), bandwidth=1),
         gamma_u=PeriodicSeq.constant(1),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, bandwidth=1, vform=HALF_SQUARE)
+        p=2, q=2, vform=HALF_SQUARE)
 
 
 class TestCapDecayRates:
@@ -55,6 +55,17 @@ class TestCapDecayRates:
         assert isinstance(capped.lam, PeriodicSeq)
         for i in range(1, 40):
             assert capped.lam.at(i) == min(1 + i, 10)
+
+    @pytest.mark.parametrize("lam", [
+        ClosedFormSeq(fn=lambda i: 1 + i, inf=2, sup=math.inf),  # not marked nondecreasing
+        ClosedFormSeq(fn=lambda i: 2 - Fraction(1, i), inf=1, sup=2, nondecreasing=True),
+    ])
+    def test_rule_that_stays_aperiodic_raises(self, lam):
+        g = dataclasses.replace(unbounded_rate_gains(), lam=lam)
+        with pytest.raises(CannotCertifyError, match="closed-form"):
+            cap_decay_rates(g, 10)
+        with pytest.raises(CannotCertifyError, match="closed-form"):
+            certify(g, h_start=10)
 
     def test_cap_must_be_positive(self, chain_gains):
         with pytest.raises(ParameterError):
@@ -95,7 +106,7 @@ class TestNeumannEta:
         ev = neumann_eta(operator_power_column_sums(chain_operator, 12), shift)
         # direct application of Theta to the stored eta, independent route
         m = chain_operator.bandwidth
-        for i in range(1, ev.checked_len - m):
+        for i in range(1, ev.eta.preamble_len + 2 * ev.eta.period - m):
             theta_eta = sum(
                 chain_operator.row(j).get(i - j, 0) * ev.eta.at(j)
                 for j in range(max(1, i - m), i + m + 1))
@@ -141,7 +152,7 @@ class TestBuildCertificate:
         bracket = spectral_bracket(chain_operator, k_max=4)
         rho = Fraction(1, 5)
         cert = build_certificate(chain_gains, bracket, rho)
-        target = (1 - bracket.upper) * chain_gains.lam_lo - rho
+        target = (1 - bracket.upper) * chain_gains.lam.lower() - rho
         assert cert.lambda_inf >= target
         assert float(cert.lambda_inf) >= 1.3
 
@@ -149,7 +160,7 @@ class TestBuildCertificate:
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
         cert, *_ = certify(g)
         assert float(cert.r_tilde) <= 0.1 + 1e-12
-        assert cert.lambda_inf == (1 - cert.r_tilde) * g.lam_lo
+        assert cert.lambda_inf == (1 - cert.r_tilde) * g.lam.lower()
         # mu proportional to 1/lambda for uniform rates
         assert cert.mu_lo == pytest.approx(cert.mu_hi)
 
@@ -173,7 +184,7 @@ class TestVerifyCertificate:
 
     def test_brute_force_scan_500_indices(self, chain_certified):
         cert, g, *_ = chain_certified
-        m = g.bandwidth
+        m = g.gamma.bandwidth
         worst = -math.inf
         for i in range(1, 501):
             incoming = sum(
@@ -186,16 +197,14 @@ class TestVerifyCertificate:
 
     def test_fresh_certificate_is_scanned_once(self, traffic_gains, monkeypatch):
         from sgain import scenarios
-        cert, g_used, *_ = certify(traffic_gains, check_horizon=7)
-        assert cert.scan == verify_certificate(cert, g_used, check_horizon=7)
-        assert cert.scan.ok and cert.scan.n_checked == verify_certificate(
-            cert, g_used).n_checked + 7
+        cert, g_used, *_ = certify(traffic_gains)
+        assert cert.scan.ok and cert.scan == verify_certificate(cert, g_used)
         scans = []
         monkeypatch.setattr(scenarios, "verify_certificate",
                             lambda *a, **k: scans.append(a) or verify_certificate(*a, **k))
         report = {}
-        scenarios.certify_gains(traffic_gains, {"check_horizon": 7}, report)
-        assert scans == [] and report["verification"] == cert.scan.to_dict()
+        scenarios.certify_gains(traffic_gains, {"check_horizon": 7}, report)  # an unread key
+        assert scans == [] and report["verification"] == dataclasses.asdict(cert.scan)
         stored = sgain.certificate_from_dict(cert.to_dict())
         assert stored.scan is None
         scenarios.certify_gains(traffic_gains, {"check_horizon": 7}, report, stored)
@@ -212,7 +221,7 @@ class TestVerifyCertificate:
         # certificate is scanned with tolerance 0, so the scan must fail.
         cert, g, *_ = chain_certified
         assert isinstance(cert.lambda_inf, Fraction)
-        m, target = g.bandwidth, Fraction(6, 10 ** 10)
+        m, target = g.gamma.bandwidth, Fraction(6, 10 ** 10)
 
         def base(i):
             incoming = sum(cert.mu.at(j) * g.gamma.row(j).get(i - j, 0)
@@ -237,11 +246,11 @@ class TestVerifyCertificate:
         bracket = spectral_bracket(op, k_max=2)
         cert = sgain.SmallGainCertificate(
             mu=PeriodicSeq.constant(1), mu_lo=1, mu_hi=1,
-            lambda_inf=g.lam_lo / 2, r_tilde=Fraction(1, 2),
+            lambda_inf=g.lam.lower() / 2, r_tilde=Fraction(1, 2),
             rho=Fraction(1, 10), bracket=bracket)
         rep = verify_certificate(cert, g)
         assert rep.ok
-        assert rep.worst_margin == pytest.approx(-float(g.lam_lo) / 2)
+        assert rep.worst_margin == pytest.approx(-float(g.lam.lower()) / 2)
 
 
 class TestStepFiveCap:
@@ -294,13 +303,13 @@ class TestRandomizedSoundness:
 class TestCompositeLyapunov:
     def test_zero_state(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         assert BoundLyapunov(lyap, net).value(np.zeros(10)) == 0.0
 
     def test_unit_vector_value(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         e1 = np.zeros(10)
         e1[0] = 1.0
@@ -308,7 +317,7 @@ class TestCompositeLyapunov:
 
     def test_coercivity_on_unit_sphere(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 20)
         rng = np.random.default_rng(5)
         lo, hi = float(cert.mu_lo) / 2, float(cert.mu_hi) / 2
@@ -323,7 +332,7 @@ class TestCompositeLyapunov:
     def test_quadratic_form_matches_block_diagonal(self, name):
         s = sgain.make_scenario(name)
         cert, g, *_ = certify(sgain.derive_scenario_gains(s))
-        lyap, m = assemble_lyapunov(cert, g), g.vform.matrix()
+        lyap, m = CompositeLyapunov(cert, g), g.vform.matrix()
         for n in (1, 7, 100):
             q = BoundLyapunov(lyap, sgain.truncate(s.generator, n))._q
             ref = sp.block_diag([float(cert.mu.at(i)) * m for i in range(1, n + 1)],
@@ -333,39 +342,37 @@ class TestCompositeLyapunov:
 
     def test_dimension_mismatch(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         with pytest.raises(ShapeError):
             BoundLyapunov(lyap, net).value(np.zeros(7))
 
 
-class TestTrajectoryBound:
+class TestEnvelope:
     def test_zero_input_envelope(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
-        bound = iss_trajectory_bound(lyap, float(cert.lambda_inf) / 2)
-        assert bound.chi(0.0) == 0.0
-        assert bound.envelope_v(0.0, 3.0, 0.0) == pytest.approx(3.0)
+        lyap, eps = CompositeLyapunov(cert, g), float(cert.lambda_inf) / 2
+        assert lyap.chi(0.0, eps) == 0.0
+        assert lyap.envelope_v(0.0, 3.0, 0.0, eps) == pytest.approx(3.0)
 
     def test_gain_blows_up_toward_lambda_inf(self, traffic_certified):
         cert, g, *_ = traffic_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         lam = float(cert.lambda_inf)
-        chis = [iss_trajectory_bound(lyap, f * lam).chi(1.0)
-                for f in (0.5, 0.9, 0.99, 0.999)]
+        chis = [lyap.chi(1.0, f * lam) for f in (0.5, 0.9, 0.99, 0.999)]
         assert all(b > a for a, b in zip(chis, chis[1:]))
-        with pytest.raises(ParameterError):
-            iss_trajectory_bound(lyap, lam)
-        with pytest.raises(ParameterError):
-            iss_trajectory_bound(lyap, 0.0)
+        for eps in (lam, 0.0):
+            with pytest.raises(ParameterError):
+                lyap.chi(1.0, eps)
+            with pytest.raises(ParameterError):
+                lyap.envelope_norm(0.0, 1.0, 0.0, eps)
 
     def test_traffic_chi_formula(self, traffic_certified):
         cert, g, *_ = traffic_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         lam = float(cert.lambda_inf)
-        bound = iss_trajectory_bound(lyap, lam / 2)
-        expected = 2 * float(cert.mu_hi) * float(g.gamma_u_hi) / lam
-        assert bound.chi(1.0) == pytest.approx(expected)
+        expected = 2 * float(cert.mu_hi) * float(g.gamma_u.upper()) / lam
+        assert lyap.chi(1.0, lam / 2) == pytest.approx(expected)
 
 
 class TestSerialization:

@@ -137,6 +137,29 @@ class TestExitCodes:
         stored = json.loads((out / "certificate.json").read_text())["certificate"]
         assert stored == report["certificate"] and report["verification"]["ok"]
 
+    def test_ragged_and_non_integral_entries_are_input_errors(self, run_main, tmp_path):
+        """A ragged matrix, a fractional count and a JSON boolean where a
+        number belongs each exit 1 with one error line, never a traceback
+        nor a silently truncated or coerced value."""
+        platoon = sgain.make_scenario("lure-platoon")
+        ragged = sgain.generator_to_dict(platoon.generator)
+        ragged["coefficients"]["A"] = [[0.0, 1.0], [-1.0]]
+        chain = {"scenario": "chain-a"}
+        cases = [(command, {"network": ragged, "derivation": platoon.derivation,
+                            "sim": FAST_SIM}) for command in ("certify", "simulate")]
+        cases += [("simulate", {"network": chain, "sim": {**FAST_SIM, "N": n}})
+                  for n in (2.5, True)]
+        cases += [("certify", {"network": chain, "analysis": {key: 2.5}})
+                  for key in ("k_max", "h_doublings")]
+        cases += [("simulate", {"network": chain, "sim": {**FAST_SIM, "x0": x0}})
+                  for x0 in ({"kind": "unit", "index": 2.5}, {"kind": "first-k", "K": 2.5})]
+        cases += [("analyze", {"network": {"family": "linear-chain", "coefficients": {
+            "diag": True, "sub": "1/10", "sup": "1/10"}}})]
+        for k, (command, content) in enumerate(cases):
+            cfg = _write(tmp_path / f"c{k}.json", content)
+            code, err = run_main([command, "--config", cfg, "--out", tmp_path / f"c{k}"])
+            assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (content, err)
+
     def test_certify_small_gain_violated(self, cli, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

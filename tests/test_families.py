@@ -138,7 +138,7 @@ def test_power_table_and_certificate(fam, eps):
     assert verify_certificate(cert, g).ok
     ev, shift = cert.eta, cert.r_tilde
     tol = 0 if isinstance(shift, Fraction) else 1e-12
-    for i in range(1, ev.checked_len - m):
+    for i in range(1, ev.eta.preamble_len + 2 * ev.eta.period - m):
         theta_eta = sum(op.row(j).get(i - j, 0) * ev.eta.at(j)
                         for j in range(max(1, i - m), i + m + 1))
         bound = shift * ev.eta.at(i)
@@ -286,7 +286,7 @@ def test_power_table_and_eta_match_window_reference(psi):
         return
     shift = bracket.upper + (1 - bracket.upper) / 10
     ev = neumann_eta(bracket.table, shift)
-    eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
+    eta = [ev.eta.at(i) for i in range(1, ev.eta.preamble_len + 2 * ev.eta.period + 1)]
     assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used, bracket.table.start))
 
 
@@ -305,7 +305,7 @@ def test_shipped_series_matches_window_reference(name, shift_type):
     for shift in (bracket.upper, bracket.upper + (1 - bracket.upper) / 10):
         assert type(shift) is shift_type
         ev = neumann_eta(bracket.table, shift)
-        eta = [ev.eta.at(i) for i in range(1, ev.checked_len + 1)]
+        eta = [ev.eta.at(i) for i in range(1, ev.eta.preamble_len + 2 * ev.eta.period + 1)]
         assert bits(eta) == bits(window_eta(psi, shift, ev.terms_used, start))
 
 

@@ -11,7 +11,7 @@ from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    NetworkGenerator, ResourceError,
                    build_gain_operator, check_assumptions, check_lure_lmi,
                    derive_gains_linear_chain, derive_gains_lure,
-                   derive_gains_traffic, gamma_norm,
+                   derive_gains_traffic,
                    operator_power_column_sums, spectral_bracket)
 from sgain.families import LureBanded
 from sgain.seqrules import PeriodicSeq
@@ -39,12 +39,12 @@ class TestChainDerivation:
         assert g.lam.at(17) == Fraction(8, 5)
         assert g.gamma.row(1) == {1: Fraction(1, 20)}
         assert g.gamma.row(9) == {-1: Fraction(1, 20), 1: Fraction(1, 20)}
-        assert g.alpha_lo_bound == Fraction(1, 2) == g.alpha_hi_bound
+        assert g.alpha_lo.lower() == Fraction(1, 2) == g.alpha_hi.upper()
         assert (g.p, g.q) == (2, 2)
 
     def test_decoupled(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
-        assert gamma_norm(g) == 0
+        assert g.gamma.sup_column_sum() == 0
         op = build_gain_operator(g)
         assert op.sup_column_sum() == 0
 
@@ -119,8 +119,8 @@ class TestLureLmi:
         assert ok
         m = np.array(d["M"], dtype=float)
         eigs = np.linalg.eigvalsh(m)
-        assert platoon_gains.alpha_lo_bound == pytest.approx(eigs[0])
-        assert platoon_gains.alpha_hi_bound == pytest.approx(eigs[-1])
+        assert platoon_gains.alpha_lo.lower() == pytest.approx(eigs[0])
+        assert platoon_gains.alpha_hi.upper() == pytest.approx(eigs[-1])
 
     def test_indefinite_m_rejected(self, platoon_scenario):
         with pytest.raises(InvalidCertificateError):
@@ -153,8 +153,8 @@ class TestLureDerivation:
                          d_left=((0.0,),), d_right=((0.0,),),
                          sector_l=-1, sector_r=1, phi="zero")
         g = derive_gains_lure(NetworkGenerator(family=fam), [[1.0]], 1.0, 0.1)
-        assert gamma_norm(g) == 0
-        assert float(g.gamma_u_hi) == 0
+        assert g.gamma.sup_column_sum() == 0
+        assert float(g.gamma_u.upper()) == 0
 
 
 class TestTrafficDerivation:
@@ -176,7 +176,7 @@ class TestTrafficDerivation:
     def test_decoupling_limit(self):
         s = sgain.make_scenario("traffic", {"coefficients": {"c": "0.0001"}})
         g = derive_gains_traffic(s.generator, Fraction(1, 10))
-        assert float(gamma_norm(g)) < 1e-6
+        assert float(g.gamma.sup_column_sum()) < 1e-6
 
     def test_class_gain_consistency_200_indices(self, traffic_gains):
         fam = sgain.make_scenario("traffic").generator.family
@@ -210,17 +210,18 @@ class TestGainOperator:
             assert offsets == tuple(sorted(fam.cell(i)[2]))
 
     def test_gamma_norm_chain(self, chain_gains):
-        assert gamma_norm(chain_gains) == Fraction(1, 10)
+        assert chain_gains.gamma.sup_column_sum() == Fraction(1, 10)
 
     def test_gamma_norm_brute_force_traffic(self, traffic_gains):
         columns = traffic_gains.gamma.transpose()
         cols = [float(sum(columns.row(j).values())) for j in range(1, 201)]
-        assert float(gamma_norm(traffic_gains)) == pytest.approx(max(cols), rel=1e-15)
+        assert float(traffic_gains.gamma.sup_column_sum()) == pytest.approx(max(cols), rel=1e-15)
 
     def test_lemma3_norm_bound(self, chain_gains, traffic_gains):
         for g in (chain_gains, traffic_gains):
             op = build_gain_operator(g)
-            assert float(op.sup_column_sum()) <= float(gamma_norm(g)) / float(g.lam_lo) + 1e-15
+            bound = float(g.gamma.sup_column_sum()) / float(g.lam.lower())
+            assert float(op.sup_column_sum()) <= bound + 1e-15
 
 
 class TestOperatorPowers:
@@ -368,7 +369,7 @@ class TestAssumptions:
         g = sgain.derive_scenario_gains(sgain.make_scenario("counter-slow"))
         rep = check_assumptions(g)
         assert not rep.ok
-        assert rep.first_failed == "lambda_lo"
+        assert rep.failed[0] == "lambda_lo"
         assert rep.conservative
 
     def test_counter_gain_fails_input_gain_only(self):

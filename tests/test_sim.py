@@ -12,7 +12,7 @@ from sgain import (InsufficientDataError, LinearChain, NetworkGenerator,
                    NumericInputError, ParameterError, Zero, fit_decay,
                    initial_state, integrate, lp_norm, truncate,
                    truncation_convergence_probe, verify_dissipation)
-from sgain.certificate import assemble_lyapunov
+from sgain.certificate import CompositeLyapunov
 from sgain.network import evaluate_rhs
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
                        TrafficLights, export_csv, signal_from_dict,
@@ -75,7 +75,7 @@ class TestNorms:
 
     def test_block_aggregation(self):
         net = truncate(sgain.make_scenario("lure-platoon").generator, 2)
-        assert list(net.block_dims) == [2, 2]
+        assert net.block_dim == 2
         x = np.array([3.0, 4.0, 0.0, 1.0])
         assert lp_norm(net.block_norms(x), 2) == pytest.approx(math.sqrt(26.0))
 
@@ -119,6 +119,24 @@ class TestSignals:
                     {"kind": "sinusoid-first-k", "k": 2, "amplitude": 1.0, "frequency": 1.0},
                     {"kind": "traffic-lights", "t_on": 1.0, "t_off": 1.0, "amplitude": 1.0}):
             assert signal_from_dict(obj).to_dict() == obj
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "constant-first-k", "amplitude": 1.0},  # a missing field
+        {"kind": "constant-first-k", "k": "three", "amplitude": 1.0},
+        {"kind": "constant-first-k", "k": 2.5, "amplitude": 1.0},  # not truncated to 2
+        {"kind": "constant-first-k", "k": True, "amplitude": 1.0},
+        {"kind": "geometric", "amplitude": "big", "ratio": 0.5},
+        {"kind": ["zero"]},
+        [1, 2],
+        "zero",
+    ])
+    def test_malformed_descriptions_are_parameter_errors(self, obj):
+        with pytest.raises(ParameterError):
+            signal_from_dict(obj)
+
+    def test_integral_fields_accept_integral_spellings(self):
+        for k in (3, "3", 3.0, Fraction(3)):
+            assert signal_from_dict({"kind": "constant-first-k", "k": k, "amplitude": 1}).k == 3
 
     def test_geometric_ratio_validated(self):
         with pytest.raises(ParameterError):
@@ -234,7 +252,7 @@ class TestBlocks:
     @pytest.mark.parametrize("store_states", [True, False])
     def test_partial_last_block(self, monkeypatch, chain_certified, store_states):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         whole = integrate(net, x0, SinusoidOnFirstK(3, 0.5, 2.0), 1.0, 1e-2, lyapunov=lyap)
@@ -251,7 +269,7 @@ class TestBlocks:
 class TestDissipation:
     def test_certified_chain_no_violations(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 50)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         traj = integrate(net, x0, Zero(), 5.0, 1e-3, lyapunov=lyap)
@@ -260,7 +278,7 @@ class TestDissipation:
 
     def test_zero_input_v_nonincreasing(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 50)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         traj = integrate(net, x0, Zero(), 5.0, 1e-3, lyapunov=lyap)
@@ -268,18 +286,18 @@ class TestDissipation:
 
     def test_corrupted_rate_reports_violations(self, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 30)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         traj = integrate(net, x0, Zero(), 3.0, 1e-3, lyapunov=lyap)
         bad_cert = dataclasses.replace(cert, lambda_inf=10 * cert.lambda_inf)
-        bad = assemble_lyapunov(bad_cert, g)
+        bad = CompositeLyapunov(bad_cert, g)
         rep = verify_dissipation(traj, bad)
         assert not rep.ok and rep.worst_margin > 0
 
     def test_forced_traffic_envelope_and_dissipation(self, traffic_certified):
         cert, g, *_ = traffic_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(sgain.make_scenario("traffic").generator, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         sig = GeometricProfile(1.0, 0.5)
@@ -289,13 +307,13 @@ class TestDissipation:
 
     def test_norm_level_envelope(self, traffic_certified):
         cert, g, *_ = traffic_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(sgain.make_scenario("traffic").generator, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         sig = GeometricProfile(1.0, 0.5)
         traj = integrate(net, x0, sig, 6.0, 1e-3, lyapunov=lyap)
-        bound = sgain.iss_trajectory_bound(lyap, 0.5 * float(cert.lambda_inf))
-        env = bound.envelope_norm(traj.t, traj.norm_p[0], traj.u_sup_norm)
+        env = lyap.envelope_norm(traj.t, traj.norm_p[0], traj.u_sup_norm,
+                                 0.5 * float(cert.lambda_inf))
         assert np.all(traj.norm_p <= env + 20.0 * traj.step * (1.0 + env))
 
 
@@ -313,7 +331,7 @@ class TestLureSectorEndToEnd:
         gen = NetworkGenerator(family=fam)
         g = sgain.derive_gains_lure(gen, [[0.5]], kappa=2.5, eps=0.25, tau=1.0)
         cert, g_used, *_ = sgain.certify(g)
-        lyap = assemble_lyapunov(cert, g_used)
+        lyap = CompositeLyapunov(cert, g_used)
         net = truncate(gen, 30)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 2.0})
         traj = integrate(net, x0, ConstantOnFirstK(5, 0.3), 5.0, 1e-3,
@@ -386,6 +404,12 @@ class TestTruncationProbe:
                 chain_gen(), {"kind": "first-k", "K": 5}, Zero(),
                 1.0, 1e-2, n_list=(4, 8), first_k=5)
 
+    @pytest.mark.parametrize("first_k", [-3, 0, 5, 2.5])
+    def test_window_outside_the_smallest_truncation(self, first_k):
+        with pytest.raises(ParameterError, match="first_k"):
+            truncation_convergence_probe(chain_gen(), {"kind": "first-k", "K": 3}, Zero(),
+                                         1.0, 1e-2, n_list=(5, 8), first_k=first_k)
+
     def test_empty_size_list(self):
         with pytest.raises(ParameterError, match="at least one truncation size"):
             truncation_convergence_probe(
@@ -403,7 +427,7 @@ class TestTruncationProbe:
 class TestExport:
     def test_csv_columns(self, tmp_path, chain_certified):
         cert, g, *_ = chain_certified
-        lyap = assemble_lyapunov(cert, g)
+        lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 5)
         x0 = initial_state(net, {"kind": "first-k", "K": 2, "value": 1.0})
         traj = integrate(net, x0, Zero(), 0.1, 0.01, lyapunov=lyap)
