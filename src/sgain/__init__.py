@@ -19,8 +19,8 @@ from .errors import (CannotCertifyError, DerivationError,
                      UnknownScenarioError)
 from .seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
 from .families import (FAMILIES, CounterexampleGain, CounterexampleSlow,
-                       Family, LinearChain, LureBanded, NetworkGenerator,
-                       Traffic, classify_traffic_cell, generator_from_dict,
+                       Family, LinearChain, LureBanded, Traffic,
+                       classify_traffic_cell, generator_from_dict,
                        generator_to_dict, load_generator, save_generator)
 from .gains import (HALF_SQUARE, AssumptionReport, GainData, PowerTable,
                     QuadraticForm, SpectralBracket,
@@ -33,7 +33,7 @@ from .certificate import (CompositeLyapunov, EtaVector, SmallGainCertificate,
                           certificate_from_dict, certify, neumann_eta,
                           verify_certificate)
 from .scenarios import (SCENARIO_NAMES, ExampleScenario, Outcome,
-                        derive_scenario_gains, make_scenario, run_pipeline)
+                        make_scenario, run_pipeline)
 
 __version__ = "0.1.0"
 

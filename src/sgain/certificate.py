@@ -309,15 +309,20 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     bracket)``.  Raises :class:`SmallGainViolatedError` when the bracket
     refutes or fails to establish the condition for bounded rates, and
     :class:`CannotCertifyError` when no cap in the doubling schedule
-    certifies.
+    certifies.  Caps stay below a finite sup: by default a nondecreasing
+    rule starts at the midpoint of its inf and sup when the sup is lower.
     """
     caps = [None]  # bounded rates: no cap
     if not isinstance(g.lam, PeriodicSeq):
         lam_lo = g.lam.lower()
         if lam_lo <= 0:
             raise CannotCertifyError("no uniform positive decay rate")
+        lam_hi = g.lam.upper()
         h = h_start if h_start is not None else 2 * max(1, math.ceil(float(lam_lo)))
+        if h_start is None and g.lam.nondecreasing and h >= lam_hi:
+            h = exact_div(lam_lo + lam_hi, 2)
         caps = [h * 2 ** j for j in range(max(1, int(h_doublings)))]
+        caps = [c for c in caps if c < lam_hi] or caps[:1]  # a cap >= sup stays aperiodic
     for h in caps:
         gh = g if h is None else cap_decay_rates(g, h)
         op = build_gain_operator(gh)
@@ -340,12 +345,12 @@ class CompositeLyapunov:
     """V(x) = sum_i mu_i V_i(x_i) with exact coercivity constants, and the
     exponential envelope its dissipation inequality gives.
 
-    Coercivity: ``mu_lo alpha_lo |x|_p^p <= V(x) <= mu_hi alpha_hi |x|_p^p``.
-    Dissipation: ``D+ V <= -lambda_inf V + mu_hi sup gamma_iu |u|_{q,inf}^q``.
+    Coercivity: ``mu_lo alpha_lo |x|_2^2 <= V(x) <= mu_hi alpha_hi |x|_2^2``.
+    Dissipation: ``D+ V <= -lambda_inf V + mu_hi sup gamma_iu |u|_{2,inf}^2``.
     For any 0 < eps < lambda_inf this gives ``V(t) <= exp(-eps t) V(0) +
-    chi(||u||)`` with ``chi(r) = mu_hi sup gamma_iu r^q / (lambda_inf - eps)``,
+    chi(||u||)`` with ``chi(r) = mu_hi sup gamma_iu r^2 / (lambda_inf - eps)``,
     and the norm-level estimate with prefactor ``(2 alpha_hi mu_hi /
-    (alpha_lo mu_lo))^(1/p)`` and gain ``(2 chi(r)/(alpha_lo mu_lo))^(1/p)``.
+    (alpha_lo mu_lo))^(1/2)`` and gain ``(2 chi(r)/(alpha_lo mu_lo))^(1/2)``.
     """
 
     def __init__(self, cert: SmallGainCertificate, gains: GainData):
@@ -357,16 +362,16 @@ class CompositeLyapunov:
 
     def chi(self, u_norm: float, eps: float) -> float:
         """The input gain of the envelope for a margin eps in (0, lambda_inf)."""
-        lam_inf, eps, q = float(self.cert.lambda_inf), float(eps), float(self.gains.q)
+        lam_inf, eps = float(self.cert.lambda_inf), float(eps)
         if not 0 < eps < lam_inf:
             raise ParameterError(f"eps must lie in (0, {lam_inf:g}), got {eps:g}")
-        return float(self.input_coefficient) / (lam_inf - eps) * float(u_norm) ** q
+        return float(self.input_coefficient) / (lam_inf - eps) * float(u_norm) ** 2.0
 
     def envelope_v(self, t, v0: float, u_norm: float, eps: float):
         return np.exp(-float(eps) * np.asarray(t, dtype=float)) * v0 + self.chi(u_norm, eps)
 
     def envelope_norm(self, t, x0_norm: float, u_norm: float, eps: float):
-        p, lo = float(self.gains.p), float(self.coercivity_lo)
-        pref = (2.0 * float(self.coercivity_hi) / lo) ** (1.0 / p)
-        gain = (2.0 * self.chi(u_norm, eps) / lo) ** (1.0 / p)
-        return pref * np.exp(-float(eps) * np.asarray(t, dtype=float) / p) * x0_norm + gain
+        lo = float(self.coercivity_lo)
+        pref = (2.0 * float(self.coercivity_hi) / lo) ** 0.5
+        gain = (2.0 * self.chi(u_norm, eps) / lo) ** 0.5
+        return pref * np.exp(-float(eps) * np.asarray(t, dtype=float) / 2.0) * x0_norm + gain

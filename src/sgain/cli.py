@@ -61,31 +61,31 @@ def _load_config(path, parse_float=Fraction) -> dict:
 
 
 def _resolve(cfg: dict):
-    """(generator, derivation, analysis, sim) of a run configuration."""
+    """(family, derivation, analysis, sim) of a run configuration."""
     net = cfg.get("network")
     if net is None:
         raise ParameterError("config lacks a 'network' entry")
     scenario = None
     if isinstance(net, str):
-        gen = generator_from_dict(_load_config(net))
+        fam = generator_from_dict(_load_config(net))
     elif "scenario" in as_object(net, "'network'"):
         scenario = make_scenario(net["scenario"], net.get("overrides"))
-        gen = scenario.generator
+        fam = scenario.family
     else:
-        gen = generator_from_dict(net)
+        fam = generator_from_dict(net)
     derivation, analysis, sim = (as_object(cfg.get(key), repr(key))
                                  for key in ("derivation", "analysis", "sim"))
     if scenario is not None:
         derivation, sim = derivation or scenario.derivation, {**scenario.sim, **sim}
-    return gen, derivation, analysis, sim
+    return fam, derivation, analysis, sim
 
 
 def _gains(args, cfg):
     """(gains, assumption report, analysis, report) of analyze and certify."""
-    gen, derivation, analysis, _ = _resolve(cfg)
+    fam, derivation, analysis, _ = _resolve(cfg)
     report = {"schema": "sgain/1", "command": args.command, "seed": args.seed,
-              "network_family": gen.family.name}
-    return (*derive_and_check(gen, derivation, report), analysis, report)
+              "network_family": fam.name}
+    return (*derive_and_check(fam, derivation, report), analysis, report)
 
 
 def cmd_analyze(args, cfg) -> str:
@@ -103,27 +103,21 @@ def cmd_certify(args, cfg) -> str:
     return kind
 
 
-def _flag(sim: dict, key: str) -> bool:
-    value = sim.get(key)
-    if value is not None and not isinstance(value, bool):
-        raise ParameterError(f"'sim.{key}' must be true or false, got {value!r}")
-    return bool(value)
-
-
 def cmd_simulate(args, cfg) -> str:
     from . import sim as simmod
-    gen, derivation, analysis, sim = _resolve(cfg)
-    csv_states = _flag(sim, "csv_states")
-    store = _flag(sim, "store_states") or csv_states
-    setup = simmod.build_sim(gen, sim)
+    fam, derivation, analysis, sim = _resolve(cfg)
+    csv_states = sim.get("csv_states")
+    if csv_states is not None and not isinstance(csv_states, bool):
+        raise ParameterError(f"'sim.csv_states' must be true or false, got {csv_states!r}")
+    setup = simmod.build_sim(fam, sim)
     try:  # without gains, assumptions or a certificate: no V channel
-        g, assumptions = derive_and_check(gen, derivation, {})
+        g, assumptions = derive_and_check(fam, derivation, {})
         ok = assumptions.ok
     except (DerivationError, InvalidCertificateError):
         ok = False
     lyap = certify_gains(g, analysis, {}) if ok else None
     traj = simmod.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
-                            lyapunov=lyap, store_states=store)
+                            lyapunov=lyap, store_states=bool(csv_states))
     summary = {"schema": "sgain/1", "command": "simulate", "seed": args.seed,
                **setup.to_dict(), "input": setup.signal.to_dict(),
                "diverged": traj.diverged, "u_sup_norm": traj.u_sup_norm,
@@ -136,15 +130,15 @@ def cmd_simulate(args, cfg) -> str:
     except SgainError:
         summary["decay_fit"] = None
     _write_report(Path(args.out), "summary.json", summary)
-    simmod.export_csv(traj, Path(args.out) / "trajectory.csv", include_states=csv_states)
+    simmod.export_csv(traj, Path(args.out) / "trajectory.csv", include_states=bool(csv_states))
     return "ok"
 
 
 def cmd_verify(args, cfg) -> str:
     from . import sim as simmod
-    gen, derivation, analysis, sim = _resolve(cfg)
+    fam, derivation, analysis, sim = _resolve(cfg)
     head: dict = {}
-    g, assumptions = derive_and_check(gen, derivation, head)
+    g, assumptions = derive_and_check(fam, derivation, head)
     report = {"schema": "sgain/1", "command": "verify", "assumptions": head["assumptions"]}
     if not assumptions.ok:
         _write_report(Path(args.out), "verification.json", report)
@@ -155,7 +149,7 @@ def cmd_verify(args, cfg) -> str:
     if lyap is None:
         print(f"error: {head['error']}", file=sys.stderr)
         return "small-gain-violated"
-    setup = simmod.build_sim(gen, sim)
+    setup = simmod.build_sim(fam, sim)
     _, dissipation, envelope = simmod.check_run(setup, lyap, setup.signal)
     scan = head["verification"]
     bad = int(not scan["ok"]) + sum(len(c.violations) for c in (dissipation, envelope) if c)

@@ -24,9 +24,9 @@ Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
   used as negative controls: the first has no uniform decay rate, the
   second no uniform input gain.
 
-A :class:`NetworkGenerator` bundles a family with exponents (p, q), and
-the description codec reads and writes it as JSON.  Nothing here imports
-scipy: the finite truncations of a generator live in :mod:`sgain.network`.
+A family instance is the network description; its ``V_i`` are quadratic,
+so the JSON codec writes and accepts only the exponents p = q = 2.  Nothing
+here imports scipy: the truncations of a family live in :mod:`sgain.network`.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ class Family:
     def from_json(cls, coeff: Mapping) -> "Family":
         return cls()
 
-    def derive_gains(self, gen: NetworkGenerator, derivation: Mapping) -> GainData:
+    def derive_gains(self, derivation: Mapping) -> GainData:
         raise NotImplementedError
 
-    def report_notes(self, gen: NetworkGenerator, derivation: Mapping) -> dict:
+    def report_notes(self, derivation: Mapping) -> dict:
         """Family-specific entries of a pipeline report's gain summary."""
         return {}
 
@@ -168,8 +168,8 @@ class LinearChain(Family):
         return cls(diag=_seq_from_json(coeff["diag"]), sub=_seq_from_json(coeff["sub"]),
                    sup=_seq_from_json(coeff["sup"]))
 
-    def derive_gains(self, gen, derivation):
-        return derive_gains_linear_chain(gen, derivation.get("eps"), derivation.get("delta"))
+    def derive_gains(self, derivation):
+        return derive_gains_linear_chain(self, derivation.get("eps"), derivation.get("delta"))
 
 
 def _mat(x) -> np.ndarray:
@@ -287,12 +287,12 @@ class LureBanded(Family):
                    sector_r=as_number(coeff["sector"][1]),
                    phi=coeff.get("phi", "midpoint-linear"))
 
-    def derive_gains(self, gen, derivation):
+    def derive_gains(self, derivation):
         try:
             m, kappa, eps = derivation["M"], derivation["kappa"], derivation["eps"]
         except KeyError as exc:
             raise ParameterError(f"missing derivation parameter {exc}") from None
-        return derive_gains_lure(gen, m, kappa, eps, derivation.get("tau", 1.0))
+        return derive_gains_lure(self, m, kappa, eps, derivation.get("tau", 1.0))
 
 
 # Traffic cell classes: neighbor offsets, exit multiplier (times e), and
@@ -378,12 +378,12 @@ class Traffic(Family):
         return cls(v=_seq_from_json(coeff["v"]), l=_seq_from_json(coeff["l"]),
                    c=as_number(coeff["c"]), e=as_number(coeff["e"]), r=as_number(coeff["r"]))
 
-    def derive_gains(self, gen, derivation):
-        return derive_gains_traffic(gen, derivation.get("eps"))
+    def derive_gains(self, derivation):
+        return derive_gains_traffic(self, derivation.get("eps"))
 
-    def report_notes(self, gen, derivation):
+    def report_notes(self, derivation):
         return {"traffic_sufficient_condition": traffic_small_gain_sufficient(
-            gen, derivation.get("eps", Fraction(1, 10)))}
+            self, derivation.get("eps", Fraction(1, 10)))}
 
 
 @dataclass(frozen=True)
@@ -399,12 +399,11 @@ class _DecoupledScalar(Family):
         a_i, b_i = self.coefficients(i)
         return _scalar(a_i), {}, _scalar(b_i)
 
-    def derive_gains(self, gen, derivation):
+    def derive_gains(self, derivation):
         lam, gamma_u = self.rules
         return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u,
                         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-                        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-                        p=2, q=2, vform=HALF_SQUARE)
+                        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE)
 
 
 class CounterexampleSlow(_DecoupledScalar):
@@ -443,51 +442,41 @@ FAMILIES: dict[str, type[Family]] = {
 
 
 # --------------------------------------------------------------------------
-# Generator and description files
+# Description files
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NetworkGenerator:
-    """Finite, machine-checkable description of the whole infinite network."""
-
-    family: Family
-    p: Real = 2
-    q: Real = 2
-
-    def __post_init__(self):
-        if not (1 <= self.p < math.inf and 1 <= self.q < math.inf):
-            raise ParameterError("exponents p, q must lie in [1, inf)")
-
-
-def generator_to_dict(gen: NetworkGenerator) -> dict:
-    structure = gen.family.structure
+def generator_to_dict(fam: Family) -> dict:
+    structure = fam.structure
     mode = ({"eventually_periodic": {"preamble": structure[0], "period": structure[1]}}
             if structure else {"closed_form": {}})
-    return {"schema": "sgain/1", "family": gen.family.name, "mode": mode,
-            "bandwidth": gen.family.bandwidth, "p": _num_to_json(gen.p),
-            "q": _num_to_json(gen.q), "coefficients": gen.family.to_json()}
+    return {"schema": "sgain/1", "family": fam.name, "mode": mode,
+            "bandwidth": fam.bandwidth, "p": 2, "q": 2, "coefficients": fam.to_json()}
 
 
-def generator_from_dict(obj: Mapping) -> NetworkGenerator:
+def generator_from_dict(obj: Mapping) -> Family:
+    """The family of a description; its exponents ``p``, ``q`` must be 2 when given."""
     try:
         name = obj["family"]
         if name not in FAMILIES:
             raise ParameterError(f"unknown family {name!r}")
         fam = FAMILIES[name].from_json(obj.get("coefficients", {}))
-        return NetworkGenerator(family=fam, p=as_number(obj.get("p", 2)),
-                                q=as_number(obj.get("q", 2)))
+        p, q = as_number(obj.get("p", 2)), as_number(obj.get("q", 2))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParameterError(f"malformed network description: {exc}") from exc
+    if p != 2 or q != 2:
+        raise ParameterError("quadratic-form derivations provide gain data for p = q = 2; "
+                             f"the generator declares p = {p}, q = {q}")
+    return fam
 
 
-def load_generator(path) -> NetworkGenerator:
+def load_generator(path) -> Family:
     """Read a network description file (JSON, decimals parsed exactly)."""
     with open(path) as f:
         return generator_from_dict(load_json(f))
 
 
-def save_generator(gen: NetworkGenerator, path) -> None:
+def save_generator(fam: Family, path) -> None:
     with open(path, "w") as f:
-        json.dump(generator_to_dict(gen), f, indent=2, sort_keys=True)
+        json.dump(generator_to_dict(fam), f, indent=2, sort_keys=True)
         f.write("\n")

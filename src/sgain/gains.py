@@ -40,7 +40,7 @@ from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_number,
                        exact_div)
 
 if TYPE_CHECKING:
-    from .families import NetworkGenerator
+    from .families import LinearChain, LureBanded, Traffic
 
 # --------------------------------------------------------------------------
 # Subsystem Lyapunov function shapes
@@ -68,10 +68,10 @@ HALF_SQUARE = QuadraticForm(((0.5,),))  # V_i(x_i) = x_i^2 / 2 for scalar subsys
 
 @dataclass(frozen=True)
 class GainData:
-    """Sequences (lambda_i, gamma_ij, gamma_iu, alpha bounds) plus exponents.
+    """Sequences (lambda_i, gamma_ij, gamma_iu, alpha bounds) of quadratic V_i.
 
     ``gamma`` stores row i as a map from neighbor offset j - i to
-    gamma_ij, within the band ``gamma.bandwidth`` of the generator.
+    gamma_ij, within the band ``gamma.bandwidth`` of the family.
     Uniform bounds over all i are each sequence's ``lower()`` or
     ``upper()``: exact for periodic rules, the certified declarations for
     closed-form rules.
@@ -82,8 +82,6 @@ class GainData:
     gamma_u: Seq
     alpha_lo: Seq
     alpha_hi: Seq
-    p: Real
-    q: Real
     vform: QuadraticForm
     free_params: dict = field(default_factory=dict)
 
@@ -120,17 +118,9 @@ def _as_rule(x, name: str) -> PeriodicSeq:
     return PeriodicSeq.constant(as_number(x))
 
 
-def _require_quadratic_exponents(gen: NetworkGenerator) -> None:
-    if gen.p != 2 or gen.q != 2:
-        raise ParameterError(
-            "quadratic-form derivations provide gain data for p = q = 2; "
-            f"the generator declares p = {gen.p}, q = {gen.q}")
-
-
-def optimize_chain_free_params(gen: NetworkGenerator, grid: int = 24):
+def optimize_chain_free_params(fam: LinearChain, grid: int = 24):
     """Grid-search constant (eps, delta) minimizing the worst interior
     column criterion psi_(i,i-1) + psi_(i,i+1) of the chain derivation."""
-    fam = gen.family
     pre, per = fam.structure
     idx = range(1, pre + per + 1)
     b_lo = float(fam.diag.min())
@@ -154,7 +144,7 @@ def optimize_chain_free_params(gen: NetworkGenerator, grid: int = 24):
     return best
 
 
-def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> GainData:
+def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainData:
     """Chain gains via Young's inequality on the off-diagonal couplings.
 
     With V_i = x_i^2/2 the split parameters eps_i, delta_i > 0 give
@@ -163,10 +153,8 @@ def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> Ga
     ``gamma_i(i+1) = b_i(i+1)^2 / (2 delta_i)``.
     When eps/delta are omitted they are chosen by a coarse grid search.
     """
-    fam = gen.family
-    _require_quadratic_exponents(gen)
     if eps is None and delta is None:
-        eps, delta = optimize_chain_free_params(gen)
+        eps, delta = optimize_chain_free_params(fam)
     eps_r, delta_r = _as_rule(eps, "eps"), _as_rule(delta, "delta")
     pre, per = fam.structure
     pre = max(pre, eps_r.preamble_len, delta_r.preamble_len)
@@ -196,8 +184,7 @@ def derive_gains_linear_chain(gen: NetworkGenerator, eps=None, delta=None) -> Ga
         gamma=PeriodicRows(tuple(rows[:pre]), tuple(rows[pre:]), bandwidth=1),
         gamma_u=PeriodicSeq.constant(0),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, vform=HALF_SQUARE,
+        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
         free_params={"eps": eps_r, "delta": delta_r})
 
 
@@ -234,7 +221,7 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau, tol: float = 1e-9):
     return worst <= tol * (1.0 + scale), worst
 
 
-def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> GainData:
+def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainData:
     """Gains for the sector-bounded family from a user-supplied certificate.
 
     The caller provides the quadratic-form matrix M, the decay rate kappa
@@ -248,8 +235,6 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
     where D_i stacks the neighbor coupling blocks and the norm is the
     largest singular value (computed from the symmetric product).
     """
-    fam = gen.family
-    _require_quadratic_exponents(gen)
     try:
         m = np.atleast_2d(np.asarray(m_matrix, dtype=float))
         kappa, eps, tau = float(kappa), float(eps), float(tau)
@@ -288,12 +273,11 @@ def derive_gains_lure(gen: NetworkGenerator, m_matrix, kappa, eps, tau=1.0) -> G
         gamma=PeriodicRows((rows[0],), (rows[1],), bandwidth=1),
         gamma_u=PeriodicSeq.constant(gamma_u),
         alpha_lo=PeriodicSeq.constant(m_lo),
-        alpha_hi=PeriodicSeq.constant(m_hi),
-        p=2, q=2, vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
+        alpha_hi=PeriodicSeq.constant(m_hi), vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
         free_params={"kappa": kappa, "eps": eps, "tau": tau})
 
 
-def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
+def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     """Road-cell gains with V_i = x_i^2/2.
 
     Two Young splits (one for the neighbor inflows, one for the entry)
@@ -301,8 +285,6 @@ def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
     neighbor gain ``gamma_ij = ||D_i||^2 / (2 eps_i)`` for every j in the
     cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``.
     """
-    fam = gen.family
-    _require_quadratic_exponents(gen)
     eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
     if eps_r.min() <= 0:
         raise ParameterError("eps must be positive")
@@ -330,15 +312,13 @@ def derive_gains_traffic(gen: NetworkGenerator, eps=None) -> GainData:
         gamma=PeriodicRows(tuple(rows[:pre]), tuple(rows[pre:]), bandwidth=4),
         gamma_u=PeriodicSeq(tuple(gu_vals[:pre]), tuple(gu_vals[pre:])),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, vform=HALF_SQUARE,
+        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
         free_params={"eps": eps_r})
 
 
-def traffic_small_gain_sufficient(gen: NetworkGenerator, eps) -> float:
+def traffic_small_gain_sufficient(fam: Traffic, eps) -> float:
     """Value of the family's conservative sufficient condition
     ``2 (c v_hi)^2 / (eps_lo l_lo^2) / (v_lo/l_hi - 2 eps_hi) < 1``."""
-    fam = gen.family
     eps_r = _as_rule(eps, "eps")
     num = exact_div(2 * (fam.c * fam.v.max()) ** 2, eps_r.min() * fam.l.min() ** 2)
     den = exact_div(fam.v.min(), fam.l.max()) - 2 * eps_r.max()

@@ -1,6 +1,6 @@
 """Finite truncations of a network description: the numeric layer.
 
-:func:`truncate` materializes the first N subsystems of a generator as a
+:func:`truncate` materializes the first N subsystems of a family as a
 :class:`TruncatedNetwork` of sparse matrices; couplings past N read zero.
 With :mod:`sgain.sim`, the only module that imports scipy.
 """
@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericInputError, ParameterError, ShapeError
-from .families import NetworkGenerator
+from .families import Family
 
 class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
@@ -31,12 +31,11 @@ class TruncatedNetwork:
     closed-form family stores all N of its blocks.
     """
 
-    def __init__(self, gen: NetworkGenerator, n_subsystems: int):
+    def __init__(self, fam: Family, n_subsystems: int):
         if n_subsystems < 1:
             raise ParameterError("truncation needs at least one subsystem")
-        self.generator = gen
+        self.family = fam
         self.n_subsystems = n = n_subsystems
-        fam = gen.family
         pre, per = fam.structure or (n, 1)
         stored = [fam.blocks(i) for i in range(1, min(n, pre + per) + 1)]
         offsets = sorted({off for _, d, _ in stored for off in d})
@@ -112,9 +111,9 @@ def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def truncate(gen: NetworkGenerator, n_subsystems: int) -> TruncatedNetwork:
+def truncate(fam: Family, n_subsystems: int) -> TruncatedNetwork:
     """Materialize the first N subsystems; couplings past N read zero."""
-    return TruncatedNetwork(gen, n_subsystems)
+    return TruncatedNetwork(fam, n_subsystems)
 
 
 def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray) -> np.ndarray:

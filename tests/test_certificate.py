@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgain
-from sgain import (CannotCertifyError, LinearChain, NetworkGenerator,
+from sgain import (CannotCertifyError, LinearChain,
                    ParameterError, ShapeError, SmallGainViolatedError,
                    build_certificate, build_gain_operator, cap_decay_rates,
                    certify, derive_gains_linear_chain,
@@ -23,7 +23,7 @@ from sgain.sim import BoundLyapunov
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
-    return NetworkGenerator(family=LinearChain.uniform(b_diag, b_off))
+    return LinearChain.uniform(b_diag, b_off)
 
 
 def unbounded_rate_gains(gamma=Fraction(1, 20)):
@@ -35,7 +35,7 @@ def unbounded_rate_gains(gamma=Fraction(1, 20)):
         gamma_u=PeriodicSeq.constant(1),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
-        p=2, q=2, vform=HALF_SQUARE)
+        vform=HALF_SQUARE)
 
 
 class TestCapDecayRates:
@@ -66,6 +66,15 @@ class TestCapDecayRates:
             cap_decay_rates(g, 10)
         with pytest.raises(CannotCertifyError, match="closed-form"):
             certify(g, h_start=10)
+
+    def test_bounded_nondecreasing_rule_is_capped_below_its_sup(self):
+        """The default first cap 2 max(1, ceil(inf)) = 2 equals the sup of
+        2 - 1/i; the schedule starts at the midpoint 3/2 of inf and sup."""
+        lam = ClosedFormSeq(fn=lambda i: 2 - Fraction(1, i), inf=1, sup=2, nondecreasing=True)
+        cert, g_used, *_ = certify(dataclasses.replace(unbounded_rate_gains(), lam=lam))
+        assert cert.h_cap == Fraction(3, 2)
+        assert g_used.lam == PeriodicSeq((1,), (Fraction(3, 2),))
+        assert cert.lambda_inf > 0 and cert.scan.ok
 
     def test_cap_must_be_positive(self, chain_gains):
         with pytest.raises(ParameterError):
@@ -116,7 +125,8 @@ class TestNeumannEta:
     def test_matches_dense_partial_sum(self, name):
         """The series from the start vector equals the same partial sum on a
         dense section, for shifts at and a little above the upper bound."""
-        psi = build_gain_operator(sgain.derive_scenario_gains(sgain.make_scenario(name)))
+        s = sgain.make_scenario(name)
+        psi = build_gain_operator(s.family.derive_gains(s.derivation))
         bracket = spectral_bracket(psi)
         for shift in (bracket.upper, bracket.upper + (1 - bracket.upper) / 10):
             ev = neumann_eta(bracket.table, shift)
@@ -137,7 +147,7 @@ class TestBuildCertificate:
         """At c = 0.323 the radius is about 0.98; the table from the symbol's
         Perron vector brings the upper bound under one."""
         s = sgain.make_scenario("traffic", {"coefficients": {"c": Fraction("0.323")}})
-        g = sgain.derive_scenario_gains(s)
+        g = s.family.derive_gains(s.derivation)
         cert, g_used, op, bracket = certify(g)
         assert 0.98 < bracket.lower <= bracket.upper < 1
         assert cert.scan.ok and verify_certificate(cert, g).ok
@@ -287,7 +297,7 @@ class TestRandomizedSoundness:
             f1, f2 = rng.uniform(0.05, 0.42, 2)
             eps = Fraction(int(f1 * 1000), 1000) * diag.min()
             delta = Fraction(int(f2 * 1000), 1000) * diag.min()
-            g = derive_gains_linear_chain(NetworkGenerator(family=fam), eps, delta)
+            g = derive_gains_linear_chain(fam, eps, delta)
             op = build_gain_operator(g)
             bracket = spectral_bracket(op, k_max=4)
             if not bracket.satisfied:
@@ -331,10 +341,10 @@ class TestCompositeLyapunov:
     @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
     def test_quadratic_form_matches_block_diagonal(self, name):
         s = sgain.make_scenario(name)
-        cert, g, *_ = certify(sgain.derive_scenario_gains(s))
+        cert, g, *_ = certify(s.family.derive_gains(s.derivation))
         lyap, m = CompositeLyapunov(cert, g), g.vform.matrix()
         for n in (1, 7, 100):
-            q = BoundLyapunov(lyap, sgain.truncate(s.generator, n))._q
+            q = BoundLyapunov(lyap, sgain.truncate(s.family, n))._q
             ref = sp.block_diag([float(cert.mu.at(i)) * m for i in range(1, n + 1)],
                                 format="csr")
             for a in ("indptr", "indices", "data"):

@@ -57,7 +57,7 @@ class TestExitCodes:
         traffic = {"family": "traffic",
                    "coefficients": {"v": 1, "l": 1, "c": "1/10", "e": "1/2", "r": 1}}
         platoon = sgain.make_scenario("lure-platoon")
-        lure = sgain.generator_to_dict(platoon.generator)
+        lure = sgain.generator_to_dict(platoon.family)
         lure["coefficients"]["A"][0][0] = "abc"
         m_bad = [["abc", 0.5], [0.5, 0.5]]
         bad_file = tmp_path / "bad_net.json"
@@ -65,7 +65,7 @@ class TestExitCodes:
         cases = [(["analyze"], "{not json"),
                  (["analyze"], {"network": str(bad_file)}),
                  (["certify"], {"network": lure, "derivation": platoon.derivation}),
-                 (["certify"], {"network": sgain.generator_to_dict(platoon.generator),
+                 (["certify"], {"network": sgain.generator_to_dict(platoon.family),
                                 "derivation": {**platoon.derivation, "M": m_bad}}),
                  (["scenario", "traffic"], {"derivation": {"eps": "abc"}})]
         for c in ("abc", "1/0"):
@@ -83,7 +83,8 @@ class TestExitCodes:
 
         # Further cases run in-process: an escaping exception fails the test.
         chain = {"scenario": "chain-a"}
-        cert = sgain.certify(sgain.derive_scenario_gains(sgain.make_scenario("chain-a")))[0]
+        s = sgain.make_scenario("chain-a")
+        cert = sgain.certify(s.family.derive_gains(s.derivation))[0]
         cert = cert.to_dict()
         cert_files = [_write(tmp_path / "cert_broken.json", "{oops"),
                       _write(tmp_path / "cert_nobracket.json",
@@ -116,7 +117,6 @@ class TestExitCodes:
             **FAST_SIM, "N": 10, "x0": {"kind": "first-k", "K": k}}}) for k in (-1, -3)]
         cases += [(["scenario", "chain-a"], {"expected_outcome": 5}),
                   (["simulate"], {"network": chain, "sim": {**FAST_SIM, "csv_states": "false"}}),
-                  (["simulate"], {"network": chain, "sim": {**FAST_SIM, "store_states": 0}}),
                   (["scenario", "chain-a"], {"sim": {"x0": {"kind": "unit", "index": 500}}})]
         errs = []
         for k, (command, content) in enumerate(cases):
@@ -142,7 +142,7 @@ class TestExitCodes:
         number belongs each exit 1 with one error line, never a traceback
         nor a silently truncated or coerced value."""
         platoon = sgain.make_scenario("lure-platoon")
-        ragged = sgain.generator_to_dict(platoon.generator)
+        ragged = sgain.generator_to_dict(platoon.family)
         ragged["coefficients"]["A"] = [[0.0, 1.0], [-1.0]]
         chain = {"scenario": "chain-a"}
         cases = [(command, {"network": ragged, "derivation": platoon.derivation,
@@ -292,6 +292,35 @@ class TestExitCodes:
             assert rep["assumptions"]["failed"][0] == which
 
 
+    @pytest.mark.parametrize("family", ["counterexample-slow", "counterexample-gain"])
+    def test_counterexample_exponents_other_than_two(self, run_main, tmp_path, family):
+        """Every subcommand rejects a counterexample declaring p or q other
+        than 2, as it does for the other families, and writes no report."""
+        message = ("error: quadratic-form derivations provide gain data for p = q = 2; "
+                   "the generator declares p = {}, q = {}\n")
+        scenario = {"counterexample-slow": "counter-slow",
+                    "counterexample-gain": "counter-gain"}[family]
+        for p, q in ((3, 2), (2, 3)):
+            net = {"schema": "sgain/1", "family": family, "p": p, "q": q, "coefficients": {}}
+            runs = [([cmd, "--config", _write(tmp_path / f"{cmd}{p}{q}.json",
+                                              {"network": net, "sim": FAST_SIM})], cmd)
+                    for cmd in ("analyze", "certify", "simulate", "verify")]
+            runs.append((["scenario", scenario, "--config",
+                          _write(tmp_path / f"scenario{p}{q}.json", {"p": p, "q": q})], "scenario"))
+            for argv, cmd in runs:
+                out = tmp_path / f"out-{cmd}{p}{q}"
+                assert run_main([*argv, "--out", out]) == (1, message.format(p, q)), argv
+                assert not out.exists()
+
+    @pytest.mark.parametrize("command, content, key", [
+        ("simulate", {"sim": {"N": True}}, "'N'"),
+        ("certify", {"analysis": {"rho": "x"}}, "'rho'")])
+    def test_number_errors_name_their_key(self, run_main, tmp_path, command, content, key):
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"}, **content})
+        code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1 and err.startswith("error:") and key in err, err
+
+
 class TestHarness:
     def test_child_imports_sgain_under_test(self, cli_env, tmp_path):
         r = subprocess.run([sys.executable, "-c", "import sgain; print(sgain.__file__)"],
@@ -314,6 +343,21 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestGoldenOutputs:
+    """``analyze`` and ``certify`` on each shipped scenario write the bytes
+    stored under ``tests/golden/NAME``; no trajectory float enters them."""
+
+    @pytest.mark.parametrize("name", sgain.SCENARIO_NAMES)
+    @pytest.mark.parametrize("command, report", [("analyze", "gains.json"),
+                                                 ("certify", "certificate.json")])
+    def test_report_bytes(self, run_main, tmp_path, name, command, report):
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": name}})
+        code, err = run_main([command, "--config", cfg, "--out", tmp_path])
+        assert err == "" and code in (0, 2)
+        golden = Path(__file__).with_name("golden") / name / report
+        assert (tmp_path / report).read_bytes() == golden.read_bytes()
+
+
 class TestOnePipeline:
     @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
     def test_certify_agrees_with_scenario_report(self, run_main, tmp_path, name):
@@ -326,7 +370,7 @@ class TestOnePipeline:
         for key in ("assumptions", "bracket", "certificate", "verification"):
             assert cert[key] == report[key], key
         s = sgain.make_scenario(name)
-        notes = s.generator.family.report_notes(s.generator, s.derivation)
+        notes = s.family.report_notes(s.derivation)
         assert cert["gains"] == {k: v for k, v in report["gains"].items() if k not in notes}
 
     def test_series_length_key_is_unread(self, run_main, tmp_path):

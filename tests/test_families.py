@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    SmallGainViolatedError,
-                   DerivationError, LinearChain, LureBanded, NetworkGenerator,
+                   DerivationError, LinearChain, LureBanded, ParameterError,
                    Traffic, build_certificate, build_gain_operator, certify,
                    generator_from_dict, generator_to_dict,
-                   derive_scenario_gains, make_scenario, neumann_eta,
+                   make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.gains import adjoint_apply
@@ -86,7 +86,7 @@ def dense_reference(fam, n):
 @settings(max_examples=150, deadline=None)
 @given(fam=families, n=st.integers(1, 40))
 def test_tiled_assembly_matches_dense_reference(fam, n):
-    net = truncate(NetworkGenerator(family=fam), n)
+    net = truncate(fam, n)
     a_ref, b_ref, input_dims = dense_reference(fam, n)
     for mat, ref in ((net.linear_matrix, a_ref), (net.input_matrix, b_ref)):
         assert mat.shape == ref.shape
@@ -98,20 +98,30 @@ def test_tiled_assembly_matches_dense_reference(fam, n):
 
 
 @settings(max_examples=150, deadline=None)
+@given(fam=families)
+def test_codec_round_trip(fam):
+    assert generator_from_dict(generator_to_dict(fam)) == fam
+    text = json.dumps(generator_to_dict(fam))
+    assert generator_from_dict(json.loads(text, parse_float=Fraction)) == fam
+
+
+@settings(max_examples=60, deadline=None)
 @given(fam=families, p=fractions(1, 3), q=fractions(1, 3))
-def test_codec_round_trip(fam, p, q):
-    gen = NetworkGenerator(family=fam, p=p, q=q)
-    assert generator_from_dict(generator_to_dict(gen)) == gen
-    text = json.dumps(generator_to_dict(gen))
-    assert generator_from_dict(json.loads(text, parse_float=Fraction)) == gen
+def test_codec_rejects_exponents_other_than_two(fam, p, q):
+    obj = {**generator_to_dict(fam), "p": str(p), "q": str(q)}
+    if p == q == 2:
+        assert generator_from_dict(obj) == fam
+    else:
+        with pytest.raises(ParameterError, match=f"p = q = 2; the generator declares "
+                                                 f"p = {p}, q = {q}$"):
+            generator_from_dict(obj)
 
 
 @settings(max_examples=60, deadline=None)
 @given(fam=st.one_of(chains, traffics), eps=fractions("1/12", "1/4"))
 def test_power_table_and_certificate(fam, eps):
-    gen = NetworkGenerator(family=fam)
     try:
-        g = fam.derive_gains(gen, {"eps": eps, "delta": eps})
+        g = fam.derive_gains({"eps": eps, "delta": eps})
     except DerivationError:
         return
     op = build_gain_operator(g)
@@ -151,9 +161,8 @@ def test_certify_verdicts(fam, eps):
     """lower <= upper, and a dense eigensolve of a 64-row section stays under
     upper; an emitted certificate passes its scan, with zero tolerance when
     it is exact, and a network with lower >= 1 gets none."""
-    gen = NetworkGenerator(family=fam)
     try:
-        g = fam.derive_gains(gen, {"eps": eps, "delta": eps})
+        g = fam.derive_gains({"eps": eps, "delta": eps})
     except DerivationError:
         return
     try:
@@ -175,7 +184,8 @@ def test_certify_verdicts(fam, eps):
 
 @functools.cache
 def platoon_gains():
-    return derive_scenario_gains(make_scenario("lure-platoon"))
+    s = make_scenario("lure-platoon")
+    return s.family.derive_gains(s.derivation)
 
 
 @st.composite
@@ -191,7 +201,7 @@ def gain_data(draw):
     eps = draw(fractions("1/4", 1)) * room / 4
     if draw(st.booleans()):
         eps = float(eps)
-    return fam.derive_gains(NetworkGenerator(family=fam), {"eps": eps, "delta": eps})
+    return fam.derive_gains({"eps": eps, "delta": eps})
 
 
 @st.composite
@@ -297,7 +307,8 @@ def test_shipped_series_matches_window_reference(name, shift_type):
     allows) and above it: the integer-numerator iterates give the same
     power table and the same eta, type and bits, as the per-entry Fraction
     reference."""
-    psi = build_gain_operator(derive_scenario_gains(make_scenario(name)))
+    s = make_scenario(name)
+    psi = build_gain_operator(s.family.derive_gains(s.derivation))
     assert psi.transpose().integer_form[1] > 1
     bracket = spectral_bracket(psi)
     start = bracket.table.start
@@ -310,7 +321,8 @@ def test_shipped_series_matches_window_reference(name, shift_type):
 
 
 def test_integer_form():
-    psi = build_gain_operator(derive_scenario_gains(make_scenario("chain-a")))
+    s = make_scenario("chain-a")
+    psi = build_gain_operator(s.family.derive_gains(s.derivation))
     rows, d = psi.integer_form
     entries = [v for row in psi.preamble + psi.cycle for v in row.values()]
     assert d == math.lcm(*(v.denominator for v in entries)) > 1
@@ -335,7 +347,8 @@ def test_adjoint_applications_per_certify(monkeypatch, name):
     the power table, one for the section lower bound and one for the scan;
     the series reads the table's iterates and applies none."""
     from sgain import certificate, gains
-    g = derive_scenario_gains(make_scenario(name))
+    s = make_scenario(name)
+    g = s.family.derive_gains(s.derivation)
     calls = []
     real = gains.adjoint_apply
     for mod in (gains, certificate):

@@ -8,7 +8,7 @@ import pytest
 
 import sgain
 from sgain import (DerivationError, InvalidCertificateError, LinearChain,
-                   NetworkGenerator, ResourceError,
+                   ResourceError,
                    build_gain_operator, check_assumptions, check_lure_lmi,
                    derive_gains_linear_chain, derive_gains_lure,
                    derive_gains_traffic,
@@ -18,7 +18,7 @@ from sgain.seqrules import PeriodicSeq
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
-    return NetworkGenerator(family=LinearChain.uniform(b_diag, b_off))
+    return LinearChain.uniform(b_diag, b_off)
 
 
 def dense_psi(op, n):
@@ -40,7 +40,6 @@ class TestChainDerivation:
         assert g.gamma.row(1) == {1: Fraction(1, 20)}
         assert g.gamma.row(9) == {-1: Fraction(1, 20), 1: Fraction(1, 20)}
         assert g.alpha_lo.lower() == Fraction(1, 2) == g.alpha_hi.upper()
-        assert (g.p, g.q) == (2, 2)
 
     def test_decoupled(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
@@ -113,7 +112,7 @@ class TestLureLmi:
 
     def test_platoon_instance_accepted(self, platoon_scenario, platoon_gains):
         d = platoon_scenario.derivation
-        fam = platoon_scenario.generator.family
+        fam = platoon_scenario.family
         ok, worst = check_lure_lmi(fam.a, d["M"], fam.e, fam.g, d["kappa"],
                                    fam.sector_l, fam.sector_r, d["tau"])
         assert ok
@@ -124,7 +123,7 @@ class TestLureLmi:
 
     def test_indefinite_m_rejected(self, platoon_scenario):
         with pytest.raises(InvalidCertificateError):
-            derive_gains_lure(platoon_scenario.generator,
+            derive_gains_lure(platoon_scenario.family,
                               [[1.0, 0.0], [0.0, -1.0]], 0.5, 0.125)
 
 
@@ -137,8 +136,7 @@ class TestLureDerivation:
         fam = LureBanded(a=((-b,),), e=((0.0,),), g=((0.0,),), b=((0.0,),),
                          d_left=((b_off,),), d_right=((b_off,),),
                          sector_l=-1, sector_r=1, phi="zero")
-        gen = NetworkGenerator(family=fam)
-        g_lure = derive_gains_lure(gen, [[0.5]], kappa=2 * b, eps=eps)
+        g_lure = derive_gains_lure(fam, [[0.5]], kappa=2 * b, eps=eps)
         g_chain = derive_gains_linear_chain(chain_gen(b, b_off),
                                             eps / 2, eps / 2)
         assert float(g_lure.lam.at(3)) == pytest.approx(float(g_chain.lam.at(3)))
@@ -152,7 +150,7 @@ class TestLureDerivation:
         fam = LureBanded(a=((-1.0,),), e=((0.0,),), g=((0.0,),), b=((0.0,),),
                          d_left=((0.0,),), d_right=((0.0,),),
                          sector_l=-1, sector_r=1, phi="zero")
-        g = derive_gains_lure(NetworkGenerator(family=fam), [[1.0]], 1.0, 0.1)
+        g = derive_gains_lure(fam, [[1.0]], 1.0, 0.1)
         assert g.gamma.sup_column_sum() == 0
         assert float(g.gamma_u.upper()) == 0
 
@@ -175,11 +173,11 @@ class TestTrafficDerivation:
 
     def test_decoupling_limit(self):
         s = sgain.make_scenario("traffic", {"coefficients": {"c": "0.0001"}})
-        g = derive_gains_traffic(s.generator, Fraction(1, 10))
+        g = derive_gains_traffic(s.family, Fraction(1, 10))
         assert float(g.gamma.sup_column_sum()) < 1e-6
 
     def test_class_gain_consistency_200_indices(self, traffic_gains):
-        fam = sgain.make_scenario("traffic").generator.family
+        fam = sgain.make_scenario("traffic").family
         eps = Fraction(1, 10)
         for i in range(1, 201):
             _, e_i, d, b_i = fam.cell(i)
@@ -192,7 +190,7 @@ class TestTrafficDerivation:
 
     def test_uniform_decay_precondition(self):
         with pytest.raises(DerivationError):
-            derive_gains_traffic(sgain.make_scenario("traffic").generator,
+            derive_gains_traffic(sgain.make_scenario("traffic").family,
                                  Fraction(1, 2))
 
 
@@ -204,7 +202,7 @@ class TestGainOperator:
 
     def test_traffic_sparsity_matches_adjacency(self, traffic_gains):
         op = build_gain_operator(traffic_gains)
-        fam = sgain.make_scenario("traffic").generator.family
+        fam = sgain.make_scenario("traffic").family
         for i in range(1, 201):
             offsets = tuple(sorted(op.row(i)))
             assert offsets == tuple(sorted(fam.cell(i)[2]))
@@ -227,7 +225,8 @@ class TestGainOperator:
 class TestOperatorPowers:
     def test_k1_equals_column_sums(self, chain_operator):
         assert operator_power_column_sums(chain_operator, 1).norms[1] == chain_operator.sup_column_sum()
-        traffic = build_gain_operator(sgain.derive_scenario_gains(sgain.make_scenario("traffic")))
+        s = sgain.make_scenario("traffic")
+        traffic = build_gain_operator(s.family.derive_gains(s.derivation))
         ones = operator_power_column_sums(traffic, 1, PeriodicSeq.constant(1))
         assert ones.norms[1] == traffic.sup_column_sum()
 
@@ -328,7 +327,7 @@ class TestSpectralBracket:
             fam = LinearChain(diag=PeriodicSeq.constant(diag), sub=PeriodicSeq.constant(sub),
                               sup=PeriodicSeq((), sup))
             return build_gain_operator(
-                derive_gains_linear_chain(NetworkGenerator(family=fam), eps, eps))
+                derive_gains_linear_chain(fam, eps, eps))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -366,23 +365,18 @@ class TestAssumptions:
         assert rep.ok and not rep.failed and not rep.conservative
 
     def test_counter_slow_fails_decay_first(self):
-        g = sgain.derive_scenario_gains(sgain.make_scenario("counter-slow"))
+        s = sgain.make_scenario("counter-slow")
+        g = s.family.derive_gains(s.derivation)
         rep = check_assumptions(g)
         assert not rep.ok
         assert rep.failed[0] == "lambda_lo"
         assert rep.conservative
 
     def test_counter_gain_fails_input_gain_only(self):
-        g = sgain.derive_scenario_gains(sgain.make_scenario("counter-gain"))
+        s = sgain.make_scenario("counter-gain")
+        g = s.family.derive_gains(s.derivation)
         rep = check_assumptions(g)
         assert rep.failed == ("gamma_u",)
-
-
-class TestExponentGuard:
-    def test_non_quadratic_exponents_rejected(self):
-        gen = NetworkGenerator(family=LinearChain.uniform(1, Fraction(1, 10)), p=3, q=2)
-        with pytest.raises(sgain.ParameterError, match="p = q = 2"):
-            derive_gains_linear_chain(gen, Fraction(1, 10), Fraction(1, 10))
 
 
 class TestNontrivialPeriodicStructures:
@@ -397,7 +391,7 @@ class TestNontrivialPeriodicStructures:
         )
         eps = PeriodicSeq((), (Fraction(1, 10), Fraction(1, 20), Fraction(1, 10)))
         delta = Fraction(1, 10)                                    # period 3 vs 2
-        return derive_gains_linear_chain(NetworkGenerator(family=fam), eps, delta)
+        return derive_gains_linear_chain(fam, eps, delta)
 
     def test_rates_follow_the_combined_cycle(self):
         g = self.make_gains()
@@ -457,7 +451,7 @@ class TestErrorPaths:
     def test_lure_derivation_fails_on_unsupported_rate(self, platoon_scenario):
         d = platoon_scenario.derivation
         with pytest.raises(DerivationError, match="matrix inequality"):
-            derive_gains_lure(platoon_scenario.generator, d["M"], kappa=50.0,
+            derive_gains_lure(platoon_scenario.family, d["M"], kappa=50.0,
                               eps=0.125, tau=1.0)
 
     def test_chain_error_names_index_class(self):
@@ -465,5 +459,5 @@ class TestErrorPaths:
                           sub=PeriodicSeq.constant(Fraction(1, 10)),
                           sup=PeriodicSeq.constant(Fraction(1, 10)))
         with pytest.raises(DerivationError, match="residue"):
-            derive_gains_linear_chain(NetworkGenerator(family=fam),
+            derive_gains_linear_chain(fam,
                                       Fraction(1, 10), Fraction(1, 10))

@@ -22,13 +22,13 @@ AssumptionReport CannotCertifyError ClosedFormSeq CompositeLyapunov ConstantOnFi
 CounterexampleGain CounterexampleSlow DecayFit DerivationError EtaVector ExampleScenario
 FAMILIES Family GainData GeometricProfile HALF_SQUARE InsufficientDataError
 InternalInconsistencyError InvalidCertificateError InvalidIndexError LinearChain LureBanded
-NetworkGenerator NumericInputError Outcome ParameterError PeriodicRows PeriodicSeq PowerTable
+NumericInputError Outcome ParameterError PeriodicRows PeriodicSeq PowerTable
 QuadraticForm ResourceError SCENARIO_NAMES SgainError ShapeError SinusoidOnFirstK
 SmallGainCertificate SmallGainViolatedError SpectralBracket Traffic TrafficLights
 TrajectoryRecord TruncatedNetwork UnknownScenarioError Zero
 build_certificate build_gain_operator cap_decay_rates certificate_from_dict certify
 check_assumptions check_lure_lmi classify_traffic_cell derive_gains_linear_chain
-derive_gains_lure derive_gains_traffic derive_scenario_gains evaluate_rhs export_csv fit_decay
+derive_gains_lure derive_gains_traffic evaluate_rhs export_csv fit_decay
 generator_from_dict generator_to_dict initial_state integrate
 load_generator lp_norm make_scenario neumann_eta operator_power_column_sums
 optimize_chain_free_params run_pipeline save_generator signal_from_dict spectral_bracket

@@ -7,18 +7,18 @@ import pytest
 
 import sgain
 from sgain import (InvalidIndexError, LinearChain, LureBanded,
-                   NetworkGenerator, NumericInputError, ParameterError,
+                   NumericInputError, ParameterError,
                    ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
                    truncate)
 from sgain.seqrules import PeriodicSeq
 
 
 def chain_gen(b_diag=1, b_off="0.1"):
-    return NetworkGenerator(family=LinearChain.uniform(b_diag, b_off))
+    return LinearChain.uniform(b_diag, b_off)
 
 
 def traffic_gen():
-    return sgain.make_scenario("traffic").generator
+    return sgain.make_scenario("traffic").family
 
 
 def same_blocks(x, y):
@@ -31,22 +31,22 @@ class TestGenerateSpec:
     """Subsystem descriptions read off ``Family.blocks``."""
 
     def test_chain_first_node_has_no_left_neighbor(self):
-        fam = chain_gen().family
+        fam = chain_gen()
         assert fam.neighbors(1) == (2,)
         assert fam.coefficients(1)[1] == 0  # forced b_10 = 0
         assert -1 not in fam.blocks(1)[1]
 
     def test_chain_interior_node(self):
-        fam = chain_gen().family
+        fam = chain_gen()
         assert fam.neighbors(5) == (4, 6)
         assert fam.state_dim(5) == 1 and fam.input_dim(5) == 0
 
     def test_traffic_cell_11(self):
-        assert traffic_gen().family.neighbors(11) == (7, 12)  # S9 cell: {i-4, i+1}
+        assert traffic_gen().neighbors(11) == (7, 12)  # S9 cell: {i-4, i+1}
 
     def test_invalid_index(self):
         for name in sgain.SCENARIO_NAMES:
-            fam = sgain.make_scenario(name).generator.family
+            fam = sgain.make_scenario(name).family
             for i in (0, -3):
                 with pytest.raises(InvalidIndexError):
                     fam.blocks(i)
@@ -55,12 +55,11 @@ class TestGenerateSpec:
 
     def test_eventual_periodicity(self):
         chain, traffic = chain_gen(), traffic_gen()
-        cases = ((chain, chain.family.coefficients),  # with the exact records
-                 (traffic, lambda i: (traffic.family.cell(i), traffic.family.flow(i))),
-                 (sgain.make_scenario("lure-platoon").generator, lambda i: None))
-        for gen, record in cases:
-            fam = gen.family
-            pre, period = gen.family.structure
+        cases = ((chain, chain.coefficients),  # with the exact records
+                 (traffic, lambda i: (traffic.cell(i), traffic.flow(i))),
+                 (sgain.make_scenario("lure-platoon").family, lambda i: None))
+        for fam, record in cases:
+            pre, period = fam.structure
             for i in range(pre + 1, pre + 40):
                 assert same_blocks(fam.blocks(i), fam.blocks(i + period))
                 assert record(i) == record(i + period)
@@ -70,7 +69,7 @@ class TestGenerateSpec:
                 assert fam.input_dim(i) == fam.input_dim(i + period)
 
     def test_decoupled_chain_has_no_neighbors(self):
-        assert chain_gen(b_off=0).family.neighbors(7) == ()
+        assert chain_gen(b_off=0).neighbors(7) == ()
 
 
 _TRAFFIC_BASES = {"S2": 4, "S3": 5, "S4": 6, "S5": 9, "S6": 2, "S7": 7, "S8": 8, "S9": 11}
@@ -103,7 +102,7 @@ class TestTrafficClassification:
             assert classify_traffic_cell(i) == self.brute_force_class(i)
 
     def test_class_table_structure(self):
-        fam = traffic_gen().family
+        fam = traffic_gen()
         e, r = float(fam.e), float(fam.r)
         expected = {
             "S1": ((1,), 0.0, 0.0), "S2": ((4,), 0.0, r), "S3": ((-4,), 0.0, r / 2),
@@ -147,16 +146,16 @@ class TestTruncate:
         class NarrowTraffic(Traffic):
             bandwidth = 3
 
-        fam = traffic_gen().family
+        fam = traffic_gen()
         narrow = NarrowTraffic(v=fam.v, l=fam.l, c=fam.c, e=fam.e, r=fam.r)
         with pytest.raises(ParameterError, match="exceeds bandwidth 3"):
-            truncate(NetworkGenerator(family=narrow), 12)
+            truncate(narrow, 12)
 
 
 class TestEvaluateRhs:
     def test_origin_is_equilibrium_everywhere(self):
         for name in sgain.SCENARIO_NAMES:
-            gen = sgain.make_scenario(name).generator
+            gen = sgain.make_scenario(name).family
             net = truncate(gen, 12)
             dx = evaluate_rhs(net, np.zeros(net.dim), np.zeros(net.input_dim))
             assert np.all(dx == 0)
@@ -167,7 +166,7 @@ class TestEvaluateRhs:
         assert dx == pytest.approx([-1.0, 0.1, 0.0])
 
     def test_lure_with_inactive_nonlinearity_is_linear(self):
-        gen = sgain.make_scenario("lure-platoon").generator
+        gen = sgain.make_scenario("lure-platoon").family
         net = truncate(gen, 4)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(net.dim)
@@ -180,9 +179,9 @@ class TestEvaluateRhs:
     def test_active_sector_channel_matches_block_formula(self, phi):
         # A x + E phi(G x) + B u per block; midpoint-linear is folded into A.
         sector = {"E": [[0.0], [0.4]], "G": [[0.3, -0.2]], "sector": ["-0.5", "1.5"]}
-        gen = sgain.make_scenario("lure-platoon",
-                                  {"coefficients": {"phi": phi, **sector}}).generator
-        fam, net = gen.family, truncate(gen, 6)
+        fam = sgain.make_scenario("lure-platoon",
+                                  {"coefficients": {"phi": phi, **sector}}).family
+        net = truncate(fam, 6)
         assert (net.nonlinearity is None) == (phi == "midpoint-linear")
         rng = np.random.default_rng(3)
         x = 10.0 * rng.standard_normal(net.dim)
@@ -203,7 +202,7 @@ class TestEvaluateRhs:
         x = rng.standard_normal(net.dim)
         base = evaluate_rhs(net, x, np.zeros(net.input_dim))
         i = 10
-        allowed = set(gen.family.neighbors(i)) | {i}
+        allowed = set(gen.neighbors(i)) | {i}
         for j in range(1, 31):
             if j in allowed:
                 continue
@@ -239,17 +238,26 @@ class TestSectorNonlinearities:
 class TestDescriptionFiles:
     def test_round_trip(self, tmp_path):
         for name in sgain.SCENARIO_NAMES:
-            gen = sgain.make_scenario(name).generator
+            gen = sgain.make_scenario(name).family
             path = tmp_path / f"{name}.json"
             sgain.save_generator(gen, path)
             back = sgain.load_generator(path)
             assert back == gen
 
     @pytest.mark.parametrize("p, q", [(math.inf, 2), (2, math.inf), (math.inf, math.inf),
-                                      (math.nan, 2), (0.5, 2)])
-    def test_exponents_finite_and_at_least_one(self, p, q):
-        with pytest.raises(ParameterError, match=r"\[1, inf\)"):
-            NetworkGenerator(family=LinearChain.uniform(1, "0.1"), p=p, q=q)
+                                      (math.nan, 2)])
+    def test_exponents_finite(self, p, q):
+        obj = {**sgain.generator_to_dict(chain_gen()), "p": p, "q": q}
+        with pytest.raises(ParameterError, match="not a finite number"):
+            sgain.generator_from_dict(obj)
+
+    @pytest.mark.parametrize("name", sgain.SCENARIO_NAMES)
+    @pytest.mark.parametrize("p, q", [(3, 2), (2, 3), ("1/2", 2)])
+    def test_non_quadratic_exponents_rejected(self, name, p, q):
+        obj = {**sgain.generator_to_dict(sgain.make_scenario(name).family), "p": p, "q": q}
+        with pytest.raises(ParameterError, match=r"provide gain data for p = q = 2; "
+                                                 rf"the generator declares p = {p}, q = {q}$"):
+            sgain.generator_from_dict(obj)
 
     def test_traffic_parameter_ranges(self):
         ones = PeriodicSeq.constant(1)

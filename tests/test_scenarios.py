@@ -7,7 +7,7 @@ import pytest
 
 import sgain
 from sgain import (ParameterError, UnknownScenarioError,
-                   build_gain_operator, derive_scenario_gains, make_scenario,
+                   build_gain_operator, make_scenario,
                    run_pipeline)
 
 FAST_SIM = {"N": 30, "T": 3.0, "h": 0.002}
@@ -24,13 +24,13 @@ class TestMakeScenario:
 
     def test_defaults_are_exact_fractions(self):
         s = make_scenario("chain-a")
-        assert s.generator.family.sup.at(1) == Fraction(1, 10)
+        assert s.family.sup.at(1) == Fraction(1, 10)
         assert s.derivation["eps"] == Fraction(1, 10)
 
     def test_override_changes_coefficients(self):
         s = make_scenario("chain-a", {"coefficients": {"sub": 1, "sup": 1},
                                       "derivation": {"eps": "0.25", "delta": "0.25"}})
-        assert s.generator.family.sup.at(2) == 1
+        assert s.family.sup.at(2) == 1
         assert s.derivation["eps"] == Fraction(1, 4)
 
 
@@ -66,12 +66,13 @@ class TestExpectedOutcomes:
 
 class TestChainScalingFamily:
     def test_off_diagonal_scaling_squares_psi(self):
-        base = derive_scenario_gains(make_scenario("chain-a"))
+        s = make_scenario("chain-a")
+        base = s.family.derive_gains(s.derivation)
         psi0 = build_gain_operator(base).row(5)[1]
         for s in (2, 3):
             sc = make_scenario("chain-a", {"coefficients": {
                 "sub": Fraction(s, 10), "sup": Fraction(s, 10)}})
-            g = derive_scenario_gains(sc)
+            g = sc.family.derive_gains(sc.derivation)
             psi = build_gain_operator(g).row(5)[1]
             assert psi == s * s * psi0
 
@@ -86,13 +87,15 @@ class TestTrafficSufficientCondition:
 
 class TestCounterexampleGainRules:
     def test_counter_slow_rule_is_two_over_i(self):
-        g = derive_scenario_gains(make_scenario("counter-slow"))
+        s = make_scenario("counter-slow")
+        g = s.family.derive_gains(s.derivation)
         for i in (1, 7, 50, 1000):
             assert g.lam.at(i) == Fraction(2, i)
         assert g.lam.lower() == 0
 
     def test_counter_gain_rule_is_quadratic(self):
-        g = derive_scenario_gains(make_scenario("counter-gain"))
+        s = make_scenario("counter-gain")
+        g = s.family.derive_gains(s.derivation)
         for i in (1, 3, 10):
             assert g.gamma_u.at(i) == 2 * i * i
         assert float(g.gamma_u.upper()) == float("inf")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sgain
-from sgain import (InsufficientDataError, LinearChain, NetworkGenerator,
+from sgain import (InsufficientDataError, LinearChain,
                    NumericInputError, ParameterError, Zero, fit_decay,
                    initial_state, integrate, lp_norm, truncate,
                    truncation_convergence_probe, verify_dissipation)
@@ -20,7 +20,7 @@ from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
-    return NetworkGenerator(family=LinearChain.uniform(b_diag, b_off))
+    return LinearChain.uniform(b_diag, b_off)
 
 
 def scalar_net():
@@ -50,10 +50,10 @@ class TestRk4:
         assert np.array_equal(a.states, b.states)
 
     def test_divergence_flagged_not_raised(self):
-        gen = NetworkGenerator(family=LinearChain(
+        gen = LinearChain(
             diag=sgain.seqrules.PeriodicSeq.constant(Fraction(-3, 1) * -1),
             sub=sgain.seqrules.PeriodicSeq.constant(4),
-            sup=sgain.seqrules.PeriodicSeq.constant(4)))
+            sup=sgain.seqrules.PeriodicSeq.constant(4))
         net = truncate(gen, 10)  # strong coupling dominates the diagonal
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1.0})
         traj = integrate(net, x0, Zero(), horizon=40.0, step=1e-2, blow_up=1e6)
@@ -74,7 +74,7 @@ class TestNorms:
         assert lp_norm(np.array([3.0, -4.0]), math.inf) == 4.0
 
     def test_block_aggregation(self):
-        net = truncate(sgain.make_scenario("lure-platoon").generator, 2)
+        net = truncate(sgain.make_scenario("lure-platoon").family, 2)
         assert net.block_dim == 2
         x = np.array([3.0, 4.0, 0.0, 1.0])
         assert lp_norm(net.block_norms(x), 2) == pytest.approx(math.sqrt(26.0))
@@ -99,18 +99,18 @@ class TestSignals:
         lambda: TrafficLights(1.0, 2.0, 1.0),
     ])
     def test_reported_norm_dominates_samples(self, make):
-        gen = sgain.make_scenario("counter-gain").generator  # one channel per subsystem
+        gen = sgain.make_scenario("counter-gain").family  # one channel per subsystem
         net = truncate(gen, 12)
         sig = make()
-        sup = sig.sup_norm_q(net, 2.0)
+        sup = sig.sup_norm_q(net)
         for t in np.linspace(0.0, 7.0, 113):
             assert lp_norm(sig.values(net, float(t)), 2.0) <= sup + 1e-12
 
     def test_traffic_channels_only_on_controlled_cells(self):
-        net = truncate(sgain.make_scenario("traffic").generator, 16)
+        net = truncate(sgain.make_scenario("traffic").family, 16)
         assert net.input_dim == 4  # cells 4, 5, 12, 13
         sig = ConstantOnFirstK(16, 1.0)
-        assert sig.sup_norm_q(net, 2.0) == pytest.approx(2.0)
+        assert sig.sup_norm_q(net) == pytest.approx(2.0)
 
     def test_round_trip(self):
         for obj in ({"kind": "zero"},
@@ -171,7 +171,7 @@ def _stagewise_rk4(net, x0, sig, horizon, h, blow_up=math.inf):
         k4 = evaluate_rhs(net, x + h * k3, u4)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(x)
-        if lp_norm(net.block_norms(x), float(net.generator.p)) > blow_up:
+        if lp_norm(net.block_norms(x), 2.0) > blow_up:
             break
     return np.array(out)
 
@@ -197,7 +197,7 @@ class TestSeparableForcing:
     @pytest.mark.parametrize("name, overrides", FORCED_NETWORKS)
     @pytest.mark.parametrize("sig", SIGNAL_KINDS, ids=lambda s: s.kind)
     def test_matches_stagewise_sampling(self, name, overrides, sig):
-        net = truncate(sgain.make_scenario(name, overrides).generator, 20)
+        net = truncate(sgain.make_scenario(name, overrides).family, 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         traj = integrate(net, x0, sig, horizon=0.2, step=0.004)
         ref = _stagewise_rk4(net, x0, sig, 0.2, 0.004)
@@ -206,7 +206,7 @@ class TestSeparableForcing:
         assert np.all(traj.u_norm <= traj.u_sup_norm * (1 + 1e-12))
 
     def test_step_loop_forms_no_input_vector(self):
-        net = truncate(sgain.make_scenario("traffic").generator, 20)
+        net = truncate(sgain.make_scenario("traffic").family, 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         plain = integrate(net, x0, SinusoidOnFirstK(9, 0.9, 1.3), 0.2, 0.004)
         net.input_matrix = _CountingMatrix(net.input_matrix)
@@ -222,12 +222,12 @@ class TestSeparableForcing:
 
         monkeypatch.setattr(LureBanded, "phi_eval", refuse)
         for phi in ("zero", "saturation", "midpoint-linear"):
-            gen = sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi}}).generator
+            gen = sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi}}).family
             net = truncate(gen, 10)
             x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
             integrate(net, x0, GeometricProfile(1.0, 0.5), 0.02, 0.004)
         active = {"coefficients": {"phi": "saturation", **ACTIVE_SECTOR}}
-        net = truncate(sgain.make_scenario("lure-platoon", active).generator, 10)
+        net = truncate(sgain.make_scenario("lure-platoon", active).family, 10)
         with pytest.raises(AssertionError, match="inactive sector"):
             integrate(net, np.ones(net.dim), Zero(), 0.02, 0.004)
 
@@ -237,7 +237,7 @@ class TestBlocks:
 
     def test_divergence_across_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 4000)  # 400 rows of 10 states
-        net = truncate(NetworkGenerator(family=LinearChain.uniform(1, 10)), 10)
+        net = truncate(LinearChain.uniform(1, 10), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         ref = _stagewise_rk4(net, x0, Zero(), 100.0, 0.1, blow_up=1e100)
         assert 400 < len(ref) - 1 < 800  # the blow-up falls in the second block,
@@ -298,7 +298,7 @@ class TestDissipation:
     def test_forced_traffic_envelope_and_dissipation(self, traffic_certified):
         cert, g, *_ = traffic_certified
         lyap = CompositeLyapunov(cert, g)
-        net = truncate(sgain.make_scenario("traffic").generator, 60)
+        net = truncate(sgain.make_scenario("traffic").family, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         sig = GeometricProfile(1.0, 0.5)
         traj = integrate(net, x0, sig, 6.0, 1e-3, lyapunov=lyap)
@@ -308,7 +308,7 @@ class TestDissipation:
     def test_norm_level_envelope(self, traffic_certified):
         cert, g, *_ = traffic_certified
         lyap = CompositeLyapunov(cert, g)
-        net = truncate(sgain.make_scenario("traffic").generator, 60)
+        net = truncate(sgain.make_scenario("traffic").family, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         sig = GeometricProfile(1.0, 0.5)
         traj = integrate(net, x0, sig, 6.0, 1e-3, lyapunov=lyap)
@@ -328,11 +328,10 @@ class TestLureSectorEndToEnd:
                          d_left=((0.1,),), d_right=((0.1,),),
                          sector_l=Fraction(-1, 2), sector_r=Fraction(1, 2),
                          phi=phi)
-        gen = NetworkGenerator(family=fam)
-        g = sgain.derive_gains_lure(gen, [[0.5]], kappa=2.5, eps=0.25, tau=1.0)
+        g = sgain.derive_gains_lure(fam, [[0.5]], kappa=2.5, eps=0.25, tau=1.0)
         cert, g_used, *_ = sgain.certify(g)
         lyap = CompositeLyapunov(cert, g_used)
-        net = truncate(gen, 30)
+        net = truncate(fam, 30)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 2.0})
         traj = integrate(net, x0, ConstantOnFirstK(5, 0.3), 5.0, 1e-3,
                          lyapunov=lyap)
@@ -350,7 +349,7 @@ class TestFitDecay:
         assert fit.rate == pytest.approx(2.0, rel=1e-2)
 
     def test_counter_slow_rate_at_index_200(self):
-        gen = sgain.make_scenario("counter-slow").generator
+        gen = sgain.make_scenario("counter-slow").family
         net = truncate(gen, 200)
         x0 = initial_state(net, {"kind": "unit", "index": 200})
         traj = integrate(net, x0, Zero(), 10.0, 1e-2)
@@ -358,7 +357,7 @@ class TestFitDecay:
         assert fit.rate == pytest.approx(1.0 / 200.0, rel=0.2)
 
     def test_counter_gain_steady_states(self):
-        gen = sgain.make_scenario("counter-gain").generator
+        gen = sgain.make_scenario("counter-gain").family
         n = 50
         net = truncate(gen, n)
         traj = integrate(net, np.zeros(n), ConstantOnFirstK(n, 1.0), 7.0, 1e-3)
