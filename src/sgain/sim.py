@@ -25,6 +25,13 @@ composite Lyapunov values (when a certificate is attached) are recorded
 at once, with the instantaneous input norm, so that the dissipation
 inequality and the exponential envelopes can be checked sample by sample
 with a step-proportional tolerance.
+
+Before each block the row it starts from is flushed: its entries below
+``2^-900`` times its largest magnitude become zero, as do those of
+``B shape`` once per run, so that a decaying far field is not stepped in
+slow subnormal floats.  The floor is relative: a state tiny everywhere
+keeps its entries, and no recorded norm, V or input norm moves; only the
+stored states show the flush.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .certificate import CompositeLyapunov
-from .errors import InsufficientDataError, NumericInputError, ParameterError, ShapeError
+from .errors import (InsufficientDataError, NumericInputError, ParameterError, ResourceError,
+                     ShapeError)
 from .families import Family
 from .network import TruncatedNetwork, _matvec, truncate
 from .seqrules import as_integer, as_number, as_object, number_at
@@ -231,10 +239,22 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
 # A step loop and its recorder work on blocks of rows of at most this many
 # state floats (256 KiB), so the memory of a run does not grow with N.
 _BLOCK_FLOATS = 2 ** 15
+# Entries below this fraction of their row's largest magnitude are zeroed
+# before they are stepped (see the module docstring).
+_FLUSH = 2.0 ** -900
+# A run records at least seven floats a step: more steps need over 100 GiB.
+_STEP_BUDGET = 2 ** 31
 
 
 def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_FLOATS // dim)
+
+
+def _flush(x: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of ``x`` below ``_FLUSH`` times its largest."""
+    a = np.abs(x)
+    x[a < _FLUSH * a.max()] = 0.0
+    return x
 
 
 @dataclass
@@ -349,6 +369,9 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     """
     if step <= 0 or horizon < step:
         raise ParameterError("need step > 0 and horizon >= step")
+    if not horizon / step < _STEP_BUDGET:
+        raise ResourceError(f"T/h = {horizon / step:.3g} steps, over the budget of "
+                            f"{_STEP_BUDGET} steps")
     signal = signal or Zero()
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != net.dim:
@@ -360,7 +383,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     n_steps = int(round(horizon / step))
     h = step
     shape = signal.shape(net)
-    forcing = net.input_matrix @ shape if net.input_dim and signal.level else None
+    forcing = _flush(net.input_matrix @ shape) if net.input_dim and signal.level else None
     levels = _stage_levels(signal, n_steps, h)
     stepper = _lti_stepper if net.nonlinearity is None else _rk4_stepper
     advance = stepper(net, h, forcing, levels)
@@ -392,6 +415,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         while last < n_steps and not diverged:
             m = min(rows, n_steps - last)
             blk = buf[last:last + m + 1] if store_states else buf[:m + 1]
+            _flush(blk[0])
             advance(blk, last)
             last, diverged = record(last + 1, blk[1:])
             if not store_states:
@@ -497,6 +521,8 @@ def fit_decay(traj: TrajectoryRecord, channel: str = "v",
     if mask.sum() < 2 or np.ptp(traj.t[mask]) <= 0:
         raise InsufficientDataError("fewer than two samples above the fit floor")
     t, y = traj.t[mask], np.log(values[mask])
+    if not (t * t).sum() > 0:  # the column scale of the least-squares fit
+        raise InsufficientDataError("sample times too small to fit: their squares underflow")
     slope, intercept = np.polyfit(t, y, 1)
     return DecayFit(rate=float(-slope), prefactor=float(np.exp(intercept)),
                     n_points=int(mask.sum()), channel=channel)

@@ -320,6 +320,20 @@ class TestExitCodes:
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
         assert code == 1 and err.startswith("error:") and key in err, err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_step_count_beyond_any_array(self, run_main, tmp_path, command):
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
+                                             "sim": {**FAST_SIM, "h": 1e-300}})
+        code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1 and err.startswith("error:") and "steps" in err, err
+
+    def test_subnormal_sample_times_give_no_decay_fit(self, run_main, tmp_path):
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
+                                             "sim": {**FAST_SIM, "T": 1e-320, "h": 1e-321}})
+        assert run_main(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == (0, "")
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["samples"] > 2 and summary["decay_fit"] is None
+
 
 class TestHarness:
     def test_child_imports_sgain_under_test(self, cli_env, tmp_path):

@@ -265,6 +265,28 @@ class TestBlocks:
         if store_states:
             assert np.array_equal(traj.states, whole.states)
 
+    def test_far_field_flush_moves_no_recorded_float(self, monkeypatch, platoon_gains):
+        cert, g, *_ = sgain.certify(platoon_gains)
+        lyap = CompositeLyapunov(cert, g)
+        net = truncate(sgain.make_scenario("lure-platoon").family, 1200)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        args = (net, x0, GeometricProfile(1.0, 0.45), 0.1, 1e-3)
+        flushed = integrate(*args, lyapunov=lyap, store_states=False)
+        monkeypatch.setattr(sgain.sim, "_FLUSH", 0.0)
+        plain = integrate(*args, lyapunov=lyap, store_states=False)
+        for name in ("t", "norm_p", "v", "u_norm"):
+            assert np.array_equal(getattr(flushed, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("overrides", [{}, {"coefficients": {"phi": "saturation",
+                                                                 **ACTIVE_SECTOR}}])
+    def test_no_block_starts_from_a_subnormal(self, monkeypatch, overrides):
+        monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 8000)  # 10 rows of 800 states
+        net = truncate(sgain.make_scenario("lure-platoon", overrides).family, 400)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        traj = integrate(net, x0, GeometricProfile(1.0, 0.1), 0.05, 1e-3)
+        starts = np.abs(traj.states[:-1:10])  # a block steps from its stored first row
+        assert len(starts) == 5 and np.all((starts == 0) | (starts >= np.finfo(float).tiny))
+
 
 class TestDissipation:
     def test_certified_chain_no_violations(self, chain_certified):
