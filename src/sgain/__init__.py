@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 _NUMERIC = {"network": "TruncatedNetwork evaluate_rhs truncate".split(),
             "sim": """ConstantOnFirstK DecayFit GeometricProfile SinusoidOnFirstK TrafficLights
-            TrajectoryRecord Zero export_csv fit_decay initial_state integrate lp_norm
+            TrajectoryRecord Zero export_csv fit_decay initial_state integrate
             signal_from_dict truncation_convergence_probe verify_dissipation
             verify_envelope""".split()}
 

@@ -90,16 +90,6 @@ class TruncatedNetwork:
             out += (e * phi(s)[:, None]).ravel()
         return out
 
-    def block_norms(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean norm of every state block, along the last axis of ``x``.
-
-        ``x`` holds one state or a prefix of whole blocks per row.
-        """
-        if self.block_dim == 1:
-            return np.abs(x)
-        blocks = x.reshape(*x.shape[:-1], -1, self.block_dim)
-        return np.sqrt(np.einsum("...i,...i->...", blocks, blocks))
-
 
 def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Add ``m @ x`` into ``out`` with scipy's compiled CSR kernel; returns ``out``.

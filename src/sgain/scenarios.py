@@ -180,7 +180,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
     Module errors become report outcomes rather than exceptions: a failed
     stage gives the outcome ``error`` and keeps what earlier stages wrote.
     The report's ``outcome`` equals the scenario's ``expected_outcome`` for
-    every shipped scenario at default parameters.
+    every shipped scenario at default parameters; ``seed`` is only echoed.
     """
     report: dict = {"schema": "sgain/1", "scenario": s.name, "seed": seed,
                     "expected_outcome": asdict(s.expected_outcome),
@@ -208,7 +208,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
             simrep["dissipation_forced"] = dissipation.to_dict()
             simrep["envelope_forced"] = envelope.to_dict()
             violations += len(dissipation.violations) + len(envelope.violations)
-        simrep["coercivity"] = simmod.coercivity_sweep(lyap, setup.net, seed)
+        simrep["coercivity"] = simmod.coercivity_check(lyap, setup.net)
     except SgainError as exc:
         report["error"] = str(exc)
         return _conclude(report, s, Outcome("error"))

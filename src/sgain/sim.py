@@ -20,7 +20,7 @@ rounding: a report is byte-identical from run to run, and
 trajectory-derived floats move by about 1e-13 relative against the
 stage-wise evaluation.
 
-Steps fill blocks of rows, and each block's block-wise lp norms and
+Steps fill blocks of rows, and each block's Euclidean norms and
 composite Lyapunov values (when a certificate is attached) are recorded
 at once, with the instantaneous input norm, so that the dissipation
 inequality and the exponential envelopes can be checked sample by sample
@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from fractions import Fraction
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -80,8 +81,8 @@ class InputSignal:
     def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
         return self.level * self.unit(t) * self.shape(net)
 
-    def sup_norm_q(self, net: TruncatedNetwork) -> float:
-        return abs(self.level) * lp_norm(self.shape(net), 2.0)
+    def sup_norm(self, net: TruncatedNetwork) -> float:
+        return abs(self.level) * float(_norm(self.shape(net)))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -181,26 +182,6 @@ def signal_from_dict(obj: Mapping) -> InputSignal:
 
 
 # --------------------------------------------------------------------------
-# Norms
-# --------------------------------------------------------------------------
-
-
-def lp_norm(x: np.ndarray, p: float) -> float:
-    """lp norm of a vector of block norms (or of scalar blocks)."""
-    blocks = np.abs(np.asarray(x, dtype=float).ravel())
-    if math.isinf(p):
-        return float(blocks.max()) if blocks.size else 0.0
-    if p < 1:
-        raise ParameterError("norm exponent must satisfy p >= 1")
-    return float(_lp_rows(blocks, p))
-
-
-def _lp_rows(blocks: np.ndarray, p: float) -> np.ndarray:
-    """lp norm along the last axis of nonnegative block norms, for finite p."""
-    return (blocks ** p).sum(axis=-1) ** (1.0 / p)
-
-
-# --------------------------------------------------------------------------
 # Initial states
 # --------------------------------------------------------------------------
 
@@ -246,8 +227,9 @@ _FLUSH = 2.0 ** -900
 _STEP_BUDGET = 2 ** 31
 
 
-def _block_rows(dim: int) -> int:
-    return max(1, _BLOCK_FLOATS // dim)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of ``x``: the one norm of states and inputs."""
+    return np.sqrt((x * x).sum(axis=-1))
 
 
 def _flush(x: np.ndarray) -> np.ndarray:
@@ -340,6 +322,7 @@ class BoundLyapunov:
         idx = np.arange(net.n_subsystems)  # subsystem idx + 1 reads stored pos[idx]
         pos = np.where(idx < mu.preamble_len, idx,
                        mu.preamble_len + (idx - mu.preamble_len) % mu.period)
+        self.mu = [mu.values()[k] for k in np.unique(pos)]  # the mu_i read, exactly
         mu_vec = np.array([float(v) for v in mu.values()])[pos]
         self._q = sp.kron(sp.diags(mu_vec), lyap.gains.vform.matrix(), format="csr")
 
@@ -363,7 +346,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     A linear time-invariant truncation (``net.nonlinearity`` is None) is
     stepped as ``x+ = R x + w``; one with an active sector channel by the
     RK4 stages.  Both fill blocks of rows, whose norms and V are recorded
-    block by block.  Divergence (block-norm beyond ``blow_up``) flags the
+    block by block.  Divergence (norm beyond ``blow_up``) flags the
     record and halts integration at that step; it is a reported outcome,
     not an error.
     """
@@ -391,8 +374,8 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     ts = np.concatenate(([0.0], np.arange(n_steps) * h + h))
     norms = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1) if bound is not None else None
-    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * lp_norm(shape, 2.0)
-    rows = _block_rows(net.dim)
+    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * _norm(shape)
+    rows = max(1, _BLOCK_FLOATS // net.dim)
     states = np.empty((n_steps + 1, net.dim)) if store_states else None
     buf = states if store_states else np.empty((rows + 1, net.dim))
     buf[0] = x
@@ -400,7 +383,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     def record(k0: int, blk: np.ndarray) -> tuple[int, bool]:
         """Record the rows of ``blk`` as samples ``k0, k0 + 1, ...`` up to the
         first that diverged; returns the last sample kept and whether one did."""
-        n = _lp_rows(net.block_norms(blk), 2.0)
+        n = _norm(blk)
         norms[k0:k0 + len(n)] = n
         bad = np.flatnonzero(~np.isfinite(n) | (n > blow_up))
         kept = int(bad[0]) + 1 if bad.size else len(n)
@@ -424,7 +407,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     return TrajectoryRecord(
         t=ts[sl], states=states[sl] if states is not None else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
-        u_norm=u_norms[sl], u_sup_norm=signal.sup_norm_q(net),
+        u_norm=u_norms[sl], u_sup_norm=signal.sup_norm(net),
         step=h, diverged=diverged)
 
 
@@ -433,64 +416,73 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
 # --------------------------------------------------------------------------
 
 
+TOL_COEFFICIENT = 20.0  # c of the step-proportional tolerance c h (1 + V) of the checks
+ROUNDING_ULPS = 4  # ulps of max(V(t), V(t+h)) in the dissipation check's rounding term
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     name: str
     n_checked: int
     violations: tuple[tuple[float, float], ...]  # (time, margin)
     worst_margin: float
-    tol_coefficient: float
+    n_rounding: int = 0  # samples whose tolerance is the rounding term
 
     @classmethod
     def of(cls, name: str, t: np.ndarray, margins: np.ndarray,
-           tol_coefficient: float) -> "ViolationReport":
+           n_rounding: int = 0) -> "ViolationReport":
         """The report of one margin per sample; a positive margin violates."""
         bad = np.nonzero(margins > 0)[0]
         return cls(name=name, n_checked=int(margins.size),
                    violations=tuple((float(t[i]), float(margins[i])) for i in bad),
                    worst_margin=float(margins.max()) if margins.size else -math.inf,
-                   tol_coefficient=tol_coefficient)
+                   n_rounding=n_rounding)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_dict(self) -> dict:
+        rounding = {"ulps": ROUNDING_ULPS, "n_samples": self.n_rounding}
         return {"name": self.name, "ok": self.ok, "n_checked": self.n_checked,
                 "n_violations": len(self.violations),
                 "worst_margin": self.worst_margin,
-                "tol_coefficient": self.tol_coefficient,
-                "violations": [list(v) for v in self.violations[:32]]}
+                "tol_coefficient": TOL_COEFFICIENT,
+                "violations": [list(v) for v in self.violations[:32]],
+                **({"rounding": rounding} if self.n_rounding else {})}
 
 
-def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov,
-                       c_tol: float = 20.0) -> ViolationReport:
+def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov) -> ViolationReport:
     """Forward-difference check of the dissipation inequality.
 
     Each consecutive pair must satisfy
-    ``(V(t+h) - V(t))/h <= -lambda_inf V(t) + mu_hi sup gamma_iu ||u||^q + tol``
-    with the step-proportional tolerance ``tol = c_tol h (1 + V(t))``.
+    ``(V(t+h) - V(t))/h <= -lambda_inf V(t) + mu_hi sup gamma_iu ||u||^2 + tol``
+    with ``tol`` the larger of the step term ``c h (1 + V(t))`` and the
+    rounding term ``ROUNDING_ULPS`` ulps of ``max(V(t), V(t+h))`` over ``h``,
+    which does not shrink with ``h``.  The report's ``rounding`` entry, absent
+    when there are none, counts the samples whose tolerance is the latter.
     """
     if traj.v is None or traj.v.size < 2:
         raise InsufficientDataError("trajectory lacks a Lyapunov channel or samples")
-    h = traj.step
-    lam_inf = float(lyap.cert.lambda_inf)
+    h, v, v_next = traj.step, traj.v[:-1], traj.v[1:]
     forcing = float(lyap.input_coefficient) * traj.u_sup_norm ** 2.0
-    quotients = np.diff(traj.v) / h
-    rhs = -lam_inf * traj.v[:-1] + forcing + c_tol * h * (1.0 + traj.v[:-1])
-    return ViolationReport.of("dissipation", traj.t, quotients - rhs, c_tol)
+    step_tol = TOL_COEFFICIENT * h * (1.0 + v)
+    rounding_tol = ROUNDING_ULPS * np.spacing(np.maximum(v, v_next)) / h
+    rhs = -float(lyap.cert.lambda_inf) * v + forcing + np.maximum(step_tol, rounding_tol)
+    return ViolationReport.of("dissipation", traj.t, (v_next - v) / h - rhs,
+                              int(np.count_nonzero(rounding_tol > step_tol)))
 
 
 def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov,
-                    eps: float | None = None, c_tol: float = 20.0) -> ViolationReport:
+                    eps: float | None = None) -> ViolationReport:
     """Check ``V(t) <= exp(-eps t) V(0) + chi(||u||)`` sample by sample."""
     if traj.v is None or traj.v.size < 1:
         raise InsufficientDataError("trajectory lacks a Lyapunov channel")
     if eps is None:
         eps = 0.5 * float(lyap.cert.lambda_inf)
     env = lyap.envelope_v(traj.t, float(traj.v[0]), traj.u_sup_norm, eps)
-    tol = c_tol * traj.step * (1.0 + env)
-    return ViolationReport.of("envelope", traj.t, traj.v - env - tol, c_tol)
+    tol = TOL_COEFFICIENT * traj.step * (1.0 + env)
+    return ViolationReport.of("envelope", traj.t, traj.v - env - tol)
 
 
 @dataclass(frozen=True)
@@ -535,8 +527,9 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
 
     Integrates the same initial data (supported on the first K
     subsystems) at each truncation size and reports, for consecutive
-    sizes, the maximum over time of the lp difference of the retained
-    window.  No convergence claim is made; the numbers are the evidence.
+    sizes, the maximum over time of the Euclidean norm of the difference
+    of the retained window.  No convergence claim is made; the numbers are
+    the evidence.
     """
     n_list = list(n_list)
     if not n_list:
@@ -551,11 +544,11 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
     for n in n_list:
         net = truncate(fam, n)
         traj = integrate(net, initial_state(net, x0_desc), signal, horizon, step)
-        runs.append((n, net, traj.states[:, :net.block_offsets[first_k]].copy()))
+        runs.append((n, traj.states[:, :net.block_offsets[first_k]].copy()))
     out = []
-    for (n1, net1, s1), (n2, _, s2) in zip(runs, runs[1:]):
+    for (n1, s1), (n2, s2) in zip(runs, runs[1:]):
         rows = min(s1.shape[0], s2.shape[0])
-        dev = _lp_rows(net1.block_norms(s1[:rows] - s2[:rows]), 2.0).max()
+        dev = _norm(s1[:rows] - s2[:rows]).max()
         out.append({"n_small": n1, "n_large": n2, "max_deviation": float(dev)})
     return out
 
@@ -563,9 +556,6 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
 # --------------------------------------------------------------------------
 # Pipeline stages 3-4
 # --------------------------------------------------------------------------
-
-COERCIVITY_SAMPLES = 1000
-
 
 @dataclass(frozen=True)
 class SimSetup:
@@ -576,7 +566,6 @@ class SimSetup:
     x0: np.ndarray
     horizon: float
     step: float
-    c_tol: float
 
     def to_dict(self) -> dict:
         return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
@@ -591,8 +580,7 @@ def build_sim(fam: Family, sim: Mapping) -> SimSetup:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed 'sim' entry: {exc}") from None
     return SimSetup(net=net, signal=signal, x0=x0, horizon=float(number_at(sim, "T", 10.0)),
-                    step=float(number_at(sim, "h", 1e-3)),
-                    c_tol=float(number_at(sim, "c_tol", 20.0)))
+                    step=float(number_at(sim, "h", 1e-3)))
 
 
 def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
@@ -601,31 +589,26 @@ def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
     check is None when ``lambda_inf <= 0``: no decay, no envelope."""
     traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
                      lyapunov=lyap, store_states=False)
-    envelope = verify_envelope(traj, lyap, c_tol=setup.c_tol) if lyap.cert.lambda_inf > 0 else None
-    return traj, verify_dissipation(traj, lyap, c_tol=setup.c_tol), envelope
+    envelope = verify_envelope(traj, lyap) if lyap.cert.lambda_inf > 0 else None
+    return traj, verify_dissipation(traj, lyap), envelope
 
 
-def coercivity_sweep(lyap: CompositeLyapunov, net: TruncatedNetwork, seed: int,
-                     samples: int = COERCIVITY_SAMPLES) -> dict:
-    """Compare V with its coercivity bounds on random states, drawn one per
-    row in a fixed order and evaluated a block of rows at a time."""
-    rng = np.random.default_rng(seed)
-    bound = BoundLyapunov(lyap, net)
-    lo, hi = float(lyap.coercivity_lo), float(lyap.coercivity_hi)
-    bad = 0
-    worst = 0.0
-    block = np.empty((_block_rows(net.dim), net.dim))
-    for start in range(0, samples, len(block)):
-        xs = block[:min(len(block), samples - start)]
-        for x in xs:
-            rng.standard_normal(out=x)
-            x *= rng.choice([1e-3, 1.0, 1e3])
-        v = bound.values(xs)
-        npow = _lp_rows(net.block_norms(xs), 2.0) ** 2.0
-        gap = np.maximum(lo * npow - v, v - hi * npow)
-        worst = max(worst, float((gap / np.maximum(npow, 1e-300)).max()))
-        bad += int(np.count_nonzero(gap > 1e-9 * (1.0 + np.abs(v))))
-    return {"samples": samples, "violations": bad, "worst_relative_excess": worst}
+def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
+    """V's coercivity sandwich on one truncation, checked exactly rather than sampled.
+
+    For ``V = sum_i mu_i x_i^T P x_i`` the extremes of ``V(x) / |x|_2^2`` are
+    ``min_i mu_i lambda_min(P)`` and ``max_i mu_i lambda_max(P)`` over the
+    truncation's ``mu_i``; both must lie in ``[mu_lo alpha_lo, mu_hi alpha_hi]``.
+    """
+    cert, g = lyap.cert, lyap.gains
+    mu, eigs = BoundLyapunov(lyap, net).mu, np.linalg.eigvalsh(g.vform.matrix())
+    a, b = Fraction(min(mu)) * Fraction(eigs[0]), Fraction(max(mu)) * Fraction(eigs[-1])
+    lo = Fraction(cert.mu_lo) * Fraction(g.alpha_lo.lower())
+    hi = Fraction(cert.mu_hi) * Fraction(g.alpha_hi.upper())
+    return {"interval": [float(a), float(b)], "bounds": [float(lo), float(hi)],
+            "mu_lo": float(cert.mu_lo), "mu_hi": float(cert.mu_hi),
+            "alpha_lo": float(g.alpha_lo.lower()), "alpha_hi": float(g.alpha_hi.upper()),
+            "violations": int(a < lo or b > hi)}
 
 
 # --------------------------------------------------------------------------

@@ -356,6 +356,19 @@ class TestDeterminism:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_seed_is_only_echoed(self, run_main, tmp_path):
+        """Nothing in a scenario run is random: reports under two seeds
+        differ only in the echoed ``seed``."""
+        cfg = _write(tmp_path / "fast.json", {"sim": FAST_SIM})
+        reports = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert run_main(["scenario", "chain-a", "--config", cfg, "--out", out,
+                             "--seed", seed]) == (0, "")
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert [r.pop("seed") for r in reports] == [1, 2]
+        assert reports[0] == reports[1]
+
 
 class TestGoldenOutputs:
     """``analyze`` and ``certify`` on each shipped scenario write the bytes
@@ -396,6 +409,17 @@ class TestOnePipeline:
         assert run_main(["certify", "--config", with_k, "--out", tmp_path / "b"]) == (0, "")
         assert ((tmp_path / "a" / "certificate.json").read_bytes()
                 == (tmp_path / "b" / "certificate.json").read_bytes())
+
+    def test_tolerance_coefficient_key_is_unread(self, run_main, tmp_path):
+        """``sim.c_tol`` no longer sets anything: the coefficient is fixed at 20."""
+        plain = _write(tmp_path / "a.json", {"sim": FAST_SIM})
+        with_c = _write(tmp_path / "b.json", {"sim": {**FAST_SIM, "c_tol": 5.0}})
+        for cfg, out in ((plain, "a"), (with_c, "b")):
+            argv = ["scenario", "traffic", "--config", cfg, "--out", tmp_path / out]
+            assert run_main(argv) == (0, "")
+        report = (tmp_path / "b" / "report.json").read_bytes()
+        assert report == (tmp_path / "a" / "report.json").read_bytes()
+        assert json.loads(report)["simulation"]["dissipation_forced"]["tol_coefficient"] == 20.0
 
     def test_verify_scans_the_certificate_of_the_analysis_settings(self, run_main, tmp_path):
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},

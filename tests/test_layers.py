@@ -30,7 +30,7 @@ build_certificate build_gain_operator cap_decay_rates certificate_from_dict cert
 check_assumptions check_lure_lmi classify_traffic_cell derive_gains_linear_chain
 derive_gains_lure derive_gains_traffic evaluate_rhs export_csv fit_decay
 generator_from_dict generator_to_dict initial_state integrate
-load_generator lp_norm make_scenario neumann_eta operator_power_column_sums
+load_generator make_scenario neumann_eta operator_power_column_sums
 optimize_chain_free_params run_pipeline save_generator signal_from_dict spectral_bracket
 truncate truncation_convergence_probe verify_certificate verify_dissipation verify_envelope
 """.split()

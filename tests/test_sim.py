@@ -10,13 +10,14 @@ import pytest
 import sgain
 from sgain import (InsufficientDataError, LinearChain,
                    NumericInputError, ParameterError, Zero, fit_decay,
-                   initial_state, integrate, lp_norm, truncate,
+                   initial_state, integrate, truncate,
                    truncation_convergence_probe, verify_dissipation)
 from sgain.certificate import CompositeLyapunov
 from sgain.network import evaluate_rhs
+from sgain.seqrules import PeriodicSeq
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
-                       TrafficLights, export_csv, signal_from_dict,
-                       verify_envelope)
+                       TrafficLights, _norm, coercivity_check, export_csv,
+                       signal_from_dict, verify_envelope)
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -68,27 +69,24 @@ class TestRk4:
 
 class TestNorms:
     def test_examples(self):
-        assert lp_norm(np.array([1.0, 0.0, 0.0]), 2) == 1.0
-        assert lp_norm(np.ones(17), 1) == pytest.approx(17.0)
-        assert lp_norm(np.array([3.0, 4.0]), 2) == pytest.approx(5.0)
-        assert lp_norm(np.array([3.0, -4.0]), math.inf) == 4.0
+        assert _norm(np.array([1.0, 0.0, 0.0])) == 1.0
+        assert _norm(np.array([3.0, -4.0])) == 5.0
+        assert _norm(np.zeros(0)) == 0.0
+        assert np.array_equal(_norm(np.array([[3.0, 4.0], [0.0, -2.0]])), [5.0, 2.0])
 
     def test_block_aggregation(self):
         net = truncate(sgain.make_scenario("lure-platoon").family, 2)
         assert net.block_dim == 2
         x = np.array([3.0, 4.0, 0.0, 1.0])
-        assert lp_norm(net.block_norms(x), 2) == pytest.approx(math.sqrt(26.0))
+        assert _norm(x) == pytest.approx(math.sqrt(26.0))
+        traj = integrate(net, x, Zero(), horizon=1e-3, step=1e-3)
+        assert traj.norm_p[0] == pytest.approx(math.sqrt(26.0), rel=1e-15)
 
     def test_summation_oracle(self):
         rng = np.random.default_rng(11)
-        for p in (1.0, 2.0, 3.5):
-            x = rng.standard_normal(64)
-            direct = sum(abs(float(v)) ** p for v in x) ** (1.0 / p)
-            assert lp_norm(x, p) == pytest.approx(direct, rel=1e-12)
-
-    def test_invalid_exponent(self):
-        with pytest.raises(ParameterError):
-            lp_norm(np.ones(3), 0.5)
+        xs = rng.standard_normal((5, 64))
+        for x, n in zip(xs, _norm(xs)):
+            assert n == pytest.approx(math.sqrt(sum(float(v) ** 2 for v in x)), rel=1e-12)
 
 
 class TestSignals:
@@ -102,15 +100,15 @@ class TestSignals:
         gen = sgain.make_scenario("counter-gain").family  # one channel per subsystem
         net = truncate(gen, 12)
         sig = make()
-        sup = sig.sup_norm_q(net)
+        sup = sig.sup_norm(net)
         for t in np.linspace(0.0, 7.0, 113):
-            assert lp_norm(sig.values(net, float(t)), 2.0) <= sup + 1e-12
+            assert np.linalg.norm(sig.values(net, float(t))) <= sup + 1e-12
 
     def test_traffic_channels_only_on_controlled_cells(self):
         net = truncate(sgain.make_scenario("traffic").family, 16)
         assert net.input_dim == 4  # cells 4, 5, 12, 13
         sig = ConstantOnFirstK(16, 1.0)
-        assert sig.sup_norm_q(net) == pytest.approx(2.0)
+        assert sig.sup_norm(net) == pytest.approx(2.0)
 
     def test_round_trip(self):
         for obj in ({"kind": "zero"},
@@ -171,7 +169,7 @@ def _stagewise_rk4(net, x0, sig, horizon, h, blow_up=math.inf):
         k4 = evaluate_rhs(net, x + h * k3, u4)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(x)
-        if lp_norm(net.block_norms(x), 2.0) > blow_up:
+        if np.linalg.norm(x) > blow_up:
             break
     return np.array(out)
 
@@ -317,6 +315,30 @@ class TestDissipation:
         rep = verify_dissipation(traj, bad)
         assert not rep.ok and rep.worst_margin > 0
 
+    @pytest.mark.parametrize("n, step", [(50, 1e-15), (400, 1e-15), (50, 1e-14)])
+    def test_survives_rounding_at_tiny_steps(self, platoon_gains, n, step):
+        """One ulp of V over h does not shrink with h: the rounding term
+        keeps a certified network from failing the check at tiny steps."""
+        s = sgain.make_scenario("lure-platoon")
+        lyap = CompositeLyapunov(*sgain.certify(platoon_gains)[:2])
+        net = truncate(s.family, n)
+        x0 = initial_state(net, s.sim["x0"])
+        sig = signal_from_dict(s.sim["input"])
+        traj = integrate(net, x0, sig, 200 * step, step, lyapunov=lyap)
+        rep = verify_dissipation(traj, lyap)
+        assert rep.ok, rep.violations
+        assert rep.to_dict()["rounding"] == {"ulps": 4, "n_samples": rep.n_rounding}
+        assert 0 < rep.n_rounding <= 200
+
+    def test_rounding_term_absent_at_ordinary_steps(self, chain_certified):
+        cert, g, *_ = chain_certified
+        lyap = CompositeLyapunov(cert, g)
+        net = truncate(chain_gen(), 20)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        rep = verify_dissipation(integrate(net, x0, Zero(), 1.0, 1e-3, lyapunov=lyap), lyap)
+        assert rep.n_rounding == 0 and "rounding" not in rep.to_dict()
+        assert rep.to_dict()["tol_coefficient"] == 20.0
+
     def test_forced_traffic_envelope_and_dissipation(self, traffic_certified):
         cert, g, *_ = traffic_certified
         lyap = CompositeLyapunov(cert, g)
@@ -337,6 +359,35 @@ class TestDissipation:
         env = lyap.envelope_norm(traj.t, traj.norm_p[0], traj.u_sup_norm,
                                  0.5 * float(cert.lambda_inf))
         assert np.all(traj.norm_p <= env + 20.0 * traj.step * (1.0 + env))
+
+
+class TestCoercivity:
+    @pytest.mark.parametrize("n", [1, 3, 16, 40])
+    def test_interval_of_the_truncations_own_mu(self, traffic_scenario, traffic_certified, n):
+        cert, g, *_ = traffic_certified
+        rep = coercivity_check(CompositeLyapunov(cert, g), truncate(traffic_scenario.family, n))
+        head = [float(v) for v in cert.mu.head(n)]
+        assert rep["interval"] == [0.5 * min(head), 0.5 * max(head)]
+        assert rep["bounds"] == [0.5 * float(cert.mu_lo), 0.5 * float(cert.mu_hi)]
+        assert rep["alpha_lo"] == rep["alpha_hi"] == 0.5
+        assert rep["violations"] == 0
+
+    def test_lure_interval_meets_its_bounds(self, platoon_scenario, platoon_gains):
+        lyap = CompositeLyapunov(*sgain.certify(platoon_gains)[:2])
+        rep = coercivity_check(lyap, truncate(platoon_scenario.family, 10))
+        assert rep["interval"] == rep["bounds"] and rep["violations"] == 0
+        assert rep["alpha_lo"] < rep["alpha_hi"]
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c, g: (dataclasses.replace(c, mu=PeriodicSeq.constant(2 * c.mu_hi)), g),
+        lambda c, g: (dataclasses.replace(c, mu=PeriodicSeq.constant(c.mu_lo / 2)), g),
+        lambda c, g: (c, dataclasses.replace(g, alpha_lo=PeriodicSeq.constant(Fraction(3, 4)))),
+        lambda c, g: (c, dataclasses.replace(g, alpha_hi=PeriodicSeq.constant(Fraction(1, 4)))),
+    ])
+    def test_tampered_mu_or_alpha_is_a_violation(self, chain_certified, tamper):
+        cert, g, *_ = chain_certified
+        lyap = CompositeLyapunov(*tamper(cert, g))
+        assert coercivity_check(lyap, truncate(chain_gen(), 10))["violations"] == 1
 
 
 class TestLureSectorEndToEnd:
