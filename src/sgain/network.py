@@ -81,7 +81,7 @@ class TruncatedNetwork:
 
     def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
         """``A x + forcing + nl(x)``, where ``forcing`` is the applied input ``B u``."""
-        out = _matvec(self.drift_matrix, x, np.zeros(self.dim))
+        out = _matvec(self.drift_matrix, x, np.zeros(self.dim), self.dim)
         if forcing is not None:
             out += forcing
         if self.nonlinearity is not None:
@@ -91,13 +91,14 @@ class TruncatedNetwork:
         return out
 
 
-def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add ``m @ x`` into ``out`` with scipy's compiled CSR kernel; returns ``out``.
+def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray, rows: int) -> np.ndarray:
+    """Add the first ``rows`` rows of ``m @ x`` into ``out`` with scipy's compiled
+    CSR kernel; returns ``out``, whose other rows are left alone.
 
     This is the kernel behind ``m @ x`` without its dispatch: from a zero
     ``out`` the result is the same bit for bit.
     """
-    csr_matvec(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, out)
+    csr_matvec(rows, m.shape[1], m.indptr, m.indices, m.data, x, out)
     return out
 
 

@@ -20,18 +20,15 @@ rounding: a report is byte-identical from run to run, and
 trajectory-derived floats move by about 1e-13 relative against the
 stage-wise evaluation.
 
-Steps fill blocks of rows, and each block's Euclidean norms and
-composite Lyapunov values (when a certificate is attached) are recorded
-at once, with the instantaneous input norm, so that the dissipation
-inequality and the exponential envelopes can be checked sample by sample
-with a step-proportional tolerance.
-
-Before each block the row it starts from is flushed: its entries below
-``2^-900`` times its largest magnitude become zero, as do those of
-``B shape`` once per run, so that a decaying far field is not stepped in
-slow subnormal floats.  The floor is relative: a state tiny everywhere
-keeps its entries, and no recorded norm, V or input norm moves; only the
-stored states show the flush.
+Steps fill blocks of rows.  The row a block starts from is flushed: its
+entries below ``2^-900`` times its largest magnitude become zero (as do
+those of ``B shape``, once per run), so that a decaying far field is not
+stepped in slow subnormal floats.  A linear block then steps only its
+support window: if the start row is zero from entry ``s`` on, ``w`` from
+``sw`` on and ``R`` has lower bandwidth ``lower``, ``m`` steps leave every
+entry from ``max(s, sw) + m lower`` on at zero.  Norms and V are per-row
+einsum sums over the window.  Only the stored states show the flush, and the
+recorded floats depend on neither the block size nor the flush.
 """
 
 from __future__ import annotations
@@ -225,6 +222,11 @@ _BLOCK_FLOATS = 2 ** 15
 _FLUSH = 2.0 ** -900
 # A run records at least seven floats a step: more steps need over 100 GiB.
 _STEP_BUDGET = 2 ** 31
+# Stored states hold (T/h + 1) x dim floats: more than this (2 GiB) is refused.
+_STATE_BUDGET = 2 ** 28
+# Recorded windows are whole multiples of this many subsystems: einsum adds a
+# row in passes of 16 or 32 doubles, so each entry takes the same pass.
+_RECORD_GRAIN = 64
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -263,6 +265,11 @@ def _stage_levels(signal: InputSignal, n_steps: int, h: float) -> np.ndarray:
                                     for stage in (t, t + 0.5 * h, t + h)])
 
 
+def _support(x: np.ndarray) -> int:
+    """One past the last nonzero entry of ``x``."""
+    return int(np.max(np.flatnonzero(x), initial=-1)) + 1
+
+
 def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     """Steps of ``x+ = R x + w`` for a linear time-invariant truncation.
 
@@ -275,46 +282,49 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     m = (h * net.drift_matrix).tocsr()
     eye = sp.identity(net.dim, format="csr")
     r = (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
-    w = np.zeros(net.dim)
+    lower = int(np.max(np.arange(net.dim).repeat(np.diff(r.indptr)) - r.indices, initial=0))
+    w, sw = np.zeros(net.dim), 0
     if forcing is not None:
         mf = m @ forcing
         m2f = m @ mf
         images = (h / 6.0) * np.array([forcing + mf + 0.5 * m2f + 0.25 * (m @ m2f),
                                        4.0 * forcing + 2.0 * mf + 0.5 * m2f, forcing])
+        sw = _support(images.any(axis=0))
         w = levels[0, 0] * images.sum(axis=0) if np.all(levels == levels[0, 0]) else None
 
-    def advance(blk: np.ndarray, k: int) -> None:
-        nxt = blk[1:]
+    def advance(blk: np.ndarray, k: int) -> int:
+        nxt, n = blk[1:], len(blk) - 1
+        win = min(net.dim, max(_support(blk[0]), sw) + n * lower)
         if w is not None:
-            nxt[:] = w
+            nxt[:, :win] = w[:win]
         else:
-            np.dot(levels[:, k:k + len(nxt)].T, images, out=nxt)
-        for j in range(len(nxt)):
-            _matvec(r, blk[j], blk[j + 1])
+            np.dot(levels[:, k:k + n].T, images, out=nxt)
+        nxt[:, win:] = 0.0  # +0, as full stepping leaves it through R's positive diagonal
+        for j in range(n):
+            _matvec(r, blk[j], blk[j + 1], win)
+        return win
 
     return advance
 
 
 def _rk4_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
-    """Classical RK4 stages over ``net.rhs``, for an active sector channel."""
-    def applied(s: int, k: int):
-        return None if forcing is None else levels[s, k] * forcing
-
-    def advance(blk: np.ndarray, k0: int) -> None:
+    """Classical RK4 stages over ``net.rhs`` on every row, for an active sector channel."""
+    def advance(blk: np.ndarray, k0: int) -> int:
         for j in range(len(blk) - 1):
             k, x = k0 + j, blk[j]
-            f1, f2, f4 = applied(0, k), applied(1, k), applied(2, k)
+            f1, f2, f4 = [None] * 3 if forcing is None else levels[:, k, None] * forcing
             k1 = net.rhs(x, f1)
             k2 = net.rhs(x + 0.5 * h * k1, f2)
             k3 = net.rhs(x + 0.5 * h * k2, f2)
             k4 = net.rhs(x + h * k3, f4)
             blk[j + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return net.dim
 
     return advance
 
 
 class BoundLyapunov:
-    """V restricted to one truncation, evaluated as one quadratic form."""
+    """V restricted to one truncation: ``sum_i mu_i x_i^T P x_i``."""
 
     def __init__(self, lyap: CompositeLyapunov, net: TruncatedNetwork):
         self.net = net
@@ -323,18 +333,25 @@ class BoundLyapunov:
         pos = np.where(idx < mu.preamble_len, idx,
                        mu.preamble_len + (idx - mu.preamble_len) % mu.period)
         self.mu = [mu.values()[k] for k in np.unique(pos)]  # the mu_i read, exactly
-        mu_vec = np.array([float(v) for v in mu.values()])[pos]
-        self._q = sp.kron(sp.diags(mu_vec), lyap.gains.vform.matrix(), format="csr")
+        self.weights = np.array([float(v) for v in mu.values()])[pos]  # mu_i, i = 1..N
+        self.p = p = lyap.gains.vform.matrix()
+        self._squares = np.kron(self.weights, np.diag(p))  # mu_i P_aa
+        self._cross = [(a, b, 2.0 * p[a, b] * self.weights)  # 2 P_ab mu_i, a < b
+                       for a, b in zip(*np.triu_indices(len(p), 1)) if p[a, b]]
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        if x.shape[1] != self.net.dim:
+            raise ShapeError(f"state has dimension {x.shape[1]}, network needs {self.net.dim}")
+        return float(self.leading(x, x * x)[0])
 
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """V of every row of ``states``, as one row-wise quadratic form."""
-        if states.shape[-1] != self.net.dim:
-            raise ShapeError(f"state has dimension {states.shape[-1]}, "
-                             f"network needs {self.net.dim}")
-        return np.einsum("ij,ij->i", states, (self._q @ states.T).T)
+    def leading(self, x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        """V of rows zero past the columns of ``x`` (whole blocks), given ``sq = x * x``."""
+        d, cols = self.net.block_dim, x.shape[1]
+        v = np.einsum("ij,j->i", sq, self._squares[:cols])
+        for a, b, w in self._cross:
+            v += np.einsum("ij,j->i", x[:, a::d] * x[:, b::d], w[:cols // d])
+        return v
 
 
 def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
@@ -344,17 +361,21 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     """Fixed-step RK4 integration of the truncated interconnection.
 
     A linear time-invariant truncation (``net.nonlinearity`` is None) is
-    stepped as ``x+ = R x + w``; one with an active sector channel by the
-    RK4 stages.  Both fill blocks of rows, whose norms and V are recorded
-    block by block.  Divergence (norm beyond ``blow_up``) flags the
-    record and halts integration at that step; it is a reported outcome,
-    not an error.
+    stepped as ``x+ = R x + w`` on its support window; one with an active
+    sector channel by the RK4 stages on every row.  Both fill blocks of
+    rows, whose norms and V are recorded block by block.  Divergence (norm
+    beyond ``blow_up``) flags the record and halts integration at that step;
+    it is a reported outcome, not an error.
     """
     if step <= 0 or horizon < step:
         raise ParameterError("need step > 0 and horizon >= step")
     if not horizon / step < _STEP_BUDGET:
         raise ResourceError(f"T/h = {horizon / step:.3g} steps, over the budget of "
                             f"{_STEP_BUDGET} steps")
+    n_steps = int(round(horizon / step))
+    if store_states and (n_steps + 1) * net.dim > _STATE_BUDGET:
+        raise ResourceError(f"{n_steps + 1} x {net.dim} stored floats, over the budget of "
+                            f"{_STATE_BUDGET}")
     signal = signal or Zero()
     x = np.asarray(x0, dtype=float).ravel()
     if x.size != net.dim:
@@ -363,15 +384,13 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         raise NumericInputError("non-finite component in the initial state")
 
     bound = BoundLyapunov(lyapunov, net) if lyapunov is not None else None
-    n_steps = int(round(horizon / step))
-    h = step
     shape = signal.shape(net)
     forcing = _flush(net.input_matrix @ shape) if net.input_dim and signal.level else None
-    levels = _stage_levels(signal, n_steps, h)
+    levels = _stage_levels(signal, n_steps, step)
     stepper = _lti_stepper if net.nonlinearity is None else _rk4_stepper
-    advance = stepper(net, h, forcing, levels)
+    advance = stepper(net, step, forcing, levels)
 
-    ts = np.concatenate(([0.0], np.arange(n_steps) * h + h))
+    ts = np.concatenate(([0.0], np.arange(n_steps) * step + step))
     norms = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1) if bound is not None else None
     u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * _norm(shape)
@@ -380,27 +399,30 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     buf = states if store_states else np.empty((rows + 1, net.dim))
     buf[0] = x
 
-    def record(k0: int, blk: np.ndarray) -> tuple[int, bool]:
-        """Record the rows of ``blk`` as samples ``k0, k0 + 1, ...`` up to the
-        first that diverged; returns the last sample kept and whether one did."""
-        n = _norm(blk)
+    grain = _RECORD_GRAIN * net.block_dim
+
+    def record(k0: int, blk: np.ndarray, win: int) -> tuple[int, bool]:
+        """Record rows ``blk``, zero from column ``win`` on, as samples ``k0, ...`` up to
+        the first that diverged; returns the last sample kept and whether one did."""
+        x = blk[:, :min(net.dim, -(-win // grain) * grain)]
+        sq = x * x
+        n = np.sqrt(np.einsum("ij->i", sq))
         norms[k0:k0 + len(n)] = n
         bad = np.flatnonzero(~np.isfinite(n) | (n > blow_up))
         kept = int(bad[0]) + 1 if bad.size else len(n)
         if vs is not None:
-            vs[k0:k0 + kept] = bound.values(blk[:kept])
+            vs[k0:k0 + kept] = bound.leading(x[:kept], sq[:kept])
         return k0 + kept - 1, bool(bad.size)
 
     # Steps past a blow-up inside a block may overflow; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, buf[:1])
+        record(0, buf[:1], net.dim)
         last, diverged = 0, False
         while last < n_steps and not diverged:
             m = min(rows, n_steps - last)
             blk = buf[last:last + m + 1] if store_states else buf[:m + 1]
             _flush(blk[0])
-            advance(blk, last)
-            last, diverged = record(last + 1, blk[1:])
+            last, diverged = record(last + 1, blk[1:], advance(blk, last))
             if not store_states:
                 buf[0] = blk[m]
     sl = slice(0, last + 1)
@@ -408,7 +430,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         t=ts[sl], states=states[sl] if states is not None else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
         u_norm=u_norms[sl], u_sup_norm=signal.sup_norm(net),
-        step=h, diverged=diverged)
+        step=step, diverged=diverged)
 
 
 # --------------------------------------------------------------------------
@@ -600,8 +622,8 @@ def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
     ``min_i mu_i lambda_min(P)`` and ``max_i mu_i lambda_max(P)`` over the
     truncation's ``mu_i``; both must lie in ``[mu_lo alpha_lo, mu_hi alpha_hi]``.
     """
-    cert, g = lyap.cert, lyap.gains
-    mu, eigs = BoundLyapunov(lyap, net).mu, np.linalg.eigvalsh(g.vform.matrix())
+    cert, g, bound = lyap.cert, lyap.gains, BoundLyapunov(lyap, net)
+    mu, eigs = bound.mu, np.linalg.eigvalsh(bound.p)
     a, b = Fraction(min(mu)) * Fraction(eigs[0]), Fraction(max(mu)) * Fraction(eigs[-1])
     lo = Fraction(cert.mu_lo) * Fraction(g.alpha_lo.lower())
     hi = Fraction(cert.mu_hi) * Fraction(g.alpha_hi.upper())
@@ -618,16 +640,13 @@ def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
 
 def export_csv(traj: TrajectoryRecord, path, include_states: bool = False) -> None:
     """Write ``t, norm_p, V, u_norm[, x_1..x_d]`` rows."""
+    states = traj.states if include_states and traj.states is not None else None
+    states = np.empty((traj.t.size, 0)) if states is None else states
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = ["t", "norm_p", "V", "u_norm"]
-        if include_states and traj.states is not None:
-            header += [f"x_{i}" for i in range(1, traj.states.shape[1] + 1)]
-        w.writerow(header)
+        names = [f"x_{i}" for i in range(1, states.shape[1] + 1)]
+        w.writerow(["t", "norm_p", "V", "u_norm"] + names)
         for k in range(traj.t.size):
-            row = [repr(float(traj.t[k])), repr(float(traj.norm_p[k])),
-                   "" if traj.v is None else repr(float(traj.v[k])),
-                   repr(float(traj.u_norm[k]))]
-            if include_states and traj.states is not None:
-                row += [repr(float(v)) for v in traj.states[k]]
-            w.writerow(row)
+            w.writerow([repr(float(traj.t[k])), repr(float(traj.norm_p[k])),
+                        "" if traj.v is None else repr(float(traj.v[k])),
+                        repr(float(traj.u_norm[k]))] + [repr(float(v)) for v in states[k]])

@@ -343,12 +343,15 @@ class TestCompositeLyapunov:
         s = sgain.make_scenario(name)
         cert, g, *_ = certify(s.family.derive_gains(s.derivation))
         lyap, m = CompositeLyapunov(cert, g), g.vform.matrix()
+        rng = np.random.default_rng(17)
         for n in (1, 7, 100):
-            q = BoundLyapunov(lyap, sgain.truncate(s.family, n))._q
-            ref = sp.block_diag([float(cert.mu.at(i)) * m for i in range(1, n + 1)],
-                                format="csr")
-            for a in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(q, a), getattr(ref, a)), (n, a)
+            bound = BoundLyapunov(lyap, sgain.truncate(s.family, n))
+            mu = [float(cert.mu.at(i)) for i in range(1, n + 1)]
+            assert np.array_equal(bound.weights, mu), n
+            ref = sp.block_diag([w * m for w in mu], format="csr")
+            for _ in range(20):
+                x = rng.standard_normal(n * m.shape[0])
+                assert bound.value(x) == pytest.approx(x @ (ref @ x), rel=4e-15, abs=0), n
 
     def test_dimension_mismatch(self, chain_certified):
         cert, g, *_ = chain_certified

@@ -327,6 +327,14 @@ class TestExitCodes:
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
         assert code == 1 and err.startswith("error:") and "steps" in err, err
 
+    def test_stored_states_beyond_the_budget(self, run_main, monkeypatch, tmp_path):
+        monkeypatch.setattr(sgain.sim, "_STATE_BUDGET", 1000)  # FAST_SIM stores 101 x 20
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
+                                             "sim": {**FAST_SIM, "csv_states": True}})
+        code, err = run_main(["simulate", "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1 and err.startswith("error:") and "budget" in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_subnormal_sample_times_give_no_decay_fit(self, run_main, tmp_path):
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
                                              "sim": {**FAST_SIM, "T": 1e-320, "h": 1e-321}})

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgain
 from sgain import (InsufficientDataError, LinearChain,
@@ -13,11 +14,12 @@ from sgain import (InsufficientDataError, LinearChain,
                    initial_state, integrate, truncate,
                    truncation_convergence_probe, verify_dissipation)
 from sgain.certificate import CompositeLyapunov
-from sgain.network import evaluate_rhs
+from sgain.errors import ResourceError
+from sgain.network import _matvec, evaluate_rhs
 from sgain.seqrules import PeriodicSeq
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
-                       TrafficLights, _norm, coercivity_check, export_csv,
-                       signal_from_dict, verify_envelope)
+                       TrafficLights, _flush, _norm, _stage_levels, coercivity_check,
+                       export_csv, signal_from_dict, verify_envelope)
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -284,6 +286,85 @@ class TestBlocks:
         traj = integrate(net, x0, GeometricProfile(1.0, 0.1), 0.05, 1e-3)
         starts = np.abs(traj.states[:-1:10])  # a block steps from its stored first row
         assert len(starts) == 5 and np.all((starts == 0) | (starts >= np.finfo(float).tiny))
+
+
+def _full_stepping(net, x0, sig, horizon, h, rows):
+    """``x+ = R x + w`` on every row, each block of ``rows`` steps starting
+    from its flushed first row: the stepper's steps without a window."""
+    m = (h * net.drift_matrix).tocsr()
+    eye = sp.identity(net.dim, format="csr")
+    r = (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
+    n_steps = int(round(horizon / h))
+    levels = _stage_levels(sig, n_steps, h)
+    f = _flush(net.input_matrix @ sig.shape(net)) if sig.level else np.zeros(net.dim)
+    mf = m @ f
+    m2f = m @ mf
+    images = (h / 6.0) * np.array([f + mf + 0.5 * m2f + 0.25 * (m @ m2f),
+                                   4.0 * f + 2.0 * mf + 0.5 * m2f, f])
+    states = np.empty((n_steps + 1, net.dim))
+    states[0] = x0
+    for k in range(0, n_steps, rows):
+        blk = states[k:k + rows + 1]
+        _flush(blk[0])
+        if np.all(levels == levels[0, 0]):
+            blk[1:] = levels[0, 0] * images.sum(axis=0)
+        else:
+            np.dot(levels[:, k:k + len(blk) - 1].T, images, out=blk[1:])
+        for j in range(len(blk) - 1):
+            _matvec(r, blk[j], blk[j + 1], net.dim)
+    return states
+
+
+class TestSupportWindow:
+    """A linear block steps only the rows that can be nonzero."""
+
+    @pytest.mark.parametrize("name, n, sig", [
+        ("lure-platoon", 1200, GeometricProfile(1.0, 0.3)),
+        ("traffic", 1200, GeometricProfile(-1.0, 0.3)),
+        ("lure-platoon", 1200, SinusoidOnFirstK(9, -0.8, 3.0)),
+        ("traffic", 1200, ConstantOnFirstK(7, -0.7)),
+        ("chain-a", 2500, Zero()),
+    ], ids=lambda v: getattr(v, "kind", str(v)))
+    def test_window_steps_what_full_stepping_does(self, monkeypatch, name, n, sig):
+        net = truncate(sgain.make_scenario(name).family, n)
+        monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 5 * net.dim)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.3})
+        ref = _full_stepping(net, x0, sig, 0.2, 1e-3, rows=5)
+        traj = integrate(net, x0, sig, 0.2, 1e-3)
+        assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(traj.norm_p, np.sqrt(np.einsum("ij->i", ref * ref)))
+        unstored = integrate(net, x0, sig, 0.2, 1e-3, store_states=False)
+        assert np.array_equal(unstored.norm_p, traj.norm_p)
+
+    @pytest.mark.parametrize("name, n, sig", [
+        ("lure-platoon", 1200, GeometricProfile(1.0, 0.45)),
+        ("traffic", 2500, GeometricProfile(1.0, 0.6)),
+        ("chain-a", 2500, Zero()),
+    ], ids=lambda v: getattr(v, "kind", str(v)))
+    def test_recorded_floats_ignore_blocking_and_flush(self, monkeypatch, name, n, sig):
+        s = sgain.make_scenario(name)
+        cert, g, *_ = sgain.certify(s.family.derive_gains(s.derivation))
+        lyap = CompositeLyapunov(cert, g)
+        net = truncate(s.family, n)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        runs = []
+        for floats in (2 ** 15, 7 * net.dim, 3 * net.dim):
+            for floor in (2.0 ** -900, 0.0):
+                monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
+                monkeypatch.setattr(sgain.sim, "_FLUSH", floor)
+                runs.append(integrate(net, x0, sig, 0.2, 1e-3, lyapunov=lyap,
+                                      store_states=False))
+        for traj in runs[1:]:
+            assert np.array_equal(traj.norm_p, runs[0].norm_p)
+            assert np.array_equal(traj.v, runs[0].v)
+
+    def test_stored_states_within_a_budget(self, monkeypatch):
+        net = truncate(chain_gen(), 10)
+        monkeypatch.setattr(sgain.sim, "_STATE_BUDGET", 1000)  # 101 states of 10 need 1010
+        with pytest.raises(ResourceError, match="over the budget of 1000"):
+            integrate(net, np.ones(10), Zero(), 1.0, 1e-2)
+        assert integrate(net, np.ones(10), Zero(), 1.0, 1e-2, store_states=False).t.size == 101
+        assert integrate(net, np.ones(10), Zero(), 0.99, 1e-2).states.shape == (100, 10)
 
 
 class TestDissipation:
