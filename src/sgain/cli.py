@@ -47,13 +47,13 @@ def _write_report(out_dir: Path, name: str, report: dict) -> None:
         f.write("\n")
 
 
-def _load_config(path, parse_float=Fraction) -> dict:
-    """A JSON object from a file, decimals parsed exactly by default."""
+def _load_config(path) -> dict:
+    """A JSON object from a file, decimals parsed exactly."""
     if not isinstance(path, str):
         raise ParameterError(f"expected a file path, got {path!r}")
     try:
         with open(path) as f:
-            return as_object(load_json(f, parse_float), f"the content of {path}")
+            return as_object(load_json(f), f"the content of {path}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
@@ -117,7 +117,7 @@ def cmd_simulate(args, cfg) -> str:
         ok = False
     lyap = certify_gains(g, analysis, {}) if ok else None
     traj = simmod.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
-                            lyapunov=lyap, store_states=bool(csv_states))
+                            lyapunov=lyap, keep=setup.net.dim if csv_states else 0)
     summary = {"schema": "sgain/1", "command": "simulate", "seed": args.seed,
                **setup.to_dict(), "input": setup.signal.to_dict(),
                "diverged": traj.diverged, "u_sup_norm": traj.u_sup_norm,
@@ -130,7 +130,7 @@ def cmd_simulate(args, cfg) -> str:
     except SgainError:
         summary["decay_fit"] = None
     _write_report(Path(args.out), "summary.json", summary)
-    simmod.export_csv(traj, Path(args.out) / "trajectory.csv", include_states=bool(csv_states))
+    simmod.export_csv(traj, Path(args.out) / "trajectory.csv")
     return "ok"
 
 
@@ -143,7 +143,7 @@ def cmd_verify(args, cfg) -> str:
     if not assumptions.ok:
         _write_report(Path(args.out), "verification.json", report)
         return "reject-assumption"
-    obj = _load_config(cfg["certificate"], float) if cfg.get("certificate") else None
+    obj = _load_config(cfg["certificate"]) if cfg.get("certificate") else None
     stored = None if obj is None else certificate_from_dict(obj.get("certificate", obj))
     lyap = certify_gains(g, analysis, head, stored)
     if lyap is None:

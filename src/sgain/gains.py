@@ -118,30 +118,21 @@ def _as_rule(x, name: str) -> PeriodicSeq:
     return PeriodicSeq.constant(as_number(x))
 
 
-def optimize_chain_free_params(fam: LinearChain, grid: int = 24):
-    """Grid-search constant (eps, delta) minimizing the worst interior
-    column criterion psi_(i,i-1) + psi_(i,i+1) of the chain derivation."""
+def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicSeq]:
+    """The (eps, delta) minimizing every row sum psi_(i,i-1) + psi_(i,i+1) of the
+    chain derivation: ``eps_i + delta_i = b_ii / 2`` in the ratio ``|b_i(i-1)| : |b_i(i+1)|``,
+    for the row sum ``(|b_i(i-1)| + |b_i(i+1)|)^2 / b_ii^2``.  The side of a zero
+    coupling, whose parameter must still be positive, gets ``b_ii / 100``."""
     pre, per = fam.structure
-    idx = range(1, pre + per + 1)
-    b_lo = float(fam.diag.min())
-    best, best_val = None, math.inf
-    fracs = [b_lo * (k + 1) / (2.0 * (grid + 1)) for k in range(grid)]
-    for e in fracs:
-        for d in fracs:
-            worst = 0.0
-            ok = True
-            for i in idx:
-                bd, bs, bp = (float(v) for v in fam.coefficients(i))
-                lam = 2.0 * (bd - e - d)
-                if lam <= 0:
-                    ok = False
-                    break
-                worst = max(worst, (bs * bs / (2 * e) + bp * bp / (2 * d)) / lam)
-            if ok and worst < best_val:
-                best, best_val = (e, d), worst
-    if best is None:
-        raise DerivationError("no feasible (eps, delta) on the search grid")
-    return best
+    eps, delta = [], []
+    for i in range(1, pre + per + 1):
+        bd, bs, bp = fam.coefficients(i)
+        half, tiny = exact_div(bd, 2), exact_div(bd, 100)
+        e = (tiny if bs == 0 else half - tiny if bp == 0
+             else exact_div(half * abs(bs), abs(bs) + abs(bp)))
+        eps.append(e)
+        delta.append(half - e)
+    return tuple(PeriodicSeq(tuple(s[:pre]), tuple(s[pre:])) for s in (eps, delta))
 
 
 def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainData:
@@ -151,7 +142,7 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
     ``lambda_i = 2 (b_ii - eps_i - delta_i)``,
     ``gamma_i(i-1) = b_i(i-1)^2 / (2 eps_i)`` and
     ``gamma_i(i+1) = b_i(i+1)^2 / (2 delta_i)``.
-    When eps/delta are omitted they are chosen by a coarse grid search.
+    When eps/delta are omitted they take :func:`optimize_chain_free_params`'s split.
     """
     if eps is None and delta is None:
         eps, delta = optimize_chain_free_params(fam)

@@ -20,7 +20,6 @@ and ``check_run`` in :mod:`sgain.sim`, imported once there is a certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import Family, generator_from_dict
 from .gains import AssumptionReport, GainData, check_assumptions
-from .seqrules import PeriodicSeq, as_integer, as_number, as_object, number_at
+from .seqrules import PeriodicSeq, as_integer, as_number, as_object, load_json, number_at
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -82,7 +81,8 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
     if not isinstance(name, str) or name not in _FILES:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
-    obj = json.loads((_DIR / _FILES[name]).read_text(), parse_float=Fraction)
+    with open(_DIR / _FILES[name]) as f:
+        obj = load_json(f)
     if overrides:
         net_keys = ("coefficients", "p", "q")
         obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})

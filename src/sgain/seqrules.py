@@ -44,18 +44,21 @@ def _check_index(i: int) -> None:
 
 def as_number(x, what: str = "") -> Real:
     """Coerce scenario-file values (int/float/Fraction/str, not bool) to a finite
-    number; an error names the entry ``what`` when given."""
+    number within the float range; an error names the entry ``what`` when given."""
     where = f"{what}: " if what else ""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ParameterError(f"{where}not a finite number: {x!r}")
-    if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
-        return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParameterError(f"{where}not a number: {x!r}")
+    if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
+        raise ParameterError(f"{where}not a number: {x!r}")
+    try:
+        if math.isfinite(x):
+            return x
+    except OverflowError:  # an exact decimal beyond the largest float
+        raise ParameterError(f"{where}number too large for a float") from None
+    raise ParameterError(f"{where}not a finite number: {x!r}")
 
 
 def as_integer(x, what: str) -> int:
@@ -66,11 +69,12 @@ def as_integer(x, what: str) -> int:
     return int(v)
 
 
-def load_json(f, parse_float=Fraction):
-    """A JSON document from an open file; ``NaN`` and ``Infinity`` are input errors."""
+def load_json(f):
+    """A JSON document from an open file, decimals as Fractions; ``NaN`` and
+    ``Infinity`` are input errors."""
     def reject(token):
         raise ParameterError(f"non-finite number {token} in {f.name}")
-    return json.load(f, parse_float=parse_float, parse_constant=reject)
+    return json.load(f, parse_float=Fraction, parse_constant=reject)
 
 
 def as_object(x, what: str) -> Mapping:

@@ -222,7 +222,7 @@ _BLOCK_FLOATS = 2 ** 15
 _FLUSH = 2.0 ** -900
 # A run records at least seven floats a step: more steps need over 100 GiB.
 _STEP_BUDGET = 2 ** 31
-# Stored states hold (T/h + 1) x dim floats: more than this (2 GiB) is refused.
+# Stored states hold (T/h + 1) x keep floats: more than this (2 GiB) is refused.
 _STATE_BUDGET = 2 ** 28
 # Recorded windows are whole multiples of this many subsystems: einsum adds a
 # row in passes of 16 or 32 doubles, so each entry takes the same pass.
@@ -357,15 +357,15 @@ class BoundLyapunov:
 def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
               horizon: float = 10.0, step: float = 1e-3,
               lyapunov: CompositeLyapunov | None = None,
-              store_states: bool = True, blow_up: float = 1e12) -> TrajectoryRecord:
+              keep: int = 0, blow_up: float = 1e12) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the truncated interconnection.
 
     A linear time-invariant truncation (``net.nonlinearity`` is None) is
     stepped as ``x+ = R x + w`` on its support window; one with an active
-    sector channel by the RK4 stages on every row.  Both fill blocks of
-    rows, whose norms and V are recorded block by block.  Divergence (norm
-    beyond ``blow_up``) flags the record and halts integration at that step;
-    it is a reported outcome, not an error.
+    sector channel by the RK4 stages on every row.  Both fill one rolling block
+    of rows, whose norms and V are recorded and whose leading ``keep`` state
+    columns are stored.  Divergence (norm beyond ``blow_up``) flags the record
+    and halts integration at that step; it is a reported outcome, not an error.
     """
     if step <= 0 or horizon < step:
         raise ParameterError("need step > 0 and horizon >= step")
@@ -373,8 +373,10 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         raise ResourceError(f"T/h = {horizon / step:.3g} steps, over the budget of "
                             f"{_STEP_BUDGET} steps")
     n_steps = int(round(horizon / step))
-    if store_states and (n_steps + 1) * net.dim > _STATE_BUDGET:
-        raise ResourceError(f"{n_steps + 1} x {net.dim} stored floats, over the budget of "
+    if type(keep) is bool or not (isinstance(keep, int | np.integer) and 0 <= keep <= net.dim):
+        raise ParameterError(f"keep must be a column count in [0, {net.dim}], got {keep!r}")
+    if (n_steps + 1) * keep > _STATE_BUDGET:
+        raise ResourceError(f"{n_steps + 1} x {keep} stored floats, over the budget of "
                             f"{_STATE_BUDGET}")
     signal = signal or Zero()
     x = np.asarray(x0, dtype=float).ravel()
@@ -395,8 +397,8 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     vs = np.empty(n_steps + 1) if bound is not None else None
     u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * _norm(shape)
     rows = max(1, _BLOCK_FLOATS // net.dim)
-    states = np.empty((n_steps + 1, net.dim)) if store_states else None
-    buf = states if store_states else np.empty((rows + 1, net.dim))
+    states = np.empty((n_steps + 1, keep))
+    buf = np.empty((rows + 1, net.dim))
     buf[0] = x
 
     grain = _RECORD_GRAIN * net.block_dim
@@ -420,14 +422,15 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         last, diverged = 0, False
         while last < n_steps and not diverged:
             m = min(rows, n_steps - last)
-            blk = buf[last:last + m + 1] if store_states else buf[:m + 1]
+            blk = buf[:m + 1]
             _flush(blk[0])
-            last, diverged = record(last + 1, blk[1:], advance(blk, last))
-            if not store_states:
-                buf[0] = blk[m]
+            win = advance(blk, last)
+            states[last:last + m + 1] = blk[:, :keep]  # a start row as flushed, the last not
+            last, diverged = record(last + 1, blk[1:], win)
+            buf[0] = blk[m]
     sl = slice(0, last + 1)
     return TrajectoryRecord(
-        t=ts[sl], states=states[sl] if states is not None else None,
+        t=ts[sl], states=states[sl] if keep else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
         u_norm=u_norms[sl], u_sup_norm=signal.sup_norm(net),
         step=step, diverged=diverged)
@@ -565,8 +568,8 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
     runs = []
     for n in n_list:
         net = truncate(fam, n)
-        traj = integrate(net, initial_state(net, x0_desc), signal, horizon, step)
-        runs.append((n, traj.states[:, :net.block_offsets[first_k]].copy()))
+        runs.append((n, integrate(net, initial_state(net, x0_desc), signal, horizon, step,
+                                  keep=net.block_offsets[first_k]).states))
     out = []
     for (n1, s1), (n2, s2) in zip(runs, runs[1:]):
         rows = min(s1.shape[0], s2.shape[0])
@@ -609,8 +612,7 @@ def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
     """Stage 4: integrate ``signal`` with the Lyapunov channel; returns the
     trajectory and its dissipation and ISS envelope checks.  The envelope
     check is None when ``lambda_inf <= 0``: no decay, no envelope."""
-    traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step,
-                     lyapunov=lyap, store_states=False)
+    traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step, lyapunov=lyap)
     envelope = verify_envelope(traj, lyap) if lyap.cert.lambda_inf > 0 else None
     return traj, verify_dissipation(traj, lyap), envelope
 
@@ -638,10 +640,9 @@ def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
 # --------------------------------------------------------------------------
 
 
-def export_csv(traj: TrajectoryRecord, path, include_states: bool = False) -> None:
-    """Write ``t, norm_p, V, u_norm[, x_1..x_d]`` rows."""
-    states = traj.states if include_states and traj.states is not None else None
-    states = np.empty((traj.t.size, 0)) if states is None else states
+def export_csv(traj: TrajectoryRecord, path) -> None:
+    """Write ``t, norm_p, V, u_norm[, x_1..x_keep]`` rows: the states the record holds."""
+    states = np.empty((traj.t.size, 0)) if traj.states is None else traj.states
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         names = [f"x_{i}" for i in range(1, states.shape[1] + 1)]

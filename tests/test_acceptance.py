@@ -95,8 +95,7 @@ def test_criterion_3_dissipation_and_decay(name):
     lyap = CompositeLyapunov(cert, g_used)
     net = truncate(s.family, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-    traj = integrate(net, x0, Zero(), horizon=10.0, step=1e-3, lyapunov=lyap,
-                     store_states=False)
+    traj = integrate(net, x0, Zero(), horizon=10.0, step=1e-3, lyapunov=lyap)
     diss = verify_dissipation(traj, lyap)
     fit = fit_decay(traj, "v")
     elapsed = time.perf_counter() - t0
@@ -118,7 +117,7 @@ def test_criterion_4_envelope(name):
     net = truncate(s.family, 100)
     x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
     traj = integrate(net, x0, GeometricProfile(1.0, 0.5), horizon=10.0,
-                     step=1e-3, lyapunov=lyap, store_states=False)
+                     step=1e-3, lyapunov=lyap)
     eps = 0.5 * float(cert.lambda_inf)
     env = verify_envelope(traj, lyap, eps=eps)
     assert env.ok, f"{len(env.violations)} envelope violations"
@@ -148,7 +147,7 @@ def test_criterion_5_negative_controls(cli, tmp_path):
     gen = make_scenario("counter-gain").family
     net = truncate(gen, 50)
     traj = integrate(net, np.zeros(50), sgain.ConstantOnFirstK(50, 1.0),
-                     horizon=7.0, step=1e-3)
+                     horizon=7.0, step=1e-3, keep=50)
     final = traj.states[-1]
     expected = np.arange(1, 51, dtype=float)
     worst_rel = float(np.max(np.abs(final - expected) / expected))

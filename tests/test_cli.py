@@ -245,6 +245,23 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] is False
 
+    def test_simulate_csv_states_add_only_the_state_columns(self, run_main, tmp_path):
+        sim = {**FAST_SIM, "N": 6, "x0": {"kind": "first-k", "K": 2}}
+        lines = {}
+        for flag in (False, True):
+            cfg = _write(tmp_path / f"{flag}.json", {"network": {"scenario": "chain-a"},
+                                                     "sim": {**sim, "csv_states": flag}})
+            assert run_main(["simulate", "--config", cfg, "--out", tmp_path / str(flag)]) == (0, "")
+            lines[flag] = (tmp_path / str(flag) / "trajectory.csv").read_text().splitlines()
+        scenario = sgain.make_scenario("chain-a")
+        setup = sgain.sim.build_sim(scenario.family, {**scenario.sim, **sim})
+        states = sgain.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
+                                 keep=setup.net.dim).states
+        assert lines[False][0] == "t,norm_p,V,u_norm"
+        assert lines[True][0] == "t,norm_p,V,u_norm,x_1,x_2,x_3,x_4,x_5,x_6"
+        for off, on, x in zip(lines[False][1:], lines[True][1:], states, strict=True):
+            assert on == off + "," + ",".join(repr(float(v)) for v in x)
+
     def test_scenario_exit_codes(self, cli, tmp_path):
         cases = {"chain-a": 0, "counter-slow": 2, "counter-gain": 2}
         cfg = tmp_path / "fast.json"
@@ -319,6 +336,18 @@ class TestExitCodes:
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"}, **content})
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
         assert code == 1 and err.startswith("error:") and key in err, err
+
+    @pytest.mark.parametrize("command, text, message", [
+        *(pytest.param(command, '{"network": {"scenario": "chain-a", '
+                                '"overrides": {"coefficients": {"sub": 1e400}}}}', "",
+                       id=f"{command}-coefficient")
+          for command in ("analyze", "certify", "verify")),
+        *(pytest.param(command, '{"network": {"scenario": "chain-a"}, "sim": {"T": 1e400}}',
+                       "'T': ", id=f"{command}-horizon") for command in ("simulate", "verify"))])
+    def test_decimal_beyond_the_float_range(self, run_main, tmp_path, command, text, message):
+        cfg = _write(tmp_path / "cfg.json", text)
+        code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"error: {message}number too large for a float\n")
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_step_count_beyond_any_array(self, run_main, tmp_path, command):

@@ -51,11 +51,37 @@ class TestChainDerivation:
         with pytest.raises(DerivationError):
             derive_gains_linear_chain(chain_gen(), Fraction(1, 2), Fraction(1, 2))
 
-    def test_default_grid_search_is_feasible(self):
-        g = derive_gains_linear_chain(chain_gen())
-        assert g.lam.min() > 0
-        op = build_gain_operator(g)
-        assert float(op.sup_column_sum()) < 1
+    @staticmethod
+    def sup_row_sum(g):
+        """``sup_i (gamma_i(i-1) + gamma_i(i+1)) / lambda_i``: the split's objective."""
+        n = g.lam.preamble_len + g.lam.period
+        return max(sum(g.gamma.row(i).values()) / g.lam.at(i) for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("b, off, value", [(1, Fraction(1, 10), Fraction(1, 25)),
+                                               (1, Fraction(3, 10), Fraction(9, 25)),
+                                               (2, Fraction(9, 10), Fraction(81, 100))])
+    def test_default_split_in_closed_form(self, b, off, value):
+        g = derive_gains_linear_chain(chain_gen(b, off))
+        assert all(type(v) is Fraction for rule in (g.free_params["eps"], g.free_params["delta"])
+                   for v in rule.values())
+        assert self.sup_row_sum(g) == value
+        assert build_gain_operator(g).sup_column_sum() == value
+
+    def test_default_split_no_worse_than_a_grid(self):
+        """Against the best constant (eps, delta) of a 24 x 24 grid, on a
+        period-6 chain whose sub-diagonal coupling vanishes at every other index."""
+        fam = LinearChain(diag=PeriodicSeq((), (1, Fraction(3, 2), 2)),
+                          sub=PeriodicSeq((), (Fraction(1, 10), 0)),
+                          sup=PeriodicSeq((), (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10))))
+        g = derive_gains_linear_chain(fam)
+        assert g.lam.period == 6
+        pre, per = fam.structure
+        coeffs = [[float(v) for v in fam.coefficients(i)] for i in range(1, pre + per + 1)]
+        fracs = [float(fam.diag.min()) * (k + 1) / 50.0 for k in range(24)]
+        best = min(max((bs * bs / (2 * e) + bp * bp / (2 * d)) / (2 * (bd - e - d))
+                       for bd, bs, bp in coeffs)
+                   for e in fracs for d in fracs if all(bd > e + d for bd, _, _ in coeffs))
+        assert self.sup_row_sum(g) <= best
 
 
 class TestLureLmi:

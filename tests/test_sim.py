@@ -48,8 +48,8 @@ class TestRk4:
     def test_determinism(self):
         net = truncate(chain_gen(), 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        a = integrate(net, x0, Zero(), 2.0, 1e-2)
-        b = integrate(net, x0, Zero(), 2.0, 1e-2)
+        a = integrate(net, x0, Zero(), 2.0, 1e-2, keep=net.dim)
+        b = integrate(net, x0, Zero(), 2.0, 1e-2, keep=net.dim)
         assert np.array_equal(a.states, b.states)
 
     def test_divergence_flagged_not_raised(self):
@@ -199,7 +199,7 @@ class TestSeparableForcing:
     def test_matches_stagewise_sampling(self, name, overrides, sig):
         net = truncate(sgain.make_scenario(name, overrides).family, 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        traj = integrate(net, x0, sig, horizon=0.2, step=0.004)
+        traj = integrate(net, x0, sig, horizon=0.2, step=0.004, keep=net.dim)
         ref = _stagewise_rk4(net, x0, sig, 0.2, 0.004)
         assert traj.states.shape == ref.shape
         assert np.abs(traj.states - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -208,9 +208,9 @@ class TestSeparableForcing:
     def test_step_loop_forms_no_input_vector(self):
         net = truncate(sgain.make_scenario("traffic").family, 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        plain = integrate(net, x0, SinusoidOnFirstK(9, 0.9, 1.3), 0.2, 0.004)
+        plain = integrate(net, x0, SinusoidOnFirstK(9, 0.9, 1.3), 0.2, 0.004, keep=net.dim)
         net.input_matrix = _CountingMatrix(net.input_matrix)
-        traj = integrate(net, x0, _UnsampledSinusoid(9, 0.9, 1.3), 0.2, 0.004)
+        traj = integrate(net, x0, _UnsampledSinusoid(9, 0.9, 1.3), 0.2, 0.004, keep=net.dim)
         assert net.input_matrix.products == 1
         assert np.array_equal(traj.states, plain.states)
 
@@ -243,26 +243,27 @@ class TestBlocks:
         assert 400 < len(ref) - 1 < 800  # the blow-up falls in the second block,
         with np.errstate(over="ignore"), pytest.raises(NumericInputError):
             _stagewise_rk4(net, x0, Zero(), 80.0, 0.1)  # whose last steps overflow
-        traj = integrate(net, x0, Zero(), 100.0, 0.1, blow_up=1e100)
+        traj = integrate(net, x0, Zero(), 100.0, 0.1, keep=net.dim, blow_up=1e100)
         assert traj.diverged and traj.states.shape == ref.shape
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(traj.states - ref) <= 1e-12 * scale)
         assert traj.norm_p[-2] <= 1e100 < traj.norm_p[-1] < math.inf
 
-    @pytest.mark.parametrize("store_states", [True, False])
-    def test_partial_last_block(self, monkeypatch, chain_certified, store_states):
+    @pytest.mark.parametrize("keep", [10, 0])
+    def test_partial_last_block(self, monkeypatch, chain_certified, keep):
         cert, g, *_ = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        whole = integrate(net, x0, SinusoidOnFirstK(3, 0.5, 2.0), 1.0, 1e-2, lyapunov=lyap)
+        whole = integrate(net, x0, SinusoidOnFirstK(3, 0.5, 2.0), 1.0, 1e-2, lyapunov=lyap,
+                          keep=net.dim)
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 70)  # 7 rows: 100 = 14 * 7 + 2
         traj = integrate(net, x0, SinusoidOnFirstK(3, 0.5, 2.0), 1.0, 1e-2, lyapunov=lyap,
-                         store_states=store_states)
+                         keep=keep)
         assert verify_dissipation(traj, lyap).n_checked == 100
         for name in ("t", "norm_p", "v", "u_norm"):
             assert np.array_equal(getattr(traj, name), getattr(whole, name))
-        if store_states:
+        if keep:
             assert np.array_equal(traj.states, whole.states)
 
     def test_far_field_flush_moves_no_recorded_float(self, monkeypatch, platoon_gains):
@@ -271,9 +272,9 @@ class TestBlocks:
         net = truncate(sgain.make_scenario("lure-platoon").family, 1200)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
         args = (net, x0, GeometricProfile(1.0, 0.45), 0.1, 1e-3)
-        flushed = integrate(*args, lyapunov=lyap, store_states=False)
+        flushed = integrate(*args, lyapunov=lyap)
         monkeypatch.setattr(sgain.sim, "_FLUSH", 0.0)
-        plain = integrate(*args, lyapunov=lyap, store_states=False)
+        plain = integrate(*args, lyapunov=lyap)
         for name in ("t", "norm_p", "v", "u_norm"):
             assert np.array_equal(getattr(flushed, name), getattr(plain, name))
 
@@ -283,7 +284,7 @@ class TestBlocks:
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 8000)  # 10 rows of 800 states
         net = truncate(sgain.make_scenario("lure-platoon", overrides).family, 400)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        traj = integrate(net, x0, GeometricProfile(1.0, 0.1), 0.05, 1e-3)
+        traj = integrate(net, x0, GeometricProfile(1.0, 0.1), 0.05, 1e-3, keep=net.dim)
         starts = np.abs(traj.states[:-1:10])  # a block steps from its stored first row
         assert len(starts) == 5 and np.all((starts == 0) | (starts >= np.finfo(float).tiny))
 
@@ -330,11 +331,14 @@ class TestSupportWindow:
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 5 * net.dim)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.3})
         ref = _full_stepping(net, x0, sig, 0.2, 1e-3, rows=5)
-        traj = integrate(net, x0, sig, 0.2, 1e-3)
-        assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
-        assert np.array_equal(traj.norm_p, np.sqrt(np.einsum("ij->i", ref * ref)))
-        unstored = integrate(net, x0, sig, 0.2, 1e-3, store_states=False)
-        assert np.array_equal(unstored.norm_p, traj.norm_p)
+        norms = np.sqrt(np.einsum("ij->i", ref * ref))
+        for keep in (net.dim, int(net.block_offsets[5]), 0):  # all, a leading window, none
+            traj = integrate(net, x0, sig, 0.2, 1e-3, keep=keep)
+            assert np.array_equal(traj.norm_p, norms)
+            if keep:
+                assert np.array_equal(traj.states.view(np.int64), ref[:, :keep].view(np.int64))
+            else:
+                assert traj.states is None
 
     @pytest.mark.parametrize("name, n, sig", [
         ("lure-platoon", 1200, GeometricProfile(1.0, 0.45)),
@@ -352,8 +356,7 @@ class TestSupportWindow:
             for floor in (2.0 ** -900, 0.0):
                 monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
                 monkeypatch.setattr(sgain.sim, "_FLUSH", floor)
-                runs.append(integrate(net, x0, sig, 0.2, 1e-3, lyapunov=lyap,
-                                      store_states=False))
+                runs.append(integrate(net, x0, sig, 0.2, 1e-3, lyapunov=lyap))
         for traj in runs[1:]:
             assert np.array_equal(traj.norm_p, runs[0].norm_p)
             assert np.array_equal(traj.v, runs[0].v)
@@ -362,9 +365,14 @@ class TestSupportWindow:
         net = truncate(chain_gen(), 10)
         monkeypatch.setattr(sgain.sim, "_STATE_BUDGET", 1000)  # 101 states of 10 need 1010
         with pytest.raises(ResourceError, match="over the budget of 1000"):
-            integrate(net, np.ones(10), Zero(), 1.0, 1e-2)
-        assert integrate(net, np.ones(10), Zero(), 1.0, 1e-2, store_states=False).t.size == 101
-        assert integrate(net, np.ones(10), Zero(), 0.99, 1e-2).states.shape == (100, 10)
+            integrate(net, np.ones(10), Zero(), 1.0, 1e-2, keep=10)
+        assert integrate(net, np.ones(10), Zero(), 1.0, 1e-2).t.size == 101
+        assert integrate(net, np.ones(10), Zero(), 0.99, 1e-2, keep=10).states.shape == (100, 10)
+
+    @pytest.mark.parametrize("keep", [-1, 11, True, 2.5, None])
+    def test_keep_outside_the_columns(self, keep):
+        with pytest.raises(ParameterError, match="keep must be a column count in \\[0, 10\\]"):
+            integrate(truncate(chain_gen(), 10), np.ones(10), Zero(), 1.0, 1e-2, keep=keep)
 
 
 class TestDissipation:
@@ -514,7 +522,7 @@ class TestFitDecay:
         gen = sgain.make_scenario("counter-gain").family
         n = 50
         net = truncate(gen, n)
-        traj = integrate(net, np.zeros(n), ConstantOnFirstK(n, 1.0), 7.0, 1e-3)
+        traj = integrate(net, np.zeros(n), ConstantOnFirstK(n, 1.0), 7.0, 1e-3, keep=n)
         final = traj.states[-1]
         expected = np.arange(1, n + 1, dtype=float)
         assert np.all(np.abs(final - expected) <= 0.01 * expected)
@@ -568,6 +576,23 @@ class TestTruncationProbe:
             truncation_convergence_probe(
                 chain_gen(), {"kind": "first-k", "K": 5}, Zero(), 1.0, 1e-2, n_list=[], first_k=5)
 
+    def test_budget_counts_the_window_not_the_truncation(self, monkeypatch):
+        """A truncation stores (T/h + 1) x first-K columns: 501 x 10 here, where
+        storing the N = 400 run's every state would take 501 x 800."""
+        fam = sgain.make_scenario("lure-platoon").family
+        args = ({"kind": "first-k", "K": 5, "value": 1.0}, GeometricProfile(1.0, 0.5), 0.5, 1e-3)
+        windows = []
+        for n in (20, 400):
+            net = truncate(fam, n)
+            traj = integrate(net, initial_state(net, args[0]), *args[1:], keep=net.dim)
+            windows.append(traj.states[:, :10])
+        monkeypatch.setattr(sgain.sim, "_STATE_BUDGET", 501 * 10)
+        rows = truncation_convergence_probe(fam, *args, n_list=[20, 400], first_k=5)
+        dev = float(np.sqrt(((windows[0] - windows[1]) ** 2).sum(axis=1)).max())
+        assert rows == [{"n_small": 20, "n_large": 400, "max_deviation": dev}]
+        with pytest.raises(ResourceError, match="501 x 12 stored floats"):
+            truncation_convergence_probe(fam, *args, n_list=[20, 400], first_k=6)
+
     def test_unstable_chain_reported_without_judgment(self):
         # gain-condition-violating chain: the probe still returns rows
         gen = chain_gen(1, 2)
@@ -583,9 +608,9 @@ class TestExport:
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 5)
         x0 = initial_state(net, {"kind": "first-k", "K": 2, "value": 1.0})
-        traj = integrate(net, x0, Zero(), 0.1, 0.01, lyapunov=lyap)
+        traj = integrate(net, x0, Zero(), 0.1, 0.01, lyapunov=lyap, keep=net.dim)
         path = tmp_path / "traj.csv"
-        export_csv(traj, path, include_states=True)
+        export_csv(traj, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t, norm_p, V, u_norm, x_1, x_2, x_3, x_4, x_5".replace(", ", ",")
         assert len(lines) == traj.t.size + 1
