@@ -46,8 +46,7 @@ from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, SmallGainViolatedError)
 from .gains import (GainData, PowerTable, SpectralBracket, adjoint_apply,
                     build_gain_operator, spectral_bracket)
-from .seqrules import (ClosedFormSeq, PeriodicSeq, Real,
-                       as_number, exact_div)
+from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div, joint
 
 # --------------------------------------------------------------------------
 # Step-5 rate capping
@@ -224,9 +223,8 @@ def verify_certificate(cert: SmallGainCertificate, g: GainData) -> CertificateRe
     reported, never raised.
     """
     lam_periodic = isinstance(g.lam, PeriodicSeq)
-    seqs = [cert.mu, g.gamma] + [g.lam] * lam_periodic
-    horizon = (max(s.preamble_len for s in seqs) + 2 * math.lcm(*(s.period for s in seqs))
-               + g.gamma.bandwidth)
+    pre, per = joint(0, 1, cert.mu, g.gamma, *[g.lam] * lam_periodic)
+    horizon = pre + 2 * per + g.gamma.bandwidth
 
     mu = cert.mu.head(horizon)
     lam = g.lam.head(horizon) if lam_periodic else [g.lam.at(i) for i in range(1, horizon + 1)]
@@ -285,10 +283,9 @@ def build_certificate(g: GainData, bracket: SpectralBracket,
     # r_tilde >= upper >= ||Theta^k_used||_w^(1/k_used): the series closes by k_used.
     eta_vec = neumann_eta(bracket.table, r_tilde)
 
-    pre = max(eta_vec.eta.preamble_len, g.lam.preamble_len)
-    period = math.lcm(eta_vec.eta.period, g.lam.period)
-    mu_vals = [exact_div(eta_vec.eta.at(i), g.lam.at(i)) for i in range(1, pre + period + 1)]
-    mu = PeriodicSeq(tuple(mu_vals[:pre]), tuple(mu_vals[pre:]))
+    eta = eta_vec.eta
+    mu = PeriodicSeq.tabulate(lambda i: exact_div(eta.at(i), g.lam.at(i)),
+                              *joint(0, 1, eta, g.lam))
     cert = SmallGainCertificate(mu=mu, mu_lo=mu.min(), mu_hi=mu.max(),
                                 lambda_inf=lam_inf, r_tilde=r_tilde, rho=rho,
                                 bracket=bracket, eta=eta_vec)

@@ -17,6 +17,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -173,7 +174,9 @@ def cmd_scenario(args, cfg) -> str:
     return "violations" if report.get("empirical_violations") else kind
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sgain",
         description="Stability certification for infinite networks of ODE subsystems")

@@ -44,7 +44,7 @@ from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     derive_gains_lure, derive_gains_traffic,
                     traffic_small_gain_sufficient)
 from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
-                       as_number, exact_div, load_json, _check_index)
+                       as_number, exact_div, joint, load_json, _check_index)
 
 
 def _seq_to_json(s: PeriodicSeq):
@@ -156,8 +156,7 @@ class LinearChain(Family):
 
     @property
     def structure(self) -> tuple[int, int]:
-        pre = max(1, self.diag.preamble_len, self.sub.preamble_len, self.sup.preamble_len)
-        return pre, math.lcm(self.diag.period, self.sub.period, self.sup.period)
+        return joint(1, 1, self.diag, self.sub, self.sup)
 
     def to_json(self) -> dict:
         return {"diag": _seq_to_json(self.diag), "sub": _seq_to_json(self.sub),
@@ -364,9 +363,8 @@ class Traffic(Family):
     def structure(self) -> tuple[int, int]:
         # A cell reads the flow of cells up to a bandwidth back, so past the
         # preamble those cells must lie past the preambles of v and l too.
-        seq_pre = max(self.v.preamble_len, self.l.preamble_len)
-        pre = seq_pre + self.bandwidth if seq_pre else 3
-        return pre, math.lcm(8, self.v.period, self.l.period)
+        seq_pre, per = joint(0, 8, self.v, self.l)
+        return (seq_pre + self.bandwidth if seq_pre else 3), per
 
     def to_json(self) -> dict:
         return {"v": _seq_to_json(self.v), "l": _seq_to_json(self.l),

@@ -26,6 +26,7 @@ x itself) and on a short leading section, exact for rational gains.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .errors import (CannotCertifyError, DerivationError,
                      InvalidCertificateError, ParameterError, ResourceError,
                      ShapeError)
 from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_number,
-                       exact_div)
+                       exact_div, joint)
 
 if TYPE_CHECKING:
     from .families import LinearChain, LureBanded, Traffic
@@ -123,16 +124,16 @@ def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicS
     chain derivation: ``eps_i + delta_i = b_ii / 2`` in the ratio ``|b_i(i-1)| : |b_i(i+1)|``,
     for the row sum ``(|b_i(i-1)| + |b_i(i+1)|)^2 / b_ii^2``.  The side of a zero
     coupling, whose parameter must still be positive, gets ``b_ii / 100``."""
-    pre, per = fam.structure
-    eps, delta = [], []
-    for i in range(1, pre + per + 1):
+    @functools.cache
+    def split(i: int) -> tuple[Real, Real]:
         bd, bs, bp = fam.coefficients(i)
         half, tiny = exact_div(bd, 2), exact_div(bd, 100)
         e = (tiny if bs == 0 else half - tiny if bp == 0
              else exact_div(half * abs(bs), abs(bs) + abs(bp)))
-        eps.append(e)
-        delta.append(half - e)
-    return tuple(PeriodicSeq(tuple(s[:pre]), tuple(s[pre:])) for s in (eps, delta))
+        return e, half - e
+
+    return tuple(PeriodicSeq.tabulate(lambda i, k=k: split(i)[k], *fam.structure)
+                 for k in (0, 1))
 
 
 def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainData:
@@ -147,12 +148,10 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
     if eps is None and delta is None:
         eps, delta = optimize_chain_free_params(fam)
     eps_r, delta_r = _as_rule(eps, "eps"), _as_rule(delta, "delta")
-    pre, per = fam.structure
-    pre = max(pre, eps_r.preamble_len, delta_r.preamble_len)
-    per = math.lcm(per, eps_r.period, delta_r.period)
+    pre, per = joint(*fam.structure, eps_r, delta_r)
 
-    lam_vals, rows = [], []
-    for i in range(1, pre + per + 1):
+    @functools.cache
+    def cell(i: int) -> tuple[Real, dict]:
         bd, bs, bp = fam.coefficients(i)
         e_i, d_i = eps_r.at(i), delta_r.at(i)
         if e_i <= 0 or d_i <= 0:
@@ -162,17 +161,16 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
             where = f"preamble index {i}" if i <= pre else f"residue {(i - pre - 1) % per} of the cycle"
             raise DerivationError(
                 f"nonpositive decay rate 2(b_ii - eps - delta) = {float(lam_i)} at {where}")
-        lam_vals.append(lam_i)
         row = {}
         if bs != 0:
             row[-1] = exact_div(bs * bs, 2 * e_i)
         if bp != 0:
             row[1] = exact_div(bp * bp, 2 * d_i)
-        rows.append(row)
+        return lam_i, row
 
     return GainData(
-        lam=PeriodicSeq(tuple(lam_vals[:pre]), tuple(lam_vals[pre:])),
-        gamma=PeriodicRows(tuple(rows[:pre]), tuple(rows[pre:]), bandwidth=1),
+        lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
+        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=1),
         gamma_u=PeriodicSeq.constant(0),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
@@ -226,11 +224,10 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     where D_i stacks the neighbor coupling blocks and the norm is the
     largest singular value (computed from the symmetric product).
     """
-    try:
-        m = np.atleast_2d(np.asarray(m_matrix, dtype=float))
-        kappa, eps, tau = float(kappa), float(eps), float(tau)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed Lur'e derivation parameter: {exc}") from None
+    m = np.array([[float(as_number(x, "'M'")) for x in row]
+                  for row in np.atleast_2d(np.asarray(m_matrix, dtype=object))])
+    kappa, eps, tau = (float(as_number(v, repr(k)))
+                       for k, v in (("kappa", kappa), ("eps", eps), ("tau", tau)))
     if m.shape != (fam.n, fam.n) or not np.allclose(m, m.T, atol=1e-12):
         raise InvalidCertificateError("M must be symmetric of the block dimension")
     eigs = np.linalg.eigvalsh(m)
@@ -253,16 +250,15 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
             return 0.0
         return float(np.linalg.eigvalsh(mat.T @ m @ mat)[-1])
 
-    gamma_u = sq_weighted_norm(b) / eps
-    rows = []
-    for i in (1, 2):
+    def row(i: int) -> dict:
         d = fam.blocks(i)[1]
         val = sq_weighted_norm(np.hstack([d[off] for off in sorted(d)])) / (m_lo * eps) if d else 0
-        rows.append({off: val for off in d})
+        return {off: val for off in d}
+
     return GainData(
         lam=PeriodicSeq.constant(lam),
-        gamma=PeriodicRows((rows[0],), (rows[1],), bandwidth=1),
-        gamma_u=PeriodicSeq.constant(gamma_u),
+        gamma=PeriodicRows.tabulate(row, *fam.structure, bandwidth=1),
+        gamma_u=PeriodicSeq.constant(sq_weighted_norm(b) / eps),
         alpha_lo=PeriodicSeq.constant(m_lo),
         alpha_hi=PeriodicSeq.constant(m_hi), vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
         free_params={"kappa": kappa, "eps": eps, "tau": tau})
@@ -279,9 +275,7 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
     if eps_r.min() <= 0:
         raise ParameterError("eps must be positive")
-    pre, per = fam.structure
-    pre = max(pre, eps_r.preamble_len)
-    per = math.lcm(per, eps_r.period)
+    pre, per = joint(*fam.structure, eps_r)
 
     flow_lo = exact_div(fam.v.min(), fam.l.max())
     if flow_lo - 2 * eps_r.max() <= 0:
@@ -289,19 +283,18 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
             "uniform decay fails: v_lo/l_hi - 2 sup(eps) = "
             f"{float(flow_lo - 2 * eps_r.max())} <= 0")
 
-    lam_vals, rows, gu_vals = [], [], []
-    for i in range(1, pre + per + 1):
+    @functools.cache
+    def cell(i: int) -> tuple[Real, dict, Real]:
         _, e_i, d, b_i = fam.cell(i)
         eps_i = eps_r.at(i)
-        lam_vals.append(2 * (fam.flow(i) + e_i - 2 * eps_i))
         dsq = sum(w * w for w in d.values())
-        rows.append({off: exact_div(dsq, 2 * eps_i) for off in d})
-        gu_vals.append(exact_div(b_i * b_i, 2 * eps_i))
+        return (2 * (fam.flow(i) + e_i - 2 * eps_i), {off: exact_div(dsq, 2 * eps_i) for off in d},
+                exact_div(b_i * b_i, 2 * eps_i))
 
     return GainData(
-        lam=PeriodicSeq(tuple(lam_vals[:pre]), tuple(lam_vals[pre:])),
-        gamma=PeriodicRows(tuple(rows[:pre]), tuple(rows[pre:]), bandwidth=4),
-        gamma_u=PeriodicSeq(tuple(gu_vals[:pre]), tuple(gu_vals[pre:])),
+        lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
+        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=4),
+        gamma_u=PeriodicSeq.tabulate(lambda i: cell(i)[2], pre, per),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
         free_params={"eps": eps_r})
@@ -331,10 +324,12 @@ def build_gain_operator(g: GainData) -> PeriodicRows:
     if not isinstance(g.lam, PeriodicSeq):
         raise CannotCertifyError(
             "decay rates are not eventually periodic; apply a rate cap first")
-    pre = max(g.gamma.preamble_len, g.lam.preamble_len)
-    per = math.lcm(g.gamma.period, g.lam.period)
-    rows = g.gamma.realign(pre, per)
-    return rows.scale_rows(lambda i: exact_div(1, g.lam.at(i)))
+
+    def row(i: int) -> dict:
+        inv = exact_div(1, g.lam.at(i))
+        return {off: v * inv for off, v in g.gamma.row(i).items()}
+
+    return PeriodicRows.tabulate(row, *joint(0, 1, g.gamma, g.lam), bandwidth=g.gamma.bandwidth)
 
 
 def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
@@ -345,8 +340,8 @@ def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
     lcm of the two periods.
     """
     m = theta.bandwidth
-    pre = max(v.preamble_len + m, theta.preamble_len)
-    n = pre + math.lcm(v.period, theta.period)
+    pre, per = joint(v.preamble_len + m, v.period, theta)
+    n = pre + per
     vals = v.head(n + m)
     out = []
     for i, row in enumerate(theta.head(n)):
@@ -389,8 +384,7 @@ def _start_vector(psi: PeriodicRows, x: list[Fraction]) -> PeriodicSeq:
     gcd, in the cycle's phase: entry i is ``x[(i - preamble - 1) % period]``."""
     w = [max(math.ceil(t * START_SCALE), START_FLOOR) for t in x]
     g, pre, per = math.gcd(*w), psi.preamble_len, psi.period
-    return PeriodicSeq(tuple(w[(j - pre - 1) % per] // g for j in range(1, pre + 1)),
-                       tuple(t // g for t in w))
+    return PeriodicSeq.tabulate(lambda j: w[(j - pre - 1) % per] // g, pre, per)
 
 
 def operator_power_column_sums(psi: PeriodicRows, k_max: int,

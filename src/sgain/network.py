@@ -13,6 +13,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NumericInputError, ParameterError, ShapeError
 from .families import Family
+from .seqrules import positions
 
 class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
@@ -43,8 +44,7 @@ class TruncatedNetwork:
             if not 0 < abs(off) <= fam.bandwidth:
                 i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
                 raise ParameterError(f"neighbor set of {i} exceeds bandwidth {fam.bandwidth}")
-        idx = np.arange(n)  # subsystem idx + 1 repeats stored block pos[idx]
-        pos = np.where(idx < pre, idx, pre + (idx - pre) % per)
+        pos = positions(pre, per, n)  # subsystem i repeats stored block pos[i - 1]
         a = np.stack([s[0] for s in stored])[pos]
         b = np.stack([s[2] for s in stored])[pos]
         self.block_dim = nb = a.shape[1]

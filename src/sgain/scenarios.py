@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -32,7 +31,7 @@ from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import Family, generator_from_dict
 from .gains import AssumptionReport, GainData, check_assumptions
-from .seqrules import PeriodicSeq, as_integer, as_number, as_object, load_json, number_at
+from .seqrules import PeriodicSeq, as_integer, as_object, load_json, number_at
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -92,10 +91,8 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
     expected = as_object(obj.get("expected_outcome"), "'expected_outcome'")
     if not isinstance(expected.get("kind"), str):
         raise ParameterError("'expected_outcome' needs a string 'kind'")
-    derivation = {k: as_number(v) if isinstance(v, (str, int, float, Fraction)) else v
-                  for k, v in as_object(obj.get("derivation"), "'derivation'").items()}
     return ExampleScenario(
-        name=name, family=fam, derivation=derivation,
+        name=name, family=fam, derivation=dict(as_object(obj.get("derivation"), "'derivation'")),
         sim=dict(as_object(obj.get("sim"), "'sim'")),
         expected_outcome=Outcome(expected["kind"], expected.get("which")),
         notes=obj.get("notes", ""))
@@ -114,9 +111,7 @@ def _gain_summary(g: GainData) -> dict:
         if isinstance(v, PeriodicSeq):
             return {"preamble": [float(x) for x in v.preamble],
                     "cycle": [float(x) for x in v.cycle]}
-        if isinstance(v, (int, float, Fraction)):
-            return float(v)
-        return [[float(x) for x in row] for row in v]  # small matrices
+        return float(v)
 
     return {"p": 2.0, "q": 2.0, "bandwidth": g.gamma.bandwidth,
             "lam_lo": fin(g.lam.lower()), "lam_hi": fin(g.lam.upper()),
@@ -149,10 +144,8 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     if stored is None:
         try:
             cert, g_used, _, bracket = certify(
-                g, rho=number_at(analysis, "rho"), h_start=number_at(analysis, "h_start"),
-                k_max=as_integer(number_at(analysis, "k_max", 12), "'analysis.k_max'"),
-                h_doublings=as_integer(number_at(analysis, "h_doublings", 40),
-                                       "'analysis.h_doublings'"))
+                g, rho=number_at(analysis, "rho"),
+                k_max=as_integer(number_at(analysis, "k_max", 12), "'analysis.k_max'"))
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:

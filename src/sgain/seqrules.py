@@ -8,6 +8,9 @@ suprema and infima over the whole index set exactly computable: they
 reduce to a maximum or minimum over preamble plus one cycle.  Banded
 :class:`PeriodicRows` have eventually periodic columns too (the rows of
 :meth:`PeriodicRows.transpose`), so they map a PeriodicSeq to a PeriodicSeq.
+Tables are built one way: ``tabulate`` reads a rule at 1..pre+per, over
+the structure that :func:`joint` gives several tables, and :func:`positions`
+tiles a stored table out to N entries.
 
 Values are ordinary Python numbers.  When callers supply `fractions.Fraction`
 coefficients (the scenario files are parsed that way), all derived
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping
@@ -130,14 +133,26 @@ class _EventuallyPeriodic:
         reps = -(-max(0, n - self.preamble_len) // self.period)
         return (list(self.preamble) + list(self.cycle) * reps)[:n]
 
-    def realign(self, preamble_len: int, period: int):
-        """Re-express with a longer preamble and a cycle length that is a
-        multiple of the current one.  Entries are unchanged."""
-        if preamble_len < self.preamble_len or period % self.period != 0:
-            raise ParameterError("incompatible realignment")
-        return replace(
-            self, preamble=tuple(self.at(i) for i in range(1, preamble_len + 1)),
-            cycle=tuple(self.at(i) for i in range(preamble_len + 1, preamble_len + period + 1)))
+    @classmethod
+    def tabulate(cls, fn: Callable[[int], object], pre: int, per: int, **kw):
+        """The entries ``fn(1), ..., fn(pre + per)``, read in that order, as a
+        preamble of length ``pre`` and a cycle of length ``per``."""
+        vals = [fn(i) for i in range(1, pre + per + 1)]
+        return cls(preamble=tuple(vals[:pre]), cycle=tuple(vals[pre:]), **kw)
+
+
+def joint(pre: int, per: int, *seqs: _EventuallyPeriodic) -> tuple[int, int]:
+    """A structure that ``(pre, per)`` and every one of ``seqs`` repeat with:
+    the largest preamble and the lcm of the periods."""
+    return (max([pre, *(s.preamble_len for s in seqs)]),
+            math.lcm(per, *(s.period for s in seqs)))
+
+
+def positions(pre: int, per: int, n: int) -> np.ndarray:
+    """The stored position (0-based) of entries 1..n of a table with
+    preamble length ``pre`` and period ``per``."""
+    idx = np.arange(n)
+    return np.where(idx < pre, idx, pre + (idx - pre) % per)
 
 
 @dataclass(frozen=True)
@@ -270,10 +285,9 @@ class PeriodicRows(_EventuallyPeriodic):
         d = math.lcm(*(v.denominator for v in entries))
         if d == 1:
             return self, 1
-        scaled = [{off: v.numerator * (d // v.denominator) for off, v in row.items()}
-                  for row in self.preamble + self.cycle]
-        return replace(self, preamble=tuple(scaled[:self.preamble_len]),
-                       cycle=tuple(scaled[self.preamble_len:])), d
+        return PeriodicRows.tabulate(
+            lambda i: {off: v.numerator * (d // v.denominator) for off, v in self.row(i).items()},
+            self.preamble_len, self.period, bandwidth=self.bandwidth), d
 
     def sup_column_sum(self) -> Real:
         """Exact sup over all columns j of the column sum."""
@@ -297,12 +311,3 @@ class PeriodicRows(_EventuallyPeriodic):
             for off, v in row.items():
                 out[r][(r + off) % self.period] += v
         return out
-
-    def scale_rows(self, factor: Callable[[int], Real]) -> "PeriodicRows":
-        """Multiply row i by factor(i); factor must share the periodic
-        structure (it is sampled at the first index of each stored row)."""
-        pre = tuple({o: v * factor(pos + 1) for o, v in row.items()}
-                    for pos, row in enumerate(self.preamble))
-        cyc = tuple({o: v * factor(self.preamble_len + 1 + r) for o, v in row.items()}
-                    for r, row in enumerate(self.cycle))
-        return PeriodicRows(pre, cyc, self.bandwidth)

@@ -47,7 +47,7 @@ from .errors import (InsufficientDataError, NumericInputError, ParameterError, R
                      ShapeError)
 from .families import Family
 from .network import TruncatedNetwork, _matvec, truncate
-from .seqrules import as_integer, as_number, as_object, number_at
+from .seqrules import as_integer, as_number, as_object, number_at, positions
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -329,9 +329,7 @@ class BoundLyapunov:
     def __init__(self, lyap: CompositeLyapunov, net: TruncatedNetwork):
         self.net = net
         mu = lyap.cert.mu
-        idx = np.arange(net.n_subsystems)  # subsystem idx + 1 reads stored pos[idx]
-        pos = np.where(idx < mu.preamble_len, idx,
-                       mu.preamble_len + (idx - mu.preamble_len) % mu.period)
+        pos = positions(mu.preamble_len, mu.period, net.n_subsystems)  # mu_i at pos[i - 1]
         self.mu = [mu.values()[k] for k in np.unique(pos)]  # the mu_i read, exactly
         self.weights = np.array([float(v) for v in mu.values()])[pos]  # mu_i, i = 1..N
         self.p = p = lyap.gains.vform.matrix()

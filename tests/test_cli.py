@@ -149,8 +149,7 @@ class TestExitCodes:
                             "sim": FAST_SIM}) for command in ("certify", "simulate")]
         cases += [("simulate", {"network": chain, "sim": {**FAST_SIM, "N": n}})
                   for n in (2.5, True)]
-        cases += [("certify", {"network": chain, "analysis": {key: 2.5}})
-                  for key in ("k_max", "h_doublings")]
+        cases += [("certify", {"network": chain, "analysis": {"k_max": 2.5}})]
         cases += [("simulate", {"network": chain, "sim": {**FAST_SIM, "x0": x0}})
                   for x0 in ({"kind": "unit", "index": 2.5}, {"kind": "first-k", "K": 2.5})]
         cases += [("analyze", {"network": {"family": "linear-chain", "coefficients": {
@@ -234,6 +233,36 @@ class TestExitCodes:
         assert rep["certificate_scan"]["ok"] is False
         assert rep["envelope"] is None and rep["dissipation"]["ok"]
         assert rep["n_violations"] == 1
+
+    def test_verify_rejects_counter_slow(self, run_main, tmp_path):
+        """A rejected assumption ends ``verify`` before any certificate: the
+        report holds the assumption verdicts only."""
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "counter-slow"},
+                                             "sim": FAST_SIM})
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o"]) == (2, "")
+        report = json.loads((tmp_path / "o" / "verification.json").read_text())
+        assert sorted(report) == ["assumptions", "command", "schema"]
+        assert report["assumptions"]["failed"][0] == "lambda_lo"
+
+    def test_verify_small_gain_violated(self, run_main, tmp_path):
+        """With no certificate to scan, ``verify`` exits 3 with the bracket's
+        error line and writes no report."""
+        net = {"family": "linear-chain", "coefficients": {"diag": 1, "sub": 0.6, "sup": 0.6}}
+        cfg = _write(tmp_path / "cfg.json", {"network": net, "sim": FAST_SIM})
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o"]) == (
+            3, "error: spectral bracket [1.44, 1.44] does not establish r < 1\n")
+        assert not (tmp_path / "o" / "verification.json").exists()
+
+    def test_simulate_without_derivable_gains(self, run_main, tmp_path):
+        """Gains that cannot be derived (traffic with ``eps`` 10 has no uniform
+        decay) leave ``simulate`` without V: it fits the norm and exits 0."""
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "traffic"},
+                                             "derivation": {"eps": 10}, "sim": FAST_SIM})
+        with pytest.raises(sgain.DerivationError, match="uniform decay fails"):
+            sgain.make_scenario("traffic").family.derive_gains({"eps": 10})
+        assert run_main(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == (0, "")
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["final_V"] is None and summary["decay_fit"]["channel"] == "norm"
 
     def test_simulate_writes_csv_and_summary(self, cli, tmp_path, chain_cfg):
         out = tmp_path / "o"
@@ -444,6 +473,32 @@ class TestOnePipeline:
                                               "analysis": {"K": 5}})
         assert run_main(["certify", "--config", plain, "--out", tmp_path / "a"]) == (0, "")
         assert run_main(["certify", "--config", with_k, "--out", tmp_path / "b"]) == (0, "")
+        assert ((tmp_path / "a" / "certificate.json").read_bytes()
+                == (tmp_path / "b" / "certificate.json").read_bytes())
+
+    def test_rate_cap_keys_are_unread(self, run_main, tmp_path):
+        """``analysis.h_start`` and ``analysis.h_doublings`` set nothing: no
+        description reaches a rate cap, so values that are not even numbers
+        give the same certificate."""
+        plain = _write(tmp_path / "a.json", {"network": {"scenario": "chain-a"}})
+        with_h = _write(tmp_path / "b.json", {"network": {"scenario": "chain-a"},
+                                              "analysis": {"h_start": "x", "h_doublings": 2.5}})
+        assert run_main(["certify", "--config", plain, "--out", tmp_path / "a"]) == (0, "")
+        assert run_main(["certify", "--config", with_h, "--out", tmp_path / "b"]) == (0, "")
+        assert ((tmp_path / "a" / "certificate.json").read_bytes()
+                == (tmp_path / "b" / "certificate.json").read_bytes())
+
+    def test_lure_derivation_reads_fraction_strings(self, run_main, tmp_path):
+        """Every Lur'e derivation number, ``M``'s entries included, may be a
+        ``"p/q"`` string, as in the other derivations."""
+        s = sgain.make_scenario("lure-platoon")
+        net = sgain.generator_to_dict(s.family)
+        decimal = {**s.derivation, "kappa": 0.5, "eps": 0.125}
+        strings = {**s.derivation, "kappa": "1/2", "eps": "1/8",
+                   "M": [[str(x) for x in row] for row in s.derivation["M"]]}
+        for name, derivation in (("a", decimal), ("b", strings)):
+            cfg = _write(tmp_path / f"{name}.json", {"network": net, "derivation": derivation})
+            assert run_main(["certify", "--config", cfg, "--out", tmp_path / name]) == (0, "")
         assert ((tmp_path / "a" / "certificate.json").read_bytes()
                 == (tmp_path / "b" / "certificate.json").read_bytes())
 

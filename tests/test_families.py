@@ -21,7 +21,7 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.gains import adjoint_apply
-from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div
+from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
 
 
 def fractions(lo, hi):
@@ -63,6 +63,23 @@ def lures(draw):
 
 families = st.one_of(chains, traffics, lures(),
                      st.sampled_from([CounterexampleSlow(), CounterexampleGain()]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=rules(fractions(-3, 3)), pre=st.integers(0, 5), per=st.integers(1, 6),
+       n=st.integers(0, 60))
+def test_tabulate_joint_and_positions_agree_with_at(s, pre, per, n):
+    """A table tabulated over a joint structure holds the entries of ``s``, and
+    ``positions`` finds entry i where the table stores it."""
+    p, q = joint(pre, per, s)
+    assert p == max(pre, s.preamble_len) and q == math.lcm(per, s.period)
+    assert p >= pre and q % per == 0 and p >= s.preamble_len and q % s.period == 0
+    table = PeriodicSeq.tabulate(s.at, p, q)
+    assert (table.preamble_len, table.period) == (p, q)
+    stored = table.values()
+    for i, pos in enumerate(positions(p, q, n), start=1):
+        assert table.at(i) == stored[pos] == s.at(i)
+        assert type(stored[pos]) is type(s.at(i))
 
 
 def dense_reference(fam, n):

@@ -14,7 +14,7 @@ from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    derive_gains_traffic,
                    operator_power_column_sums, spectral_bracket)
 from sgain.families import LureBanded
-from sgain.seqrules import PeriodicSeq
+from sgain.seqrules import PeriodicRows, PeriodicSeq
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -370,9 +370,10 @@ class TestSpectralBracket:
 
     def test_scaling_covariance(self, chain_gains):
         import dataclasses
-        s = Fraction(3, 2)
-        scaled = dataclasses.replace(
-            chain_gains, gamma=chain_gains.gamma.scale_rows(lambda i: s))
+        s, gamma = Fraction(3, 2), chain_gains.gamma
+        scaled = dataclasses.replace(chain_gains, gamma=PeriodicRows.tabulate(
+            lambda i: {off: v * s for off, v in gamma.row(i).items()},
+            gamma.preamble_len, gamma.period, bandwidth=gamma.bandwidth))
         op0 = build_gain_operator(chain_gains)
         op1 = build_gain_operator(scaled)
         for k in (1, 2, 4):

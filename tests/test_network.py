@@ -270,17 +270,19 @@ class TestDescriptionFiles:
 
 
 class TestSequenceRules:
-    def test_realign_preserves_values(self):
+    def test_tabulate_preserves_values(self):
         from fractions import Fraction
         seq = PeriodicSeq((Fraction(2),), (Fraction(1), Fraction(3, 2)))
-        re = seq.realign(4, 6)
+        re = PeriodicSeq.tabulate(seq.at, 4, 6)
+        assert (re.preamble_len, re.period) == (4, 6)
         for i in range(1, 200):
             assert re.at(i) == seq.at(i)
 
-    def test_rows_realign_preserves_values(self):
+    def test_rows_tabulate_preserves_values(self):
         from sgain.seqrules import PeriodicRows
         rows = PeriodicRows(({1: 2},), ({-1: 1, 1: 3}, {-1: 5}), bandwidth=1)
-        re = rows.realign(3, 4)
+        re = PeriodicRows.tabulate(rows.row, 3, 4, bandwidth=1)
+        assert (re.preamble_len, re.period, re.bandwidth) == (3, 4, 1)
         for i in range(1, 100):
             assert dict(re.row(i)) == dict(rows.row(i))
 
@@ -290,9 +292,9 @@ class TestSequenceRules:
         assert rows.symbol() == [[0, 4], [5, 0]]
         wide = PeriodicRows(({1: 1, 2: 1},), ({-1: 1, 1: 2, 2: 3},), bandwidth=2)
         assert wide.symbol() == [[6]]
-        # the realigned rows describe the same operator: same symbol up to
-        # the relabelling of residues by the longer preamble
-        assert rows.realign(2, 2).symbol() == [[0, 5], [4, 0]]
+        # the rows tabulated past a longer preamble describe the same operator:
+        # same symbol up to the relabelling of residues by that preamble
+        assert PeriodicRows.tabulate(rows.row, 2, 2, bandwidth=1).symbol() == [[0, 5], [4, 0]]
 
     def test_min_max_are_attained(self):
         seq = PeriodicSeq((5,), (2, 9, 4))

@@ -31,7 +31,9 @@ class TestMakeScenario:
         s = make_scenario("chain-a", {"coefficients": {"sub": 1, "sup": 1},
                                       "derivation": {"eps": "0.25", "delta": "0.25"}})
         assert s.family.sup.at(2) == 1
-        assert s.derivation["eps"] == Fraction(1, 4)
+        # the derivation reads the override exactly, as it reads any config
+        eps = s.family.derive_gains(s.derivation).free_params["eps"]
+        assert eps == sgain.seqrules.PeriodicSeq.constant(Fraction(1, 4))
 
 
 class TestExpectedOutcomes:
