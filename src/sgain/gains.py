@@ -116,7 +116,7 @@ def _as_rule(x, name: str) -> PeriodicSeq:
         raise ParameterError(f"missing derivation parameter {name!r}")
     if isinstance(x, PeriodicSeq):
         return x
-    return PeriodicSeq.constant(as_number(x))
+    return PeriodicSeq.constant(as_number(x, repr(name)))
 
 
 def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicSeq]:

@@ -102,6 +102,33 @@ def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray, rows: int) -> np.n
     return out
 
 
+def _chained_steps(r: sp.csr_matrix, k: int):
+    """``steps(flat, n, rows)``: ``n`` steps ``y += r x`` along the rows of the
+    C-contiguous block ``flat`` (row ``j + 1`` from row ``j``), ``k`` per kernel
+    call when ``rows`` spans ``r``, else one per call over ``r``'s first ``rows``.
+
+    A call multiplies ``k`` copies of ``r`` laid along a chain, copy ``j``
+    reading state ``g + j`` and adding into state ``g + j + 1`` of the
+    overlapping input and output views.  This relies on scipy's ``csr_matvec``
+    working in place, row by row in order, storing each row's sum before a
+    later row reads its input: copy ``j`` reads what copy ``j - 1`` has just
+    written, the same operations in the same order as one call per step.
+    """
+    dim, nnz, copies = r.shape[0], r.nnz, np.arange(k)[:, None]
+    indptr = np.append((r.indptr[:-1] + nnz * copies).ravel(), k * nnz).astype(r.indices.dtype)
+    indices = (r.indices + dim * copies).ravel().astype(r.indices.dtype)  # rows in r's order
+    data = np.tile(r.data, k)
+
+    def steps(flat: np.ndarray, n: int, rows: int) -> None:
+        c = k if rows == dim else 1
+        for g in range(0, n, c):
+            j = min(c, n - g)
+            csr_matvec((j - 1) * dim + rows, j * dim, indptr, indices, data,
+                       flat[g * dim:(g + j) * dim], flat[(g + 1) * dim:(g + 1 + j) * dim])
+
+    return steps
+
+
 def truncate(fam: Family, n_subsystems: int) -> TruncatedNetwork:
     """Materialize the first N subsystems; couplings past N read zero."""
     return TruncatedNetwork(fam, n_subsystems)

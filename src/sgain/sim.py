@@ -26,14 +26,16 @@ those of ``B shape``, once per run), so that a decaying far field is not
 stepped in slow subnormal floats.  A linear block then steps only its
 support window: if the start row is zero from entry ``s`` on, ``w`` from
 ``sw`` on and ``R`` has lower bandwidth ``lower``, ``m`` steps leave every
-entry from ``max(s, sw) + m lower`` on at zero.  Norms and V are per-row
-einsum sums over the window.  Only the stored states show the flush, and the
-recorded floats depend on neither the block size nor the flush.
+entry from ``max(s, sw) + m lower`` on at zero.  A window that spans every
+row is stepped ``k`` rows per kernel call, through a chain of ``k`` copies of
+``R`` of at most ``_BLOCK_FLOATS`` entries; a narrower one a row per call.
+Norms and V are per-row einsum sums over the window.  Only the stored states
+show the flush, and the recorded floats depend on neither the block size nor
+the flush.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
@@ -46,7 +48,7 @@ from .certificate import CompositeLyapunov
 from .errors import (InsufficientDataError, NumericInputError, ParameterError, ResourceError,
                      ShapeError)
 from .families import Family
-from .network import TruncatedNetwork, _matvec, truncate
+from .network import TruncatedNetwork, _chained_steps, truncate
 from .seqrules import as_integer, as_number, as_object, number_at, positions
 
 # --------------------------------------------------------------------------
@@ -215,7 +217,8 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # A step loop and its recorder work on blocks of rows of at most this many
-# state floats (256 KiB), so the memory of a run does not grow with N.
+# state floats (256 KiB), so the memory of a run does not grow with N; a
+# linear block's chained propagator holds at most this many entries of R.
 _BLOCK_FLOATS = 2 ** 15
 # Entries below this fraction of their row's largest magnitude are zeroed
 # before they are stepped (see the module docstring).
@@ -283,6 +286,7 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     eye = sp.identity(net.dim, format="csr")
     r = (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
     lower = int(np.max(np.arange(net.dim).repeat(np.diff(r.indptr)) - r.indices, initial=0))
+    steps = _chained_steps(r, max(1, _BLOCK_FLOATS // max(net.dim, r.nnz)))
     w, sw = np.zeros(net.dim), 0
     if forcing is not None:
         mf = m @ forcing
@@ -300,8 +304,7 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
         else:
             np.dot(levels[:, k:k + n].T, images, out=nxt)
         nxt[:, win:] = 0.0  # +0, as full stepping leaves it through R's positive diagonal
-        for j in range(n):
-            _matvec(r, blk[j], blk[j + 1], win)
+        steps(blk.ravel(), n, win)
         return win
 
     return advance
@@ -639,13 +642,16 @@ def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
 
 
 def export_csv(traj: TrajectoryRecord, path) -> None:
-    """Write ``t, norm_p, V, u_norm[, x_1..x_keep]`` rows: the states the record holds."""
+    """Write ``t, norm_p, V, u_norm[, x_1..x_keep]`` rows: the states the record holds.
+
+    Every cell is the shortest round-trip ``repr`` of its float (``V`` empty
+    when absent), and rows end in ``\\r\\n``: the bytes ``csv.writer`` writes.
+    """
     states = np.empty((traj.t.size, 0)) if traj.states is None else traj.states
+    v = [""] * traj.t.size if traj.v is None else map(repr, traj.v.tolist())
+    names = [f"x_{i}" for i in range(1, states.shape[1] + 1)]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        names = [f"x_{i}" for i in range(1, states.shape[1] + 1)]
-        w.writerow(["t", "norm_p", "V", "u_norm"] + names)
-        for k in range(traj.t.size):
-            w.writerow([repr(float(traj.t[k])), repr(float(traj.norm_p[k])),
-                        "" if traj.v is None else repr(float(traj.v[k])),
-                        repr(float(traj.u_norm[k]))] + [repr(float(v)) for v in states[k]])
+        f.write(",".join(["t", "norm_p", "V", "u_norm"] + names) + "\r\n")
+        for t, n, vk, u, x in zip(traj.t.tolist(), traj.norm_p.tolist(), v,
+                                  traj.u_norm.tolist(), states.tolist()):
+            f.write(",".join([repr(t), repr(n), vk, repr(u), *map(repr, x)]) + "\r\n")

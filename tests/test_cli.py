@@ -366,6 +366,13 @@ class TestExitCodes:
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
         assert code == 1 and err.startswith("error:") and key in err, err
 
+    @pytest.mark.parametrize("name, key", [("chain-a", "eps"), ("chain-a", "delta"),
+                                           ("traffic", "eps")])
+    def test_derivation_number_errors_name_their_key(self, run_main, tmp_path, name, key):
+        cfg = _write(tmp_path / "cfg.json", {"derivation": {key: "abc"}})
+        code, err = run_main(["scenario", name, "--config", cfg, "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"error: '{key}': not a number: 'abc'\n")
+
     @pytest.mark.parametrize("command, text, message", [
         *(pytest.param(command, '{"network": {"scenario": "chain-a", '
                                 '"overrides": {"coefficients": {"sub": 1e400}}}}', "",

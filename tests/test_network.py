@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgain
 from sgain import (InvalidIndexError, LinearChain, LureBanded,
                    NumericInputError, ParameterError,
                    ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
                    truncate)
+from sgain.network import _chained_steps, _matvec
 from sgain.seqrules import PeriodicSeq
 
 
@@ -218,6 +220,22 @@ class TestEvaluateRhs:
         bad = np.array([1.0, np.nan, 0.0])
         with pytest.raises(NumericInputError):
             evaluate_rhs(net, bad, np.zeros(0))
+
+
+class TestChainedSteps:
+    """``_chained_steps`` leans on scipy's kernel working in place, row by row."""
+
+    @pytest.mark.parametrize("rows", [3, 2])  # the whole chain; one step per call
+    def test_four_chained_steps_are_four_one_step_calls(self, rows):
+        r = sp.csr_matrix(np.array([[1.5, -0.25, 0.0], [0.5, 0.75, 1e-3], [-2.0, 0.0, 1.25]]))
+        rng = np.random.default_rng(11)
+        blk = np.empty((5, 3))
+        blk[0], blk[1:] = rng.standard_normal(3), rng.standard_normal((4, 3))
+        ref = blk.copy()
+        for j in range(4):
+            _matvec(r, ref[j], ref[j + 1], rows)
+        _chained_steps(r, 4)(blk.ravel(), 4, rows)
+        assert np.array_equal(blk.view(np.int64), ref.view(np.int64))
 
 
 class TestSectorNonlinearities:

@@ -1,5 +1,6 @@
 """Integration, norms, dissipation/envelope checks, decay fits, probe."""
 
+import csv
 import dataclasses
 import math
 from fractions import Fraction
@@ -289,15 +290,22 @@ class TestBlocks:
         assert len(starts) == 5 and np.all((starts == 0) | (starts >= np.finfo(float).tiny))
 
 
-def _full_stepping(net, x0, sig, horizon, h, rows):
-    """``x+ = R x + w`` on every row, each block of ``rows`` steps starting
-    from its flushed first row: the stepper's steps without a window."""
+def _propagator(net, h):
+    """``M = h A`` and RK4's stability polynomial ``R`` of ``M``, as CSR."""
     m = (h * net.drift_matrix).tocsr()
     eye = sp.identity(net.dim, format="csr")
-    r = (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
+    return m, (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
+
+
+def _full_stepping(net, x0, sig, horizon, h, rows):
+    """``x+ = R x + w`` on every row, one kernel call per step, each block of
+    ``rows`` steps starting from its flushed first row: the stepper's steps
+    without a window or a chain."""
+    m, r = _propagator(net, h)
     n_steps = int(round(horizon / h))
     levels = _stage_levels(sig, n_steps, h)
-    f = _flush(net.input_matrix @ sig.shape(net)) if sig.level else np.zeros(net.dim)
+    f = (_flush(net.input_matrix @ sig.shape(net)) if net.input_dim and sig.level
+         else np.zeros(net.dim))
     mf = m @ f
     m2f = m @ mf
     images = (h / 6.0) * np.array([f + mf + 0.5 * m2f + 0.25 * (m @ m2f),
@@ -314,6 +322,70 @@ def _full_stepping(net, x0, sig, horizon, h, rows):
         for j in range(len(blk) - 1):
             _matvec(r, blk[j], blk[j + 1], net.dim)
     return states
+
+
+def _chained_floats(net, h, fits=lambda rows, k: True):
+    """A block size whose chain holds ``k >= 3`` copies of ``R`` (so a middle
+    copy reads and writes states its neighbours write and read) and whose block
+    of ``rows`` steps is not a multiple of ``k``: ``(floats, rows, k)``."""
+    nnz = _propagator(net, h)[1].nnz
+    for floats in range(3 * nnz, 40 * nnz):
+        rows, k = floats // net.dim, floats // nnz
+        if k >= 3 and rows % k and rows // k >= 2 and fits(rows, k):
+            return floats, rows, k
+    raise AssertionError("no block size leaves a partial chained group")
+
+
+class _CountingKernel:
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.kernel(*args)
+
+
+class TestChainedSteps:
+    """A block whose window spans every row steps ``k`` rows per kernel call."""
+
+    @pytest.mark.parametrize("name, n", [("chain-a", 20), ("traffic", 25), ("lure-platoon", 30)])
+    @pytest.mark.parametrize("sig", [Zero(), GeometricProfile(-1.0, 0.3),
+                                     SinusoidOnFirstK(4, -0.8, 3.0)], ids=lambda s: s.kind)
+    def test_chain_steps_what_one_step_calls_do(self, monkeypatch, name, n, sig):
+        s = sgain.make_scenario(name)
+        cert, g, *_ = sgain.certify(s.family.derive_gains(s.derivation))
+        lyap = CompositeLyapunov(cert, g)
+        net = truncate(s.family, n)
+        floats, rows, k = _chained_floats(net, 1e-3)
+        monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
+        kernel = _CountingKernel(sgain.network.csr_matvec)
+        monkeypatch.setattr(sgain.network, "csr_matvec", kernel)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.3})
+        traj = integrate(net, x0, sig, 0.2, 1e-3, lyapunov=lyap, keep=net.dim)
+        blocks = [min(rows, 200 - b) for b in range(0, 200, rows)]
+        assert kernel.calls == sum(-(-m // k) for m in blocks) < 200
+        ref = _full_stepping(net, x0, sig, 0.2, 1e-3, rows=rows)
+        assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(traj.norm_p, np.sqrt(np.einsum("ij->i", ref * ref)))
+        bound = sgain.sim.BoundLyapunov(lyap, net)
+        assert np.array_equal(traj.v, bound.leading(ref, ref * ref))
+
+    def test_divergence_inside_a_chained_group(self, monkeypatch):
+        net = truncate(LinearChain.uniform(1, 10), 10)
+        x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
+        args = (net, x0, Zero(), 100.0, 0.1)  # a RuntimeWarning fails the suite
+        with monkeypatch.context() as one_step:
+            one_step.setattr(sgain.sim, "_chained_steps",
+                             lambda r, k: sgain.network._chained_steps(r, 1))
+            single = integrate(*args, keep=net.dim, blow_up=1e100)
+        stop = len(single.t) - 1  # step ``stop`` is row (stop - 1) % rows of its block
+        floats, rows, k = _chained_floats(net, 0.1, lambda rows, k: 0 < (stop - 1) % rows % k
+                                          < k - 1 and rows < stop)
+        monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
+        chained = integrate(*args, keep=net.dim, blow_up=1e100)
+        assert single.diverged and chained.diverged and len(chained.t) == stop + 1
+        assert np.array_equal(chained.states.view(np.int64), single.states.view(np.int64))
+        assert np.array_equal(chained.norm_p, single.norm_p)
 
 
 class TestSupportWindow:
@@ -602,7 +674,34 @@ class TestTruncationProbe:
         assert len(rows) == 1 and rows[0]["max_deviation"] >= 0.0
 
 
+def _csv_writer_export(traj, path):
+    """The rows ``csv.writer`` writes from every cell's ``repr``."""
+    states = np.empty((traj.t.size, 0)) if traj.states is None else traj.states
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["t", "norm_p", "V", "u_norm"]
+                   + [f"x_{i}" for i in range(1, states.shape[1] + 1)])
+        for k in range(traj.t.size):
+            w.writerow([repr(float(traj.t[k])), repr(float(traj.norm_p[k])),
+                        "" if traj.v is None else repr(float(traj.v[k])),
+                        repr(float(traj.u_norm[k]))] + [repr(float(v)) for v in states[k]])
+
+
 class TestExport:
+    @pytest.mark.parametrize("with_v", [True, False])
+    @pytest.mark.parametrize("keep", [0, 4])
+    def test_bytes_of_csv_writer(self, tmp_path, with_v, keep):
+        rng = np.random.default_rng(5)
+        cells = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-320, 300, (6, 7))
+        cells[1, :] = [-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1e-300, -1e22]
+        traj = sgain.sim.TrajectoryRecord(
+            t=cells[:, 0], states=cells[:, 3:3 + keep] if keep else None,
+            norm_p=np.abs(cells[:, 1]), v=cells[:, 2] if with_v else None,
+            u_norm=np.abs(cells[:, 3]), u_sup_norm=1.0, step=0.1, diverged=False)
+        export_csv(traj, tmp_path / "fast.csv")
+        _csv_writer_export(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_columns(self, tmp_path, chain_certified):
         cert, g, *_ = chain_certified
         lyap = CompositeLyapunov(cert, g)
