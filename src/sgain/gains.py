@@ -379,10 +379,10 @@ def _weighted_max(v: PeriodicSeq, w: PeriodicSeq, dk: int) -> Real:
     return Fraction(top, bot * dk)
 
 
-def _start_vector(psi: PeriodicRows, x: list[Fraction]) -> PeriodicSeq:
+def _start_vector(psi: PeriodicRows, num: list[int], den: int) -> PeriodicSeq:
     """The positive ints ``max(ceil(START_SCALE x), START_FLOOR)`` over their
-    gcd, in the cycle's phase: entry i is ``x[(i - preamble - 1) % period]``."""
-    w = [max(math.ceil(t * START_SCALE), START_FLOOR) for t in x]
+    gcd, x = num / den, in the cycle's phase: entry i is ``x[(i - preamble - 1) % period]``."""
+    w = [max(-(-p * START_SCALE // den), START_FLOOR) for p in num]
     g, pre, per = math.gcd(*w), psi.preamble_len, psi.period
     return PeriodicSeq.tabulate(lambda j: w[(j - pre - 1) % per] // g, pre, per)
 
@@ -401,7 +401,7 @@ def operator_power_column_sums(psi: PeriodicRows, k_max: int,
         raise ResourceError(f"band of Psi^{k_max} spans {k_max * psi.bandwidth} "
                             f"diagonals, over the budget {BAND_BUDGET}")
     rows, d = psi.transpose().integer_form
-    iterates = [start or _start_vector(psi, _perron_vector(np.array(psi.symbol(), dtype=float).T))]
+    iterates = [start or _start_vector(psi, *_perron_vector(np.array(psi.symbol(), dtype=float).T))]
     for _ in range(k_max):
         iterates.append(adjoint_apply(rows, iterates[-1]))
     return PowerTable(start=iterates[0], d=d, iterates=tuple(iterates),
@@ -433,31 +433,101 @@ class SpectralBracket:
                 "satisfied": bool(self.satisfied)}
 
 
-def _perron_vector(a: np.ndarray) -> list[Fraction]:
+def _limit_denominator(t: float) -> tuple[int, int]:
+    """``Fraction(t).limit_denominator(10 ** 12)`` as its (numerator,
+    denominator): the same continued-fraction recurrence on
+    ``t.as_integer_ratio()``, and the same choice of the nearer of the two
+    last candidates."""
+    cap = 10 ** 12
+    n, d = t.as_integer_ratio()
+    if d <= cap:
+        return n, d
+    whole = d  # t = n / whole
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    # p1/q1 lies d / (q1 whole) from t, the other candidate 1 / (q1 (q0 + k q1)) from p1/q1.
+    return (p1, q1) if 2 * d * (q0 + k * q1) <= whole else (p0 + k * p1, q0 + k * q1)
+
+
+def _perron_vector(a: np.ndarray) -> tuple[list[int], int]:
     """``|x|`` for an eigenvector x of the nonnegative ``a`` at an eigenvalue
     of largest modulus r, so ``a |x| >= r |x|``; scaled to max 1, float noise
-    below 1e-12 dropped and the rest rounded to rationals (relative 1e-12)."""
+    below 1e-12 dropped and the rest rounded to rationals (relative 1e-12),
+    returned as int numerators over the lcm of their denominators."""
     vals, vecs = np.linalg.eig(a)
     x = np.abs(vecs[:, np.argmax(np.abs(vals))])
-    return [Fraction(t).limit_denominator(10 ** 12) if t >= 1e-12 else Fraction(0)
-            for t in (x / x.max()).tolist()]
+    ratios = [_limit_denominator(t) if t >= 1e-12 else (0, 1) for t in (x / x.max()).tolist()]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
-def _collatz_wielandt(theta: PeriodicRows, v: PeriodicSeq, first: int) -> Real:
-    """``s = min (Theta v)_j / v_j`` over the support of ``v`` past entry ``first``,
-    so that ``Theta v >= s v`` holds there (and off the support)."""
-    t = adjoint_apply(theta, v)
+def _least_quotient(image: list, v: list, d: int | None) -> Real:
+    """``min image_j / (d v_j)`` over the support of v.  Int numerators are
+    compared by cross-multiplication, as in :func:`_weighted_max`, and give
+    one Fraction; on float Theta (d None) each quotient is divided out."""
+    pairs = [(t, y) for t, y in zip(image, v) if y]
+    if d is None:
+        return min(t / y for t, y in pairs)
+    top, bot = pairs[0]
+    for t, y in pairs[1:]:
+        if t * bot < top * y:
+            top, bot = t, y
+    return Fraction(top, bot * d)
+
+
+def _operand(theta: PeriodicRows, num: list[int],
+             den: int) -> tuple[PeriodicRows, int | None, list]:
+    """``(rows, d, x)``: Theta's integer form ``rows = d Theta`` and the vector
+    ``num / den`` it is applied to, as its int numerators.  Float Theta gives
+    ``(theta, None, x)`` with x as Fractions, so every float product stays."""
+    rows, d = theta.integer_form
+    if d == 1 and any(isinstance(v, float) for row in rows.preamble + rows.cycle
+                      for v in row.values()):
+        return rows, None, [Fraction(p, den) for p in num]
+    return rows, d, num
+
+
+def _symbol_bound(theta: PeriodicRows, num: list[int], den: int) -> Real:
+    """``s = min (Phi(1)^T x)_r / x_r`` for the period symbol's Perron vector
+    ``x = num / den``.  Laid out in the cycle's phase, x has ``Theta^k x >=
+    s^k x`` far out, so ``||Psi^k|| >= s^k``: past preamble + m, Theta's rows
+    are its cycle and Theta x = Phi(1)^T x, row r reading x at residue
+    ``m + r + offset``."""
+    rows, d, x = _operand(theta, num, den)
+    m, per = theta.bandwidth, theta.period
+    image = [sum(v * x[(m + r + o) % per] for o, v in row.items())
+             for r, row in enumerate(rows.cycle)]
+    return _least_quotient(image, [x[(m + r) % per] for r in range(per)], d)
+
+
+def _collatz_wielandt(theta: PeriodicRows, num: list[int], den: int) -> Real:
+    """``s = min (Theta v)_j / v_j`` over the support of ``v = num / den``
+    (zero past its entries), so that ``Theta v >= s v`` holds there and off
+    the support."""
+    rows, d, x = _operand(theta, num, den)
+    v = PeriodicSeq(tuple(x), (0,))
+    t = adjoint_apply(rows, v)
     n = t.preamble_len + t.period  # past n both repeat with the period of t
-    return min(x / y for x, y in zip(t.head(n)[first:], v.head(n)[first:]) if y)
+    return _least_quotient(t.head(n), v.head(n), d)
 
 
 def _certified_root(s: Real, k: int) -> float:
     """Float k-th root of s rounded up to a true upper bound, or inf when nine
-    candidates fall short (``float(s)`` underflows) or s does not fit a float."""
+    candidates fall short (``float(s)`` underflows) or s does not fit a float.
+    A candidate ``a/b`` is checked against ``s = n/q`` as ``a^k q >= n b^k``."""
     try:
+        n, q = s.as_integer_ratio()
         x = float(s) ** (1.0 / k)
         for _ in range(9):
-            if Fraction(x) ** k >= s:
+            a, b = x.as_integer_ratio()
+            if a ** k * q >= n * b ** k:
                 return x
             x = math.nextafter(x, math.inf)
     except OverflowError:
@@ -475,26 +545,24 @@ def spectral_bracket(psi: PeriodicRows, k_max: int = 12) -> SpectralBracket:
     give a rational upper bound whenever it is the best estimate, and
     higher roots are rounded up so every candidate is a true upper bound
     (a k whose root cannot be certified is left out).  The lower bound is
-    the larger of the symbol and the section bounds.
+    the larger of the symbol and the section bounds.  On rational gains
+    both lower bounds and the root checks run on ints: Theta's integer
+    form applied to the Perron vectors' int numerators, one Fraction per
+    bound.  Float gains apply Theta to the Perron vectors as Fractions.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    x = _perron_vector(np.array(psi.symbol(), dtype=float).T)
-    table = operator_power_column_sums(psi, k_max, _start_vector(psi, x))
+    num, den = _perron_vector(np.array(psi.symbol(), dtype=float).T)
+    table = operator_power_column_sums(psi, k_max, _start_vector(psi, num, den))
     norms = table.norms
     roots = [(norms[1], 1)] + [(_certified_root(norms[k], k), k) for k in range(2, k_max + 1)]
     best, best_k = min(roots, key=lambda root: root[0])  # ties keep the smaller k
-    m, per, theta = psi.bandwidth, psi.period, psi.transpose()
-    # Symbol: x in the cycle's phase with Phi(1)^T x >= s x has Theta^k x >= s^k x
-    # far out, so ||Psi^k|| >= s^k.  Past preamble + m, Theta's rows are its
-    # cycle and Theta x = Phi(1)^T x: row r reads x at residue m + r + offset.
-    image = [sum(v * x[(m + r + o) % per] for o, v in row.items())
-             for r, row in enumerate(theta.cycle)]
-    symbol = min(t / x[(m + r) % per] for r, t in enumerate(image) if x[(m + r) % per])
+    theta = psi.transpose()
+    symbol = _symbol_bound(theta, num, den)
     # Section: Psi dominates its leading sections; a short one catches an
     # isolated eigenvalue that comes from the preamble.
-    v = _perron_vector(psi.section(min(psi.preamble_len + 2 * per, SECTION_CAP)).T)
-    section = _collatz_wielandt(theta, PeriodicSeq(tuple(v), (0,)), 0)
+    size = min(psi.preamble_len + 2 * psi.period, SECTION_CAP)
+    section = _collatz_wielandt(theta, *_perron_vector(psi.section(size).T))
     lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
     return SpectralBracket(lower=lower, upper=best, k_used=best_k,
                            satisfied=bool(best < 1), lower_from=lower_from, table=table)

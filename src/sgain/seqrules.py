@@ -290,7 +290,11 @@ class PeriodicRows(_EventuallyPeriodic):
             self.preamble_len, self.period, bandwidth=self.bandwidth), d
 
     def sup_column_sum(self) -> Real:
-        """Exact sup over all columns j of the column sum."""
+        """Exact sup over all columns j of the column sum, formed once."""
+        return self._sup_column_sum
+
+    @cached_property
+    def _sup_column_sum(self) -> Real:
         t = self.transpose()
         return max(sum(row.values(), start=0) for row in t.preamble + t.cycle)
 

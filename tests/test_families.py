@@ -20,7 +20,7 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
-from sgain.gains import adjoint_apply
+from sgain.gains import _collatz_wielandt, _perron_vector, _symbol_bound, adjoint_apply
 from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
 
 
@@ -278,6 +278,61 @@ def window_eta(psi, shift, k_last, start):
 
 def bits(values):
     return [(type(x).__name__, repr(x)) for x in values]
+
+
+def reference_perron(a):
+    """The Perron vector of ``a`` scaled to max 1, rounded entry by entry to
+    one Fraction each."""
+    vals, vecs = np.linalg.eig(a)
+    x = np.abs(vecs[:, np.argmax(np.abs(vals))])
+    return [Fraction(t).limit_denominator(10 ** 12) if t >= 1e-12 else Fraction(0)
+            for t in (x / x.max()).tolist()]
+
+
+def reference_lower_bounds(psi):
+    """The symbol and section Collatz-Wielandt bounds ``min (Theta x)_j / x_j``
+    from Fraction Perron vectors: the symbol's over Theta's cycle rows, the
+    section's on a window of columns rebuilt entry by entry."""
+    m, per, theta = psi.bandwidth, psi.period, psi.transpose()
+    x = reference_perron(np.array(psi.symbol(), dtype=float).T)
+    symbol = min(sum(v * x[(m + r + o) % per] for o, v in row.items()) / x[(m + r) % per]
+                 for r, row in enumerate(theta.cycle) if x[(m + r) % per])
+    n = min(psi.preamble_len + 2 * per, 64)
+    v = reference_perron(psi.section(n).T)
+    section = min(a / b for a, b in zip(window_theta(psi, v + [0] * m, n), v) if b)
+    return symbol, section
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=operators)
+def test_lower_bounds_match_fraction_reference(psi):
+    """Rational gains give each bound as one Fraction from int numerators,
+    float gains the same floats: type and bits equal the reference's."""
+    symbol, section = reference_lower_bounds(psi)
+    theta, n = psi.transpose(), min(psi.preamble_len + 2 * psi.period, 64)
+    x = _perron_vector(np.array(psi.symbol(), dtype=float).T)
+    assert bits([_symbol_bound(theta, *x)]) == bits([symbol])
+    assert bits([_collatz_wielandt(theta, *_perron_vector(psi.section(n).T))]) == bits([section])
+    bracket = spectral_bracket(psi, k_max=2)
+    lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
+    assert bits([bracket.lower]) == bits([lower]) and bracket.lower_from == lower_from
+
+
+def test_section_bound_from_a_heavy_preamble():
+    """Preamble couplings nine times the cycle's give an isolated eigenvalue
+    that only the leading section sees: the lower bound is the section's,
+    an exact Fraction."""
+    heavy, light = Fraction(9, 10), Fraction(1, 10)
+    fam = LinearChain(diag=PeriodicSeq.constant(1),
+                      sub=PeriodicSeq((Fraction(0), heavy, heavy), (light,)),
+                      sup=PeriodicSeq((heavy, heavy, heavy), (light,)))
+    psi = build_gain_operator(fam.derive_gains({}))
+    assert psi.transpose().integer_form[1] > 1
+    symbol, section = reference_lower_bounds(psi)
+    bracket = spectral_bracket(psi)
+    assert bracket.lower_from == "section" and section > symbol
+    assert type(bracket.lower) is Fraction and bracket.lower == section
+    assert bracket.lower <= bracket.upper
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,13 @@
 """Gain derivations, the banded operator, and the spectral bracket."""
 
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgain
 from sgain import (DerivationError, InvalidCertificateError, LinearChain,
@@ -14,6 +17,7 @@ from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    derive_gains_traffic,
                    operator_power_column_sums, spectral_bracket)
 from sgain.families import LureBanded
+from sgain.gains import _certified_root, _limit_denominator
 from sgain.seqrules import PeriodicRows, PeriodicSeq
 
 
@@ -310,8 +314,7 @@ class TestSpectralBracket:
         lowers = []
         for n in (8, 16, 32, 64):
             v = _perron_vector(chain_operator.section(n).T)
-            lowers.append(_collatz_wielandt(chain_operator.transpose(),
-                                            PeriodicSeq(tuple(v), (0,)), 0))
+            lowers.append(_collatz_wielandt(chain_operator.transpose(), *v))
         assert all(b >= a - 1e-9 for a, b in zip(lowers, lowers[1:]))
         assert lowers[-1] <= spectral_bracket(chain_operator, k_max=2).lower
 
@@ -384,6 +387,53 @@ class TestSpectralBracket:
         br1 = spectral_bracket(op1, k_max=3)
         assert float(br1.upper) == pytest.approx(float(s) * float(br0.upper), rel=1e-12)
         assert br1.lower == pytest.approx(float(s) * br0.lower, rel=1e-6)
+
+
+def reference_root(s, k):
+    """The k-th root of s rounded up, each candidate checked as a Fraction power."""
+    try:
+        x = float(s) ** (1.0 / k)
+        for _ in range(9):
+            if Fraction(x) ** k >= s:
+                return x
+            x = math.nextafter(x, math.inf)
+    except OverflowError:
+        pass
+    return math.inf
+
+
+# Norms from 0 to far past either end of the float range, as Fractions,
+# floats and ints.
+norms = st.one_of(
+    st.builds(lambda n, q, e: Fraction(n, q) * Fraction(10) ** e,
+              st.integers(0, 10 ** 20), st.integers(1, 10 ** 20), st.integers(-400, 400)),
+    st.floats(0, 1e308), st.integers(0, 10 ** 400))
+
+
+class TestIntegerBracket:
+    """The bracket's int arithmetic against Fraction references."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(t=st.floats(1e-12, 1))
+    @example(t=1e-12)
+    @example(t=1.0)
+    @example(t=1 / 3)
+    def test_rounding_matches_limit_denominator(self, t):
+        f = Fraction(t).limit_denominator(10 ** 12)
+        assert _limit_denominator(t) == (f.numerator, f.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=norms, k=st.integers(2, 60))
+    @example(s=Fraction(1, 10 ** 400), k=2)  # float(s) underflows to 0
+    @example(s=Fraction(4_000_000) ** 60, k=60)  # float(s) overflows
+    def test_certified_root_matches_fraction_reference(self, s, k):
+        root = _certified_root(s, k)
+        assert root == reference_root(s, k)
+        assert math.isinf(root) or Fraction(root) ** k >= s
+
+    def test_certified_root_inf_cases(self):
+        assert _certified_root(Fraction(1, 10 ** 400), 2) == math.inf
+        assert _certified_root(Fraction(4_000_000) ** 60, 60) == math.inf
 
 
 class TestAssumptions:
