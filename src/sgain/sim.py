@@ -13,12 +13,13 @@ at each stage time (no zero-order hold).
 A truncation whose sector channel cannot act, or acts linearly
 (``"midpoint-linear"``, folded into ``A`` by the truncation), is linear
 time-invariant; it is stepped as ``x+ = R x + w`` with RK4's stability
-polynomial ``R`` of ``h A``, built once per run, and ``w`` from three fixed
-images of ``B shape``.  Only an active ``"saturation"`` channel takes the
-RK4 stages over ``TruncatedNetwork.rhs``.  Both are the same iterates up to
-rounding: a report is byte-identical from run to run, and
-trajectory-derived floats move by about 1e-13 relative against the
-stage-wise evaluation.
+polynomial ``R`` of ``h A`` (``TruncatedNetwork.propagator``: built once per
+truncation and step, from one period, and shared by the runs on it) and
+``w`` from three fixed images of ``B shape``.  Only an active
+``"saturation"`` channel takes the RK4 stages over ``TruncatedNetwork.rhs``.
+Both are the same iterates up to rounding: a report is byte-identical from
+run to run, and trajectory-derived floats move by about 1e-13 relative
+against the stage-wise evaluation.
 
 Steps fill blocks of rows.  The row a block starts from is flushed: its
 entries below ``2^-900`` times its largest magnitude become zero (as do
@@ -28,7 +29,8 @@ support window: if the start row is zero from entry ``s`` on, ``w`` from
 ``sw`` on and ``R`` has lower bandwidth ``lower``, ``m`` steps leave every
 entry from ``max(s, sw) + m lower`` on at zero.  A window that spans every
 row is stepped ``k`` rows per kernel call, through a chain of ``k`` copies of
-``R`` of at most ``_BLOCK_FLOATS`` entries; a narrower one a row per call.
+``R`` of at most ``_BLOCK_FLOATS`` entries, laid per run (``R`` itself when
+``k`` is 1); a narrower one a row per call.
 Norms and V are per-row einsum sums over the window.  Only the stored states
 show the flush, and the recorded floats depend on neither the block size nor
 the flush.
@@ -42,7 +44,6 @@ from fractions import Fraction
 from typing import ClassVar, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .certificate import CompositeLyapunov
 from .errors import (InsufficientDataError, NumericInputError, ParameterError, ResourceError,
@@ -277,18 +278,16 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     """Steps of ``x+ = R x + w`` for a linear time-invariant truncation.
 
     ``R = I + M + M^2/2 + M^3/6 + M^4/24`` with ``M = h A`` is RK4's
-    stability polynomial, and ``w = sum_s level unit(s) v_s`` over the stage
-    times, where ``v_1 = h/6 (I + M + M^2/2 + M^3/4) f``,
-    ``v_2 = h/6 (4 I + 2 M + M^2/2) f`` and ``v_4 = h/6 f`` for the applied
-    input ``f = B shape``: the RK4 iterates, up to rounding.
+    stability polynomial (``net.propagator(h)``), and ``w = sum_s level
+    unit(s) v_s`` over the stage times, where ``v_1 = h/6 (I + M + M^2/2 +
+    M^3/4) f``, ``v_2 = h/6 (4 I + 2 M + M^2/2) f`` and ``v_4 = h/6 f`` for the
+    applied input ``f = B shape``: the RK4 iterates, up to rounding.
     """
-    m = (h * net.drift_matrix).tocsr()
-    eye = sp.identity(net.dim, format="csr")
-    r = (eye + m @ (eye + m @ (0.5 * eye + m @ (eye / 6.0 + m / 24.0)))).tocsr()
-    lower = int(np.max(np.arange(net.dim).repeat(np.diff(r.indptr)) - r.indices, initial=0))
-    steps = _chained_steps(r, max(1, _BLOCK_FLOATS // max(net.dim, r.nnz)))
+    *r, lower = net.propagator(h)
+    steps = _chained_steps(*r, max(1, _BLOCK_FLOATS // max(net.dim, len(r[2]))))
     w, sw = np.zeros(net.dim), 0
     if forcing is not None:
+        m = h * net.drift_matrix
         mf = m @ forcing
         m2f = m @ mf
         images = (h / 6.0) * np.array([forcing + mf + 0.5 * m2f + 0.25 * (m @ m2f),

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    verify_certificate)
 from sgain.gains import _collatz_wielandt, _perron_vector, _symbol_bound, adjoint_apply
 from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
+from test_sim import _propagator
 
 
 def fractions(lo, hi):
@@ -112,6 +114,22 @@ def test_tiled_assembly_matches_dense_reference(fam, n):
         assert mat.has_sorted_indices
     assert list(net.input_dims) == input_dims
     assert net.dim == a_ref.shape[0] and net.input_dim == sum(input_dims)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fam=families, n=st.integers(1, 300), h=st.sampled_from([1e-3, 0.05]))
+def test_assembly_equals_the_operator_algebra_bit_for_bit(fam, n, h):
+    """The gathered ``linear_matrix`` and the tiled propagator hold the arrays of
+    scipy's own assembly and operator expression: the same entries, each row in
+    the same order, which fixes ``csr_matvec``'s summation order."""
+    net = truncate(fam, n)
+    a, ref = net.linear_matrix, _propagator(net, h)[1]
+    *r, lower = net.propagator(h)
+    for got, want in (((a.indptr, a.indices, a.data), sp.csr_matrix(dense_reference(fam, n)[0])),
+                      (r, ref)):
+        assert np.array_equal(got[0], want.indptr) and np.array_equal(got[1], want.indices)
+        assert np.array_equal(got[2].view(np.int64), want.data.view(np.int64))
+    assert lower == np.max(np.arange(net.dim).repeat(np.diff(ref.indptr)) - ref.indices, initial=0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -234,7 +234,7 @@ class TestChainedSteps:
         ref = blk.copy()
         for j in range(4):
             _matvec(r, ref[j], ref[j + 1], rows)
-        _chained_steps(r, 4)(blk.ravel(), 4, rows)
+        _chained_steps(r.indptr, r.indices, r.data, 4)(blk.ravel(), 4, rows)
         assert np.array_equal(blk.view(np.int64), ref.view(np.int64))
 
 

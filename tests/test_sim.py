@@ -375,8 +375,8 @@ class TestChainedSteps:
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         args = (net, x0, Zero(), 100.0, 0.1)  # a RuntimeWarning fails the suite
         with monkeypatch.context() as one_step:
-            one_step.setattr(sgain.sim, "_chained_steps",
-                             lambda r, k: sgain.network._chained_steps(r, 1))
+            one_step.setattr(sgain.sim, "_chained_steps", lambda indptr, indices, data, k:
+                             sgain.network._chained_steps(indptr, indices, data, 1))
             single = integrate(*args, keep=net.dim, blow_up=1e100)
         stop = len(single.t) - 1  # step ``stop`` is row (stop - 1) % rows of its block
         floats, rows, k = _chained_floats(net, 0.1, lambda rows, k: 0 < (stop - 1) % rows % k
@@ -386,6 +386,38 @@ class TestChainedSteps:
         assert single.diverged and chained.diverged and len(chained.t) == stop + 1
         assert np.array_equal(chained.states.view(np.int64), single.states.view(np.int64))
         assert np.array_equal(chained.norm_p, single.norm_p)
+
+
+class TestOnePropagator:
+    """``R`` is built once per truncation and step, and every run on it shares it."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        sizes, build = [], sgain.network._rk4_polynomial
+        monkeypatch.setattr(sgain.network, "_rk4_polynomial",
+                            lambda dim, *m: sizes.append(dim) or build(dim, *m))
+        return sizes
+
+    @pytest.mark.parametrize("name", ["lure-platoon", "traffic"])
+    def test_pipeline_builds_one_for_its_two_runs(self, monkeypatch, name):
+        sizes = self._count_builds(monkeypatch)
+        report = sgain.run_pipeline(sgain.make_scenario(name))
+        assert {"dissipation_zero_input", "dissipation_forced"} <= report["simulation"].keys()
+        assert len(sizes) == 1
+
+    def test_probe_builds_one_per_size(self, monkeypatch):
+        sizes = self._count_builds(monkeypatch)
+        fam = sgain.make_scenario("lure-platoon").family
+        truncation_convergence_probe(fam, {"kind": "first-k", "K": 5, "value": 1.0},
+                                     GeometricProfile(1.0, 0.5), 0.05, 1e-3, [20, 40, 80], 5)
+        assert len(sizes) == 3
+
+    def test_one_per_step(self, monkeypatch):
+        sizes = self._count_builds(monkeypatch)
+        net = truncate(chain_gen(), 300)
+        assert net.propagator(1e-3) is net.propagator(1e-3)
+        assert net.propagator(2e-3) is not net.propagator(1e-3)
+        assert len(sizes) == 2 and max(sizes) < net.dim  # a core, tiled to N
 
 
 class TestSupportWindow:
