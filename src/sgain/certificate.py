@@ -52,6 +52,8 @@ from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div, jo
 # Step-5 rate capping
 # --------------------------------------------------------------------------
 
+CAP_DOUBLINGS = 40  # caps tried for unbounded decay rates: h, 2 h, ..., 2^39 h
+
 
 def cap_decay_rates(g: GainData, h: Real) -> GainData:
     """Replace every decay rate by min(lambda_i, h); other data unchanged.
@@ -297,8 +299,7 @@ def build_certificate(g: GainData, bracket: SpectralBracket,
     return dataclasses.replace(cert, scan=report)
 
 
-def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
-            h_start: Real | None = None, h_doublings: int = 40):
+def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12):
     """End-to-end certification: bracket the spectral radius, cap rates
     when they are unbounded, and build a verified certificate.
 
@@ -306,8 +307,8 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
     bracket)``.  Raises :class:`SmallGainViolatedError` when the bracket
     refutes or fails to establish the condition for bounded rates, and
     :class:`CannotCertifyError` when no cap in the doubling schedule
-    certifies.  Caps stay below a finite sup: by default a nondecreasing
-    rule starts at the midpoint of its inf and sup when the sup is lower.
+    certifies.  Caps double from ``2 max(1, ceil(inf lambda))`` (from the midpoint
+    of inf and sup if a nondecreasing rule's sup is not above it), below the sup.
     """
     caps = [None]  # bounded rates: no cap
     if not isinstance(g.lam, PeriodicSeq):
@@ -315,10 +316,10 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12,
         if lam_lo <= 0:
             raise CannotCertifyError("no uniform positive decay rate")
         lam_hi = g.lam.upper()
-        h = h_start if h_start is not None else 2 * max(1, math.ceil(float(lam_lo)))
-        if h_start is None and g.lam.nondecreasing and h >= lam_hi:
+        h = 2 * max(1, math.ceil(float(lam_lo)))
+        if g.lam.nondecreasing and h >= lam_hi:
             h = exact_div(lam_lo + lam_hi, 2)
-        caps = [h * 2 ** j for j in range(max(1, int(h_doublings)))]
+        caps = [h * 2 ** j for j in range(CAP_DOUBLINGS)]
         caps = [c for c in caps if c < lam_hi] or caps[:1]  # a cap >= sup stays aperiodic
     for h in caps:
         gh = g if h is None else cap_decay_rates(g, h)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -170,7 +171,7 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
 
     return GainData(
         lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
-        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=1),
+        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
         gamma_u=PeriodicSeq.constant(0),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
@@ -257,7 +258,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
 
     return GainData(
         lam=PeriodicSeq.constant(lam),
-        gamma=PeriodicRows.tabulate(row, *fam.structure, bandwidth=1),
+        gamma=PeriodicRows.tabulate(row, *fam.structure, bandwidth=fam.bandwidth),
         gamma_u=PeriodicSeq.constant(sq_weighted_norm(b) / eps),
         alpha_lo=PeriodicSeq.constant(m_lo),
         alpha_hi=PeriodicSeq.constant(m_hi), vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
@@ -293,7 +294,7 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
 
     return GainData(
         lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
-        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=4),
+        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
         gamma_u=PeriodicSeq.tabulate(lambda i: cell(i)[2], pre, per),
         alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
         alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
@@ -365,18 +366,22 @@ class PowerTable:
     norms: tuple[Real, ...]
 
 
-def _weighted_max(v: PeriodicSeq, w: PeriodicSeq, dk: int) -> Real:
-    """``sup_j v_j / (w_j dk)``, the maximum over the preamble and one cycle
-    of v; int numerators (dk > 1) are compared by cross-multiplication."""
-    n = v.preamble_len + v.period
-    pairs = zip(v.head(n), w.head(n))
-    if dk == 1:
-        return max(exact_div(x, y) for x, y in pairs)
-    top, bot = 0, 1
-    for x, y in pairs:
-        if x * bot > top * y:
-            top, bot = x, y
-    return Fraction(top, bot * dk)
+def _extreme(pairs, d: int | None, better) -> Real:
+    """The largest (``better = operator.gt``) or least (``operator.lt``) of ``t / (d y)``
+    over ``pairs``, the first of equals: ints compared by cross-multiplication give one
+    Fraction; with d None (float Theta) each quotient is divided out by :func:`exact_div`."""
+    pairs = iter(pairs)
+    top, bot = next(pairs)
+    if d is None:
+        best = exact_div(top, bot)
+        for t, y in pairs:
+            if better(q := exact_div(t, y), best):
+                best = q
+        return best
+    for t, y in pairs:
+        if better(t * bot, top * y):
+            top, bot = t, y
+    return Fraction(top, bot * d)
 
 
 def _start_vector(psi: PeriodicRows, num: list[int], den: int) -> PeriodicSeq:
@@ -401,12 +406,16 @@ def operator_power_column_sums(psi: PeriodicRows, k_max: int,
         raise ResourceError(f"band of Psi^{k_max} spans {k_max * psi.bandwidth} "
                             f"diagonals, over the budget {BAND_BUDGET}")
     rows, d = psi.transpose().integer_form
-    iterates = [start or _start_vector(psi, *_perron_vector(np.array(psi.symbol(), dtype=float).T))]
+    w = start or _start_vector(psi, *_perron_vector(np.array(psi.symbol(), dtype=float).T))
+    if w.min() <= 0:
+        raise ParameterError("the start vector must be positive")
+    iterates, norms = [w], []
     for _ in range(k_max):
         iterates.append(adjoint_apply(rows, iterates[-1]))
-    return PowerTable(start=iterates[0], d=d, iterates=tuple(iterates),
-                      norms=tuple(_weighted_max(v, iterates[0], d ** k)
-                                  for k, v in enumerate(iterates)))
+    for k, v in enumerate(iterates):
+        n, dk = v.preamble_len + v.period, None if d is None else d ** k
+        norms.append(_extreme(zip(v.head(n), w.head(n)), dk, operator.gt))
+    return PowerTable(start=w, d=d or 1, iterates=tuple(iterates), norms=tuple(norms))
 
 
 @dataclass(frozen=True)
@@ -468,54 +477,29 @@ def _perron_vector(a: np.ndarray) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _least_quotient(image: list, v: list, d: int | None) -> Real:
-    """``min image_j / (d v_j)`` over the support of v.  Int numerators are
-    compared by cross-multiplication, as in :func:`_weighted_max`, and give
-    one Fraction; on float Theta (d None) each quotient is divided out."""
-    pairs = [(t, y) for t, y in zip(image, v) if y]
-    if d is None:
-        return min(t / y for t, y in pairs)
-    top, bot = pairs[0]
-    for t, y in pairs[1:]:
-        if t * bot < top * y:
-            top, bot = t, y
-    return Fraction(top, bot * d)
-
-
-def _operand(theta: PeriodicRows, num: list[int],
-             den: int) -> tuple[PeriodicRows, int | None, list]:
-    """``(rows, d, x)``: Theta's integer form ``rows = d Theta`` and the vector
-    ``num / den`` it is applied to, as its int numerators.  Float Theta gives
-    ``(theta, None, x)`` with x as Fractions, so every float product stays."""
-    rows, d = theta.integer_form
-    if d == 1 and any(isinstance(v, float) for row in rows.preamble + rows.cycle
-                      for v in row.values()):
-        return rows, None, [Fraction(p, den) for p in num]
-    return rows, d, num
-
-
 def _symbol_bound(theta: PeriodicRows, num: list[int], den: int) -> Real:
     """``s = min (Phi(1)^T x)_r / x_r`` for the period symbol's Perron vector
     ``x = num / den``.  Laid out in the cycle's phase, x has ``Theta^k x >=
     s^k x`` far out, so ``||Psi^k|| >= s^k``: past preamble + m, Theta's rows
     are its cycle and Theta x = Phi(1)^T x, row r reading x at residue
     ``m + r + offset``."""
-    rows, d, x = _operand(theta, num, den)
+    rows, d = theta.integer_form  # d Theta, applied to the int numerators of x
+    x = [Fraction(p, den) for p in num] if d is None else num  # float Theta: x itself
     m, per = theta.bandwidth, theta.period
-    image = [sum(v * x[(m + r + o) % per] for o, v in row.items())
+    pairs = [(sum(v * x[(m + r + o) % per] for o, v in row.items()), x[(m + r) % per])
              for r, row in enumerate(rows.cycle)]
-    return _least_quotient(image, [x[(m + r) % per] for r in range(per)], d)
+    return _extreme([(t, y) for t, y in pairs if y], d, operator.lt)
 
 
 def _collatz_wielandt(theta: PeriodicRows, num: list[int], den: int) -> Real:
     """``s = min (Theta v)_j / v_j`` over the support of ``v = num / den``
     (zero past its entries), so that ``Theta v >= s v`` holds there and off
     the support."""
-    rows, d, x = _operand(theta, num, den)
-    v = PeriodicSeq(tuple(x), (0,))
+    rows, d = theta.integer_form
+    v = PeriodicSeq(tuple([Fraction(p, den) for p in num] if d is None else num), (0,))
     t = adjoint_apply(rows, v)
     n = t.preamble_len + t.period  # past n both repeat with the period of t
-    return _least_quotient(t.head(n), v.head(n), d)
+    return _extreme([(a, y) for a, y in zip(t.head(n), v.head(n)) if y], d, operator.lt)
 
 
 def _certified_root(s: Real, k: int) -> float:

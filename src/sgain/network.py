@@ -24,12 +24,11 @@ class TruncatedNetwork:
 
     The right-hand side splits into a sparse linear part, a sparse input
     matrix, and (for a family with an active sector channel) a vectorized
-    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  ``linear_matrix`` is
-    assembled from the family's blocks, and ``drift_matrix`` is the ``A`` of
-    ``f``: ``linear_matrix`` plus a linear sector channel ``E (l+r)/2 G`` on
-    the diagonal blocks.  So ``nonlinearity`` is None exactly when the
-    truncation is linear time-invariant.  :meth:`rhs` takes the applied
-    input ``B u``, so a caller that holds it forms it once.
+    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  ``drift_matrix`` is
+    ``A``, gathered from the family's blocks with a linear sector channel
+    ``E (l+r)/2 G`` added to the diagonal ones, so ``nonlinearity`` is None
+    exactly when the truncation is linear time-invariant.  :meth:`rhs`
+    takes the applied input ``B u``, so a caller that holds it forms it once.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
@@ -42,11 +41,9 @@ class TruncatedNetwork:
             raise ParameterError("truncation needs at least one subsystem")
         self.family = fam
         self.n_subsystems = n = n_subsystems
-        self._structure = fam.structure
-        pre, per = self._structure or (n, 1)
+        pre, per = fam.structure or (n, 1)
         stored = [fam.blocks(i) for i in range(1, min(n, pre + per) + 1)]
-        offsets = sorted({off for _, d, _ in stored for off in d})
-        for off in offsets:
+        for off in sorted({off for _, d, _ in stored for off in d}):
             if not 0 < abs(off) <= fam.bandwidth:
                 i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
                 raise ParameterError(f"neighbor set of {i} exceeds bandwidth {fam.bandwidth}")
@@ -74,15 +71,13 @@ class TruncatedNetwork:
             indptr, indices, data = _gather(ptr, c, blocks[k, r, c], rows, shift, cols)
             return sp.csr_matrix((data, indices, indptr), shape=(self.dim, cols))
 
-        self.linear_matrix = gathered(wide, first, self.dim)
-        self.input_matrix = gathered(b, input_offsets[:-1].repeat(nb), max(self.input_dim, 1))
-        self.drift_matrix = self.linear_matrix
         self.nonlinearity = fam.nonlinearity()
         if self.nonlinearity is not None and not callable(self.nonlinearity[2]):
             e, g, slope = self.nonlinearity
             wide[:, :, bw * nb:(bw + 1) * nb] += slope * np.outer(e, g)
-            self.drift_matrix = gathered(wide, first, self.dim)
             self.nonlinearity = None
+        self.drift_matrix = gathered(wide, first, self.dim)
+        self.input_matrix = gathered(b, input_offsets[:-1].repeat(nb), max(self.input_dim, 1))
         self._propagators: dict[float, tuple] = {}
 
     def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
@@ -113,12 +108,12 @@ class TruncatedNetwork:
         if h in self._propagators:
             return self._propagators[h]
         n, nb, bw, a = self.n_subsystems, self.block_dim, self.family.bandwidth, self.drift_matrix
-        pre, per = self._structure or (n, 1)
+        pre, per = self.family.structure or (n, 1)  # a closed form fails the size test
         head = max(pre, bw) + 3 * bw
         core, m = n, (a.indptr, a.indices, a.data)
         if self.dim * (1 + int(np.diff(a.indptr).max(initial=0))) ** 4 >= 2 ** 31:
             m = (a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data)  # R's sizes
-        if self._structure is not None and n >= head + 4 * bw + 3 * per:
+        if n >= head + 4 * bw + 3 * per:
             core = head + per + 4 * bw + (n - head - per - 4 * bw) % per
             # The truncation at ``core``: A's rows before its last b, then its
             # last b rows moved back.
@@ -129,11 +124,10 @@ class TruncatedNetwork:
         rows = np.arange(core * nb).repeat(np.diff(r[0]))
         lower = int(np.max(rows - r[1], initial=0))
         if core < n:
-            i = np.arange(n)
-            src = np.where(i < head, i, head + (i - head) % per)
+            src = positions(head, per, n)
             src[n - 4 * bw:] = np.arange(core - 4 * bw, core)
             r = _gather(*r, (src[:, None] * nb + np.arange(nb)).ravel(),
-                        ((i - src) * nb).repeat(nb))
+                        ((np.arange(n) - src) * nb).repeat(nb))
         self._propagators[h] = (*r, lower)
         return self._propagators[h]
 

@@ -182,11 +182,7 @@ class PeriodicSeq(_EventuallyPeriodic):
         return PeriodicSeq(tuple(fn(v) for v in self.preamble),
                            tuple(fn(v) for v in self.cycle))
 
-    def lower(self) -> Real:
-        return self.min()
-
-    def upper(self) -> Real:
-        return self.max()
+    lower, upper = min, max  # exact here; a ClosedFormSeq declares its own
 
 
 @dataclass(frozen=True)
@@ -226,8 +222,8 @@ class PeriodicRows(_EventuallyPeriodic):
     value; offsets are confined to [-bandwidth, bandwidth] \\ {0}.  Rows in
     the cycle must never reference an index below 1, which is validated at
     construction for the smallest index at which each cycle row occurs.
-    Rational rows have an :attr:`integer_form`: int rows times a common
-    denominator d, so powers apply as int numerators over ``d^k``.
+    Rows without a float entry have an :attr:`integer_form`: int rows times a
+    common denominator d, so powers apply as int numerators over ``d^k``.
     """
 
     preamble: tuple[Mapping[int, Real], ...]
@@ -275,13 +271,13 @@ class PeriodicRows(_EventuallyPeriodic):
         return PeriodicRows(tuple(cols[:n - self.period]), tuple(cols[n - self.period:]), m)
 
     @cached_property
-    def integer_form(self) -> tuple["PeriodicRows", int]:
+    def integer_form(self) -> tuple["PeriodicRows", int | None]:
         """``(d * self, d)`` with d the lcm of the entry denominators, every
-        entry of the first an int; formed once.  Rows with an entry that is
-        not a Fraction (a float, say), or with d = 1, give ``(self, 1)``."""
+        entry of the first an int; formed once.  ``(self, 1)`` when d = 1, and
+        ``(self, None)`` for rows with a float entry, which have no such form."""
         entries = [v for row in self.preamble + self.cycle for v in row.values()]
-        if not all(isinstance(v, Fraction) for v in entries):
-            return self, 1
+        if any(isinstance(v, float) for v in entries):
+            return self, None
         d = math.lcm(*(v.denominator for v in entries))
         if d == 1:
             return self, 1

@@ -187,8 +187,10 @@ def signal_from_dict(obj: Mapping) -> InputSignal:
 
 
 def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
-    """Build x0 from a small descriptor: zero / unit / first-k / explicit."""
-    if isinstance(desc, np.ndarray | list | tuple):
+    """x0 from a descriptor (zero / unit / first-k) or a list of numbers read by as_number."""
+    if isinstance(desc, list | tuple):
+        desc = [float(as_number(v, "'x0'")) for v in np.asarray(desc, dtype=object).ravel()]
+    if isinstance(desc, np.ndarray | list):
         x0 = np.asarray(desc, dtype=float).ravel()
         if x0.size != net.dim:
             raise ShapeError(f"x0 has dimension {x0.size}, network needs {net.dim}")
@@ -201,14 +203,14 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
         i = as_integer(desc["index"], "unit index")
         if not 1 <= i <= net.n_subsystems:
             raise ParameterError(f"unit index {i} outside the truncation")
-        x0[net.block_offsets[i - 1]] = float(desc.get("value", 1.0))
+        x0[net.block_offsets[i - 1]] = float(as_number(desc.get("value", 1.0), "'value'"))
         return x0
     if kind == "first-k":
         k = as_integer(desc["K"], "first-k K")
         if k < 0:
             raise ParameterError(f"first-k needs K >= 0, got {k}")
         k = min(k, net.n_subsystems)
-        x0[: net.block_offsets[k]] = float(desc.get("value", 1.0))
+        x0[: net.block_offsets[k]] = float(as_number(desc.get("value", 1.0), "'value'"))
         return x0
     raise ParameterError(f"unknown initial-state kind {kind!r}")
 

@@ -64,8 +64,12 @@ class TestCapDecayRates:
         g = dataclasses.replace(unbounded_rate_gains(), lam=lam)
         with pytest.raises(CannotCertifyError, match="closed-form"):
             cap_decay_rates(g, 10)
+
+    def test_certify_on_a_rule_not_marked_nondecreasing_raises(self):
+        """Every cap of the schedule (4, 8, ...) leaves ``1 + i`` aperiodic."""
+        lam = ClosedFormSeq(fn=lambda i: 1 + i, inf=2, sup=math.inf)
         with pytest.raises(CannotCertifyError, match="closed-form"):
-            certify(g, h_start=10)
+            certify(dataclasses.replace(unbounded_rate_gains(), lam=lam))
 
     def test_bounded_nondecreasing_rule_is_capped_below_its_sup(self):
         """The default first cap 2 max(1, ceil(inf)) = 2 equals the sup of

@@ -385,6 +385,29 @@ class TestExitCodes:
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
         assert (code, err) == (1, f"error: {message}number too large for a float\n")
 
+    @pytest.mark.parametrize("x0, message", [
+        ('{"kind": "first-k", "K": 2, "value": true}', "'value': not a number: True"),
+        ('{"kind": "unit", "index": 1, "value": 1e400}', "'value': number too large for a float"),
+        ('[1e400, 0, 0]', "'x0': number too large for a float")],
+        ids=["value-true", "value-1e400", "list-1e400"])
+    def test_x0_numbers_are_input_errors(self, run_main, tmp_path, x0, message):
+        """``x0``'s numbers are read as every other number is: a JSON ``true`` is
+        not one, and a decimal beyond the float range is an error named by its key."""
+        cfg = _write(tmp_path / "cfg.json", '{"network": {"scenario": "chain-a"}, '
+                                            f'"sim": {{"N": 3, "T": 0.2, "x0": {x0}}}}}')
+        code, err = run_main(["simulate", "--config", cfg, "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"error: {message}\n")
+
+    def test_x0_value_reads_a_fraction_string(self, run_main, tmp_path):
+        summaries = []
+        for k, value in enumerate(("1/2", 0.5)):
+            x0 = {"kind": "first-k", "K": 3, "value": value}
+            cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},
+                                                 "sim": {**FAST_SIM, "x0": x0}})
+            assert run_main(["simulate", "--config", cfg, "--out", tmp_path / str(k)]) == (0, "")
+            summaries.append((tmp_path / str(k) / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_step_count_beyond_any_array(self, run_main, tmp_path, command):
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"},

@@ -85,8 +85,11 @@ def test_tabulate_joint_and_positions_agree_with_at(s, pre, per, n):
 
 
 def dense_reference(fam, n):
-    """Linear and input matrices written index by index from ``fam.blocks``."""
+    """Drift and input matrices written index by index from ``fam.blocks``, a
+    linear sector channel ``E (l+r)/2 G`` added to each diagonal block."""
     blocks = [fam.blocks(i) for i in range(1, n + 1)]
+    nl = fam.nonlinearity()
+    sector = nl[2] * np.outer(nl[0], nl[1]) if nl is not None and not callable(nl[2]) else 0
     nb, m = blocks[0][0].shape[0], blocks[0][2].shape[1]
     input_dims = [m if np.any(b) else 0 for _, _, b in blocks]
     in_off = np.concatenate(([0], np.cumsum(input_dims)))
@@ -94,7 +97,7 @@ def dense_reference(fam, n):
     b_ref = np.zeros((n * nb, max(int(in_off[-1]), 1)))
     for i, (a, d, b) in enumerate(blocks, start=1):
         r = (i - 1) * nb
-        a_ref[r:r + nb, r:r + nb] = a
+        a_ref[r:r + nb, r:r + nb] = a + sector
         for off, dm in d.items():
             if 1 <= i + off <= n:
                 a_ref[r:r + nb, (i + off - 1) * nb:(i + off) * nb] = dm
@@ -107,7 +110,7 @@ def dense_reference(fam, n):
 def test_tiled_assembly_matches_dense_reference(fam, n):
     net = truncate(fam, n)
     a_ref, b_ref, input_dims = dense_reference(fam, n)
-    for mat, ref in ((net.linear_matrix, a_ref), (net.input_matrix, b_ref)):
+    for mat, ref in ((net.drift_matrix, a_ref), (net.input_matrix, b_ref)):
         assert mat.shape == ref.shape
         assert np.array_equal(mat.toarray(), ref)
         assert mat.nnz == np.count_nonzero(ref)  # no explicit zeros
@@ -119,11 +122,11 @@ def test_tiled_assembly_matches_dense_reference(fam, n):
 @settings(max_examples=100, deadline=None)
 @given(fam=families, n=st.integers(1, 300), h=st.sampled_from([1e-3, 0.05]))
 def test_assembly_equals_the_operator_algebra_bit_for_bit(fam, n, h):
-    """The gathered ``linear_matrix`` and the tiled propagator hold the arrays of
+    """The gathered ``drift_matrix`` and the tiled propagator hold the arrays of
     scipy's own assembly and operator expression: the same entries, each row in
     the same order, which fixes ``csr_matvec``'s summation order."""
     net = truncate(fam, n)
-    a, ref = net.linear_matrix, _propagator(net, h)[1]
+    a, ref = net.drift_matrix, _propagator(net, h)[1]
     *r, lower = net.propagator(h)
     for got, want in (((a.indptr, a.indices, a.data), sp.csr_matrix(dense_reference(fam, n)[0])),
                       (r, ref)):
@@ -426,9 +429,8 @@ def test_integer_form():
     floats = build_gain_operator(platoon_gains())
     mixed = PeriodicRows(({1: Fraction(1, 3)},), ({-1: 0.25, 1: Fraction(1, 3)},), 1)
     whole = PeriodicRows(({1: Fraction(3)},), ({-1: Fraction(2), 1: Fraction(3)},), 1)
-    for rows in (floats, mixed, whole):
-        form, d = rows.integer_form
-        assert form is rows and d == 1
+    for rows, d in ((floats, None), (mixed, None), (whole, 1)):
+        assert rows.integer_form == (rows, d) and rows.integer_form[0] is rows
 
 
 @pytest.mark.parametrize("name", ["traffic", "chain-a"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sgain
 from sgain import (DerivationError, InvalidCertificateError, LinearChain,
-                   ResourceError,
+                   ParameterError, ResourceError,
                    build_gain_operator, check_assumptions, check_lure_lmi,
                    derive_gains_linear_chain, derive_gains_lure,
                    derive_gains_traffic,
@@ -299,6 +299,22 @@ class TestOperatorPowers:
     def test_band_budget(self, chain_operator):
         with pytest.raises(ResourceError):
             operator_power_column_sums(chain_operator, 10_000)
+
+    @pytest.mark.parametrize("start", [PeriodicSeq((1, 0), (1,)), PeriodicSeq((), (2, -1))])
+    def test_start_vector_must_be_positive(self, chain_operator, start):
+        with pytest.raises(ParameterError, match="positive"):
+            operator_power_column_sums(chain_operator, 0, start)
+
+    def test_norm_types(self, chain_operator):
+        """Rational norms are Fractions; a float table's ``norms[0]``, a quotient
+        of the int start vector by itself, is ``Fraction(1)`` and the rest floats."""
+        s = sgain.make_scenario("lure-platoon")
+        floats = operator_power_column_sums(
+            build_gain_operator(s.family.derive_gains(s.derivation)), 3)
+        assert floats.d == 1 and floats.norms[0] == 1 and type(floats.norms[0]) is Fraction
+        assert all(type(x) is float for x in floats.norms[1:])
+        exact = operator_power_column_sums(chain_operator, 3)
+        assert exact.d > 1 and all(type(x) is Fraction for x in exact.norms)
 
 
 class TestSpectralBracket:

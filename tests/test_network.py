@@ -11,7 +11,7 @@ from sgain import (InvalidIndexError, LinearChain, LureBanded,
                    NumericInputError, ParameterError,
                    ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
                    truncate)
-from sgain.network import _chained_steps, _matvec
+from sgain.network import _chained_steps, _gather, _matvec, _rk4_polynomial
 from sgain.seqrules import PeriodicSeq
 
 
@@ -127,7 +127,7 @@ class TestTruncate:
 
     def test_chain_truncation_is_tridiagonal(self):
         net = truncate(chain_gen(), 10)
-        a = net.linear_matrix.toarray()
+        a = net.drift_matrix.toarray()
         assert a.shape == (10, 10)
         i, j = np.nonzero(a)
         assert np.all(np.abs(i - j) <= 1)
@@ -136,7 +136,7 @@ class TestTruncate:
     def test_traffic_truncation_couples_12_to_16(self):
         net = truncate(traffic_gen(), 16)
         assert net.dim == 16
-        a = net.linear_matrix.toarray()
+        a = net.drift_matrix.toarray()
         assert a[11, 15] != 0  # cell 12 is S2 and reads cell 16
         assert classify_traffic_cell(12) == "S2"
 
@@ -174,7 +174,7 @@ class TestEvaluateRhs:
         x = rng.standard_normal(net.dim)
         u = rng.standard_normal(net.input_dim)
         dx = evaluate_rhs(net, x, u)
-        expected = net.linear_matrix @ x + net.input_matrix @ u
+        expected = net.drift_matrix @ x + net.input_matrix @ u
         assert dx == pytest.approx(expected)
 
     @pytest.mark.parametrize("phi", ["midpoint-linear", "saturation"])
@@ -236,6 +236,30 @@ class TestChainedSteps:
             _matvec(r, ref[j], ref[j + 1], rows)
         _chained_steps(r.indptr, r.indices, r.data, 4)(blk.ravel(), 4, rows)
         assert np.array_equal(blk.view(np.int64), ref.view(np.int64))
+
+
+def test_int64_index_arrays_give_the_int32_results_bit_for_bit():
+    """``R``'s index arrays turn int64 past 2^31 entries: on int64 copies of a
+    small truncation's arrays, the kernels that build, tile and step ``R``
+    return its int32 results as int64, every float bit for bit."""
+    net, h = truncate(traffic_gen(), 60), 1e-3
+    a, dim, rng = net.drift_matrix, net.dim, np.random.default_rng(5)
+    assert a.indices.dtype == np.int32
+    rows = np.sort(rng.integers(0, dim, dim))  # a row may repeat, as when tiling
+    shift, x0 = rng.integers(-3, 4, dim), rng.standard_normal(dim)
+    out = []
+    for it in (np.int32, np.int64):
+        r = _rk4_polynomial(dim, a.indptr.astype(it), a.indices.astype(it), h * a.data)
+        tiled, cut = _gather(*r, rows, shift), _gather(*r, rows, shift, dim)
+        assert all(x.dtype == it for x in (*r[:2], *tiled[:2], *cut[:2]))
+        flat = np.zeros(8 * dim)
+        flat[:dim] = x0
+        _chained_steps(*r, 3)(flat, 6, dim)  # two calls of three chained steps
+        _chained_steps(*r, 3)(flat[6 * dim:], 1, dim // 2)  # one step on half the rows
+        out.append((*r, *tiled, *cut, flat))
+    for x32, x64 in zip(*out):
+        assert np.array_equal(x32.view(np.int64) if x32.dtype == float else x32,
+                              x64.view(np.int64) if x64.dtype == float else x64)
 
 
 class TestSectorNonlinearities:

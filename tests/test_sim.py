@@ -70,6 +70,20 @@ class TestRk4:
             integrate(net, np.array([1.0]), Zero(), horizon=1.0, step=0.0)
 
 
+class TestInitialState:
+    def test_list_entries_are_read_as_numbers_and_an_array_passes(self):
+        net = truncate(chain_gen(), 3)
+        x0 = initial_state(net, [Fraction(1, 3), "1/2", 2])
+        assert x0.tolist() == [1 / 3, 0.5, 2.0]
+        big = np.array([1e300, -0.0, 5e-324])
+        assert np.array_equal(initial_state(net, big).view(np.int64), big.view(np.int64))
+        for bad in ([True, 0, 0], [1, "x", 0], (math.nan, 0, 0)):
+            with pytest.raises(ParameterError, match="'x0'"):
+                initial_state(net, bad)
+        with pytest.raises(ParameterError, match="'value'"):
+            initial_state(net, {"kind": "unit", "index": 2, "value": Fraction(10) ** 400})
+
+
 class TestNorms:
     def test_examples(self):
         assert _norm(np.array([1.0, 0.0, 0.0])) == 1.0
