@@ -53,6 +53,7 @@ from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div, jo
 # --------------------------------------------------------------------------
 
 CAP_DOUBLINGS = 40  # caps tried for unbounded decay rates: h, 2 h, ..., 2^39 h
+CAP_PREAMBLE = 100_000  # most preamble entries a capped closed-form rule may take
 
 
 def cap_decay_rates(g: GainData, h: Real) -> GainData:
@@ -77,14 +78,13 @@ def cap_decay_rates(g: GainData, h: Real) -> GainData:
     return dataclasses.replace(g, lam=capped)
 
 
-def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real,
-                                 max_preamble: int = 100_000) -> PeriodicSeq:
+def _periodize_nondecreasing_cap(lam: ClosedFormSeq, h: Real) -> PeriodicSeq:
     lo, hi = 0, 1
     while lam.at(hi) < h:
         lo, hi = hi, hi * 2
-        if hi > max_preamble:
+        if hi > CAP_PREAMBLE:
             raise CannotCertifyError(
-                f"rate rule stays below the cap {h} past index {max_preamble}")
+                f"rate rule stays below the cap {h} past index {CAP_PREAMBLE}")
     # the first index with lam >= h lies in (lo, hi]
     hi = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), h, key=lam.at)
     preamble = tuple(lam.at(i) for i in range(1, hi))

@@ -77,7 +77,7 @@ class Family:
     A subclass sets ``name`` (the ``family`` entry of a description) and
     ``bandwidth``, and defines :meth:`blocks` and :meth:`derive_gains`;
     one with coefficients also defines :meth:`to_json` and
-    :meth:`from_json`.  Neighbors, dimensions and truncations follow from
+    :meth:`from_json`.  Neighbors, dimensions and truncations are read off
     the blocks.
     """
 
@@ -85,7 +85,8 @@ class Family:
     bandwidth: ClassVar[int] = 1
 
     def blocks(self, i: int):
-        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i as float arrays."""
+        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i as float arrays,
+        ``A_ii`` with any linear sector channel folded in."""
         raise NotImplementedError
 
     @property
@@ -93,22 +94,9 @@ class Family:
         """(preamble length, period) of the blocks, or None for a closed form."""
         return None
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(i + off for off, d in self.blocks(i)[1].items() if np.any(d)))
-
-    def state_dim(self, i: int) -> int:
-        return self.blocks(i)[0].shape[0]
-
-    def input_dim(self, i: int) -> int:
-        b = self.blocks(i)[2]
-        return b.shape[1] if np.any(b) else 0
-
     def nonlinearity(self):
-        """``(E row, G row, phi)`` of a sector channel that can act, or None.
-
-        ``phi`` is a vectorized callable, or the slope of a linear ``phi``,
-        which a truncation folds into its diagonal blocks.
-        """
+        """``(E row, G row, phi)`` of a nonlinear sector channel that can act,
+        ``phi`` a vectorized callable, or None."""
         return None
 
     def to_json(self) -> dict:
@@ -216,39 +204,19 @@ class LureBanded(Family):
             if _mat(m).shape != shape:
                 raise ShapeError(f"{name} must have shape {shape}")
 
-    @staticmethod
-    def platoon(k0: float, b0: float, coupling_scale: float,
-                sector=(-1, 1), phi: str = "zero") -> "LureBanded":
-        """Symmetric bidirectional vehicle-string error dynamics.
-
-        Each block is a double integrator closed with position/velocity
-        feedback ``A = [[0, 1], [-k0, -b0]]``; neighbor states enter
-        through ``coupling_scale * [[0, 0], [k0, b0]]`` on each side, and
-        the external input acts on the velocity channel.
-        """
-        if k0 <= 0 or b0 <= 0:
-            raise ParameterError("k0 and b0 must be positive")
-        d = tuple((tuple(float(coupling_scale) * x for x in row))
-                  for row in ((0.0, 0.0), (float(k0), float(b0))))
-        return LureBanded(
-            a=((0.0, 1.0), (-float(k0), -float(b0))),
-            e=((0.0,), (0.0,)),
-            g=((0.0, 0.0),),
-            b=((0.0,), (1.0,)),
-            d_left=d, d_right=d,
-            sector_l=as_number(sector[0]), sector_r=as_number(sector[1]),
-            phi=phi,
-        )
-
     @property
     def n(self) -> int:
         return len(self.a)
 
-    def blocks(self, i: int):
+    def blocks(self, i: int):  # A + (l+r)/2 E G when a midpoint-linear channel can act
         _check_index(i)
         d = {off: _mat(m) for off, m in ((1, self.d_right), (-1, self.d_left))
              if i + off >= 1 and np.any(_mat(m))}
-        return _mat(self.a), d, _mat(self.b)
+        a = _mat(self.a)
+        if self.phi == "midpoint-linear" and np.any(self.e) and np.any(self.g):
+            slope = 0.5 * (float(self.sector_l) + float(self.sector_r))
+            a = a + slope * np.outer(_mat(self.e), _mat(self.g))
+        return a, d, _mat(self.b)
 
     def phi_eval(self, s):
         """Vectorized nonlinearity; satisfies the sector bound by design."""
@@ -262,10 +230,8 @@ class LureBanded(Family):
 
     def nonlinearity(self):
         e, g = _mat(self.e).ravel(), _mat(self.g).ravel()
-        if self.phi == "zero" or not (e.any() and g.any()):
-            return None  # the channel adds phi(0) = 0 or E phi = 0
-        if self.phi == "midpoint-linear":
-            return e, g, 0.5 * (float(self.sector_l) + float(self.sector_r))
+        if self.phi != "saturation" or not (e.any() and g.any()):
+            return None  # phi = 0, E phi = 0, or linear and folded into the blocks
         return e, g, self.phi_eval
 
     @property

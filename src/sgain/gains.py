@@ -178,7 +178,10 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
         free_params={"eps": eps_r, "delta": delta_r})
 
 
-def check_lure_lmi(a, m, e, g, kappa, l, r, tau, tol: float = 1e-9):
+LMI_TOL = 1e-9  # relative tolerance of check_lure_lmi's largest eigenvalue
+
+
+def check_lure_lmi(a, m, e, g, kappa, l, r, tau):
     """Negative-semidefiniteness test of the S-procedure block matrix.
 
     Returns ``(ok, worst_eigenvalue)`` for
@@ -186,9 +189,10 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau, tol: float = 1e-9):
         [[A'M + MA + kappa M - r l G'G,  M E + tau (r+l)/2 G'],
          [      (symmetric)           ,        -tau          ]].
 
-    ``ok`` holds iff the largest eigenvalue stays below a scale-aware
-    tolerance.  With tau = 1 this is the standard S-procedure relaxation
-    of the sector-constrained decay inequality.
+    ``ok`` holds iff the largest eigenvalue is at most ``LMI_TOL (1 +
+    scale)``, scale the largest entry's magnitude.  With tau = 1 this is the
+    standard S-procedure relaxation of the sector-constrained decay
+    inequality; ``A`` is the family's own, without the sector channel.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -208,7 +212,7 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau, tol: float = 1e-9):
     block = 0.5 * (block + block.T)
     worst = float(np.linalg.eigvalsh(block)[-1])
     scale = float(np.abs(block).max()) if block.size else 0.0
-    return worst <= tol * (1.0 + scale), worst
+    return worst <= LMI_TOL * (1.0 + scale), worst
 
 
 def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainData:
@@ -240,8 +244,8 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     lam = kappa - 2.0 * eps
     if lam <= 0:
         raise DerivationError(f"kappa - 2 eps = {lam} is not positive")
-    a, _, b = fam.blocks(1)
-    ok, worst = check_lure_lmi(a, m, fam.e, fam.g, kappa, fam.sector_l, fam.sector_r, tau)
+    b = fam.blocks(1)[2]
+    ok, worst = check_lure_lmi(fam.a, m, fam.e, fam.g, kappa, fam.sector_l, fam.sector_r, tau)
     if not ok:
         raise DerivationError(
             f"decay-rate matrix inequality fails: largest eigenvalue {worst:.3e} > 0")
@@ -477,29 +481,13 @@ def _perron_vector(a: np.ndarray) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _symbol_bound(theta: PeriodicRows, num: list[int], den: int) -> Real:
-    """``s = min (Phi(1)^T x)_r / x_r`` for the period symbol's Perron vector
-    ``x = num / den``.  Laid out in the cycle's phase, x has ``Theta^k x >=
-    s^k x`` far out, so ``||Psi^k|| >= s^k``: past preamble + m, Theta's rows
-    are its cycle and Theta x = Phi(1)^T x, row r reading x at residue
-    ``m + r + offset``."""
-    rows, d = theta.integer_form  # d Theta, applied to the int numerators of x
-    x = [Fraction(p, den) for p in num] if d is None else num  # float Theta: x itself
-    m, per = theta.bandwidth, theta.period
-    pairs = [(sum(v * x[(m + r + o) % per] for o, v in row.items()), x[(m + r) % per])
-             for r, row in enumerate(rows.cycle)]
-    return _extreme([(t, y) for t, y in pairs if y], d, operator.lt)
-
-
-def _collatz_wielandt(theta: PeriodicRows, num: list[int], den: int) -> Real:
-    """``s = min (Theta v)_j / v_j`` over the support of ``v = num / den``
-    (zero past its entries), so that ``Theta v >= s v`` holds there and off
-    the support."""
-    rows, d = theta.integer_form
-    v = PeriodicSeq(tuple([Fraction(p, den) for p in num] if d is None else num), (0,))
-    t = adjoint_apply(rows, v)
-    n = t.preamble_len + t.period  # past n both repeat with the period of t
-    return _extreme([(a, y) for a, y in zip(t.head(n), v.head(n)) if y], d, operator.lt)
+def _collatz_wielandt(rows, v, d: int | None) -> Real:
+    """``s = min (Theta v)_j / v_j`` over the rows ``(j, row)`` of Theta's
+    integer form (``d`` its denominator, ``j`` 0-based) at which ``v(j)`` is
+    nonzero: ``Theta v >= s v`` holds there and wherever v is zero.  ``v(j)``
+    reads int numerators, or Fractions for float Theta (d None)."""
+    return _extreme([(sum(w * v(j + o) for o, w in row.items()), y)
+                     for j, row in rows if (y := v(j))], d, operator.lt)
 
 
 def _certified_root(s: Real, k: int) -> float:
@@ -541,12 +529,18 @@ def spectral_bracket(psi: PeriodicRows, k_max: int = 12) -> SpectralBracket:
     norms = table.norms
     roots = [(norms[1], 1)] + [(_certified_root(norms[k], k), k) for k in range(2, k_max + 1)]
     best, best_k = min(roots, key=lambda root: root[0])  # ties keep the smaller k
-    theta = psi.transpose()
-    symbol = _symbol_bound(theta, num, den)
+    rows, d = psi.transpose().integer_form
+    m, per = psi.bandwidth, psi.period
+    size = min(psi.preamble_len + 2 * per, SECTION_CAP)
+    (x, den), (v, q) = (num, den), _perron_vector(psi.section(size).T)
+    if d is None:  # float Theta applies to the Perron vectors as Fractions
+        x, v = [Fraction(t, den) for t in x], [Fraction(t, q) for t in v]
+    # Symbol: laid out in the cycle's phase, x has Theta^k x >= s^k x far out, so
+    # ||Psi^k|| >= s^k: past preamble + m, Theta's cycle row r reads x at residue m + r + offset.
+    symbol = _collatz_wielandt(enumerate(rows.cycle, m), lambda j: x[j % per], d)
     # Section: Psi dominates its leading sections; a short one catches an
     # isolated eigenvalue that comes from the preamble.
-    size = min(psi.preamble_len + 2 * psi.period, SECTION_CAP)
-    section = _collatz_wielandt(theta, *_perron_vector(psi.section(size).T))
+    section = _collatz_wielandt(enumerate(rows.head(size)), lambda j: v[j] if j < size else 0, d)
     lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
     return SpectralBracket(lower=lower, upper=best, k_used=best_k,
                            satisfied=bool(best < 1), lower_from=lower_from, table=table)

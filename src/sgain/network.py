@@ -14,21 +14,23 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec, csr_plus_csr
 
-from .errors import NumericInputError, ParameterError, ShapeError
+from .errors import NumericInputError, ParameterError, ResourceError, ShapeError
 from .families import Family
 from .seqrules import positions
+
+DIM_BUDGET = 2 ** 24  # most states a truncation holds (a state vector of 128 MiB)
 
 
 class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
 
     The right-hand side splits into a sparse linear part, a sparse input
-    matrix, and (for a family with an active sector channel) a vectorized
-    nonlinearity: ``f(x, u) = A x + B u + nl(x)``.  ``drift_matrix`` is
-    ``A``, gathered from the family's blocks with a linear sector channel
-    ``E (l+r)/2 G`` added to the diagonal ones, so ``nonlinearity`` is None
-    exactly when the truncation is linear time-invariant.  :meth:`rhs`
-    takes the applied input ``B u``, so a caller that holds it forms it once.
+    matrix, and (for a family with an active nonlinear sector channel) a
+    vectorized nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
+    ``drift_matrix`` is ``A``, gathered from the family's blocks, which carry
+    any linear sector channel, so ``nonlinearity`` is None exactly when the
+    truncation is linear time-invariant.  :meth:`rhs` takes the applied
+    input ``B u``, so a caller that holds it forms it once.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
@@ -42,7 +44,11 @@ class TruncatedNetwork:
         self.family = fam
         self.n_subsystems = n = n_subsystems
         pre, per = fam.structure or (n, 1)
-        stored = [fam.blocks(i) for i in range(1, min(n, pre + per) + 1)]
+        stored = [fam.blocks(1)]
+        self.block_dim = nb = stored[0][0].shape[0]
+        if n * nb > DIM_BUDGET:
+            raise ResourceError(f"N = {n} gives dimension {n * nb}, over the budget {DIM_BUDGET}")
+        stored += [fam.blocks(i) for i in range(2, min(n, pre + per) + 1)]
         for off in sorted({off for _, d, _ in stored for off in d}):
             if not 0 < abs(off) <= fam.bandwidth:
                 i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
@@ -50,7 +56,6 @@ class TruncatedNetwork:
         pos = positions(pre, per, n)  # subsystem i repeats stored block pos[i - 1]
         a = np.stack([s[0] for s in stored])
         b = np.stack([s[2] for s in stored])
-        self.block_dim = nb = a.shape[1]
         self.block_offsets = nb * np.arange(n + 1)
         self.dim = nb * n
         self.input_dims = np.where(b.any(axis=(1, 2)), b.shape[2], 0)[pos]
@@ -72,17 +77,13 @@ class TruncatedNetwork:
             return sp.csr_matrix((data, indices, indptr), shape=(self.dim, cols))
 
         self.nonlinearity = fam.nonlinearity()
-        if self.nonlinearity is not None and not callable(self.nonlinearity[2]):
-            e, g, slope = self.nonlinearity
-            wide[:, :, bw * nb:(bw + 1) * nb] += slope * np.outer(e, g)
-            self.nonlinearity = None
         self.drift_matrix = gathered(wide, first, self.dim)
         self.input_matrix = gathered(b, input_offsets[:-1].repeat(nb), max(self.input_dim, 1))
         self._propagators: dict[float, tuple] = {}
 
     def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
         """``A x + forcing + nl(x)``, where ``forcing`` is the applied input ``B u``."""
-        out = _matvec(self.drift_matrix, x, np.zeros(self.dim), self.dim)
+        out = self.drift_matrix @ x
         if forcing is not None:
             out += forcing
         if self.nonlinearity is not None:
@@ -174,17 +175,6 @@ def _rk4_polynomial(dim: int, indptr, indices, data):
     x = plus(0.5, times(x))
     x = plus(1.0, times(x))
     return plus(1.0, times(x))
-
-
-def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray, rows: int) -> np.ndarray:
-    """Add the first ``rows`` rows of ``m @ x`` into ``out`` with scipy's compiled
-    CSR kernel; returns ``out``, whose other rows are left alone.
-
-    This is the kernel behind ``m @ x`` without its dispatch: from a zero
-    ``out`` the result is the same bit for bit.
-    """
-    csr_matvec(rows, m.shape[1], m.indptr, m.indices, m.data, x, out)
-    return out
 
 
 def _chained_steps(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, k: int):

@@ -248,8 +248,8 @@ class PeriodicRows(_EventuallyPeriodic):
                     f"row at index {first_index} references index {first_index + off} < 1")
 
     @staticmethod
-    def empty(bandwidth: int = 1) -> "PeriodicRows":
-        return PeriodicRows(preamble=(), cycle=({},), bandwidth=bandwidth)
+    def empty() -> "PeriodicRows":
+        return PeriodicRows(preamble=(), cycle=({},), bandwidth=1)
 
     row = _EventuallyPeriodic.at
 

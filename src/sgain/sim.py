@@ -11,7 +11,7 @@ input ``B shape`` is formed once per run and scaled by ``level * unit(t)``
 at each stage time (no zero-order hold).
 
 A truncation whose sector channel cannot act, or acts linearly
-(``"midpoint-linear"``, folded into ``A`` by the truncation), is linear
+(``"midpoint-linear"``, folded into ``A`` by the family), is linear
 time-invariant; it is stepped as ``x+ = R x + w`` with RK4's stability
 polynomial ``R`` of ``h A`` (``TruncatedNetwork.propagator``: built once per
 truncation and step, from one period, and shared by the runs on it) and
@@ -175,7 +175,7 @@ def signal_from_dict(obj: Mapping) -> InputSignal:
     cls = SIGNALS[kind]
     try:
         return cls(**{f.name: as_integer(obj[f.name], "'k'") if f.name == "k"
-                      else float(as_number(obj[f.name]))
+                      else float(as_number(obj[f.name], f"'{f.name}'"))
                       for f in fields(cls) if f.name in obj or f.default is MISSING})
     except KeyError as exc:
         raise ParameterError(f"input signal {kind!r} lacks the field {exc}") from None
@@ -233,6 +233,8 @@ _STATE_BUDGET = 2 ** 28
 # Recorded windows are whole multiples of this many subsystems: einsum adds a
 # row in passes of 16 or 32 doubles, so each entry takes the same pass.
 _RECORD_GRAIN = 64
+# A state norm beyond this flags the run as diverged and ends it.
+_BLOW_UP = 1e12
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -359,14 +361,14 @@ class BoundLyapunov:
 def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
               horizon: float = 10.0, step: float = 1e-3,
               lyapunov: CompositeLyapunov | None = None,
-              keep: int = 0, blow_up: float = 1e12) -> TrajectoryRecord:
+              keep: int = 0) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the truncated interconnection.
 
     A linear time-invariant truncation (``net.nonlinearity`` is None) is
     stepped as ``x+ = R x + w`` on its support window; one with an active
     sector channel by the RK4 stages on every row.  Both fill one rolling block
     of rows, whose norms and V are recorded and whose leading ``keep`` state
-    columns are stored.  Divergence (norm beyond ``blow_up``) flags the record
+    columns are stored.  Divergence (norm beyond ``_BLOW_UP``) flags the record
     and halts integration at that step; it is a reported outcome, not an error.
     """
     if step <= 0 or horizon < step:
@@ -412,7 +414,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         sq = x * x
         n = np.sqrt(np.einsum("ij->i", sq))
         norms[k0:k0 + len(n)] = n
-        bad = np.flatnonzero(~np.isfinite(n) | (n > blow_up))
+        bad = np.flatnonzero(~np.isfinite(n) | (n > _BLOW_UP))
         kept = int(bad[0]) + 1 if bad.size else len(n)
         if vs is not None:
             vs[k0:k0 + kept] = bound.leading(x[:kept], sq[:kept])
@@ -500,13 +502,12 @@ def verify_dissipation(traj: TrajectoryRecord, lyap: CompositeLyapunov) -> Viola
                               int(np.count_nonzero(rounding_tol > step_tol)))
 
 
-def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov,
-                    eps: float | None = None) -> ViolationReport:
-    """Check ``V(t) <= exp(-eps t) V(0) + chi(||u||)`` sample by sample."""
+def verify_envelope(traj: TrajectoryRecord, lyap: CompositeLyapunov) -> ViolationReport:
+    """Check ``V(t) <= exp(-eps t) V(0) + chi(||u||)`` sample by sample, at the
+    margin ``eps = lambda_inf / 2``."""
     if traj.v is None or traj.v.size < 1:
         raise InsufficientDataError("trajectory lacks a Lyapunov channel")
-    if eps is None:
-        eps = 0.5 * float(lyap.cert.lambda_inf)
+    eps = 0.5 * float(lyap.cert.lambda_inf)
     env = lyap.envelope_v(traj.t, float(traj.v[0]), traj.u_sup_norm, eps)
     tol = TOL_COEFFICIENT * traj.step * (1.0 + env)
     return ViolationReport.of("envelope", traj.t, traj.v - env - tol)
@@ -520,11 +521,10 @@ class DecayFit:
     channel: str
 
 
-def fit_decay(traj: TrajectoryRecord, channel: str = "v",
-              floor: float = 1e-10) -> DecayFit:
+def fit_decay(traj: TrajectoryRecord, channel: str = "v") -> DecayFit:
     """Least-squares exponential rate of V(t) or of the state norm.
 
-    Fits log(value) against t over the samples above ``floor`` and
+    Fits log(value) against t over the samples above 1e-10 and
     returns the slope magnitude (so a pure exponential exp(-a t) gives
     rate a).
     """
@@ -536,7 +536,7 @@ def fit_decay(traj: TrajectoryRecord, channel: str = "v",
         values = traj.norm_p
     else:
         raise ParameterError(f"unknown channel {channel!r}")
-    mask = values > floor
+    mask = values > 1e-10
     if mask.sum() < 2 or np.ptp(traj.t[mask]) <= 0:
         raise InsufficientDataError("fewer than two samples above the fit floor")
     t, y = traj.t[mask], np.log(values[mask])

@@ -119,7 +119,7 @@ def test_criterion_4_envelope(name):
     traj = integrate(net, x0, GeometricProfile(1.0, 0.5), horizon=10.0,
                      step=1e-3, lyapunov=lyap)
     eps = 0.5 * float(cert.lambda_inf)
-    env = verify_envelope(traj, lyap, eps=eps)
+    env = verify_envelope(traj, lyap)
     assert env.ok, f"{len(env.violations)} envelope violations"
     report(f"criterion 4 (envelope, {name})", True,
            f"V stays under exp(-{eps:.3f} t) V0 + chi(||u||) at all "

@@ -115,6 +115,10 @@ class TestExitCodes:
                   (["scenario", "traffic"], {"coefficients": {"r": -inf}})]
         cases += [(["simulate"], {"network": chain, "sim": {
             **FAST_SIM, "N": 10, "x0": {"kind": "first-k", "K": k}}}) for k in (-1, -3)]
+        geometric = ('{"network": {"scenario": "chain-a"}, "sim": {"N": 20, "T": 0.2, "h": 0.002, '
+                     '"input": {"kind": "geometric", "amplitude": %s, "ratio": 0.5}}}')
+        amplitudes = len(cases)
+        cases += [(["simulate"], geometric % a) for a in ("1e400", "true", '"abc"')]
         cases += [(["scenario", "chain-a"], {"expected_outcome": 5}),
                   (["simulate"], {"network": chain, "sim": {**FAST_SIM, "csv_states": "false"}}),
                   (["scenario", "chain-a"], {"sim": {"x0": {"kind": "unit", "index": 500}}})]
@@ -125,6 +129,8 @@ class TestExitCodes:
             assert code == 1, (content, err)
             assert err.startswith("error:"), (content, err)
             errs.append(err)
+        # An input signal's number errors name their key.
+        assert all("'amplitude'" in err for err in errs[amplitudes:amplitudes + 3])
         # A scenario whose gains cannot be derived still writes its report.
         report = json.loads((tmp_path / "p6" / "report.json").read_text())
         assert report["outcome"]["kind"] == "error"
@@ -135,6 +141,22 @@ class TestExitCodes:
         assert report["outcome"]["kind"] == "error" and "simulation" not in report
         assert errs[-1] == f"error: {report['error']}\n" and "outside" in report["error"]
         stored = json.loads((out / "certificate.json").read_text())["certificate"]
+        assert stored == report["certificate"] and report["verification"]["ok"]
+
+    def test_truncation_over_the_budget_is_input_error(self, run_main, tmp_path):
+        """A truncation too large to hold is refused before it is allocated; the
+        scenario keeps the certificate it built."""
+        cases = [(["simulate"], {"network": {"scenario": "chain-a"},
+                                 "sim": {**FAST_SIM, "N": 10 ** 12}}),
+                 (["scenario", "chain-a"], {"sim": {"N": 1e12}})]
+        for k, (command, content) in enumerate(cases):
+            cfg = _write(tmp_path / f"n{k}.json", content)
+            code, err = run_main([*command, "--config", cfg, "--out", tmp_path / f"n{k}"])
+            assert code == 1 and err.count("\n") == 1, err
+            assert err.startswith("error: N = 1000000000000 "), err
+        report = json.loads((tmp_path / "n1" / "report.json").read_text())
+        assert report["outcome"]["kind"] == "error" and "simulation" not in report
+        stored = json.loads((tmp_path / "n1" / "certificate.json").read_text())["certificate"]
         assert stored == report["certificate"] and report["verification"]["ok"]
 
     def test_ragged_and_non_integral_entries_are_input_errors(self, run_main, tmp_path):

@@ -21,7 +21,7 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
-from sgain.gains import _collatz_wielandt, _perron_vector, _symbol_bound, adjoint_apply
+from sgain.gains import _collatz_wielandt, _perron_vector, adjoint_apply
 from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
 from test_sim import _propagator
 
@@ -85,11 +85,8 @@ def test_tabulate_joint_and_positions_agree_with_at(s, pre, per, n):
 
 
 def dense_reference(fam, n):
-    """Drift and input matrices written index by index from ``fam.blocks``, a
-    linear sector channel ``E (l+r)/2 G`` added to each diagonal block."""
+    """Drift and input matrices written index by index from ``fam.blocks``."""
     blocks = [fam.blocks(i) for i in range(1, n + 1)]
-    nl = fam.nonlinearity()
-    sector = nl[2] * np.outer(nl[0], nl[1]) if nl is not None and not callable(nl[2]) else 0
     nb, m = blocks[0][0].shape[0], blocks[0][2].shape[1]
     input_dims = [m if np.any(b) else 0 for _, _, b in blocks]
     in_off = np.concatenate(([0], np.cumsum(input_dims)))
@@ -97,7 +94,7 @@ def dense_reference(fam, n):
     b_ref = np.zeros((n * nb, max(int(in_off[-1]), 1)))
     for i, (a, d, b) in enumerate(blocks, start=1):
         r = (i - 1) * nb
-        a_ref[r:r + nb, r:r + nb] = a + sector
+        a_ref[r:r + nb, r:r + nb] = a
         for off, dm in d.items():
             if 1 <= i + off <= n:
                 a_ref[r:r + nb, (i + off - 1) * nb:(i + off) * nb] = dm
@@ -330,10 +327,17 @@ def test_lower_bounds_match_fraction_reference(psi):
     """Rational gains give each bound as one Fraction from int numerators,
     float gains the same floats: type and bits equal the reference's."""
     symbol, section = reference_lower_bounds(psi)
-    theta, n = psi.transpose(), min(psi.preamble_len + 2 * psi.period, 64)
-    x = _perron_vector(np.array(psi.symbol(), dtype=float).T)
-    assert bits([_symbol_bound(theta, *x)]) == bits([symbol])
-    assert bits([_collatz_wielandt(theta, *_perron_vector(psi.section(n).T))]) == bits([section])
+    rows, d = psi.transpose().integer_form
+    m, per, n = psi.bandwidth, psi.period, min(psi.preamble_len + 2 * psi.period, 64)
+
+    def exact(p, q):  # the Perron vector as the bound reads it
+        return [Fraction(t, q) for t in p] if d is None else p
+
+    x = exact(*_perron_vector(np.array(psi.symbol(), dtype=float).T))
+    v = exact(*_perron_vector(psi.section(n).T))
+    got = (_collatz_wielandt(enumerate(rows.cycle, m), lambda j: x[j % per], d),
+           _collatz_wielandt(enumerate(rows.head(n)), lambda j: v[j] if j < n else 0, d))
+    assert bits(got) == bits([symbol, section])
     bracket = spectral_bracket(psi, k_max=2)
     lower, lower_from = (symbol, "symbol") if symbol >= section else (section, "section")
     assert bits([bracket.lower]) == bits([lower]) and bracket.lower_from == lower_from
@@ -435,9 +439,9 @@ def test_integer_form():
 
 @pytest.mark.parametrize("name", ["traffic", "chain-a"])
 def test_adjoint_applications_per_certify(monkeypatch, name):
-    """A bounded-rate certify applies an operator k_max + 2 times: k_max for
-    the power table, one for the section lower bound and one for the scan;
-    the series reads the table's iterates and applies none."""
+    """A bounded-rate certify applies an operator k_max + 1 times: k_max for
+    the power table and one for the scan; the lower bounds read only the
+    rows they test, and the series reads the table's iterates."""
     from sgain import certificate, gains
     s = make_scenario(name)
     g = s.family.derive_gains(s.derivation)
@@ -448,4 +452,4 @@ def test_adjoint_applications_per_certify(monkeypatch, name):
     for k_max in (12, 4, 1):
         calls.clear()
         certify(g, k_max=k_max)
-        assert len(calls) == k_max + 2
+        assert len(calls) == k_max + 1

@@ -184,6 +184,17 @@ class TestLureDerivation:
         assert g.gamma.sup_column_sum() == 0
         assert float(g.gamma_u.upper()) == 0
 
+    def test_gains_do_not_depend_on_phi(self):
+        """The S-procedure accounts for an acting sector channel itself, so a
+        midpoint-linear phi, folded into the diagonal blocks, and a saturation
+        give the same gains.  Here the LMI holds for the family's own ``A``
+        and fails for the folded one (largest eigenvalues -0.026 and 0.029)."""
+        acting = {"E": [[0.0], [0.25]], "G": [[0.1, 0.2]], "sector": [0, 2]}
+        lin, sat = (sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi, **acting}})
+                    for phi in ("midpoint-linear", "saturation"))
+        assert not np.array_equal(lin.family.blocks(1)[0], sat.family.blocks(1)[0])
+        assert lin.family.derive_gains(lin.derivation) == sat.family.derive_gains(sat.derivation)
+
 
 class TestTrafficDerivation:
     def test_two_neighbor_cell_gain(self, traffic_gains):
@@ -327,10 +338,12 @@ class TestSpectralBracket:
         # Psi dominates its leading sections, so the section Collatz-Wielandt
         # bound grows with the section size and stays under the bracket's lower.
         from sgain.gains import _collatz_wielandt, _perron_vector
+        rows, d = chain_operator.transpose().integer_form
         lowers = []
         for n in (8, 16, 32, 64):
-            v = _perron_vector(chain_operator.section(n).T)
-            lowers.append(_collatz_wielandt(chain_operator.transpose(), *v))
+            v = _perron_vector(chain_operator.section(n).T)[0]
+            lowers.append(_collatz_wielandt(enumerate(rows.head(n)),
+                                            lambda j: v[j] if j < n else 0, d))
         assert all(b >= a - 1e-9 for a, b in zip(lowers, lowers[1:]))
         assert lowers[-1] <= spectral_bracket(chain_operator, k_max=2).lower
 

@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 import sgain
-from sgain import (InvalidIndexError, LinearChain, LureBanded,
+from sgain import (InvalidIndexError, LinearChain,
                    NumericInputError, ParameterError,
                    ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
                    truncate)
-from sgain.network import _chained_steps, _gather, _matvec, _rk4_polynomial
+from sgain.network import _chained_steps, _gather, _rk4_polynomial, csr_matvec
 from sgain.seqrules import PeriodicSeq
 
 
@@ -34,17 +34,16 @@ class TestGenerateSpec:
 
     def test_chain_first_node_has_no_left_neighbor(self):
         fam = chain_gen()
-        assert fam.neighbors(1) == (2,)
+        assert list(fam.blocks(1)[1]) == [1]
         assert fam.coefficients(1)[1] == 0  # forced b_10 = 0
-        assert -1 not in fam.blocks(1)[1]
 
     def test_chain_interior_node(self):
-        fam = chain_gen()
-        assert fam.neighbors(5) == (4, 6)
-        assert fam.state_dim(5) == 1 and fam.input_dim(5) == 0
+        a, d, b = chain_gen().blocks(5)
+        assert sorted(d) == [-1, 1]
+        assert a.shape == (1, 1) and not b.any()
 
     def test_traffic_cell_11(self):
-        assert traffic_gen().neighbors(11) == (7, 12)  # S9 cell: {i-4, i+1}
+        assert sorted(traffic_gen().blocks(11)[1]) == [-4, 1]  # S9 cell: {i-4, i+1}
 
     def test_invalid_index(self):
         for name in sgain.SCENARIO_NAMES:
@@ -52,8 +51,6 @@ class TestGenerateSpec:
             for i in (0, -3):
                 with pytest.raises(InvalidIndexError):
                     fam.blocks(i)
-                with pytest.raises(InvalidIndexError):
-                    fam.neighbors(i)
 
     def test_eventual_periodicity(self):
         chain, traffic = chain_gen(), traffic_gen()
@@ -65,13 +62,9 @@ class TestGenerateSpec:
             for i in range(pre + 1, pre + 40):
                 assert same_blocks(fam.blocks(i), fam.blocks(i + period))
                 assert record(i) == record(i + period)
-                assert tuple(j - i for j in fam.neighbors(i)) == \
-                    tuple(j - i - period for j in fam.neighbors(i + period))
-                assert fam.state_dim(i) == fam.state_dim(i + period)
-                assert fam.input_dim(i) == fam.input_dim(i + period)
 
     def test_decoupled_chain_has_no_neighbors(self):
-        assert chain_gen(b_off=0).neighbors(7) == ()
+        assert chain_gen(b_off=0).blocks(7)[1] == {}
 
 
 _TRAFFIC_BASES = {"S2": 4, "S3": 5, "S4": 6, "S5": 9, "S6": 2, "S7": 7, "S8": 8, "S9": 11}
@@ -204,7 +197,7 @@ class TestEvaluateRhs:
         x = rng.standard_normal(net.dim)
         base = evaluate_rhs(net, x, np.zeros(net.input_dim))
         i = 10
-        allowed = set(gen.neighbors(i)) | {i}
+        allowed = {i + off for off in gen.blocks(i)[1]} | {i}
         for j in range(1, 31):
             if j in allowed:
                 continue
@@ -233,7 +226,7 @@ class TestChainedSteps:
         blk[0], blk[1:] = rng.standard_normal(3), rng.standard_normal((4, 3))
         ref = blk.copy()
         for j in range(4):
-            _matvec(r, ref[j], ref[j + 1], rows)
+            csr_matvec(rows, 3, r.indptr, r.indices, r.data, ref[j], ref[j + 1])
         _chained_steps(r.indptr, r.indices, r.data, 4)(blk.ravel(), 4, rows)
         assert np.array_equal(blk.view(np.int64), ref.view(np.int64))
 
@@ -265,7 +258,8 @@ def test_int64_index_arrays_give_the_int32_results_bit_for_bit():
 class TestSectorNonlinearities:
     @pytest.mark.parametrize("phi", ["saturation", "midpoint-linear", "zero"])
     def test_sector_inequality_sampled(self, phi):
-        fam = LureBanded.platoon(1.0, 2.0, 0.1, sector=(-0.5, 2.0), phi=phi)
+        fam = sgain.make_scenario("lure-platoon", {"coefficients": {"sector": [-0.5, 2.0],
+                                                                   "phi": phi}}).family
         s = np.linspace(-5, 5, 201)
         val = fam.phi_eval(s)
         sector = (val - 2.0 * s) * (val - (-0.5) * s)
@@ -274,7 +268,7 @@ class TestSectorNonlinearities:
 
     def test_zero_phi_requires_straddling_sector(self):
         with pytest.raises(ParameterError):
-            LureBanded.platoon(1.0, 2.0, 0.1, sector=(0.5, 2.0), phi="zero")
+            sgain.make_scenario("lure-platoon", {"coefficients": {"sector": [0.5, 2.0]}})
 
 
 class TestDescriptionFiles:

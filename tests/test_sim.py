@@ -16,7 +16,7 @@ from sgain import (InsufficientDataError, LinearChain,
                    truncation_convergence_probe, verify_dissipation)
 from sgain.certificate import CompositeLyapunov
 from sgain.errors import ResourceError
-from sgain.network import _matvec, evaluate_rhs
+from sgain.network import csr_matvec, evaluate_rhs
 from sgain.seqrules import PeriodicSeq
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
                        TrafficLights, _flush, _norm, _stage_levels, coercivity_check,
@@ -60,7 +60,7 @@ class TestRk4:
             sup=sgain.seqrules.PeriodicSeq.constant(4))
         net = truncate(gen, 10)  # strong coupling dominates the diagonal
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1.0})
-        traj = integrate(net, x0, Zero(), horizon=40.0, step=1e-2, blow_up=1e6)
+        traj = integrate(net, x0, Zero(), horizon=40.0, step=1e-2)
         assert traj.diverged
         assert traj.t[-1] < 40.0
 
@@ -252,13 +252,14 @@ class TestBlocks:
 
     def test_divergence_across_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 4000)  # 400 rows of 10 states
+        monkeypatch.setattr(sgain.sim, "_BLOW_UP", 1e100)
         net = truncate(LinearChain.uniform(1, 10), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         ref = _stagewise_rk4(net, x0, Zero(), 100.0, 0.1, blow_up=1e100)
         assert 400 < len(ref) - 1 < 800  # the blow-up falls in the second block,
         with np.errstate(over="ignore"), pytest.raises(NumericInputError):
             _stagewise_rk4(net, x0, Zero(), 80.0, 0.1)  # whose last steps overflow
-        traj = integrate(net, x0, Zero(), 100.0, 0.1, keep=net.dim, blow_up=1e100)
+        traj = integrate(net, x0, Zero(), 100.0, 0.1, keep=net.dim)
         assert traj.diverged and traj.states.shape == ref.shape
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(traj.states - ref) <= 1e-12 * scale)
@@ -334,7 +335,7 @@ def _full_stepping(net, x0, sig, horizon, h, rows):
         else:
             np.dot(levels[:, k:k + len(blk) - 1].T, images, out=blk[1:])
         for j in range(len(blk) - 1):
-            _matvec(r, blk[j], blk[j + 1], net.dim)
+            csr_matvec(net.dim, net.dim, r.indptr, r.indices, r.data, blk[j], blk[j + 1])
     return states
 
 
@@ -388,15 +389,16 @@ class TestChainedSteps:
         net = truncate(LinearChain.uniform(1, 10), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         args = (net, x0, Zero(), 100.0, 0.1)  # a RuntimeWarning fails the suite
+        monkeypatch.setattr(sgain.sim, "_BLOW_UP", 1e100)
         with monkeypatch.context() as one_step:
             one_step.setattr(sgain.sim, "_chained_steps", lambda indptr, indices, data, k:
                              sgain.network._chained_steps(indptr, indices, data, 1))
-            single = integrate(*args, keep=net.dim, blow_up=1e100)
+            single = integrate(*args, keep=net.dim)
         stop = len(single.t) - 1  # step ``stop`` is row (stop - 1) % rows of its block
         floats, rows, k = _chained_floats(net, 0.1, lambda rows, k: 0 < (stop - 1) % rows % k
                                           < k - 1 and rows < stop)
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
-        chained = integrate(*args, keep=net.dim, blow_up=1e100)
+        chained = integrate(*args, keep=net.dim)
         assert single.diverged and chained.diverged and len(chained.t) == stop + 1
         assert np.array_equal(chained.states.view(np.int64), single.states.view(np.int64))
         assert np.array_equal(chained.norm_p, single.norm_p)
