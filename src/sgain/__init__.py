@@ -21,7 +21,7 @@ from .seqrules import ClosedFormSeq, PeriodicRows, PeriodicSeq
 from .families import (FAMILIES, CounterexampleGain, CounterexampleSlow,
                        Family, LinearChain, LureBanded, Traffic,
                        classify_traffic_cell, generator_from_dict,
-                       generator_to_dict, load_generator, save_generator)
+                       load_generator)
 from .gains import (HALF_SQUARE, AssumptionReport, GainData, PowerTable,
                     QuadraticForm, SpectralBracket,
                     build_gain_operator, check_assumptions, check_lure_lmi,
@@ -37,7 +37,7 @@ from .scenarios import (SCENARIO_NAMES, ExampleScenario, Outcome,
 
 __version__ = "0.1.0"
 
-_NUMERIC = {"network": "TruncatedNetwork evaluate_rhs truncate".split(),
+_NUMERIC = {"network": "TruncatedNetwork truncate".split(),
             "sim": """ConstantOnFirstK DecayFit GeometricProfile SinusoidOnFirstK TrafficLights
             TrajectoryRecord Zero export_csv fit_decay initial_state integrate
             signal_from_dict truncation_convergence_probe verify_dissipation

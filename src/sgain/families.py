@@ -25,13 +25,12 @@ Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
   second no uniform input gain.
 
 A family instance is the network description; its ``V_i`` are quadratic,
-so the JSON codec writes and accepts only the exponents p = q = 2.  Nothing
+so the description reader accepts only the exponents p = q = 2.  Nothing
 here imports scipy: the truncations of a family live in :mod:`sgain.network`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +46,6 @@ from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
                        as_number, exact_div, joint, load_json, _check_index)
 
 
-def _seq_to_json(s: PeriodicSeq):
-    if s.preamble_len == 0 and s.period == 1:
-        return _num_to_json(s.cycle[0])
-    return {"preamble": [_num_to_json(v) for v in s.preamble],
-            "cycle": [_num_to_json(v) for v in s.cycle]}
-
-
-def _num_to_json(v: Real):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else v.numerator
-    return v
-
-
 def _seq_from_json(obj) -> PeriodicSeq:
     if isinstance(obj, Mapping):
         return PeriodicSeq(tuple(as_number(v) for v in obj.get("preamble", [])),
@@ -67,26 +53,28 @@ def _seq_from_json(obj) -> PeriodicSeq:
     return PeriodicSeq.constant(as_number(obj))
 
 
-def _scalar(v: Real) -> np.ndarray:
-    return np.array([[float(v)]])
+def _mat(x) -> np.ndarray:
+    """A block entry as a float array, each of its numbers rounded once."""
+    return np.array(x, dtype=float, ndmin=2)
 
 
 class Family:
-    """One subsystem family: its blocks, description codec and gain data.
+    """One subsystem family: its blocks, description reader and gain data.
 
     A subclass sets ``name`` (the ``family`` entry of a description) and
     ``bandwidth``, and defines :meth:`blocks` and :meth:`derive_gains`;
-    one with coefficients also defines :meth:`to_json` and
-    :meth:`from_json`.  Neighbors, dimensions and truncations are read off
-    the blocks.
+    one with coefficients also defines :attr:`structure` and
+    :meth:`from_json`.  The derivations read a subsystem's dynamics off
+    its blocks, and so does a truncation: neighbors and dimensions too.
     """
 
     name: ClassVar[str]
     bandwidth: ClassVar[int] = 1
 
     def blocks(self, i: int):
-        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i as float arrays,
-        ``A_ii`` with any linear sector channel folded in."""
+        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i, its entries as
+        the description holds them (numbers of a scalar family, float arrays
+        of a Lur'e one), ``A_ii`` with any linear sector channel folded in."""
         raise NotImplementedError
 
     @property
@@ -98,9 +86,6 @@ class Family:
         """``(E row, G row, phi)`` of a nonlinear sector channel that can act,
         ``phi`` a vectorized callable, or None."""
         return None
-
-    def to_json(self) -> dict:
-        return {}
 
     @classmethod
     def from_json(cls, coeff: Mapping) -> "Family":
@@ -133,22 +118,13 @@ class LinearChain(Family):
         off = PeriodicSeq.constant(b_off)
         return LinearChain(diag=PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
-    def coefficients(self, i: int):
+    def blocks(self, i: int):  # (-b_ii, {-1: b_i(i-1), 1: b_i(i+1)} less zeros, B_i = 0)
         b_sub = 0 if i == 1 else self.sub.at(i)
-        return self.diag.at(i), b_sub, self.sup.at(i)
-
-    def blocks(self, i: int):
-        b_diag, b_sub, b_sup = self.coefficients(i)
-        d = {off: _scalar(v) for off, v in ((-1, b_sub), (1, b_sup)) if v}
-        return _scalar(-b_diag), d, np.zeros((1, 0))
+        return -self.diag.at(i), {off: v for off, v in ((-1, b_sub), (1, self.sup.at(i))) if v}, 0
 
     @property
     def structure(self) -> tuple[int, int]:
         return joint(1, 1, self.diag, self.sub, self.sup)
-
-    def to_json(self) -> dict:
-        return {"diag": _seq_to_json(self.diag), "sub": _seq_to_json(self.sub),
-                "sup": _seq_to_json(self.sup)}
 
     @classmethod
     def from_json(cls, coeff: Mapping) -> "LinearChain":
@@ -157,10 +133,6 @@ class LinearChain(Family):
 
     def derive_gains(self, derivation):
         return derive_gains_linear_chain(self, derivation.get("eps"), derivation.get("delta"))
-
-
-def _mat(x) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 _LURE_MATRICES = (("A", "a"), ("E", "e"), ("G", "g"), ("B", "b"),
@@ -238,12 +210,6 @@ class LureBanded(Family):
     def structure(self) -> tuple[int, int]:
         return 1, 1
 
-    def to_json(self) -> dict:
-        out = {key: [[float(x) for x in r] for r in getattr(self, attr)]
-               for key, attr in _LURE_MATRICES}
-        return {**out, "sector": [_num_to_json(self.sector_l), _num_to_json(self.sector_r)],
-                "phi": self.phi}
-
     @classmethod
     def from_json(cls, coeff: Mapping) -> "LureBanded":
         mats = {attr: tuple(tuple(float(as_number(x)) for x in r) for r in coeff[key])
@@ -309,21 +275,14 @@ class Traffic(Family):
         if self.v.min() <= 0 or self.l.min() <= 0:
             raise ParameterError("speeds and cell lengths must be positive")
 
-    def flow(self, i: int) -> Real:
-        """v_i / l_i, the cell's outflow rate."""
-        return exact_div(self.v.at(i), self.l.at(i))
+    def blocks(self, i: int):  # (-(v_i/l_i + e_i), {j - i: c v_j/l_j}, B_i) by the class of cell i
+        offsets, e_mult, b_factor = _TRAFFIC_CLASSES[classify_traffic_cell(i)]
 
-    def cell(self, i: int):
-        """(class name, e_i, {offset: D weight}, B_i) for cell i."""
-        name = classify_traffic_cell(i)
-        offsets, e_mult, b_factor = _TRAFFIC_CLASSES[name]
-        d = {off: self.c * self.flow(i + off) for off in offsets}
-        return name, e_mult * self.e, d, b_factor * self.r
+        def flow(j: int) -> Real:  # v_j / l_j, the outflow rate of cell j
+            return exact_div(self.v.at(j), self.l.at(j))
 
-    def blocks(self, i: int):
-        _, e_i, d, b_i = self.cell(i)
-        return (_scalar(-(self.flow(i) + e_i)),
-                {off: _scalar(w) for off, w in d.items()}, _scalar(b_i))
+        return (-(flow(i) + e_mult * self.e), {off: self.c * flow(i + off) for off in offsets},
+                b_factor * self.r)
 
     @property
     def structure(self) -> tuple[int, int]:
@@ -331,11 +290,6 @@ class Traffic(Family):
         # preamble those cells must lie past the preambles of v and l too.
         seq_pre, per = joint(0, 8, self.v, self.l)
         return (seq_pre + self.bandwidth if seq_pre else 3), per
-
-    def to_json(self) -> dict:
-        return {"v": _seq_to_json(self.v), "l": _seq_to_json(self.l),
-                "c": _num_to_json(self.c), "e": _num_to_json(self.e),
-                "r": _num_to_json(self.r)}
 
     @classmethod
     def from_json(cls, coeff: Mapping) -> "Traffic":
@@ -361,7 +315,7 @@ class _DecoupledScalar(Family):
     def blocks(self, i: int):
         _check_index(i)
         a_i, b_i = self.coefficients(i)
-        return _scalar(a_i), {}, _scalar(b_i)
+        return a_i, {}, b_i
 
     def derive_gains(self, derivation):
         lam, gamma_u = self.rules
@@ -386,7 +340,7 @@ class CounterexampleSlow(_DecoupledScalar):
                            nondecreasing=True))
 
     def coefficients(self, i: int):
-        return -1 / i, 1
+        return Fraction(-1, i), 1
 
 
 class CounterexampleGain(_DecoupledScalar):
@@ -410,14 +364,6 @@ FAMILIES: dict[str, type[Family]] = {
 # --------------------------------------------------------------------------
 
 
-def generator_to_dict(fam: Family) -> dict:
-    structure = fam.structure
-    mode = ({"eventually_periodic": {"preamble": structure[0], "period": structure[1]}}
-            if structure else {"closed_form": {}})
-    return {"schema": "sgain/1", "family": fam.name, "mode": mode,
-            "bandwidth": fam.bandwidth, "p": 2, "q": 2, "coefficients": fam.to_json()}
-
-
 def generator_from_dict(obj: Mapping) -> Family:
     """The family of a description; its exponents ``p``, ``q`` must be 2 when given."""
     try:
@@ -438,9 +384,3 @@ def load_generator(path) -> Family:
     """Read a network description file (JSON, decimals parsed exactly)."""
     with open(path) as f:
         return generator_from_dict(load_json(f))
-
-
-def save_generator(fam: Family, path) -> None:
-    with open(path, "w") as f:
-        json.dump(generator_to_dict(fam), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -127,7 +127,8 @@ def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicS
     coupling, whose parameter must still be positive, gets ``b_ii / 100``."""
     @functools.cache
     def split(i: int) -> tuple[Real, Real]:
-        bd, bs, bp = fam.coefficients(i)
+        a, d, _ = fam.blocks(i)
+        bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
         half, tiny = exact_div(bd, 2), exact_div(bd, 100)
         e = (tiny if bs == 0 else half - tiny if bp == 0
              else exact_div(half * abs(bs), abs(bs) + abs(bp)))
@@ -153,7 +154,8 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
 
     @functools.cache
     def cell(i: int) -> tuple[Real, dict]:
-        bd, bs, bp = fam.coefficients(i)
+        a, d, _ = fam.blocks(i)
+        bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
         e_i, d_i = eps_r.at(i), delta_r.at(i)
         if e_i <= 0 or d_i <= 0:
             raise ParameterError("eps and delta must be positive")
@@ -186,13 +188,15 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau):
 
     Returns ``(ok, worst_eigenvalue)`` for
 
-        [[A'M + MA + kappa M - r l G'G,  M E + tau (r+l)/2 G'],
-         [      (symmetric)           ,        -tau          ]].
+        [[A'M + MA + kappa M - tau r l G'G,  M E + tau (r+l)/2 G'],
+         [        (symmetric)             ,        -tau          ]].
 
     ``ok`` holds iff the largest eigenvalue is at most ``LMI_TOL (1 +
-    scale)``, scale the largest entry's magnitude.  With tau = 1 this is the
-    standard S-procedure relaxation of the sector-constrained decay
-    inequality; ``A`` is the family's own, without the sector channel.
+    scale)``, scale the largest entry's magnitude.  This is the S-procedure
+    relaxation, with multiplier tau on the sector constraint
+    ``(phi - l s)(r s - phi) >= 0``, of the decay inequality
+    ``2 x'M(Ax + E phi) <= -kappa x'Mx``; ``A`` is the family's own, without
+    the sector channel.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -206,7 +210,7 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau):
     if tau < 0:
         raise ParameterError("the S-procedure multiplier tau must be nonnegative")
     kappa, l, r, tau = float(kappa), float(l), float(r), float(tau)
-    tl = a.T @ m + m @ a + kappa * m - (r * l) * (g.T @ g)
+    tl = a.T @ m + m @ a + kappa * m - (tau * r * l) * (g.T @ g)
     tr = m @ e + tau * 0.5 * (r + l) * g.T
     block = np.block([[tl, tr], [tr.T, np.array([[-tau]])]])
     block = 0.5 * (block + block.T)
@@ -273,9 +277,10 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     """Road-cell gains with V_i = x_i^2/2.
 
     Two Young splits (one for the neighbor inflows, one for the entry)
-    give ``lambda_i = 2 (v_i/l_i + e_i - 2 eps_i)``, the aggregated
-    neighbor gain ``gamma_ij = ||D_i||^2 / (2 eps_i)`` for every j in the
-    cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``.
+    give ``lambda_i = -2 (A_ii + 2 eps_i) = 2 (v_i/l_i + e_i - 2 eps_i)``,
+    the aggregated neighbor gain ``gamma_ij = ||D_i||^2 / (2 eps_i)`` for
+    every j in the cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``,
+    all read off the cell's blocks.
     """
     eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
     if eps_r.min() <= 0:
@@ -290,10 +295,10 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
 
     @functools.cache
     def cell(i: int) -> tuple[Real, dict, Real]:
-        _, e_i, d, b_i = fam.cell(i)
+        a, d, b_i = fam.blocks(i)
         eps_i = eps_r.at(i)
         dsq = sum(w * w for w in d.values())
-        return (2 * (fam.flow(i) + e_i - 2 * eps_i), {off: exact_div(dsq, 2 * eps_i) for off in d},
+        return (-2 * (a + 2 * eps_i), {off: exact_div(dsq, 2 * eps_i) for off in d},
                 exact_div(b_i * b_i, 2 * eps_i))
 
     return GainData(

@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec, csr_plus_csr
 
-from .errors import NumericInputError, ParameterError, ResourceError, ShapeError
-from .families import Family
+from .errors import ParameterError, ResourceError
+from .families import Family, _mat
 from .seqrules import positions
 
 DIM_BUDGET = 2 ** 24  # most states a truncation holds (a state vector of 128 MiB)
@@ -27,10 +27,11 @@ class TruncatedNetwork:
     The right-hand side splits into a sparse linear part, a sparse input
     matrix, and (for a family with an active nonlinear sector channel) a
     vectorized nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
-    ``drift_matrix`` is ``A``, gathered from the family's blocks, which carry
-    any linear sector channel, so ``nonlinearity`` is None exactly when the
-    truncation is linear time-invariant.  :meth:`rhs` takes the applied
-    input ``B u``, so a caller that holds it forms it once.
+    ``drift_matrix`` is ``A``, gathered from the family's blocks (each number
+    rounded to float once), which carry any linear sector channel, so
+    ``nonlinearity`` is None exactly when the truncation is linear
+    time-invariant.  :meth:`rhs` takes the applied input ``B u``, so a
+    caller that holds it forms it once.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
@@ -44,11 +45,11 @@ class TruncatedNetwork:
         self.family = fam
         self.n_subsystems = n = n_subsystems
         pre, per = fam.structure or (n, 1)
-        stored = [fam.blocks(1)]
+        stored = [_float_blocks(fam, 1)]
         self.block_dim = nb = stored[0][0].shape[0]
         if n * nb > DIM_BUDGET:
             raise ResourceError(f"N = {n} gives dimension {n * nb}, over the budget {DIM_BUDGET}")
-        stored += [fam.blocks(i) for i in range(2, min(n, pre + per) + 1)]
+        stored += [_float_blocks(fam, i) for i in range(2, min(n, pre + per) + 1)]
         for off in sorted({off for _, d, _ in stored for off in d}):
             if not 0 < abs(off) <= fam.bandwidth:
                 i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
@@ -133,6 +134,12 @@ class TruncatedNetwork:
         return self._propagators[h]
 
 
+def _float_blocks(fam: Family, i: int) -> tuple:
+    """The blocks of subsystem i as float arrays, each number rounded once."""
+    a, d, b = fam.blocks(i)
+    return _mat(a), {off: _mat(x) for off, x in d.items()}, _mat(b)
+
+
 def _gather(indptr, indices, data, rows, shift, cols: int | None = None):
     """CSR arrays of the rows ``rows`` of a CSR matrix, row ``j``'s columns moved
     by ``shift[j]`` and its entries kept in order; with ``cols``, the entries
@@ -211,18 +218,3 @@ def _chained_steps(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, k:
 def truncate(fam: Family, n_subsystems: int) -> TruncatedNetwork:
     """Materialize the first N subsystems; couplings past N read zero."""
     return TruncatedNetwork(fam, n_subsystems)
-
-
-def evaluate_rhs(net: TruncatedNetwork, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Stacked right-hand side of the truncated interconnection."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel() if u is not None else np.zeros(0)
-    if x.shape[0] != net.dim:
-        raise ShapeError(f"state has dimension {x.shape[0]}, network needs {net.dim}")
-    if u.shape[0] != net.input_dim:
-        raise ShapeError(f"input has dimension {u.shape[0]}, network needs {net.input_dim}")
-    if not np.all(np.isfinite(x)) or (u.size and not np.all(np.isfinite(u))):
-        raise NumericInputError("non-finite component in state or input")
-    return net.rhs(x, net.input_matrix @ u if net.input_dim else None)
-
-

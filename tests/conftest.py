@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,18 @@ def cli(cli_env):
         return subprocess.run([sys.executable, "-m", "sgain.cli", *args], cwd=cwd,
                               env=cli_env, capture_output=True, text=True)
     return run
+
+
+@pytest.fixture(scope="session")
+def packaged_network():
+    """``read(name)``: a fresh copy of the ``network`` entry of a packaged scenario
+    file, its decimals as floats, whose shortest ``repr`` writes the file's own
+    digits back when the entry is dumped to JSON."""
+    from sgain.scenarios import _DIR, _FILES
+
+    def read(name):
+        return json.loads((_DIR / _FILES[name]).read_text())["network"]
+    return read
 
 
 @pytest.fixture(scope="session")

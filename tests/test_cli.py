@@ -53,11 +53,11 @@ class TestExitCodes:
         report = json.loads((tmp_path / "o" / "gains.json").read_text())
         assert report["assumptions"]["failed"][0] == "lambda_lo"
 
-    def test_malformed_config_is_input_error(self, cli, run_main, tmp_path):
+    def test_malformed_config_is_input_error(self, cli, run_main, tmp_path, packaged_network):
         traffic = {"family": "traffic",
                    "coefficients": {"v": 1, "l": 1, "c": "1/10", "e": "1/2", "r": 1}}
         platoon = sgain.make_scenario("lure-platoon")
-        lure = sgain.generator_to_dict(platoon.family)
+        lure = packaged_network("lure-platoon")
         lure["coefficients"]["A"][0][0] = "abc"
         m_bad = [["abc", 0.5], [0.5, 0.5]]
         bad_file = tmp_path / "bad_net.json"
@@ -65,7 +65,7 @@ class TestExitCodes:
         cases = [(["analyze"], "{not json"),
                  (["analyze"], {"network": str(bad_file)}),
                  (["certify"], {"network": lure, "derivation": platoon.derivation}),
-                 (["certify"], {"network": sgain.generator_to_dict(platoon.family),
+                 (["certify"], {"network": packaged_network("lure-platoon"),
                                 "derivation": {**platoon.derivation, "M": m_bad}}),
                  (["scenario", "traffic"], {"derivation": {"eps": "abc"}})]
         for c in ("abc", "1/0"):
@@ -159,12 +159,13 @@ class TestExitCodes:
         stored = json.loads((tmp_path / "n1" / "certificate.json").read_text())["certificate"]
         assert stored == report["certificate"] and report["verification"]["ok"]
 
-    def test_ragged_and_non_integral_entries_are_input_errors(self, run_main, tmp_path):
+    def test_ragged_and_non_integral_entries_are_input_errors(self, run_main, tmp_path,
+                                                               packaged_network):
         """A ragged matrix, a fractional count and a JSON boolean where a
         number belongs each exit 1 with one error line, never a traceback
         nor a silently truncated or coerced value."""
         platoon = sgain.make_scenario("lure-platoon")
-        ragged = sgain.generator_to_dict(platoon.family)
+        ragged = packaged_network("lure-platoon")
         ragged["coefficients"]["A"] = [[0.0, 1.0], [-1.0]]
         chain = {"scenario": "chain-a"}
         cases = [(command, {"network": ragged, "derivation": platoon.derivation,
@@ -180,6 +181,20 @@ class TestExitCodes:
             cfg = _write(tmp_path / f"c{k}.json", content)
             code, err = run_main([command, "--config", cfg, "--out", tmp_path / f"c{k}"])
             assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (content, err)
+
+    def test_lure_multiplier_scales_the_sector_term(self, run_main, tmp_path):
+        """``tau`` multiplies the ``- r l G'G`` term of the S-procedure: with
+        ``phi = s`` in the sector, ``dV/dt = -16 V`` here, so ``kappa = 18.9``
+        is refused at ``tau = 1000`` as at every other ``tau``."""
+        zero = [[0.0]]
+        net = {"family": "lure-banded", "coefficients": {
+            "A": [[-10.0]], "E": [[2.0]], "G": [[1.0]], "B": zero, "D_left": zero,
+            "D_right": zero, "sector": [-1, 1], "phi": "saturation"}}
+        cfg = _write(tmp_path / "c.json", {"network": net, "derivation": {
+            "M": [[1.0]], "kappa": 18.9, "eps": 0.01, "tau": 1000}})
+        code, err = run_main(["certify", "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1
+        assert err.startswith("error: decay-rate matrix inequality fails: largest eigenvalue")
 
     def test_certify_small_gain_violated(self, cli, tmp_path):
         cfg = tmp_path / "c.json"
@@ -540,11 +555,11 @@ class TestOnePipeline:
         assert ((tmp_path / "a" / "certificate.json").read_bytes()
                 == (tmp_path / "b" / "certificate.json").read_bytes())
 
-    def test_lure_derivation_reads_fraction_strings(self, run_main, tmp_path):
+    def test_lure_derivation_reads_fraction_strings(self, run_main, tmp_path, packaged_network):
         """Every Lur'e derivation number, ``M``'s entries included, may be a
         ``"p/q"`` string, as in the other derivations."""
         s = sgain.make_scenario("lure-platoon")
-        net = sgain.generator_to_dict(s.family)
+        net = packaged_network("lure-platoon")
         decimal = {**s.derivation, "kappa": 0.5, "eps": 0.125}
         strings = {**s.derivation, "kappa": "1/2", "eps": "1/8",
                    "M": [[str(x) for x in row] for row in s.derivation["M"]]}

@@ -1,9 +1,9 @@
-"""Property tests of the family protocol (tiled truncations, the codec), of
+"""Property tests of the family protocol (exact blocks, tiled truncations, the
+description reader), of
 the eventually periodic gain operator, and of the power table and
 certificates over random chain and traffic gains."""
 
 import functools
-import json
 import math
 from fractions import Fraction
 
@@ -17,11 +17,11 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    SmallGainViolatedError,
                    DerivationError, LinearChain, LureBanded, ParameterError,
                    Traffic, build_certificate, build_gain_operator, certify,
-                   generator_from_dict, generator_to_dict,
-                   make_scenario, neumann_eta,
+                   generator_from_dict, make_scenario, neumann_eta,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.gains import _collatz_wielandt, _perron_vector, adjoint_apply
+from sgain.network import _float_blocks, _mat
 from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
 from test_sim import _propagator
 
@@ -86,7 +86,7 @@ def test_tabulate_joint_and_positions_agree_with_at(s, pre, per, n):
 
 def dense_reference(fam, n):
     """Drift and input matrices written index by index from ``fam.blocks``."""
-    blocks = [fam.blocks(i) for i in range(1, n + 1)]
+    blocks = [_float_blocks(fam, i) for i in range(1, n + 1)]
     nb, m = blocks[0][0].shape[0], blocks[0][2].shape[1]
     input_dims = [m if np.any(b) else 0 for _, _, b in blocks]
     in_off = np.concatenate(([0], np.cumsum(input_dims)))
@@ -133,19 +133,75 @@ def test_assembly_equals_the_operator_algebra_bit_for_bit(fam, n, h):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fam=families)
-def test_codec_round_trip(fam):
-    assert generator_from_dict(generator_to_dict(fam)) == fam
-    text = json.dumps(generator_to_dict(fam))
-    assert generator_from_dict(json.loads(text, parse_float=Fraction)) == fam
+@given(fam=st.one_of(chains, traffics), data=st.data())
+def test_blocks_are_exact_and_round_once(fam, data):
+    """A chain or traffic block holds the description's own numbers, ints and
+    Fractions, and the truncation's float helper rounds each one once: it equals
+    ``float(entry)`` bit for bit."""
+    pre, per = fam.structure
+    a, d, b = fam.blocks(data.draw(st.integers(1, pre + 2 * per), label="i"))
+    for x in (a, *d.values(), b):
+        assert type(x) in (int, Fraction)
+        assert _mat(x).shape == (1, 1) and _mat(x).tobytes() == np.float64(float(x)).tobytes()
+
+
+def literals(lo, hi):
+    """``(literal, value)`` of a description number in ``[lo, hi]``: an int, a
+    ``"p/q"`` string, a decimal string or a dyadic float."""
+    return fractions(lo, hi).flatmap(lambda v: st.sampled_from(
+        [(f"{v.numerator}/{v.denominator}", v), (str(float(v)), Fraction(str(float(v))))]
+        + ([(v.numerator, v.numerator)] if v.denominator == 1 else [])
+        + ([(float(v), float(v))] if v.denominator & (v.denominator - 1) == 0 else [])))
+
+
+def literal_rules(lo, hi):
+    """``(literal, (preamble, cycle))`` of a rule: a bare number or a
+    ``{"preamble", "cycle"}`` object, with the values it reads."""
+    bare = literals(lo, hi).map(lambda x: (x[0], ((), (x[1],))))
+    obj = st.tuples(st.lists(literals(lo, hi), max_size=3),
+                    st.lists(literals(lo, hi), min_size=1, max_size=4)).map(
+        lambda pc: ({"preamble": [x for x, _ in pc[0]], "cycle": [x for x, _ in pc[1]]},
+                    (tuple(v for _, v in pc[0]), tuple(v for _, v in pc[1]))))
+    return st.one_of(bare, obj)
+
+
+_LITERAL_FAMILIES = {
+    "linear-chain": {"diag": literal_rules("1/10", 3), "sub": literal_rules(-1, 1),
+                     "sup": literal_rules(-1, 1)},
+    "traffic": {"v": literal_rules("1/4", 2), "l": literal_rules("1/2", 2),
+                "c": literals("1/12", "5/12"), "e": literals("1/12", "11/12"),
+                "r": literals("1/10", 3)}}
+
+descriptions = st.sampled_from(sorted(_LITERAL_FAMILIES)).flatmap(
+    lambda name: st.fixed_dictionaries(_LITERAL_FAMILIES[name]).map(lambda drawn: (
+        {"family": name, "coefficients": {k: x[0] for k, x in drawn.items()}},
+        {k: value for k, (_, value) in drawn.items()})))
+
+
+@settings(max_examples=150, deadline=None)
+@given(description=descriptions)
+def test_reader_reads_literal_descriptions(description):
+    """The family read from a literal description reads the drawn values: each
+    rule at ``1..pre + 2 per``, each constant as drawn, compared exactly."""
+    obj, drawn = description
+    fam = generator_from_dict(obj)
+    for key, want in drawn.items():
+        if not isinstance(want, tuple):
+            assert getattr(fam, key) == want
+            continue
+        pre, cycle = want
+        for i in range(1, len(pre) + 2 * len(cycle) + 1):
+            expected = pre[i - 1] if i <= len(pre) else cycle[(i - len(pre) - 1) % len(cycle)]
+            got = getattr(fam, key).at(i)
+            assert got == expected and type(got) is type(expected)
 
 
 @settings(max_examples=60, deadline=None)
-@given(fam=families, p=fractions(1, 3), q=fractions(1, 3))
-def test_codec_rejects_exponents_other_than_two(fam, p, q):
-    obj = {**generator_to_dict(fam), "p": str(p), "q": str(q)}
+@given(description=descriptions, p=fractions(1, 3), q=fractions(1, 3))
+def test_codec_rejects_exponents_other_than_two(description, p, q):
+    obj = {**description[0], "p": str(p), "q": str(q)}
     if p == q == 2:
-        assert generator_from_dict(obj) == fam
+        assert generator_from_dict(obj) == generator_from_dict(description[0])
     else:
         with pytest.raises(ParameterError, match=f"p = q = 2; the generator declares "
                                                  f"p = {p}, q = {q}$"):

@@ -80,12 +80,36 @@ class TestChainDerivation:
         g = derive_gains_linear_chain(fam)
         assert g.lam.period == 6
         pre, per = fam.structure
-        coeffs = [[float(v) for v in fam.coefficients(i)] for i in range(1, pre + per + 1)]
+        coeffs = [[float(-a), float(d.get(-1, 0)), float(d.get(1, 0))]  # b_ii, b_i(i-1), b_i(i+1)
+                  for a, d, _ in map(fam.blocks, range(1, pre + per + 1))]
         fracs = [float(fam.diag.min()) * (k + 1) / 50.0 for k in range(24)]
         best = min(max((bs * bs / (2 * e) + bp * bp / (2 * d)) / (2 * (bd - e - d))
                        for bd, bs, bp in coeffs)
                    for e in fracs for d in fracs if all(bd > e + d for bd, _, _ in coeffs))
         assert self.sup_row_sum(g) <= best
+
+
+_QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _lmi_instances(draw):
+    """``(A, M, E, G, l, r, tau, kappa)`` of a 1- or 2-state block: ``A`` a
+    decaying diagonal plus quarter-grid entries, ``M = P P' + I``, and a sector
+    that mostly straddles zero."""
+    n = draw(st.integers(1, 2))
+
+    def mat(rows, cols):
+        return np.array(draw(st.lists(_QUARTERS, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    a = mat(n, n) - draw(st.sampled_from([0.5, 2.0, 10.0])) * np.eye(n)
+    p = mat(n, n)
+    l = draw(st.sampled_from([-2, -1, Fraction(-1, 2), 0, Fraction(1, 2)]))
+    r = l + draw(st.sampled_from([Fraction(1, 2), 1, 2]))
+    return (a.tolist(), (p @ p.T + np.eye(n)).tolist(), mat(n, 1).tolist(), mat(1, n).tolist(),
+            l, r, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0, 1000.0])),
+            draw(st.sampled_from([0.1, 0.5, 1.0, 4.0, 18.9])))
 
 
 class TestLureLmi:
@@ -120,7 +144,7 @@ class TestLureLmi:
                 r = l + 1.0
             ok, worst = check_lure_lmi(a, m, e, g, kappa, l, r, tau)
             blk = np.zeros((n + 1, n + 1))
-            blk[:n, :n] = a.T @ m + m @ a + kappa * m - r * l * np.outer(g.ravel(), g.ravel())
+            blk[:n, :n] = a.T @ m + m @ a + kappa * m - tau * r * l * np.outer(g.ravel(), g.ravel())
             blk[:n, n] = (m @ e).ravel() + tau * 0.5 * (r + l) * g.ravel()
             blk[n, :n] = blk[:n, n]
             blk[n, n] = -tau
@@ -139,6 +163,29 @@ class TestLureLmi:
             for phi in (-0.5 * s, 0.0, 0.3 * s, 0.5 * s):  # sector samples
                 lhs = 2 * x * m * (a * x + e * phi)
                 assert lhs <= -kappa * m * x * x + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @example(inst=([[-10.0]], [[1.0]], [[2.0]], [[1.0]], -1, 1, 1000.0, 18.9),
+             x=[1.0, 0.0], t=1.0)  # accepted when tau did not scale the r l G'G term
+    @given(inst=_lmi_instances(), x=st.lists(_QUARTERS, min_size=2, max_size=2),
+           t=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    def test_accepted_lmi_implies_sampled_decay_for_every_tau(self, inst, x, t):
+        """Whenever the S-procedure block is accepted, at any multiplier tau, every
+        sector point ``phi`` between ``l s`` and ``r s`` (``s = G x``) satisfies
+        ``2 x'M(Ax + E phi) <= -kappa x'Mx``, up to the accepted largest
+        eigenvalue times ``|x|^2 + phi^2`` and rounding."""
+        a, m, e, g, l, r, tau, kappa = inst
+        ok, worst = check_lure_lmi(a, m, e, g, kappa, l, r, tau)
+        if not ok:
+            return
+        a, m, e, g = (np.array(v, dtype=float) for v in (a, m, e, g))
+        x = np.array(x[:len(a)])
+        s = float((g @ x)[0])
+        phi = ((1 - t) * float(l) + t * float(r)) * s
+        mx = m @ x
+        terms = (2 * mx @ (a @ x), 2 * float(mx @ e.ravel()) * phi, kappa * (x @ mx))
+        slack = max(worst, 0.0) * (x @ x + phi * phi) + 1e-12 * (1 + sum(map(abs, terms)))
+        assert terms[0] + terms[1] <= -terms[2] + slack
 
     def test_platoon_instance_accepted(self, platoon_scenario, platoon_gains):
         d = platoon_scenario.derivation
@@ -221,8 +268,8 @@ class TestTrafficDerivation:
         fam = sgain.make_scenario("traffic").family
         eps = Fraction(1, 10)
         for i in range(1, 201):
-            _, e_i, d, b_i = fam.cell(i)
-            lam_expected = 2 * (fam.flow(i) + e_i - 2 * eps)
+            a, d, b_i = fam.blocks(i)
+            lam_expected = 2 * (-a - 2 * eps)  # A_ii = -(v_i/l_i + e_i)
             assert traffic_gains.lam.at(i) == lam_expected
             dsq = sum(w * w for w in d.values())
             for off in d:
@@ -246,7 +293,7 @@ class TestGainOperator:
         fam = sgain.make_scenario("traffic").family
         for i in range(1, 201):
             offsets = tuple(sorted(op.row(i)))
-            assert offsets == tuple(sorted(fam.cell(i)[2]))
+            assert offsets == tuple(sorted(fam.blocks(i)[1]))
 
     def test_gamma_norm_chain(self, chain_gains):
         assert chain_gains.gamma.sup_column_sum() == Fraction(1, 10)

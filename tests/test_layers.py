@@ -28,10 +28,10 @@ SmallGainCertificate SmallGainViolatedError SpectralBracket Traffic TrafficLight
 TrajectoryRecord TruncatedNetwork UnknownScenarioError Zero
 build_certificate build_gain_operator cap_decay_rates certificate_from_dict certify
 check_assumptions check_lure_lmi classify_traffic_cell derive_gains_linear_chain
-derive_gains_lure derive_gains_traffic evaluate_rhs export_csv fit_decay
-generator_from_dict generator_to_dict initial_state integrate
+derive_gains_lure derive_gains_traffic export_csv fit_decay
+generator_from_dict initial_state integrate
 load_generator make_scenario neumann_eta operator_power_column_sums
-optimize_chain_free_params run_pipeline save_generator signal_from_dict spectral_bracket
+optimize_chain_free_params run_pipeline signal_from_dict spectral_bracket
 truncate truncation_convergence_probe verify_certificate verify_dissipation verify_envelope
 """.split()
 

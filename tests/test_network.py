@@ -1,5 +1,6 @@
 """Subsystem descriptions, traffic classification, truncation, and RHS."""
 
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 import scipy.sparse as sp
 
 import sgain
-from sgain import (InvalidIndexError, LinearChain,
-                   NumericInputError, ParameterError,
-                   ShapeError, Traffic, classify_traffic_cell, evaluate_rhs,
-                   truncate)
-from sgain.network import _chained_steps, _gather, _rk4_polynomial, csr_matvec
-from sgain.seqrules import PeriodicSeq
+from sgain import (InvalidIndexError, LinearChain, ParameterError, Traffic,
+                   classify_traffic_cell, truncate)
+from sgain.network import (_chained_steps, _float_blocks, _gather, _rk4_polynomial,
+                           csr_matvec)
+from sgain.seqrules import PeriodicSeq, exact_div
+from test_sim import _rhs
 
 
 def chain_gen(b_diag=1, b_off="0.1"):
@@ -35,10 +36,10 @@ class TestGenerateSpec:
     def test_chain_first_node_has_no_left_neighbor(self):
         fam = chain_gen()
         assert list(fam.blocks(1)[1]) == [1]
-        assert fam.coefficients(1)[1] == 0  # forced b_10 = 0
+        assert fam.sub.at(1) != 0 and fam.blocks(1)[1].get(-1, 0) == 0  # forced b_10 = 0
 
     def test_chain_interior_node(self):
-        a, d, b = chain_gen().blocks(5)
+        a, d, b = _float_blocks(chain_gen(), 5)
         assert sorted(d) == [-1, 1]
         assert a.shape == (1, 1) and not b.any()
 
@@ -54,13 +55,13 @@ class TestGenerateSpec:
 
     def test_eventual_periodicity(self):
         chain, traffic = chain_gen(), traffic_gen()
-        cases = ((chain, chain.coefficients),  # with the exact records
-                 (traffic, lambda i: (traffic.cell(i), traffic.flow(i))),
+        cases = ((chain, chain.blocks),  # with the exact records
+                 (traffic, traffic.blocks),
                  (sgain.make_scenario("lure-platoon").family, lambda i: None))
         for fam, record in cases:
             pre, period = fam.structure
             for i in range(pre + 1, pre + 40):
-                assert same_blocks(fam.blocks(i), fam.blocks(i + period))
+                assert same_blocks(_float_blocks(fam, i), _float_blocks(fam, i + period))
                 assert record(i) == record(i + period)
 
     def test_decoupled_chain_has_no_neighbors(self):
@@ -105,7 +106,8 @@ class TestTrafficClassification:
             "S6": ((1, 4), 0.0, 0.0), "S7": ((-4, -1), 0.0, 0.0),
             "S8": ((-1, 4), 2 * e, 0.0), "S9": ((-4, 1), 0.0, 0.0)}
         for i in range(1, 10_001):
-            name, e_i, d, b_i = fam.cell(i)
+            name, (a, d, b_i) = classify_traffic_cell(i), fam.blocks(i)
+            e_i = -a - exact_div(fam.v.at(i), fam.l.at(i))  # A_ii = -(v_i/l_i + e_i)
             offs, e_exp, b_exp = expected[name]
             assert tuple(sorted(d)) == tuple(sorted(offs))
             assert float(e_i) == e_exp and float(b_i) == b_exp
@@ -115,7 +117,7 @@ class TestTruncate:
     def test_single_subsystem_reads_zero_boundary(self):
         net = truncate(chain_gen(), 1)
         assert net.dim == 1
-        dx = evaluate_rhs(net, np.array([1.0]), np.zeros(0))
+        dx = _rhs(net, np.array([1.0]), np.zeros(0))
         assert dx == pytest.approx([-1.0])  # coupling to x_2 reads zero
 
     def test_chain_truncation_is_tridiagonal(self):
@@ -148,16 +150,18 @@ class TestTruncate:
 
 
 class TestEvaluateRhs:
+    """The stacked right-hand side ``net.rhs`` of a truncation."""
+
     def test_origin_is_equilibrium_everywhere(self):
         for name in sgain.SCENARIO_NAMES:
             gen = sgain.make_scenario(name).family
             net = truncate(gen, 12)
-            dx = evaluate_rhs(net, np.zeros(net.dim), np.zeros(net.input_dim))
+            dx = _rhs(net, np.zeros(net.dim), np.zeros(net.input_dim))
             assert np.all(dx == 0)
 
     def test_chain_hand_computed(self):
         net = truncate(chain_gen(), 3)
-        dx = evaluate_rhs(net, np.array([1.0, 0.0, 0.0]), np.zeros(0))
+        dx = _rhs(net, np.array([1.0, 0.0, 0.0]), np.zeros(0))
         assert dx == pytest.approx([-1.0, 0.1, 0.0])
 
     def test_lure_with_inactive_nonlinearity_is_linear(self):
@@ -166,7 +170,7 @@ class TestEvaluateRhs:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(net.dim)
         u = rng.standard_normal(net.input_dim)
-        dx = evaluate_rhs(net, x, u)
+        dx = _rhs(net, x, u)
         expected = net.drift_matrix @ x + net.input_matrix @ u
         assert dx == pytest.approx(expected)
 
@@ -188,14 +192,14 @@ class TestEvaluateRhs:
         expected = (blocks @ a.T + padded[:-2] @ dl.T + padded[2:] @ dr.T
                     + fam.phi_eval(blocks @ g.ravel())[:, None] * e.ravel()
                     + u[:, None] * b.ravel()).ravel()
-        assert evaluate_rhs(net, x, u) == pytest.approx(expected, rel=1e-14, abs=1e-13)
+        assert _rhs(net, x, u) == pytest.approx(expected, rel=1e-14, abs=1e-13)
 
     def test_banded_locality(self):
         gen = traffic_gen()
         net = truncate(gen, 30)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(net.dim)
-        base = evaluate_rhs(net, x, np.zeros(net.input_dim))
+        base = _rhs(net, x, np.zeros(net.input_dim))
         i = 10
         allowed = {i + off for off in gen.blocks(i)[1]} | {i}
         for j in range(1, 31):
@@ -203,16 +207,8 @@ class TestEvaluateRhs:
                 continue
             xp = x.copy()
             xp[j - 1] += 1.0
-            out = evaluate_rhs(net, xp, np.zeros(net.input_dim))
+            out = _rhs(net, xp, np.zeros(net.input_dim))
             assert out[i - 1] == base[i - 1]
-
-    def test_shape_and_numeric_errors(self):
-        net = truncate(chain_gen(), 3)
-        with pytest.raises(ShapeError):
-            evaluate_rhs(net, np.zeros(4), np.zeros(0))
-        bad = np.array([1.0, np.nan, 0.0])
-        with pytest.raises(NumericInputError):
-            evaluate_rhs(net, bad, np.zeros(0))
 
 
 class TestChainedSteps:
@@ -272,25 +268,27 @@ class TestSectorNonlinearities:
 
 
 class TestDescriptionFiles:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, packaged_network):
+        """A packaged scenario's description, written to its own file, reads back
+        as the scenario's family."""
         for name in sgain.SCENARIO_NAMES:
             gen = sgain.make_scenario(name).family
             path = tmp_path / f"{name}.json"
-            sgain.save_generator(gen, path)
+            path.write_text(json.dumps(packaged_network(name)))
             back = sgain.load_generator(path)
             assert back == gen
 
     @pytest.mark.parametrize("p, q", [(math.inf, 2), (2, math.inf), (math.inf, math.inf),
                                       (math.nan, 2)])
-    def test_exponents_finite(self, p, q):
-        obj = {**sgain.generator_to_dict(chain_gen()), "p": p, "q": q}
+    def test_exponents_finite(self, p, q, packaged_network):
+        obj = {**packaged_network("chain-a"), "p": p, "q": q}
         with pytest.raises(ParameterError, match="not a finite number"):
             sgain.generator_from_dict(obj)
 
     @pytest.mark.parametrize("name", sgain.SCENARIO_NAMES)
     @pytest.mark.parametrize("p, q", [(3, 2), (2, 3), ("1/2", 2)])
-    def test_non_quadratic_exponents_rejected(self, name, p, q):
-        obj = {**sgain.generator_to_dict(sgain.make_scenario(name).family), "p": p, "q": q}
+    def test_non_quadratic_exponents_rejected(self, name, p, q, packaged_network):
+        obj = {**packaged_network(name), "p": p, "q": q}
         with pytest.raises(ParameterError, match=r"provide gain data for p = q = 2; "
                                                  rf"the generator declares p = {p}, q = {q}$"):
             sgain.generator_from_dict(obj)

@@ -10,13 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 import sgain
-from sgain import (InsufficientDataError, LinearChain,
-                   NumericInputError, ParameterError, Zero, fit_decay,
+from sgain import (InsufficientDataError, LinearChain, ParameterError, Zero, fit_decay,
                    initial_state, integrate, truncate,
                    truncation_convergence_probe, verify_dissipation)
 from sgain.certificate import CompositeLyapunov
 from sgain.errors import ResourceError
-from sgain.network import csr_matvec, evaluate_rhs
+from sgain.network import csr_matvec
 from sgain.seqrules import PeriodicSeq
 from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
                        TrafficLights, _flush, _norm, _stage_levels, coercivity_check,
@@ -172,18 +171,23 @@ FORCED_NETWORKS = [
 ]
 
 
+def _rhs(net, x, u):
+    """The stacked right-hand side at state ``x`` and input ``u``."""
+    return net.rhs(x, net.input_matrix @ u if net.input_dim else None)
+
+
 def _stagewise_rk4(net, x0, sig, horizon, h, blow_up=math.inf):
-    """Classical RK4 over ``evaluate_rhs`` with u sampled at every stage,
+    """Classical RK4 over ``_rhs`` with u sampled at every stage,
     stopped after the first step whose block-norm exceeds ``blow_up``."""
     x = np.asarray(x0, dtype=float)
     out = [x]
     for k in range(int(round(horizon / h))):
         t = k * h
         u1, u2, u4 = (sig.values(net, s) for s in (t, t + 0.5 * h, t + h))
-        k1 = evaluate_rhs(net, x, u1)
-        k2 = evaluate_rhs(net, x + 0.5 * h * k1, u2)
-        k3 = evaluate_rhs(net, x + 0.5 * h * k2, u2)
-        k4 = evaluate_rhs(net, x + h * k3, u4)
+        k1 = _rhs(net, x, u1)
+        k2 = _rhs(net, x + 0.5 * h * k1, u2)
+        k3 = _rhs(net, x + 0.5 * h * k2, u2)
+        k4 = _rhs(net, x + h * k3, u4)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(x)
         if np.linalg.norm(x) > blow_up:
@@ -257,8 +261,9 @@ class TestBlocks:
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         ref = _stagewise_rk4(net, x0, Zero(), 100.0, 0.1, blow_up=1e100)
         assert 400 < len(ref) - 1 < 800  # the blow-up falls in the second block,
-        with np.errstate(over="ignore"), pytest.raises(NumericInputError):
-            _stagewise_rk4(net, x0, Zero(), 80.0, 0.1)  # whose last steps overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            over = _stagewise_rk4(net, x0, Zero(), 80.0, 0.1)  # whose last steps overflow
+        assert len(over) == 801 and not np.isfinite(over[-1]).all()
         traj = integrate(net, x0, Zero(), 100.0, 0.1, keep=net.dim)
         assert traj.diverged and traj.states.shape == ref.shape
         scale = np.abs(ref).max(axis=1, keepdims=True)
