@@ -340,10 +340,11 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12):
 
 
 class CompositeLyapunov:
-    """V(x) = sum_i mu_i V_i(x_i) with exact coercivity constants, and the
+    """V(x) = sum_i mu_i V_i(x_i) with its coercivity constants, and the
     exponential envelope its dissipation inequality gives.
 
-    Coercivity: ``mu_lo alpha_lo |x|_2^2 <= V(x) <= mu_hi alpha_hi |x|_2^2``.
+    Coercivity: ``mu_lo alpha_lo |x|_2^2 <= V(x) <= mu_hi alpha_hi |x|_2^2``,
+    with ``(alpha_lo, alpha_hi)`` the form's own (:attr:`QuadraticForm.alpha`).
     Dissipation: ``D+ V <= -lambda_inf V + mu_hi sup gamma_iu |u|_{2,inf}^2``.
     For any 0 < eps < lambda_inf this gives ``V(t) <= exp(-eps t) V(0) +
     chi(||u||)`` with ``chi(r) = mu_hi sup gamma_iu r^2 / (lambda_inf - eps)``,
@@ -354,8 +355,9 @@ class CompositeLyapunov:
     def __init__(self, cert: SmallGainCertificate, gains: GainData):
         self.cert = cert
         self.gains = gains
-        self.coercivity_lo = cert.mu_lo * gains.alpha_lo.lower()
-        self.coercivity_hi = cert.mu_hi * gains.alpha_hi.upper()
+        alpha_lo, alpha_hi = gains.vform.alpha
+        self.coercivity_lo = cert.mu_lo * alpha_lo
+        self.coercivity_hi = cert.mu_hi * alpha_hi
         self.input_coefficient = cert.mu_hi * gains.gamma_u.upper()
 
     def chi(self, u_norm: float, eps: float) -> float:

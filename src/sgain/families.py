@@ -190,21 +190,17 @@ class LureBanded(Family):
             a = a + slope * np.outer(_mat(self.e), _mat(self.g))
         return a, d, _mat(self.b)
 
-    def phi_eval(self, s):
-        """Vectorized nonlinearity; satisfies the sector bound by design."""
+    def saturate(self, s):
+        """The saturation channel, vectorized: ``s`` clipped to between ``l s`` and ``r s``."""
         s = np.asarray(s, dtype=float)
         lo_s, hi_s = float(self.sector_l) * s, float(self.sector_r) * s
-        if self.phi == "zero":
-            return np.zeros_like(s)
-        if self.phi == "midpoint-linear":
-            return 0.5 * (lo_s + hi_s)
         return np.clip(s, np.minimum(lo_s, hi_s), np.maximum(lo_s, hi_s))
 
     def nonlinearity(self):
         e, g = _mat(self.e).ravel(), _mat(self.g).ravel()
         if self.phi != "saturation" or not (e.any() and g.any()):
             return None  # phi = 0, E phi = 0, or linear and folded into the blocks
-        return e, g, self.phi_eval
+        return e, g, self.saturate
 
     @property
     def structure(self) -> tuple[int, int]:
@@ -309,7 +305,7 @@ class _DecoupledScalar(Family):
     """Decoupled scalars ``dx_i/dt = a_i x_i + b_i u_i``.
 
     A subclass defines ``coefficients(i) -> (a_i, b_i)`` and the gain
-    rules ``rules = (lambda_i, gamma_iu)`` for V_i = x_i^2/2.
+    rules ``rules = (lambda_i, gamma_iu)`` for V_i = x_i^2/2 (``HALF_SQUARE``).
     """
 
     def blocks(self, i: int):
@@ -319,9 +315,7 @@ class _DecoupledScalar(Family):
 
     def derive_gains(self, derivation):
         lam, gamma_u = self.rules
-        return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u,
-                        alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-                        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE)
+        return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u, vform=HALF_SQUARE)
 
 
 class CounterexampleSlow(_DecoupledScalar):

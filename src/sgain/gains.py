@@ -6,12 +6,12 @@ Each supported family admits quadratic subsystem Lyapunov functions
     d/dt V_i <= -lambda_i V_i + sum_j gamma_ij V_j + gamma_iu |u_i|^q.
 
 The derivations here produce the sequences ``lambda_i``, ``gamma_ij``,
-``gamma_iu`` together with the coercivity constants of ``V_i``, all as
-eventually periodic (or certified closed-form) rules, held once each in a
-:class:`GainData`: a uniform bound is read off its sequence, the band off
-``gamma``.  The *gain operator* is the infinite nonnegative matrix with
-entries ``psi_ij = gamma_ij / lambda_i``; the network-level stability
-condition is that its l1 spectral radius lies below one.
+``gamma_iu`` as eventually periodic (or certified closed-form) rules, held
+once each in a :class:`GainData` with the quadratic form of ``V_i``, which
+states its own coercivity constants: a uniform bound is read off its
+sequence, the band off ``gamma``.  The *gain operator* is the infinite
+nonnegative matrix with entries ``psi_ij = gamma_ij / lambda_i``; the
+network-level stability condition is that its l1 spectral radius is below one.
 
 The operator inherits the band and the eventual periodicity of the
 coefficients, so Psi is a :class:`PeriodicRows`, and Theta = Psi^T maps an
@@ -59,6 +59,13 @@ class QuadraticForm:
     def matrix(self) -> np.ndarray:
         return np.asarray(self.m, dtype=float)
 
+    @functools.cached_property
+    def alpha(self) -> tuple[float, float]:
+        """V_i's coercivity constants ``(alpha_lo, alpha_hi)``, the extreme
+        eigenvalues of M: ``alpha_lo |x_i|^2 <= V_i(x_i) <= alpha_hi |x_i|^2``."""
+        eigs = np.linalg.eigvalsh(self.matrix())
+        return float(eigs[0]), float(eigs[-1])
+
 
 HALF_SQUARE = QuadraticForm(((0.5,),))  # V_i(x_i) = x_i^2 / 2 for scalar subsystems
 
@@ -70,7 +77,8 @@ HALF_SQUARE = QuadraticForm(((0.5,),))  # V_i(x_i) = x_i^2 / 2 for scalar subsys
 
 @dataclass(frozen=True)
 class GainData:
-    """Sequences (lambda_i, gamma_ij, gamma_iu, alpha bounds) of quadratic V_i.
+    """Sequences (lambda_i, gamma_ij, gamma_iu) of the quadratic V_i ``vform``,
+    which states V_i's coercivity constants (:attr:`QuadraticForm.alpha`).
 
     ``gamma`` stores row i as a map from neighbor offset j - i to
     gamma_ij, within the band ``gamma.bandwidth`` of the family.
@@ -82,15 +90,13 @@ class GainData:
     lam: Seq
     gamma: PeriodicRows
     gamma_u: Seq
-    alpha_lo: Seq
-    alpha_hi: Seq
     vform: QuadraticForm
     free_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.lam, PeriodicSeq) and self.lam.min() <= 0:
             raise DerivationError("decay rates must be positive")
-        if self.alpha_lo.lower() <= 0:
+        if self.vform.alpha[0] <= 0:
             raise DerivationError("coercivity lower constants must be positive")
 
     @property
@@ -103,8 +109,7 @@ class GainData:
     def conservative(self) -> bool:
         """True when any bound rests on a closed-form declaration rather
         than an exact periodic computation."""
-        return not all(isinstance(s, PeriodicSeq)
-                       for s in (self.lam, self.gamma_u, self.alpha_lo, self.alpha_hi))
+        return not all(isinstance(s, PeriodicSeq) for s in (self.lam, self.gamma_u))
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +179,7 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
     return GainData(
         lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
         gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
-        gamma_u=PeriodicSeq.constant(0),
-        alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
+        gamma_u=PeriodicSeq.constant(0), vform=HALF_SQUARE,
         free_params={"eps": eps_r, "delta": delta_r})
 
 
@@ -223,9 +226,10 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     """Gains for the sector-bounded family from a user-supplied certificate.
 
     The caller provides the quadratic-form matrix M, the decay rate kappa
-    certified by :func:`check_lure_lmi`, and the Young split eps.  Then
+    certified by :func:`check_lure_lmi`, and the Young split eps.  Its form
+    ``V_i = x_i'M x_i`` states the coercivity constants ``lambda_min(M)`` and
+    ``lambda_max(M)`` (:attr:`QuadraticForm.alpha`), and
 
-        alpha_lo = lambda_min(M), alpha_hi = lambda_max(M),
         lambda_i = kappa - 2 eps,
         gamma_ij = ||sqrt(M) D_i||^2 / (lambda_min(M) eps),
         gamma_iu = ||sqrt(M) B_i||^2 / eps,
@@ -239,10 +243,10 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
                        for k, v in (("kappa", kappa), ("eps", eps), ("tau", tau)))
     if m.shape != (fam.n, fam.n) or not np.allclose(m, m.T, atol=1e-12):
         raise InvalidCertificateError("M must be symmetric of the block dimension")
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0:
-        raise InvalidCertificateError(f"M is not positive definite (lambda_min = {eigs[0]:.3e})")
-    m_lo, m_hi = float(eigs[0]), float(eigs[-1])
+    vform = QuadraticForm(tuple(map(tuple, m.tolist())))
+    m_lo = vform.alpha[0]
+    if m_lo <= 0:
+        raise InvalidCertificateError(f"M is not positive definite (lambda_min = {m_lo:.3e})")
     if eps <= 0:
         raise ParameterError("eps must be positive")
     lam = kappa - 2.0 * eps
@@ -267,9 +271,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     return GainData(
         lam=PeriodicSeq.constant(lam),
         gamma=PeriodicRows.tabulate(row, *fam.structure, bandwidth=fam.bandwidth),
-        gamma_u=PeriodicSeq.constant(sq_weighted_norm(b) / eps),
-        alpha_lo=PeriodicSeq.constant(m_lo),
-        alpha_hi=PeriodicSeq.constant(m_hi), vform=QuadraticForm(tuple(map(tuple, m.tolist()))),
+        gamma_u=PeriodicSeq.constant(sq_weighted_norm(b) / eps), vform=vform,
         free_params={"kappa": kappa, "eps": eps, "tau": tau})
 
 
@@ -304,9 +306,7 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     return GainData(
         lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
         gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
-        gamma_u=PeriodicSeq.tabulate(lambda i: cell(i)[2], pre, per),
-        alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)), vform=HALF_SQUARE,
+        gamma_u=PeriodicSeq.tabulate(lambda i: cell(i)[2], pre, per), vform=HALF_SQUARE,
         free_params={"eps": eps_r})
 
 
@@ -594,7 +594,7 @@ class AssumptionReport:
 
 def check_assumptions(g: GainData) -> AssumptionReport:
     """Evaluate the uniformity assumptions; never raises on violations."""
-    a_lo, a_hi = float(g.alpha_lo.lower()), float(g.alpha_hi.upper())
+    a_lo, a_hi = g.vform.alpha
     lam_lo = float(g.lam.lower())
     gu_hi = float(g.gamma_u.upper())
     gnorm = float(g.gamma.sup_column_sum())

@@ -19,6 +19,7 @@ from .families import Family, _mat
 from .seqrules import positions
 
 DIM_BUDGET = 2 ** 24  # most states a truncation holds (a state vector of 128 MiB)
+CLOSED_FORM_BUDGET = 2 ** 16  # most subsystems of a closed form, whose blocks are read one by one
 
 
 class TruncatedNetwork:
@@ -36,7 +37,8 @@ class TruncatedNetwork:
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
     one cycle, dropping the columns outside the truncation, each row's entries
-    in column order; a closed-form family stores all N of its blocks.
+    in column order; a closed-form family stores all N of its blocks, so its
+    N is at most ``CLOSED_FORM_BUDGET``.
     """
 
     def __init__(self, fam: Family, n_subsystems: int):
@@ -49,6 +51,9 @@ class TruncatedNetwork:
         self.block_dim = nb = stored[0][0].shape[0]
         if n * nb > DIM_BUDGET:
             raise ResourceError(f"N = {n} gives dimension {n * nb}, over the budget {DIM_BUDGET}")
+        if n > CLOSED_FORM_BUDGET and fam.structure is None:
+            raise ResourceError(f"N = {n} closed-form subsystems, over their budget "
+                                f"{CLOSED_FORM_BUDGET}")
         stored += [_float_blocks(fam, i) for i in range(2, min(n, pre + per) + 1)]
         for off in sorted({off for _, d, _ in stored for off in d}):
             if not 0 < abs(off) <= fam.bandwidth:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from fractions import Fraction
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -77,9 +76,6 @@ class InputSignal:
 
     def unit(self, t: float) -> float:
         return 1.0
-
-    def values(self, net: TruncatedNetwork, t: float) -> np.ndarray:
-        return self.level * self.unit(t) * self.shape(net)
 
     def sup_norm(self, net: TruncatedNetwork) -> float:
         return abs(self.level) * float(_norm(self.shape(net)))
@@ -336,9 +332,8 @@ class BoundLyapunov:
         self.net = net
         mu = lyap.cert.mu
         pos = positions(mu.preamble_len, mu.period, net.n_subsystems)  # mu_i at pos[i - 1]
-        self.mu = [mu.values()[k] for k in np.unique(pos)]  # the mu_i read, exactly
         self.weights = np.array([float(v) for v in mu.values()])[pos]  # mu_i, i = 1..N
-        self.p = p = lyap.gains.vform.matrix()
+        p = lyap.gains.vform.matrix()
         self._squares = np.kron(self.weights, np.diag(p))  # mu_i P_aa
         self._cross = [(a, b, 2.0 * p[a, b] * self.weights)  # 2 P_ab mu_i, a < b
                        for a, b in zip(*np.triu_indices(len(p), 1)) if p[a, b]]
@@ -617,24 +612,6 @@ def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):
     traj = integrate(setup.net, setup.x0, signal, setup.horizon, setup.step, lyapunov=lyap)
     envelope = verify_envelope(traj, lyap) if lyap.cert.lambda_inf > 0 else None
     return traj, verify_dissipation(traj, lyap), envelope
-
-
-def coercivity_check(lyap: CompositeLyapunov, net: TruncatedNetwork) -> dict:
-    """V's coercivity sandwich on one truncation, checked exactly rather than sampled.
-
-    For ``V = sum_i mu_i x_i^T P x_i`` the extremes of ``V(x) / |x|_2^2`` are
-    ``min_i mu_i lambda_min(P)`` and ``max_i mu_i lambda_max(P)`` over the
-    truncation's ``mu_i``; both must lie in ``[mu_lo alpha_lo, mu_hi alpha_hi]``.
-    """
-    cert, g, bound = lyap.cert, lyap.gains, BoundLyapunov(lyap, net)
-    mu, eigs = bound.mu, np.linalg.eigvalsh(bound.p)
-    a, b = Fraction(min(mu)) * Fraction(eigs[0]), Fraction(max(mu)) * Fraction(eigs[-1])
-    lo = Fraction(cert.mu_lo) * Fraction(g.alpha_lo.lower())
-    hi = Fraction(cert.mu_hi) * Fraction(g.alpha_hi.upper())
-    return {"interval": [float(a), float(b)], "bounds": [float(lo), float(hi)],
-            "mu_lo": float(cert.mu_lo), "mu_hi": float(cert.mu_hi),
-            "alpha_lo": float(g.alpha_lo.lower()), "alpha_hi": float(g.alpha_hi.upper()),
-            "violations": int(a < lo or b > hi)}
 
 
 # --------------------------------------------------------------------------

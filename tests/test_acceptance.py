@@ -210,8 +210,6 @@ def test_criterion_7_rate_cap():
                                  ({-1: Fraction(1, 20), 1: Fraction(1, 20)},),
                                  bandwidth=1),
         gamma_u=sgain.PeriodicSeq.constant(1),
-        alpha_lo=sgain.PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=sgain.PeriodicSeq.constant(Fraction(1, 2)),
         vform=sgain.HALF_SQUARE)
     cert, g_capped, *_ = sgain.certify(g)
     assert cert.h_cap is not None

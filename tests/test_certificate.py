@@ -33,8 +33,6 @@ def unbounded_rate_gains(gamma=Fraction(1, 20)):
                           nondecreasing=True),
         gamma=PeriodicRows(({1: gamma},), ({-1: gamma, 1: gamma},), bandwidth=1),
         gamma_u=PeriodicSeq.constant(1),
-        alpha_lo=PeriodicSeq.constant(Fraction(1, 2)),
-        alpha_hi=PeriodicSeq.constant(Fraction(1, 2)),
         vform=HALF_SQUARE)
 
 
@@ -229,6 +227,16 @@ class TestVerifyCertificate:
         bad = dataclasses.replace(cert, lambda_inf=2 * cert.lambda_inf)
         rep = verify_certificate(bad, g_used)
         assert not rep.ok and rep.worst_margin > 0
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c: dataclasses.replace(c, mu=PeriodicSeq.constant(2 * c.mu_hi)),
+        lambda c: dataclasses.replace(c, mu=PeriodicSeq.constant(c.mu_lo / 2)),
+    ])
+    def test_mu_outside_its_bounds_fails_the_scan(self, chain_certified, tamper):
+        """V's coercivity rests on ``mu_lo <= mu_i <= mu_hi``: the scan refuses
+        a mu outside the bounds its certificate states."""
+        cert, g, *_ = chain_certified
+        assert not verify_certificate(tamper(cert), g).ok
 
     def test_exact_scan_has_no_tolerance(self, chain_certified):
         # Raise lambda_inf until the largest exact margin is +6e-10: an exact

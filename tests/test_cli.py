@@ -159,6 +159,13 @@ class TestExitCodes:
         stored = json.loads((tmp_path / "n1" / "certificate.json").read_text())["certificate"]
         assert stored == report["certificate"] and report["verification"]["ok"]
 
+    def test_closed_form_truncation_over_its_budget_is_input_error(self, run_main, tmp_path):
+        cfg = _write(tmp_path / "c.json", {"network": {"scenario": "counter-slow"},
+                                          "sim": {**FAST_SIM, "N": 2 ** 16 + 1}})
+        code, err = run_main(["simulate", "--config", cfg, "--out", tmp_path / "out"])
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: N = 65537 closed-form subsystems, over their budget"), err
+
     def test_ragged_and_non_integral_entries_are_input_errors(self, run_main, tmp_path,
                                                                packaged_network):
         """A ragged matrix, a fractional count and a JSON boolean where a

@@ -43,7 +43,7 @@ class TestChainDerivation:
         assert g.lam.at(17) == Fraction(8, 5)
         assert g.gamma.row(1) == {1: Fraction(1, 20)}
         assert g.gamma.row(9) == {-1: Fraction(1, 20), 1: Fraction(1, 20)}
-        assert g.alpha_lo.lower() == Fraction(1, 2) == g.alpha_hi.upper()
+        assert g.vform.alpha == (0.5, 0.5)
 
     def test_decoupled(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
@@ -195,8 +195,7 @@ class TestLureLmi:
         assert ok
         m = np.array(d["M"], dtype=float)
         eigs = np.linalg.eigvalsh(m)
-        assert platoon_gains.alpha_lo.lower() == pytest.approx(eigs[0])
-        assert platoon_gains.alpha_hi.upper() == pytest.approx(eigs[-1])
+        assert platoon_gains.vform.alpha == pytest.approx((eigs[0], eigs[-1]))
 
     def test_indefinite_m_rejected(self, platoon_scenario):
         with pytest.raises(InvalidCertificateError):

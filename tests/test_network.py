@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import sgain
-from sgain import (InvalidIndexError, LinearChain, ParameterError, Traffic,
+from sgain import (InvalidIndexError, LinearChain, ParameterError, ResourceError, Traffic,
                    classify_traffic_cell, truncate)
 from sgain.network import (_chained_steps, _float_blocks, _gather, _rk4_polynomial,
                            csr_matvec)
@@ -148,6 +149,19 @@ class TestTruncate:
         with pytest.raises(ParameterError, match="exceeds bandwidth 3"):
             truncate(narrow, 12)
 
+    def test_closed_form_past_its_budget_is_refused_at_once(self, monkeypatch):
+        """A closed form's blocks are read one by one: past 2^16 subsystems its
+        truncation is refused before they are; an eventually periodic one is not."""
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceError, match="closed-form"):
+            truncate(sgain.make_scenario("counter-slow").family, 2 ** 16 + 1)
+        assert time.perf_counter() - t0 < 0.1
+        assert truncate(chain_gen(), 2 ** 16 + 1).n_subsystems == 2 ** 16 + 1
+        monkeypatch.setattr(sgain.network, "CLOSED_FORM_BUDGET", 8)
+        assert truncate(sgain.make_scenario("counter-gain").family, 8).n_subsystems == 8
+        with pytest.raises(ResourceError, match="over their budget 8"):
+            truncate(sgain.make_scenario("counter-gain").family, 9)
+
 
 class TestEvaluateRhs:
     """The stacked right-hand side ``net.rhs`` of a truncation."""
@@ -189,8 +203,10 @@ class TestEvaluateRhs:
         e, g, b = (np.array(m, dtype=float) for m in (fam.e, fam.g, fam.b))
         a, dl, dr = (np.array(m, dtype=float) for m in (fam.a, fam.d_left, fam.d_right))
         padded = np.vstack([np.zeros(2), blocks, np.zeros(2)])
+        s = blocks @ g.ravel()
+        phi_s = fam.saturate(s) if phi == "saturation" else 0.5 * (-0.5 + 1.5) * s
         expected = (blocks @ a.T + padded[:-2] @ dl.T + padded[2:] @ dr.T
-                    + fam.phi_eval(blocks @ g.ravel())[:, None] * e.ravel()
+                    + phi_s[:, None] * e.ravel()
                     + u[:, None] * b.ravel()).ravel()
         assert _rhs(net, x, u) == pytest.approx(expected, rel=1e-14, abs=1e-13)
 
@@ -254,13 +270,16 @@ def test_int64_index_arrays_give_the_int32_results_bit_for_bit():
 class TestSectorNonlinearities:
     @pytest.mark.parametrize("phi", ["saturation", "midpoint-linear", "zero"])
     def test_sector_inequality_sampled(self, phi):
-        fam = sgain.make_scenario("lure-platoon", {"coefficients": {"sector": [-0.5, 2.0],
-                                                                   "phi": phi}}).family
+        """The channel a truncation applies, ``E phi(G x)``: its right-hand side
+        less the raw ``A x``, along ``x = s G'/|G|^2``, so that ``G x = s``."""
+        coeff = {"sector": [-0.5, 2.0], "phi": phi, "E": [[0.0], [0.4]], "G": [[0.3, -0.2]]}
+        fam = sgain.make_scenario("lure-platoon", {"coefficients": coeff}).family
+        net, a, g = truncate(fam, 1), np.array(fam.a, dtype=float), np.array(fam.g[0])
         s = np.linspace(-5, 5, 201)
-        val = fam.phi_eval(s)
+        val = np.array([(net.rhs(x, None) - a @ x)[1] / 0.4 for x in np.outer(s, g / (g @ g))])
         sector = (val - 2.0 * s) * (val - (-0.5) * s)
         assert np.all(sector <= 1e-12)
-        assert fam.phi_eval(np.zeros(1)) == pytest.approx([0.0])
+        assert s[100] == 0.0 and val[100] == 0.0
 
     def test_zero_phi_requires_straddling_sector(self):
         with pytest.raises(ParameterError):

@@ -57,6 +57,15 @@ class TestExpectedOutcomes:
             assert rep["empirical_violations"] == 0
             assert rep["verification"]["ok"]
 
+    @pytest.mark.parametrize("name", ["chain-a", "lure-platoon", "traffic"])
+    def test_empirical_violations_count_the_trajectory_checks(self, name):
+        rep = run_pipeline(make_scenario(name, {"sim": FAST_SIM}))
+        sim = rep["simulation"]
+        checks = [sim[k] for k in ("dissipation_zero_input", "dissipation_forced",
+                                   "envelope_forced") if k in sim]
+        assert "coercivity" not in sim and checks
+        assert rep["empirical_violations"] == sum(c["n_violations"] for c in checks)
+
     def test_raised_coupling_violates_small_gain(self):
         s = make_scenario("chain-a", {"coefficients": {"sub": 1, "sup": 1},
                                       "derivation": {"eps": "0.25", "delta": "0.25"},

@@ -16,10 +16,9 @@ from sgain import (InsufficientDataError, LinearChain, ParameterError, Zero, fit
 from sgain.certificate import CompositeLyapunov
 from sgain.errors import ResourceError
 from sgain.network import csr_matvec
-from sgain.seqrules import PeriodicSeq
-from sgain.sim import (ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
-                       TrafficLights, _flush, _norm, _stage_levels, coercivity_check,
-                       export_csv, signal_from_dict, verify_envelope)
+from sgain.sim import (BoundLyapunov, ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
+                       TrafficLights, _flush, _norm, _stage_levels, export_csv,
+                       signal_from_dict, verify_envelope)
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -118,7 +117,7 @@ class TestSignals:
         sig = make()
         sup = sig.sup_norm(net)
         for t in np.linspace(0.0, 7.0, 113):
-            assert np.linalg.norm(sig.values(net, float(t))) <= sup + 1e-12
+            assert np.linalg.norm(sig.level * sig.unit(float(t)) * sig.shape(net)) <= sup + 1e-12
 
     def test_traffic_channels_only_on_controlled_cells(self):
         net = truncate(sgain.make_scenario("traffic").family, 16)
@@ -183,7 +182,7 @@ def _stagewise_rk4(net, x0, sig, horizon, h, blow_up=math.inf):
     out = [x]
     for k in range(int(round(horizon / h))):
         t = k * h
-        u1, u2, u4 = (sig.values(net, s) for s in (t, t + 0.5 * h, t + h))
+        u1, u2, u4 = (sig.level * sig.unit(s) * sig.shape(net) for s in (t, t + 0.5 * h, t + h))
         k1 = _rhs(net, x, u1)
         k2 = _rhs(net, x + 0.5 * h * k1, u2)
         k3 = _rhs(net, x + 0.5 * h * k2, u2)
@@ -239,7 +238,7 @@ class TestSeparableForcing:
         def refuse(self, s):
             raise AssertionError("an inactive sector channel was evaluated")
 
-        monkeypatch.setattr(LureBanded, "phi_eval", refuse)
+        monkeypatch.setattr(LureBanded, "saturate", refuse)
         for phi in ("zero", "saturation", "midpoint-linear"):
             gen = sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi}}).family
             net = truncate(gen, 10)
@@ -576,32 +575,32 @@ class TestDissipation:
 
 
 class TestCoercivity:
+    """V's sandwich on a truncation, read off V itself: over ``|x| = 1`` the
+    extremes of ``V = sum_i mu_i x_i'P x_i`` are ``min_i mu_i lambda_min(P)``
+    and ``max_i mu_i lambda_max(P)``, attained at ``e_i`` times P's eigenvectors."""
+
     @pytest.mark.parametrize("n", [1, 3, 16, 40])
     def test_interval_of_the_truncations_own_mu(self, traffic_scenario, traffic_certified, n):
         cert, g, *_ = traffic_certified
-        rep = coercivity_check(CompositeLyapunov(cert, g), truncate(traffic_scenario.family, n))
-        head = [float(v) for v in cert.mu.head(n)]
-        assert rep["interval"] == [0.5 * min(head), 0.5 * max(head)]
-        assert rep["bounds"] == [0.5 * float(cert.mu_lo), 0.5 * float(cert.mu_hi)]
-        assert rep["alpha_lo"] == rep["alpha_hi"] == 0.5
-        assert rep["violations"] == 0
+        lyap = CompositeLyapunov(cert, g)
+        bound = BoundLyapunov(lyap, truncate(traffic_scenario.family, n))
+        v = [bound.value(x) for x in np.eye(n)]  # V(e_i) = mu_i / 2
+        head = [float(m) for m in cert.mu.head(n)]
+        assert [min(v), max(v)] == [0.5 * min(head), 0.5 * max(head)]
+        bounds = [lyap.coercivity_lo, lyap.coercivity_hi]
+        assert bounds == [0.5 * float(cert.mu_lo), 0.5 * float(cert.mu_hi)]
+        assert bounds[0] <= min(v) and max(v) <= bounds[1]
+        assert g.vform.alpha == (0.5, 0.5)
 
     def test_lure_interval_meets_its_bounds(self, platoon_scenario, platoon_gains):
         lyap = CompositeLyapunov(*sgain.certify(platoon_gains)[:2])
-        rep = coercivity_check(lyap, truncate(platoon_scenario.family, 10))
-        assert rep["interval"] == rep["bounds"] and rep["violations"] == 0
-        assert rep["alpha_lo"] < rep["alpha_hi"]
-
-    @pytest.mark.parametrize("tamper", [
-        lambda c, g: (dataclasses.replace(c, mu=PeriodicSeq.constant(2 * c.mu_hi)), g),
-        lambda c, g: (dataclasses.replace(c, mu=PeriodicSeq.constant(c.mu_lo / 2)), g),
-        lambda c, g: (c, dataclasses.replace(g, alpha_lo=PeriodicSeq.constant(Fraction(3, 4)))),
-        lambda c, g: (c, dataclasses.replace(g, alpha_hi=PeriodicSeq.constant(Fraction(1, 4)))),
-    ])
-    def test_tampered_mu_or_alpha_is_a_violation(self, chain_certified, tamper):
-        cert, g, *_ = chain_certified
-        lyap = CompositeLyapunov(*tamper(cert, g))
-        assert coercivity_check(lyap, truncate(chain_gen(), 10))["violations"] == 1
+        bound = BoundLyapunov(lyap, truncate(platoon_scenario.family, 10))
+        alpha_lo, alpha_hi = platoon_gains.vform.alpha
+        _, vecs = np.linalg.eigh(platoon_gains.vform.matrix())
+        lo, hi = ([bound.value(np.kron(e, vec)) for e in np.eye(10)] for vec in vecs.T[[0, -1]])
+        assert min(lo) == pytest.approx(lyap.coercivity_lo, rel=1e-12)
+        assert max(hi) == pytest.approx(lyap.coercivity_hi, rel=1e-12)
+        assert alpha_lo < alpha_hi
 
 
 class TestLureSectorEndToEnd:
