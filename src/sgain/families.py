@@ -25,12 +25,17 @@ Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
   second no uniform input gain.
 
 A family instance is the network description; its ``V_i`` are quadratic,
-so the description reader accepts only the exponents p = q = 2.  Nothing
-here imports scipy: the truncations of a family live in :mod:`sgain.network`.
+so the description reader accepts only the exponents p = q = 2.  An
+eventually periodic instance forms its stored blocks (a preamble plus one
+cycle) once, in :attr:`Family.block_table`, and their float rounding once, in
+:attr:`Family.float_table`; the derivations and every truncation of the
+instance read them there.  Nothing here imports scipy: the truncations of a
+family live in :mod:`sgain.network`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +47,7 @@ from .errors import ParameterError, ShapeError
 from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     derive_gains_lure, derive_gains_traffic,
                     traffic_small_gain_sufficient)
-from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
+from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real, _EventuallyPeriodic,
                        as_number, exact_div, joint, load_json, _check_index)
 
 
@@ -56,6 +61,12 @@ def _seq_from_json(obj) -> PeriodicSeq:
 def _mat(x) -> np.ndarray:
     """A block entry as a float array, each of its numbers rounded once."""
     return np.array(x, dtype=float, ndmin=2)
+
+
+def round_blocks(blocks: tuple) -> tuple:
+    """Blocks ``(A_ii, {offset: D}, B_i)`` as float arrays, each number rounded once."""
+    a, d, b = blocks
+    return _mat(a), {off: _mat(x) for off, x in d.items()}, _mat(b)
 
 
 class Family:
@@ -81,6 +92,20 @@ class Family:
     def structure(self) -> tuple[int, int] | None:
         """(preamble length, period) of the blocks, or None for a closed form."""
         return None
+
+    @functools.cached_property
+    def block_table(self) -> _EventuallyPeriodic:
+        """The stored blocks ``blocks(i)``, i = 1..pre+per, as a preamble and a
+        cycle, formed once per instance: ``block_table.at(i)`` is subsystem i's.
+        A closed form has none."""
+        return _EventuallyPeriodic.tabulate(self.blocks, *self.structure)
+
+    @functools.cached_property
+    def float_table(self) -> _EventuallyPeriodic:
+        """:attr:`block_table` with each number rounded to float once."""
+        t = self.block_table
+        return _EventuallyPeriodic(tuple(map(round_blocks, t.preamble)),
+                                   tuple(map(round_blocks, t.cycle)))
 
     def nonlinearity(self):
         """``(E row, G row, phi)`` of a nonlinear sector channel that can act,
@@ -271,12 +296,15 @@ class Traffic(Family):
         if self.v.min() <= 0 or self.l.min() <= 0:
             raise ParameterError("speeds and cell lengths must be positive")
 
+    @functools.cached_property
+    def flows(self) -> PeriodicSeq:
+        """The outflow rates ``v_j / l_j``, each divided once per instance."""
+        return PeriodicSeq.tabulate(lambda j: exact_div(self.v.at(j), self.l.at(j)),
+                                    *joint(0, 1, self.v, self.l))
+
     def blocks(self, i: int):  # (-(v_i/l_i + e_i), {j - i: c v_j/l_j}, B_i) by the class of cell i
         offsets, e_mult, b_factor = _TRAFFIC_CLASSES[classify_traffic_cell(i)]
-
-        def flow(j: int) -> Real:  # v_j / l_j, the outflow rate of cell j
-            return exact_div(self.v.at(j), self.l.at(j))
-
+        flow = self.flows.at
         return (-(flow(i) + e_mult * self.e), {off: self.c * flow(i + off) for off in offsets},
                 b_factor * self.r)
 

@@ -132,7 +132,7 @@ def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicS
     coupling, whose parameter must still be positive, gets ``b_ii / 100``."""
     @functools.cache
     def split(i: int) -> tuple[Real, Real]:
-        a, d, _ = fam.blocks(i)
+        a, d, _ = fam.block_table.at(i)
         bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
         half, tiny = exact_div(bd, 2), exact_div(bd, 100)
         e = (tiny if bs == 0 else half - tiny if bp == 0
@@ -159,7 +159,7 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
 
     @functools.cache
     def cell(i: int) -> tuple[Real, dict]:
-        a, d, _ = fam.blocks(i)
+        a, d, _ = fam.block_table.at(i)
         bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
         e_i, d_i = eps_r.at(i), delta_r.at(i)
         if e_i <= 0 or d_i <= 0:
@@ -252,7 +252,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     lam = kappa - 2.0 * eps
     if lam <= 0:
         raise DerivationError(f"kappa - 2 eps = {lam} is not positive")
-    b = fam.blocks(1)[2]
+    b = fam.block_table.at(1)[2]
     ok, worst = check_lure_lmi(fam.a, m, fam.e, fam.g, kappa, fam.sector_l, fam.sector_r, tau)
     if not ok:
         raise DerivationError(
@@ -264,7 +264,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
         return float(np.linalg.eigvalsh(mat.T @ m @ mat)[-1])
 
     def row(i: int) -> dict:
-        d = fam.blocks(i)[1]
+        d = fam.block_table.at(i)[1]
         val = sq_weighted_norm(np.hstack([d[off] for off in sorted(d)])) / (m_lo * eps) if d else 0
         return {off: val for off in d}
 
@@ -297,11 +297,10 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
 
     @functools.cache
     def cell(i: int) -> tuple[Real, dict, Real]:
-        a, d, b_i = fam.blocks(i)
+        a, d, b_i = fam.block_table.at(i)
         eps_i = eps_r.at(i)
-        dsq = sum(w * w for w in d.values())
-        return (-2 * (a + 2 * eps_i), {off: exact_div(dsq, 2 * eps_i) for off in d},
-                exact_div(b_i * b_i, 2 * eps_i))
+        gamma_i = exact_div(sum(w * w for w in d.values()), 2 * eps_i)  # every neighbor's gain
+        return (-2 * (a + 2 * eps_i), dict.fromkeys(d, gamma_i), exact_div(b_i * b_i, 2 * eps_i))
 
     return GainData(
         lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),

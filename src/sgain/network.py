@@ -3,8 +3,10 @@
 :func:`truncate` materializes the first N subsystems of a family as a
 :class:`TruncatedNetwork` of sparse matrices; couplings past N read zero.
 Its matrices are gathered from the rows of the stored blocks (a preamble plus
-one cycle), and RK4's propagator ``R`` from the rows of a core truncation,
-built by calling scipy's compiled CSR kernels directly.  With
+one cycle) in the family's float table, which each instance forms once, so
+every truncation of an instance, a probe's too, reads the same rounded
+blocks; RK4's propagator ``R`` is gathered from the rows of a core
+truncation, built by calling scipy's compiled CSR kernels directly.  With
 :mod:`sgain.sim`, the only module that imports scipy.
 """
 
@@ -15,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec, csr_plus_csr
 
 from .errors import ParameterError, ResourceError
-from .families import Family, _mat
+from .families import Family, round_blocks
 from .seqrules import positions
 
 DIM_BUDGET = 2 ** 24  # most states a truncation holds (a state vector of 128 MiB)
@@ -28,8 +30,8 @@ class TruncatedNetwork:
     The right-hand side splits into a sparse linear part, a sparse input
     matrix, and (for a family with an active nonlinear sector channel) a
     vectorized nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
-    ``drift_matrix`` is ``A``, gathered from the family's blocks (each number
-    rounded to float once), which carry any linear sector channel, so
+    ``drift_matrix`` is ``A``, gathered from the family's float table (each
+    number rounded to float once), whose blocks carry any linear sector channel, so
     ``nonlinearity`` is None exactly when the truncation is linear
     time-invariant.  :meth:`rhs` takes the applied input ``B u``, so a
     caller that holds it forms it once.
@@ -37,8 +39,8 @@ class TruncatedNetwork:
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
     one cycle, dropping the columns outside the truncation, each row's entries
-    in column order; a closed-form family stores all N of its blocks, so its
-    N is at most ``CLOSED_FORM_BUDGET``.
+    in column order; a closed-form family has no table: its N blocks are read
+    one by one, so its N is at most ``CLOSED_FORM_BUDGET``.
     """
 
     def __init__(self, fam: Family, n_subsystems: int):
@@ -47,14 +49,18 @@ class TruncatedNetwork:
         self.family = fam
         self.n_subsystems = n = n_subsystems
         pre, per = fam.structure or (n, 1)
-        stored = [_float_blocks(fam, 1)]
+        if fam.structure is None:
+            stored = [round_blocks(fam.blocks(1))]
+        else:
+            stored = fam.float_table.head(min(n, pre + per))
         self.block_dim = nb = stored[0][0].shape[0]
         if n * nb > DIM_BUDGET:
             raise ResourceError(f"N = {n} gives dimension {n * nb}, over the budget {DIM_BUDGET}")
-        if n > CLOSED_FORM_BUDGET and fam.structure is None:
-            raise ResourceError(f"N = {n} closed-form subsystems, over their budget "
-                                f"{CLOSED_FORM_BUDGET}")
-        stored += [_float_blocks(fam, i) for i in range(2, min(n, pre + per) + 1)]
+        if fam.structure is None:
+            if n > CLOSED_FORM_BUDGET:
+                raise ResourceError(f"N = {n} closed-form subsystems, over their budget "
+                                    f"{CLOSED_FORM_BUDGET}")
+            stored += [round_blocks(fam.blocks(i)) for i in range(2, n + 1)]
         for off in sorted({off for _, d, _ in stored for off in d}):
             if not 0 < abs(off) <= fam.bandwidth:
                 i = next(i for i, (_, d, _) in enumerate(stored, start=1) if off in d)
@@ -137,12 +143,6 @@ class TruncatedNetwork:
                         ((np.arange(n) - src) * nb).repeat(nb))
         self._propagators[h] = (*r, lower)
         return self._propagators[h]
-
-
-def _float_blocks(fam: Family, i: int) -> tuple:
-    """The blocks of subsystem i as float arrays, each number rounded once."""
-    a, d, b = fam.blocks(i)
-    return _mat(a), {off: _mat(x) for off, x in d.items()}, _mat(b)
 
 
 def _gather(indptr, indices, data, rows, shift, cols: int | None = None):

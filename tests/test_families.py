@@ -21,7 +21,7 @@ from sgain import (CannotCertifyError, CounterexampleGain, CounterexampleSlow,
                    operator_power_column_sums, spectral_bracket, truncate,
                    verify_certificate)
 from sgain.gains import _collatz_wielandt, _perron_vector, adjoint_apply
-from sgain.network import _float_blocks, _mat
+from sgain.families import round_blocks
 from sgain.seqrules import PeriodicRows, PeriodicSeq, exact_div, joint, positions
 from test_sim import _propagator
 
@@ -86,7 +86,7 @@ def test_tabulate_joint_and_positions_agree_with_at(s, pre, per, n):
 
 def dense_reference(fam, n):
     """Drift and input matrices written index by index from ``fam.blocks``."""
-    blocks = [_float_blocks(fam, i) for i in range(1, n + 1)]
+    blocks = [round_blocks(fam.blocks(i)) for i in range(1, n + 1)]
     nb, m = blocks[0][0].shape[0], blocks[0][2].shape[1]
     input_dims = [m if np.any(b) else 0 for _, _, b in blocks]
     in_off = np.concatenate(([0], np.cumsum(input_dims)))
@@ -136,13 +136,18 @@ def test_assembly_equals_the_operator_algebra_bit_for_bit(fam, n, h):
 @given(fam=st.one_of(chains, traffics), data=st.data())
 def test_blocks_are_exact_and_round_once(fam, data):
     """A chain or traffic block holds the description's own numbers, ints and
-    Fractions, and the truncation's float helper rounds each one once: it equals
-    ``float(entry)`` bit for bit."""
+    Fractions, and so does the instance's block table at the block's position;
+    the float table the truncations read rounds each one once: it equals
+    ``float(entry)`` bit for bit.  Each table is formed once per instance."""
     pre, per = fam.structure
-    a, d, b = fam.blocks(data.draw(st.integers(1, pre + 2 * per), label="i"))
-    for x in (a, *d.values(), b):
-        assert type(x) in (int, Fraction)
-        assert _mat(x).shape == (1, 1) and _mat(x).tobytes() == np.float64(float(x)).tobytes()
+    i = data.draw(st.integers(1, pre + 2 * per), label="i")
+    (a, d, b), (ta, td, tb) = fam.blocks(i), fam.block_table.at(i)
+    fa, fd, fb = fam.float_table.at(i)
+    assert d.keys() == td.keys() == fd.keys()
+    for x, t, f in zip((a, *d.values(), b), (ta, *td.values(), tb), (fa, *fd.values(), fb)):
+        assert type(x) in (int, Fraction) and type(t) is type(x) and t == x
+        assert f.shape == (1, 1) and f.tobytes() == np.float64(float(x)).tobytes()
+    assert fam.block_table is fam.block_table and fam.float_table is fam.float_table
 
 
 def literals(lo, hi):

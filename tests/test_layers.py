@@ -99,6 +99,42 @@ def test_module_boundary(path):
             assert fn in LAZY_IMPORTS.get(path.stem, ()), (path.stem, fn, mod)
 
 
+def _block_reads(tree):
+    """Lines of the ``.blocks`` reads in ``tree`` outside the body of an
+    ``if <family>.structure is None`` branch, where a closed form's are read."""
+    out = []
+
+    def closed_form(test):
+        return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Attribute)
+                and test.left.attr == "structure" and isinstance(test.ops[0], ast.Is)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None)
+
+    def visit(node):
+        if isinstance(node, ast.If) and closed_form(node.test):
+            children = node.orelse
+        else:
+            if isinstance(node, ast.Attribute) and node.attr == "blocks":
+                out.append(node.lineno)
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def test_numeric_layer_reads_blocks_only_through_the_table():
+    """network and sim get subsystem data from a family's tables, formed once per
+    instance; only a closed form, which has none, is read block by block."""
+    assert _block_reads(ast.parse("a = fam.blocks(1)\nb = map(fam.blocks, r)")) == [1, 2]
+    assert _block_reads(ast.parse("if fam.structure is None:\n    a = fam.blocks(1)\n"
+                                  "else:\n    a = fam.blocks(2)")) == [4]
+    for stem in NUMERIC:
+        assert _block_reads(ast.parse((SRC / f"{stem}.py").read_text())) == [], stem
+    assert "float_table" in (SRC / "network.py").read_text()
+
+
 def test_exported_names_resolve():
     for name in EXPORTED:
         value = getattr(sgain, name)

@@ -1,5 +1,7 @@
 """Subsystem descriptions, traffic classification, truncation, and RHS."""
 
+import collections
+import dataclasses
 import json
 import math
 import time
@@ -11,8 +13,8 @@ import scipy.sparse as sp
 import sgain
 from sgain import (InvalidIndexError, LinearChain, ParameterError, ResourceError, Traffic,
                    classify_traffic_cell, truncate)
-from sgain.network import (_chained_steps, _float_blocks, _gather, _rk4_polynomial,
-                           csr_matvec)
+from sgain.families import round_blocks
+from sgain.network import _chained_steps, _gather, _rk4_polynomial, csr_matvec
 from sgain.seqrules import PeriodicSeq, exact_div
 from test_sim import _rhs
 
@@ -40,7 +42,7 @@ class TestGenerateSpec:
         assert fam.sub.at(1) != 0 and fam.blocks(1)[1].get(-1, 0) == 0  # forced b_10 = 0
 
     def test_chain_interior_node(self):
-        a, d, b = _float_blocks(chain_gen(), 5)
+        a, d, b = chain_gen().float_table.at(5)
         assert sorted(d) == [-1, 1]
         assert a.shape == (1, 1) and not b.any()
 
@@ -62,11 +64,41 @@ class TestGenerateSpec:
         for fam, record in cases:
             pre, period = fam.structure
             for i in range(pre + 1, pre + 40):
-                assert same_blocks(_float_blocks(fam, i), _float_blocks(fam, i + period))
+                rounded = round_blocks(fam.blocks(i))
+                assert same_blocks(rounded, round_blocks(fam.blocks(i + period)))
+                assert same_blocks(rounded, fam.float_table.at(i))
                 assert record(i) == record(i + period)
 
     def test_decoupled_chain_has_no_neighbors(self):
         assert chain_gen(b_off=0).blocks(7)[1] == {}
+
+
+class TestBlockTable:
+    """An instance forms its stored blocks once, for its derivation and every truncation."""
+
+    @pytest.mark.parametrize("name", ["traffic", "chain-a"])
+    def test_each_stored_block_is_formed_once(self, name, monkeypatch):
+        s = sgain.make_scenario(name)
+        calls = collections.Counter()
+        blocks = type(s.family).blocks
+
+        def counted(fam, i):
+            calls[i] += 1
+            return blocks(fam, i)
+
+        monkeypatch.setattr(type(s.family), "blocks", counted)
+        s.family.derive_gains(s.derivation)
+        for n in (20, 40, 80):
+            truncate(s.family, n)
+        pre, per = s.family.structure
+        assert calls == dict.fromkeys(range(1, pre + per + 1), 1)
+
+    def test_the_tables_are_per_instance(self):
+        fam = traffic_gen()
+        twin = dataclasses.replace(fam)
+        assert twin == fam and hash(twin) == hash(fam)
+        assert twin.block_table is not fam.block_table and twin.float_table is not fam.float_table
+        assert twin.flows is not fam.flows
 
 
 _TRAFFIC_BASES = {"S2": 4, "S3": 5, "S4": 6, "S5": 9, "S6": 2, "S7": 7, "S8": 8, "S9": 11}
