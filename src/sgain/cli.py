@@ -43,9 +43,8 @@ def _json_default(o):
 
 def _write_report(out_dir: Path, name: str, report: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
-    with open(out_dir / name, "w") as f:
-        f.write(text + "\n")
+    (out_dir / name).write_text(json.dumps(report, indent=2, sort_keys=True,
+                                           default=_json_default) + "\n")
 
 
 def _load_config(path) -> dict:

@@ -259,9 +259,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
             f"decay-rate matrix inequality fails: largest eigenvalue {worst:.3e} > 0")
 
     def sq_weighted_norm(mat: np.ndarray) -> float:
-        if mat.size == 0 or not np.any(mat):
-            return 0.0
-        return float(np.linalg.eigvalsh(mat.T @ m @ mat)[-1])
+        return float(np.linalg.eigvalsh(mat.T @ m @ mat)[-1]) if np.any(mat) else 0.0
 
     def row(i: int) -> dict:
         d = fam.block_table.at(i)[1]

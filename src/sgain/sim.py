@@ -22,18 +22,18 @@ run to run, and trajectory-derived floats move by about 1e-13 relative
 against the stage-wise evaluation.
 
 Steps fill blocks of rows.  The row a block starts from is flushed: its
-entries below ``2^-900`` times its largest magnitude become zero (as do
-those of ``B shape``, once per run), so that a decaying far field is not
-stepped in slow subnormal floats.  A linear block then steps only its
-support window: if the start row is zero from entry ``s`` on, ``w`` from
-``sw`` on and ``R`` has lower bandwidth ``lower``, ``m`` steps leave every
-entry from ``max(s, sw) + m lower`` on at zero.  A window that spans every
-row is stepped ``k`` rows per kernel call, through a chain of ``k`` copies of
-``R`` of at most ``_BLOCK_FLOATS`` entries, laid per run (``R`` itself when
-``k`` is 1); a narrower one a row per call.
-Norms and V are per-row einsum sums over the window.  Only the stored states
-show the flush, and the recorded floats depend on neither the block size nor
-the flush.
+entries below ``2^-500`` times its largest magnitude, whose squares lie past
+the last bit of the row's sum of squares, become zero (as do those of ``B
+shape``, once per run), so a decaying far field is not stepped in slow
+subnormal floats.  A linear block then steps only its support window: if the
+start row is zero from entry ``s`` on, ``w`` from ``sw`` on and ``R`` has
+lower bandwidth ``lower``, ``m`` steps leave every entry from ``max(s, sw) +
+m lower`` on at zero.  A window that spans every row is stepped ``k`` rows
+per kernel call, through a chain of ``k`` copies of ``R`` of at most
+``_BLOCK_FLOATS`` entries, laid per run (``R`` itself when ``k`` is 1); a
+narrower one a row per call.  Norms and V are per-row einsum sums over the
+window.  Only the stored states show the flush, and the recorded floats
+depend on neither the block size nor the flush.
 """
 
 from __future__ import annotations
@@ -219,9 +219,9 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
 # state floats (256 KiB), so the memory of a run does not grow with N; a
 # linear block's chained propagator holds at most this many entries of R.
 _BLOCK_FLOATS = 2 ** 15
-# Entries below this fraction of their row's largest magnitude are zeroed
-# before they are stepped (see the module docstring).
-_FLUSH = 2.0 ** -900
+# Entries below this fraction of their row's largest magnitude are zeroed before
+# they are stepped, which bounds a linear block's window (see the module docstring).
+_FLUSH = 2.0 ** -500
 # A run records at least seven floats a step: more steps need over 100 GiB.
 _STEP_BUDGET = 2 ** 31
 # Stored states hold (T/h + 1) x keep floats: more than this (2 GiB) is refused.
@@ -238,11 +238,16 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=-1))
 
 
-def _flush(x: np.ndarray) -> np.ndarray:
-    """Zero, in place, the entries of ``x`` below ``_FLUSH`` times its largest."""
+def _flush(x: np.ndarray) -> int:
+    """Zero, in place, the entries of ``x`` below ``_FLUSH`` times its largest;
+    return one past the last entry left nonzero (NaN and ±inf count)."""
     a = np.abs(x)
-    x[a < _FLUSH * a.max()] = 0.0
-    return x
+    floor = _FLUSH * a.max()
+    zero = a < floor if floor > 0 else a == 0  # zero once flushed: a 0 or NaN floor flushes none
+    if floor > 0:
+        x[zero] = 0.0
+    last = int(zero[::-1].argmin())  # the last entry left nonzero, from the end
+    return 0 if zero[-1 - last] else len(x) - last
 
 
 @dataclass
@@ -295,9 +300,9 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
         sw = _support(images.any(axis=0))
         w = levels[0, 0] * images.sum(axis=0) if np.all(levels == levels[0, 0]) else None
 
-    def advance(blk: np.ndarray, k: int) -> int:
+    def advance(blk: np.ndarray, k: int, s: int) -> int:
         nxt, n = blk[1:], len(blk) - 1
-        win = min(net.dim, max(_support(blk[0]), sw) + n * lower)
+        win = min(net.dim, max(s, sw) + n * lower)
         if w is not None:
             nxt[:, :win] = w[:win]
         else:
@@ -311,7 +316,7 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
 
 def _rk4_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     """Classical RK4 stages over ``net.rhs`` on every row, for an active sector channel."""
-    def advance(blk: np.ndarray, k0: int) -> int:
+    def advance(blk: np.ndarray, k0: int, s: int) -> int:
         for j in range(len(blk) - 1):
             k, x = k0 + j, blk[j]
             f1, f2, f4 = [None] * 3 if forcing is None else levels[:, k, None] * forcing
@@ -386,7 +391,9 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
 
     bound = BoundLyapunov(lyapunov, net) if lyapunov is not None else None
     shape = signal.shape(net)
-    forcing = _flush(net.input_matrix @ shape) if net.input_dim and signal.level else None
+    forcing = net.input_matrix @ shape if net.input_dim and signal.level else None
+    if forcing is not None:
+        _flush(forcing)
     levels = _stage_levels(signal, n_steps, step)
     stepper = _lti_stepper if net.nonlinearity is None else _rk4_stepper
     advance = stepper(net, step, forcing, levels)
@@ -422,8 +429,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
         while last < n_steps and not diverged:
             m = min(rows, n_steps - last)
             blk = buf[:m + 1]
-            _flush(blk[0])
-            win = advance(blk, last)
+            win = advance(blk, last, _flush(blk[0]))
             states[last:last + m + 1] = blk[:, :keep]  # a start row as flushed, the last not
             last, diverged = record(last + 1, blk[1:], win)
             buf[0] = blk[m]
@@ -567,12 +573,9 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
         net = truncate(fam, n)
         runs.append((n, integrate(net, initial_state(net, x0_desc), signal, horizon, step,
                                   keep=net.block_offsets[first_k]).states))
-    out = []
-    for (n1, s1), (n2, s2) in zip(runs, runs[1:]):
-        rows = min(s1.shape[0], s2.shape[0])
-        dev = _norm(s1[:rows] - s2[:rows]).max()
-        out.append({"n_small": n1, "n_large": n2, "max_deviation": float(dev)})
-    return out
+    return [{"n_small": n1, "n_large": n2,
+             "max_deviation": float(_norm(s1[:len(s2)] - s2[:len(s1)]).max())}
+            for (n1, s1), (n2, s2) in zip(runs, runs[1:])]
 
 
 # --------------------------------------------------------------------------

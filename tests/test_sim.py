@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sgain
 from sgain import (InsufficientDataError, LinearChain, ParameterError, Zero, fit_decay,
@@ -17,7 +19,7 @@ from sgain.certificate import CompositeLyapunov
 from sgain.errors import ResourceError
 from sgain.network import csr_matvec
 from sgain.sim import (BoundLyapunov, ConstantOnFirstK, GeometricProfile, SinusoidOnFirstK,
-                       TrafficLights, _flush, _norm, _stage_levels, export_csv,
+                       TrafficLights, _flush, _norm, _stage_levels, _support, export_csv,
                        signal_from_dict, verify_envelope)
 
 
@@ -308,6 +310,17 @@ class TestBlocks:
         starts = np.abs(traj.states[:-1:10])  # a block steps from its stored first row
         assert len(starts) == 5 and np.all((starts == 0) | (starts >= np.finfo(float).tiny))
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -600, -1.5, 1e300,
+                                     math.inf, -math.inf, math.nan]) | st.floats(),
+                    min_size=1, max_size=40))
+    def test_flush_returns_the_support_it_leaves(self, row):
+        x = np.array(row)
+        a = np.abs(x)
+        ref = x.copy()
+        ref[a < sgain.sim._FLUSH * a.max()] = 0.0
+        assert _flush(x) == _support(x)
+        assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+
 
 def _propagator(net, h):
     """``M = h A`` and RK4's stability polynomial ``R`` of ``M``, as CSR."""
@@ -323,8 +336,8 @@ def _full_stepping(net, x0, sig, horizon, h, rows):
     m, r = _propagator(net, h)
     n_steps = int(round(horizon / h))
     levels = _stage_levels(sig, n_steps, h)
-    f = (_flush(net.input_matrix @ sig.shape(net)) if net.input_dim and sig.level
-         else np.zeros(net.dim))
+    f = net.input_matrix @ sig.shape(net) if net.input_dim and sig.level else np.zeros(net.dim)
+    _flush(f)
     mf = m @ f
     m2f = m @ mf
     images = (h / 6.0) * np.array([f + mf + 0.5 * m2f + 0.25 * (m @ m2f),
@@ -357,10 +370,11 @@ def _chained_floats(net, h, fits=lambda rows, k: True):
 
 class _CountingKernel:
     def __init__(self, kernel):
-        self.kernel, self.calls = kernel, 0
+        self.kernel, self.calls, self.rows = kernel, 0, 0
 
     def __call__(self, *args):
         self.calls += 1
+        self.rows += args[0]  # the rows of the product this call forms
         return self.kernel(*args)
 
 
@@ -468,6 +482,8 @@ class TestSupportWindow:
         ("lure-platoon", 1200, GeometricProfile(1.0, 0.45)),
         ("traffic", 2500, GeometricProfile(1.0, 0.6)),
         ("chain-a", 2500, Zero()),
+        *(pytest.param(name, 2500, GeometricProfile(1.0, 0.7), id=f"{name}-2500-0.7")
+          for name in ("lure-platoon", "traffic")),  # where the floor narrows the window
     ], ids=lambda v: getattr(v, "kind", str(v)))
     def test_recorded_floats_ignore_blocking_and_flush(self, monkeypatch, name, n, sig):
         s = sgain.make_scenario(name)
@@ -475,15 +491,33 @@ class TestSupportWindow:
         lyap = CompositeLyapunov(cert, g)
         net = truncate(s.family, n)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-        runs = []
+        runs, floors = [], (sgain.sim._FLUSH, 2.0 ** -900, 0.0)
         for floats in (2 ** 15, 7 * net.dim, 3 * net.dim):
-            for floor in (2.0 ** -900, 0.0):
+            for floor in floors:
                 monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", floats)
                 monkeypatch.setattr(sgain.sim, "_FLUSH", floor)
                 runs.append(integrate(net, x0, sig, 0.2, 1e-3, lyapunov=lyap))
         for traj in runs[1:]:
             assert np.array_equal(traj.norm_p, runs[0].norm_p)
             assert np.array_equal(traj.v, runs[0].v)
+
+    def test_probe_ignores_the_floor(self, monkeypatch):
+        fam = sgain.make_scenario("traffic").family
+        args = (fam, {"kind": "first-k", "K": 5, "value": 1.0}, GeometricProfile(1.0, 0.7),
+                0.2, 1e-3, [1250, 2500], 5)
+        rows = truncation_convergence_probe(*args)
+        monkeypatch.setattr(sgain.sim, "_FLUSH", 2.0 ** -900)
+        assert truncation_convergence_probe(*args) == rows
+
+    def test_floor_narrows_the_window(self, monkeypatch):
+        """Lure-platoon at N = 2500 with input ratio 0.5 multiplies 21.2% of its
+        n_steps x dim rows at the floor 2^-500, and 37.2% at 2^-900."""
+        kernel = _CountingKernel(sgain.network.csr_matvec)
+        monkeypatch.setattr(sgain.network, "csr_matvec", kernel)
+        net = truncate(sgain.make_scenario("lure-platoon").family, 2500)
+        x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
+        integrate(net, x0, GeometricProfile(1.0, 0.5), 0.5, 1e-3)
+        assert kernel.rows < 0.25 * 500 * net.dim
 
     def test_stored_states_within_a_budget(self, monkeypatch):
         net = truncate(chain_gen(), 10)
