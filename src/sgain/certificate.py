@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, SmallGainViolatedError)
-from .gains import (GainData, PowerTable, SpectralBracket, adjoint_apply,
+from .gains import (K_MAX, GainData, PowerTable, SpectralBracket, adjoint_apply,
                     build_gain_operator, spectral_bracket)
 from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div, joint
 
@@ -162,7 +162,6 @@ class SmallGainCertificate:
     rho: Real
     bracket: SpectralBracket
     h_cap: Real | None = None
-    eta: EtaVector | None = None
     scan: CertificateReport | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
@@ -283,14 +282,12 @@ def build_certificate(g: GainData, bracket: SpectralBracket,
     lam_inf = (1 - r_tilde) * lam_lo
 
     # r_tilde >= upper >= ||Theta^k_used||_w^(1/k_used): the series closes by k_used.
-    eta_vec = neumann_eta(bracket.table, r_tilde)
-
-    eta = eta_vec.eta
+    eta = neumann_eta(bracket.table, r_tilde).eta
     mu = PeriodicSeq.tabulate(lambda i: exact_div(eta.at(i), g.lam.at(i)),
                               *joint(0, 1, eta, g.lam))
     cert = SmallGainCertificate(mu=mu, mu_lo=mu.min(), mu_hi=mu.max(),
                                 lambda_inf=lam_inf, r_tilde=r_tilde, rho=rho,
-                                bracket=bracket, eta=eta_vec)
+                                bracket=bracket)
     report = verify_certificate(cert, g)
     if not report.ok:
         raise InternalInconsistencyError(
@@ -299,12 +296,12 @@ def build_certificate(g: GainData, bracket: SpectralBracket,
     return dataclasses.replace(cert, scan=report)
 
 
-def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12):
+def certify(g: GainData, *, rho: Real | None = None, k_max: int = K_MAX):
     """End-to-end certification: bracket the spectral radius, cap rates
     when they are unbounded, and build a verified certificate.
 
-    Returns ``(certificate, gain data actually certified, operator,
-    bracket)``.  Raises :class:`SmallGainViolatedError` when the bracket
+    Returns ``(certificate, gain data actually certified)``; the bracket is
+    the certificate's.  Raises :class:`SmallGainViolatedError` when the bracket
     refutes or fails to establish the condition for bounded rates, and
     :class:`CannotCertifyError` when no cap in the doubling schedule
     certifies.  Caps double from ``2 max(1, ceil(inf lambda))`` (from the midpoint
@@ -323,11 +320,9 @@ def certify(g: GainData, *, rho: Real | None = None, k_max: int = 12):
         caps = [c for c in caps if c < lam_hi] or caps[:1]  # a cap >= sup stays aperiodic
     for h in caps:
         gh = g if h is None else cap_decay_rates(g, h)
-        op = build_gain_operator(gh)
-        bracket = spectral_bracket(op, k_max=k_max)
+        bracket = spectral_bracket(build_gain_operator(gh), k_max=k_max)
         if h is None or bracket.satisfied:
-            cert = build_certificate(gh, bracket, rho)
-            return dataclasses.replace(cert, h_cap=h), gh, op, bracket
+            return dataclasses.replace(build_certificate(gh, bracket, rho), h_cap=h), gh
     exc = CannotCertifyError("no cap in the doubling schedule satisfied the small-gain "
                              f"condition (last upper {float(bracket.upper):g})")
     exc.bracket = bracket

@@ -119,8 +119,8 @@ class Family:
     def derive_gains(self, derivation: Mapping) -> GainData:
         raise NotImplementedError
 
-    def report_notes(self, derivation: Mapping) -> dict:
-        """Family-specific entries of a pipeline report's gain summary."""
+    def report_notes(self, gains: GainData) -> dict:
+        """Family-specific entries of a report's gain summary, read off the derived gains."""
         return {}
 
 
@@ -137,11 +137,6 @@ class LinearChain(Family):
     def __post_init__(self):
         if self.diag.min() <= 0:
             raise ParameterError("diagonal coefficients b_ii must be positive")
-
-    @staticmethod
-    def uniform(b_diag: Real, b_off: Real) -> "LinearChain":
-        off = PeriodicSeq.constant(b_off)
-        return LinearChain(diag=PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
     def blocks(self, i: int):  # (-b_ii, {-1: b_i(i-1), 1: b_i(i+1)} less zeros, B_i = 0)
         b_sub = 0 if i == 1 else self.sub.at(i)
@@ -237,14 +232,14 @@ class LureBanded(Family):
                 for key, attr in _LURE_MATRICES}
         return cls(**mats, sector_l=as_number(coeff["sector"][0]),
                    sector_r=as_number(coeff["sector"][1]),
-                   phi=coeff.get("phi", "midpoint-linear"))
+                   phi=coeff.get("phi", cls.phi))
 
     def derive_gains(self, derivation):
         try:
             m, kappa, eps = derivation["M"], derivation["kappa"], derivation["eps"]
         except KeyError as exc:
             raise ParameterError(f"missing derivation parameter {exc}") from None
-        return derive_gains_lure(self, m, kappa, eps, derivation.get("tau", 1.0))
+        return derive_gains_lure(self, m, kappa, eps, derivation.get("tau"))
 
 
 # Traffic cell classes: neighbor offsets, exit multiplier (times e), and
@@ -323,9 +318,9 @@ class Traffic(Family):
     def derive_gains(self, derivation):
         return derive_gains_traffic(self, derivation.get("eps"))
 
-    def report_notes(self, derivation):
+    def report_notes(self, gains):
         return {"traffic_sufficient_condition": traffic_small_gain_sufficient(
-            self, derivation.get("eps", Fraction(1, 10)))}
+            self, gains.free_params["eps"])}
 
 
 @dataclass(frozen=True)

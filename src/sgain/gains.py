@@ -222,11 +222,11 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau):
     return worst <= LMI_TOL * (1.0 + scale), worst
 
 
-def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainData:
+def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=None) -> GainData:
     """Gains for the sector-bounded family from a user-supplied certificate.
 
     The caller provides the quadratic-form matrix M, the decay rate kappa
-    certified by :func:`check_lure_lmi`, and the Young split eps.  Its form
+    certified by :func:`check_lure_lmi` (tau 1 when None), and the Young split eps.  Its form
     ``V_i = x_i'M x_i`` states the coercivity constants ``lambda_min(M)`` and
     ``lambda_max(M)`` (:attr:`QuadraticForm.alpha`), and
 
@@ -239,6 +239,7 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=1.0) -> GainDat
     """
     m = np.array([[float(as_number(x, "'M'")) for x in row]
                   for row in np.atleast_2d(np.asarray(m_matrix, dtype=object))])
+    tau = 1 if tau is None else tau
     kappa, eps, tau = (float(as_number(v, repr(k)))
                        for k, v in (("kappa", kappa), ("eps", eps), ("tau", tau)))
     if m.shape != (fam.n, fam.n) or not np.allclose(m, m.T, atol=1e-12):
@@ -280,7 +281,7 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     give ``lambda_i = -2 (A_ii + 2 eps_i) = 2 (v_i/l_i + e_i - 2 eps_i)``,
     the aggregated neighbor gain ``gamma_ij = ||D_i||^2 / (2 eps_i)`` for
     every j in the cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``,
-    all read off the cell's blocks.
+    all read off the cell's blocks.  eps is 1/10 when None.
     """
     eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
     if eps_r.min() <= 0:
@@ -320,6 +321,7 @@ def traffic_small_gain_sufficient(fam: Traffic, eps) -> float:
 # The gain operator
 # --------------------------------------------------------------------------
 
+K_MAX = 12  # default largest power k of the Gelfand upper bounds
 BAND_BUDGET = 4096  # most diagonals the band of a computed power Psi^k may span
 SECTION_CAP = 64  # most rows of the leading section behind the lower bound
 START_SCALE, START_FLOOR = 10 ** 6, 10 ** 3  # start vector max(ceil(S x), F), x the Perron vector
@@ -509,7 +511,7 @@ def _certified_root(s: Real, k: int) -> float:
     return math.inf
 
 
-def spectral_bracket(psi: PeriodicRows, k_max: int = 12) -> SpectralBracket:
+def spectral_bracket(psi: PeriodicRows, k_max: int = K_MAX) -> SpectralBracket:
     """Bracket the l1 spectral radius of the gain operator.
 
     One eigen-solve of the period symbol gives its Perron vector x: the

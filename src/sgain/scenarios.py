@@ -30,7 +30,7 @@ from .certificate import (CompositeLyapunov, SmallGainCertificate, certify,
 from .errors import (CannotCertifyError, ParameterError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import Family, generator_from_dict
-from .gains import AssumptionReport, GainData, check_assumptions
+from .gains import K_MAX, AssumptionReport, GainData, check_assumptions
 from .seqrules import PeriodicSeq, as_integer, as_object, load_json, number_at
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
@@ -143,15 +143,15 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     instead, and returns None."""
     if stored is None:
         try:
-            cert, g_used, _, bracket = certify(
+            cert, g_used = certify(
                 g, rho=number_at(analysis, "rho"),
-                k_max=as_integer(number_at(analysis, "k_max", 12), "'analysis.k_max'"))
+                k_max=as_integer(number_at(analysis, "k_max", K_MAX), "'analysis.k_max'"))
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:
                 report["bracket"] = exc.bracket.to_dict()
             return None
-        report["bracket"] = bracket.to_dict()
+        report["bracket"] = cert.bracket.to_dict()
         report["certificate"] = cert.to_dict()
         scan = cert.scan  # the build's own scan
     else:
@@ -180,7 +180,7 @@ def run_pipeline(s: ExampleScenario, seed: int = 0) -> dict:
                     "notes": s.notes}
     try:
         g, assumptions = derive_and_check(s.family, s.derivation, report)
-        report["gains"].update(s.family.report_notes(s.derivation))
+        report["gains"].update(s.family.report_notes(g))
         if not assumptions.ok:
             return _conclude(report, s, Outcome("reject-assumption", assumptions.failed[0]))
         lyap = certify_gains(g, {}, report)

@@ -77,9 +77,6 @@ class InputSignal:
     def unit(self, t: float) -> float:
         return 1.0
 
-    def sup_norm(self, net: TruncatedNetwork) -> float:
-        return abs(self.level) * float(_norm(self.shape(net)))
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
 
@@ -165,7 +162,8 @@ SIGNALS: dict[str, type[InputSignal]] = {
 
 
 def signal_from_dict(obj: Mapping) -> InputSignal:
-    kind = as_object(obj, "an input signal").get("kind", "zero")
+    obj = {k: v for k, v in as_object(obj, "an input signal").items() if v is not None}
+    kind = obj.get("kind", "zero")  # a null entry, as an absent one, takes its default
     if not isinstance(kind, str) or kind not in SIGNALS:
         raise ParameterError(f"unknown input signal kind {kind!r}")
     cls = SIGNALS[kind]
@@ -183,7 +181,8 @@ def signal_from_dict(obj: Mapping) -> InputSignal:
 
 
 def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
-    """x0 from a descriptor (zero / unit / first-k) or a list of numbers read by as_number."""
+    """x0 from a descriptor object (zero / unit / first-k; None is the zero state) or a
+    list of numbers read by as_number.  A null entry, as an absent one, takes its default."""
     if isinstance(desc, list | tuple):
         desc = [float(as_number(v, "'x0'")) for v in np.asarray(desc, dtype=object).ravel()]
     if isinstance(desc, np.ndarray | list):
@@ -191,6 +190,9 @@ def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
         if x0.size != net.dim:
             raise ShapeError(f"x0 has dimension {x0.size}, network needs {net.dim}")
         return x0
+    if desc is not None and not isinstance(desc, Mapping):
+        raise ParameterError(f"'x0' must be an object or a list, got {desc!r}")
+    desc = {k: v for k, v in (desc or {}).items() if v is not None}
     kind = desc.get("kind", "zero")
     x0 = np.zeros(net.dim)
     if kind == "zero":
@@ -343,12 +345,6 @@ class BoundLyapunov:
         self._cross = [(a, b, 2.0 * p[a, b] * self.weights)  # 2 P_ab mu_i, a < b
                        for a, b in zip(*np.triu_indices(len(p), 1)) if p[a, b]]
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        if x.shape[1] != self.net.dim:
-            raise ShapeError(f"state has dimension {x.shape[1]}, network needs {self.net.dim}")
-        return float(self.leading(x, x * x)[0])
-
     def leading(self, x: np.ndarray, sq: np.ndarray) -> np.ndarray:
         """V of rows zero past the columns of ``x`` (whole blocks), given ``sq = x * x``."""
         d, cols = self.net.block_dim, x.shape[1]
@@ -401,7 +397,8 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     ts = np.concatenate(([0.0], np.arange(n_steps) * step + step))
     norms = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1) if bound is not None else None
-    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * _norm(shape)
+    shape_norm = _norm(shape)  # the input norm at waveform 1
+    u_norms = np.abs(np.concatenate((levels[0, :1], levels[2]))) * shape_norm
     rows = max(1, _BLOCK_FLOATS // net.dim)
     states = np.empty((n_steps + 1, keep))
     buf = np.empty((rows + 1, net.dim))
@@ -437,7 +434,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     return TrajectoryRecord(
         t=ts[sl], states=states[sl] if keep else None,
         norm_p=norms[sl], v=vs[sl] if vs is not None else None,
-        u_norm=u_norms[sl], u_sup_norm=signal.sup_norm(net),
+        u_norm=u_norms[sl], u_sup_norm=abs(signal.level) * float(shape_norm),
         step=step, diverged=diverged)
 
 
@@ -601,7 +598,7 @@ def build_sim(fam: Family, sim: Mapping) -> SimSetup:
     net = truncate(fam, as_integer(number_at(sim, "N", 100), "'sim.N'"))
     try:
         signal = signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
-        x0 = initial_state(net, sim.get("x0") or {"kind": "zero"})
+        x0 = initial_state(net, sim.get("x0"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed 'sim' entry: {exc}") from None
     return SimSetup(net=net, signal=signal, x0=x0, horizon=float(number_at(sim, "T", 10.0)),

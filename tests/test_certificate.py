@@ -23,7 +23,8 @@ from sgain.sim import BoundLyapunov
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
-    return LinearChain.uniform(b_diag, b_off)
+    off = PeriodicSeq.constant(b_off)
+    return LinearChain(diag=PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
 
 def unbounded_rate_gains(gamma=Fraction(1, 20)):
@@ -73,7 +74,7 @@ class TestCapDecayRates:
         """The default first cap 2 max(1, ceil(inf)) = 2 equals the sup of
         2 - 1/i; the schedule starts at the midpoint 3/2 of inf and sup."""
         lam = ClosedFormSeq(fn=lambda i: 2 - Fraction(1, i), inf=1, sup=2, nondecreasing=True)
-        cert, g_used, *_ = certify(dataclasses.replace(unbounded_rate_gains(), lam=lam))
+        cert, g_used = certify(dataclasses.replace(unbounded_rate_gains(), lam=lam))
         assert cert.h_cap == Fraction(3, 2)
         assert g_used.lam == PeriodicSeq((1,), (Fraction(3, 2),))
         assert cert.lambda_inf > 0 and cert.scan.ok
@@ -150,12 +151,12 @@ class TestBuildCertificate:
         Perron vector brings the upper bound under one."""
         s = sgain.make_scenario("traffic", {"coefficients": {"c": Fraction("0.323")}})
         g = s.family.derive_gains(s.derivation)
-        cert, g_used, op, bracket = certify(g)
-        assert 0.98 < bracket.lower <= bracket.upper < 1
+        cert, g_used = certify(g)
+        assert 0.98 < cert.bracket.lower <= cert.bracket.upper < 1
         assert cert.scan.ok and verify_certificate(cert, g).ok
 
     def test_chain_reference_certificate(self, chain_certified):
-        cert, g_used, op, bracket = chain_certified
+        cert, g_used = chain_certified
         assert cert.r_tilde == Fraction(5, 32)
         assert cert.lambda_inf == Fraction(27, 20)
         assert cert.h_cap is None
@@ -170,7 +171,7 @@ class TestBuildCertificate:
 
     def test_decoupled_certificate(self):
         g = derive_gains_linear_chain(chain_gen(b_off=0), Fraction(1, 10), Fraction(1, 10))
-        cert, *_ = certify(g)
+        cert, _ = certify(g)
         assert float(cert.r_tilde) <= 0.1 + 1e-12
         assert cert.lambda_inf == (1 - cert.r_tilde) * g.lam.lower()
         # mu proportional to 1/lambda for uniform rates
@@ -182,7 +183,7 @@ class TestBuildCertificate:
             certify(g)
 
     def test_mu_floor_bound(self, chain_certified):
-        cert, g_used, *_ = chain_certified
+        cert, g_used = chain_certified
         lam_hi = g_used.lam.max()
         floor = (1 / cert.r_tilde) / lam_hi
         assert cert.mu_lo >= floor
@@ -190,12 +191,12 @@ class TestBuildCertificate:
 
 class TestVerifyCertificate:
     def test_emitted_certificate_passes(self, chain_certified):
-        cert, g_used, *_ = chain_certified
+        cert, g_used = chain_certified
         rep = verify_certificate(cert, g_used)
         assert rep.ok and rep.exhaustive and rep.worst_margin <= rep.tol
 
     def test_brute_force_scan_500_indices(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         m = g.gamma.bandwidth
         worst = -math.inf
         for i in range(1, 501):
@@ -209,7 +210,7 @@ class TestVerifyCertificate:
 
     def test_fresh_certificate_is_scanned_once(self, traffic_gains, monkeypatch):
         from sgain import scenarios
-        cert, g_used, *_ = certify(traffic_gains)
+        cert, g_used = certify(traffic_gains)
         assert cert.scan.ok and cert.scan == verify_certificate(cert, g_used)
         scans = []
         monkeypatch.setattr(scenarios, "verify_certificate",
@@ -223,7 +224,7 @@ class TestVerifyCertificate:
         assert len(scans) == 1  # a stored certificate is scanned
 
     def test_tampered_certificate_fails(self, chain_certified):
-        cert, g_used, *_ = chain_certified
+        cert, g_used = chain_certified
         bad = dataclasses.replace(cert, lambda_inf=2 * cert.lambda_inf)
         rep = verify_certificate(bad, g_used)
         assert not rep.ok and rep.worst_margin > 0
@@ -235,13 +236,13 @@ class TestVerifyCertificate:
     def test_mu_outside_its_bounds_fails_the_scan(self, chain_certified, tamper):
         """V's coercivity rests on ``mu_lo <= mu_i <= mu_hi``: the scan refuses
         a mu outside the bounds its certificate states."""
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         assert not verify_certificate(tamper(cert), g).ok
 
     def test_exact_scan_has_no_tolerance(self, chain_certified):
         # Raise lambda_inf until the largest exact margin is +6e-10: an exact
         # certificate is scanned with tolerance 0, so the scan must fail.
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         assert isinstance(cert.lambda_inf, Fraction)
         m, target = g.gamma.bandwidth, Fraction(6, 10 ** 10)
 
@@ -278,7 +279,7 @@ class TestVerifyCertificate:
 class TestStepFiveCap:
     def test_unbounded_rates_certify_and_transfer(self):
         g = unbounded_rate_gains()
-        cert, g_capped, op, bracket = certify(g)
+        cert, g_capped = certify(g)
         assert cert.h_cap is not None
         assert isinstance(g_capped.lam, PeriodicSeq)
         assert g_capped.lam.max() <= cert.h_cap
@@ -289,7 +290,7 @@ class TestStepFiveCap:
 
     def test_capped_rates_pointwise(self):
         g = unbounded_rate_gains()
-        cert, g_capped, *_ = certify(g)
+        cert, g_capped = certify(g)
         h = cert.h_cap
         for i in range(1, 50):
             assert g_capped.lam.at(i) == min(1 + i, h)
@@ -324,36 +325,37 @@ class TestRandomizedSoundness:
 
 class TestCompositeLyapunov:
     def test_zero_state(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
-        assert BoundLyapunov(lyap, net).value(np.zeros(10)) == 0.0
+        x = np.zeros((1, 10))
+        assert BoundLyapunov(lyap, net).leading(x, x * x)[0] == 0.0
 
     def test_unit_vector_value(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
-        e1 = np.zeros(10)
-        e1[0] = 1.0
-        assert BoundLyapunov(lyap, net).value(e1) == pytest.approx(float(cert.mu.at(1)) * 0.5)
+        e1 = np.zeros((1, 10))
+        e1[0, 0] = 1.0
+        v = BoundLyapunov(lyap, net).leading(e1, e1 * e1)[0]
+        assert v == pytest.approx(float(cert.mu.at(1)) * 0.5)
 
     def test_coercivity_on_unit_sphere(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 20)
         rng = np.random.default_rng(5)
         lo, hi = float(cert.mu_lo) / 2, float(cert.mu_hi) / 2
         bound = BoundLyapunov(lyap, net)
-        for _ in range(200):
-            x = rng.standard_normal(20)
-            x /= np.linalg.norm(x)
-            v = bound.value(x)
-            assert lo - 1e-12 <= v <= hi + 1e-12
+        x = rng.standard_normal((200, 20))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        v = bound.leading(x, x * x)
+        assert np.all((lo - 1e-12 <= v) & (v <= hi + 1e-12))
 
     @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
     def test_quadratic_form_matches_block_diagonal(self, name):
         s = sgain.make_scenario(name)
-        cert, g, *_ = certify(s.family.derive_gains(s.derivation))
+        cert, g = certify(s.family.derive_gains(s.derivation))
         lyap, m = CompositeLyapunov(cert, g), g.vform.matrix()
         rng = np.random.default_rng(17)
         for n in (1, 7, 100):
@@ -362,26 +364,28 @@ class TestCompositeLyapunov:
             assert np.array_equal(bound.weights, mu), n
             ref = sp.block_diag([w * m for w in mu], format="csr")
             for _ in range(20):
-                x = rng.standard_normal(n * m.shape[0])
-                assert bound.value(x) == pytest.approx(x @ (ref @ x), rel=4e-15, abs=0), n
+                x = rng.standard_normal((1, n * m.shape[0]))
+                assert bound.leading(x, x * x)[0] == pytest.approx(
+                    x[0] @ (ref @ x[0]), rel=4e-15, abs=0), n
 
     def test_dimension_mismatch(self, chain_certified):
-        cert, g, *_ = chain_certified
+        """V is only taken along a run, and a run refuses a state of the wrong size."""
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = sgain.truncate(chain_gen(), 10)
         with pytest.raises(ShapeError):
-            BoundLyapunov(lyap, net).value(np.zeros(7))
+            sgain.integrate(net, np.zeros(7), horizon=1e-3, step=1e-3, lyapunov=lyap)
 
 
 class TestEnvelope:
     def test_zero_input_envelope(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap, eps = CompositeLyapunov(cert, g), float(cert.lambda_inf) / 2
         assert lyap.chi(0.0, eps) == 0.0
         assert lyap.envelope_v(0.0, 3.0, 0.0, eps) == pytest.approx(3.0)
 
     def test_gain_blows_up_toward_lambda_inf(self, traffic_certified):
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         lyap = CompositeLyapunov(cert, g)
         lam = float(cert.lambda_inf)
         chis = [lyap.chi(1.0, f * lam) for f in (0.5, 0.9, 0.99, 0.999)]
@@ -393,7 +397,7 @@ class TestEnvelope:
                 lyap.envelope_norm(0.0, 1.0, 0.0, eps)
 
     def test_traffic_chi_formula(self, traffic_certified):
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         lyap = CompositeLyapunov(cert, g)
         lam = float(cert.lambda_inf)
         expected = 2 * float(cert.mu_hi) * float(g.gamma_u.upper()) / lam
@@ -404,7 +408,7 @@ class TestSerialization:
     def test_round_trip_verifies(self, traffic_certified):
         import json
         from sgain import certificate_from_dict
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         back = certificate_from_dict(json.loads(json.dumps(cert.to_dict())))
         rep = verify_certificate(back, g)
         assert rep.ok
@@ -413,7 +417,7 @@ class TestSerialization:
     def test_certificate_without_lower_from_still_loads(self, traffic_certified):
         import json
         from sgain import certificate_from_dict
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         old = json.loads(json.dumps(cert.to_dict()))
         del old["bracket"]["lower_from"]
         old["bracket"].update(n_used=64, lower_converged=True)

@@ -475,6 +475,63 @@ class TestExitCodes:
         assert summary["samples"] > 2 and summary["decay_fit"] is None
 
 
+class TestNullMeansDefault:
+    """A null entry takes its default, as an absent one does; ``x0`` is an
+    object or a list."""
+
+    def test_traffic_eps_null_is_the_default(self, run_main, tmp_path):
+        reports = []
+        for k, overrides in enumerate(({}, {"derivation": {"eps": None}})):
+            cfg = _write(tmp_path / f"{k}.json", {**overrides, "sim": FAST_SIM})
+            out = tmp_path / str(k)
+            assert run_main(["scenario", "traffic", "--config", cfg, "--out", out]) == (0, "")
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[1]["gains"]["traffic_sufficient_condition"] == 0.25
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("derivation", [{"tau": None}, {}], ids=["null", "absent"])
+    def test_lure_tau_null_is_the_default(self, run_main, tmp_path, derivation):
+        s = sgain.make_scenario("lure-platoon")
+        base = {k: v for k, v in s.derivation.items() if k != "tau"}
+        for name, tau in (("a", {"tau": 1.0}), ("b", derivation)):
+            cfg = _write(tmp_path / f"{name}.json", {"network": {"scenario": "lure-platoon"},
+                                                     "derivation": {**base, **tau}})
+            assert run_main(["certify", "--config", cfg, "--out", tmp_path / name]) == (0, "")
+        assert ((tmp_path / "a" / "certificate.json").read_bytes()
+                == (tmp_path / "b" / "certificate.json").read_bytes())
+
+    @staticmethod
+    def _x0_runs(tmp_path, x0):
+        """``simulate`` and ``scenario`` argv on chain-a with ``sim.x0`` set."""
+        sim = {**FAST_SIM, "x0": x0}
+        sim_cfg = _write(tmp_path / "sim.json", {"network": {"scenario": "chain-a"}, "sim": sim})
+        over = _write(tmp_path / "over.json", {"sim": sim})
+        return [["simulate", "--config", sim_cfg, "--out", tmp_path / "a"],
+                ["scenario", "chain-a", "--config", over, "--out", tmp_path / "b"]]
+
+    @pytest.mark.parametrize("x0", [0, False, ""], ids=["zero", "false", "empty-string"])
+    def test_x0_neither_object_nor_list_is_input_error(self, run_main, tmp_path, x0):
+        for argv in self._x0_runs(tmp_path, x0):
+            code, err = run_main(argv)
+            assert code == 1 and err.startswith("error:") and "'x0'" in err, (argv, err)
+
+    def test_empty_x0_list_is_input_error(self, run_main, tmp_path):
+        for argv in self._x0_runs(tmp_path, []):
+            assert run_main(argv) == (1, "error: x0 has dimension 0, network needs 20\n"), argv
+
+    @pytest.mark.parametrize("x0", [{}, None], ids=["empty-object", "null"])
+    def test_empty_or_null_x0_is_the_zero_state(self, run_main, tmp_path, x0):
+        runs = []
+        for name, value in (("zero", {"kind": "zero"}), ("x", x0)):
+            cfg = _write(tmp_path / f"{name}.json", {"network": {"scenario": "chain-a"},
+                                                     "sim": {**FAST_SIM, "x0": value}})
+            out = tmp_path / name
+            assert run_main(["simulate", "--config", cfg, "--out", out]) == (0, "")
+            runs.append([(out / f).read_bytes() for f in ("summary.json", "trajectory.csv")])
+        assert runs[1] == runs[0]
+        assert json.loads(runs[1][0])["final_norm_p"] == 0.0
+
+
 class TestHarness:
     def test_child_imports_sgain_under_test(self, cli_env, tmp_path):
         r = subprocess.run([sys.executable, "-c", "import sgain; print(sgain.__file__)"],
@@ -526,18 +583,21 @@ class TestGoldenOutputs:
 
 
 class TestOnePipeline:
-    @pytest.mark.parametrize("name", ["chain-a", "traffic", "lure-platoon"])
-    def test_certify_agrees_with_scenario_report(self, run_main, tmp_path, name):
-        fast = _write(tmp_path / "fast.json", {"sim": FAST_SIM})
-        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": name}})
+    @pytest.mark.parametrize("name, overrides", [
+        ("chain-a", {}), ("traffic", {}), ("lure-platoon", {}),
+        ("traffic", {"derivation": {"eps": None}})],
+        ids=["chain-a", "traffic", "lure-platoon", "traffic-eps-null"])
+    def test_certify_agrees_with_scenario_report(self, run_main, tmp_path, name, overrides):
+        fast = _write(tmp_path / "fast.json", {**overrides, "sim": FAST_SIM})
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": name, "overrides": overrides}})
         assert run_main(["scenario", name, "--config", fast, "--out", tmp_path / "s"]) == (0, "")
         assert run_main(["certify", "--config", cfg, "--out", tmp_path / "c"]) == (0, "")
         report = json.loads((tmp_path / "s" / "report.json").read_text())
         cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
         for key in ("assumptions", "bracket", "certificate", "verification"):
             assert cert[key] == report[key], key
-        s = sgain.make_scenario(name)
-        notes = s.family.report_notes(s.derivation)
+        s = sgain.make_scenario(name, overrides)
+        notes = s.family.report_notes(s.family.derive_gains(s.derivation))
         assert cert["gains"] == {k: v for k, v in report["gains"].items() if k not in notes}
 
     def test_series_length_key_is_unread(self, run_main, tmp_path):

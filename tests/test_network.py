@@ -20,7 +20,8 @@ from test_sim import _rhs
 
 
 def chain_gen(b_diag=1, b_off="0.1"):
-    return LinearChain.uniform(b_diag, b_off)
+    off = PeriodicSeq.constant(b_off)
+    return LinearChain(diag=PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
 
 def traffic_gen():

@@ -24,7 +24,8 @@ from sgain.sim import (BoundLyapunov, ConstantOnFirstK, GeometricProfile, Sinuso
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
-    return LinearChain.uniform(b_diag, b_off)
+    off = sgain.PeriodicSeq.constant(b_off)
+    return LinearChain(diag=sgain.PeriodicSeq.constant(b_diag), sub=off, sup=off)
 
 
 def scalar_net():
@@ -83,6 +84,15 @@ class TestInitialState:
         with pytest.raises(ParameterError, match="'value'"):
             initial_state(net, {"kind": "unit", "index": 2, "value": Fraction(10) ** 400})
 
+    def test_null_and_absent_entries_take_their_defaults(self):
+        net = truncate(chain_gen(), 3)
+        for desc in (None, {}, {"kind": None}):
+            assert initial_state(net, desc).tolist() == [0.0] * 3
+        assert initial_state(net, {"kind": "first-k", "K": 2, "value": None}).tolist() == [1, 1, 0]
+        for bad in (0, False, "", "zero", 1.5):
+            with pytest.raises(ParameterError, match="'x0' must be an object or a list"):
+                initial_state(net, bad)
+
 
 class TestNorms:
     def test_examples(self):
@@ -117,7 +127,7 @@ class TestSignals:
         gen = sgain.make_scenario("counter-gain").family  # one channel per subsystem
         net = truncate(gen, 12)
         sig = make()
-        sup = sig.sup_norm(net)
+        sup = integrate(net, np.zeros(net.dim), sig, horizon=1e-3, step=1e-3).u_sup_norm
         for t in np.linspace(0.0, 7.0, 113):
             assert np.linalg.norm(sig.level * sig.unit(float(t)) * sig.shape(net)) <= sup + 1e-12
 
@@ -125,7 +135,26 @@ class TestSignals:
         net = truncate(sgain.make_scenario("traffic").family, 16)
         assert net.input_dim == 4  # cells 4, 5, 12, 13
         sig = ConstantOnFirstK(16, 1.0)
-        assert sig.sup_norm(net) == pytest.approx(2.0)
+        traj = integrate(net, np.zeros(net.dim), sig, horizon=1e-3, step=1e-3)
+        assert traj.u_sup_norm == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("make", [Zero, lambda: GeometricProfile(1.0, 0.5),
+                                      lambda: TrafficLights(1.0, 2.0, 1.0)])
+    def test_one_shape_per_run(self, monkeypatch, make):
+        """A run forms its signal's shape once: the applied input and every
+        input norm, u_sup_norm included, are read off that one array."""
+        sig, calls = make(), []
+        shape = type(sig).shape
+        monkeypatch.setattr(type(sig), "shape",
+                            lambda self, net: calls.append(net) or shape(self, net))
+        net = truncate(sgain.make_scenario("traffic").family, 16)
+        integrate(net, np.zeros(net.dim), sig, horizon=0.01, step=1e-3)
+        assert len(calls) == 1
+
+    def test_null_entries_take_their_defaults(self):
+        assert signal_from_dict({"kind": None}) == Zero()
+        lights = {"kind": "traffic-lights", "t_on": 1, "t_off": 2}
+        assert signal_from_dict({**lights, "amplitude": None}) == signal_from_dict(lights)
 
     def test_round_trip(self):
         for obj in ({"kind": "zero"},
@@ -258,7 +287,7 @@ class TestBlocks:
     def test_divergence_across_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(sgain.sim, "_BLOCK_FLOATS", 4000)  # 400 rows of 10 states
         monkeypatch.setattr(sgain.sim, "_BLOW_UP", 1e100)
-        net = truncate(LinearChain.uniform(1, 10), 10)
+        net = truncate(chain_gen(1, 10), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         ref = _stagewise_rk4(net, x0, Zero(), 100.0, 0.1, blow_up=1e100)
         assert 400 < len(ref) - 1 < 800  # the blow-up falls in the second block,
@@ -273,7 +302,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("keep", [10, 0])
     def test_partial_last_block(self, monkeypatch, chain_certified, keep):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -289,7 +318,7 @@ class TestBlocks:
             assert np.array_equal(traj.states, whole.states)
 
     def test_far_field_flush_moves_no_recorded_float(self, monkeypatch, platoon_gains):
-        cert, g, *_ = sgain.certify(platoon_gains)
+        cert, g = sgain.certify(platoon_gains)
         lyap = CompositeLyapunov(cert, g)
         net = truncate(sgain.make_scenario("lure-platoon").family, 1200)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -386,7 +415,7 @@ class TestChainedSteps:
                                      SinusoidOnFirstK(4, -0.8, 3.0)], ids=lambda s: s.kind)
     def test_chain_steps_what_one_step_calls_do(self, monkeypatch, name, n, sig):
         s = sgain.make_scenario(name)
-        cert, g, *_ = sgain.certify(s.family.derive_gains(s.derivation))
+        cert, g = sgain.certify(s.family.derive_gains(s.derivation))
         lyap = CompositeLyapunov(cert, g)
         net = truncate(s.family, n)
         floats, rows, k = _chained_floats(net, 1e-3)
@@ -404,7 +433,7 @@ class TestChainedSteps:
         assert np.array_equal(traj.v, bound.leading(ref, ref * ref))
 
     def test_divergence_inside_a_chained_group(self, monkeypatch):
-        net = truncate(LinearChain.uniform(1, 10), 10)
+        net = truncate(chain_gen(1, 10), 10)
         x0 = initial_state(net, {"kind": "first-k", "K": 10, "value": 1e-300})
         args = (net, x0, Zero(), 100.0, 0.1)  # a RuntimeWarning fails the suite
         monkeypatch.setattr(sgain.sim, "_BLOW_UP", 1e100)
@@ -487,7 +516,7 @@ class TestSupportWindow:
     ], ids=lambda v: getattr(v, "kind", str(v)))
     def test_recorded_floats_ignore_blocking_and_flush(self, monkeypatch, name, n, sig):
         s = sgain.make_scenario(name)
-        cert, g, *_ = sgain.certify(s.family.derive_gains(s.derivation))
+        cert, g = sgain.certify(s.family.derive_gains(s.derivation))
         lyap = CompositeLyapunov(cert, g)
         net = truncate(s.family, n)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -535,7 +564,7 @@ class TestSupportWindow:
 
 class TestDissipation:
     def test_certified_chain_no_violations(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 50)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -544,7 +573,7 @@ class TestDissipation:
         assert rep.ok and rep.n_checked == 5000
 
     def test_zero_input_v_nonincreasing(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 50)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -552,7 +581,7 @@ class TestDissipation:
         assert np.all(np.diff(traj.v) <= 1e-12)
 
     def test_corrupted_rate_reports_violations(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 30)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -567,7 +596,7 @@ class TestDissipation:
         """One ulp of V over h does not shrink with h: the rounding term
         keeps a certified network from failing the check at tiny steps."""
         s = sgain.make_scenario("lure-platoon")
-        lyap = CompositeLyapunov(*sgain.certify(platoon_gains)[:2])
+        lyap = CompositeLyapunov(*sgain.certify(platoon_gains))
         net = truncate(s.family, n)
         x0 = initial_state(net, s.sim["x0"])
         sig = signal_from_dict(s.sim["input"])
@@ -578,7 +607,7 @@ class TestDissipation:
         assert 0 < rep.n_rounding <= 200
 
     def test_rounding_term_absent_at_ordinary_steps(self, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 20)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -587,7 +616,7 @@ class TestDissipation:
         assert rep.to_dict()["tol_coefficient"] == 20.0
 
     def test_forced_traffic_envelope_and_dissipation(self, traffic_certified):
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(sgain.make_scenario("traffic").family, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -597,7 +626,7 @@ class TestDissipation:
         assert verify_envelope(traj, lyap).ok
 
     def test_norm_level_envelope(self, traffic_certified):
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(sgain.make_scenario("traffic").family, 60)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
@@ -615,10 +644,10 @@ class TestCoercivity:
 
     @pytest.mark.parametrize("n", [1, 3, 16, 40])
     def test_interval_of_the_truncations_own_mu(self, traffic_scenario, traffic_certified, n):
-        cert, g, *_ = traffic_certified
+        cert, g = traffic_certified
         lyap = CompositeLyapunov(cert, g)
         bound = BoundLyapunov(lyap, truncate(traffic_scenario.family, n))
-        v = [bound.value(x) for x in np.eye(n)]  # V(e_i) = mu_i / 2
+        v = bound.leading(np.eye(n), np.eye(n)).tolist()  # V(e_i) = mu_i / 2
         head = [float(m) for m in cert.mu.head(n)]
         assert [min(v), max(v)] == [0.5 * min(head), 0.5 * max(head)]
         bounds = [lyap.coercivity_lo, lyap.coercivity_hi]
@@ -627,11 +656,12 @@ class TestCoercivity:
         assert g.vform.alpha == (0.5, 0.5)
 
     def test_lure_interval_meets_its_bounds(self, platoon_scenario, platoon_gains):
-        lyap = CompositeLyapunov(*sgain.certify(platoon_gains)[:2])
+        lyap = CompositeLyapunov(*sgain.certify(platoon_gains))
         bound = BoundLyapunov(lyap, truncate(platoon_scenario.family, 10))
         alpha_lo, alpha_hi = platoon_gains.vform.alpha
         _, vecs = np.linalg.eigh(platoon_gains.vform.matrix())
-        lo, hi = ([bound.value(np.kron(e, vec)) for e in np.eye(10)] for vec in vecs.T[[0, -1]])
+        xs = (np.kron(np.eye(10), vec) for vec in vecs.T[[0, -1]])  # rows e_i (x) vec
+        lo, hi = (bound.leading(x, x * x) for x in xs)
         assert min(lo) == pytest.approx(lyap.coercivity_lo, rel=1e-12)
         assert max(hi) == pytest.approx(lyap.coercivity_hi, rel=1e-12)
         assert alpha_lo < alpha_hi
@@ -649,7 +679,7 @@ class TestLureSectorEndToEnd:
                          sector_l=Fraction(-1, 2), sector_r=Fraction(1, 2),
                          phi=phi)
         g = sgain.derive_gains_lure(fam, [[0.5]], kappa=2.5, eps=0.25, tau=1.0)
-        cert, g_used, *_ = sgain.certify(g)
+        cert, g_used = sgain.certify(g)
         lyap = CompositeLyapunov(cert, g_used)
         net = truncate(fam, 30)
         x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 2.0})
@@ -789,7 +819,7 @@ class TestExport:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_csv_columns(self, tmp_path, chain_certified):
-        cert, g, *_ = chain_certified
+        cert, g = chain_certified
         lyap = CompositeLyapunov(cert, g)
         net = truncate(chain_gen(), 5)
         x0 = initial_state(net, {"kind": "first-k", "K": 2, "value": 1.0})
