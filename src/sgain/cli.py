@@ -27,7 +27,7 @@ from pathlib import Path
 from .certificate import certificate_from_dict
 from .errors import DerivationError, InvalidCertificateError, ParameterError, SgainError
 from .families import generator_from_dict
-from .scenarios import certify_gains, derive_and_check, make_scenario, run_pipeline
+from .scenarios import _deep_merge, certify_gains, derive_and_check, make_scenario, run_pipeline
 from .seqrules import as_object, load_json
 
 # The exit code of each outcome kind a subcommand returns.
@@ -61,7 +61,8 @@ def _load_config(path) -> dict:
 
 
 def _resolve(cfg: dict):
-    """(family, derivation, analysis, sim) of a run configuration."""
+    """(family, derivation, analysis, sim) of a run configuration; over a scenario,
+    its ``derivation`` and ``sim`` are deep-merged as ``sgain scenario`` overrides are."""
     net = cfg.get("network")
     if net is None:
         raise ParameterError("config lacks a 'network' entry")
@@ -76,7 +77,8 @@ def _resolve(cfg: dict):
     derivation, analysis, sim = (as_object(cfg.get(key), repr(key))
                                  for key in ("derivation", "analysis", "sim"))
     if scenario is not None:
-        derivation, sim = derivation or scenario.derivation, {**scenario.sim, **sim}
+        derivation = _deep_merge(scenario.derivation, derivation)
+        sim = _deep_merge(scenario.sim, sim)
     return fam, derivation, analysis, sim
 
 

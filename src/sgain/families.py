@@ -8,10 +8,12 @@ Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
   with ``b_10 = 0`` (there is no subsystem 0) and uniformly bounded
   coefficients.
 
-* ``LureBanded`` — small dense blocks with a scalar sector nonlinearity
+* ``LureBanded`` — small dense blocks with a scalar sector channel
   ``dx_i/dt = A_i x_i + E_i phi_i(G_i x_i) + B_i u_i + D_i xbar_i``
   where ``xbar_i`` stacks the left/right neighbor states and ``phi_i``
-  satisfies ``(phi(s) - r s)(phi(s) - l s) <= 0`` with ``l < r``.
+  satisfies ``(phi(s) - r s)(phi(s) - l s) <= 0`` with ``l < r``.  The
+  certificate holds for every such ``phi``; a simulated ``phi`` is linear,
+  ``phi(s) = slope * s``, and folded into the diagonal blocks.
 
 * ``Traffic`` — scalar road cells
   ``dx_i/dt = -(v_i/l_i + e_i) x_i + D_i xbar_i + B_i u_i``
@@ -48,7 +50,7 @@ from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     derive_gains_lure, derive_gains_traffic,
                     traffic_small_gain_sufficient)
 from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real, _EventuallyPeriodic,
-                       as_number, exact_div, joint, load_json, _check_index)
+                       as_number, exact_div, joint, load_json, number_at, _check_index)
 
 
 def _seq_from_json(obj) -> PeriodicSeq:
@@ -85,7 +87,7 @@ class Family:
     def blocks(self, i: int):
         """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i, its entries as
         the description holds them (numbers of a scalar family, float arrays
-        of a Lur'e one), ``A_ii`` with any linear sector channel folded in."""
+        of a Lur'e one), ``A_ii`` with any sector channel folded in."""
         raise NotImplementedError
 
     @property
@@ -106,11 +108,6 @@ class Family:
         t = self.block_table
         return _EventuallyPeriodic(tuple(map(round_blocks, t.preamble)),
                                    tuple(map(round_blocks, t.cycle)))
-
-    def nonlinearity(self):
-        """``(E row, G row, phi)`` of a nonlinear sector channel that can act,
-        ``phi`` a vectorized callable, or None."""
-        return None
 
     @classmethod
     def from_json(cls, coeff: Mapping) -> "Family":
@@ -161,12 +158,16 @@ _LURE_MATRICES = (("A", "a"), ("E", "e"), ("G", "g"), ("B", "b"),
 
 @dataclass(frozen=True)
 class LureBanded(Family):
-    """Banded network of identical-size blocks with sector nonlinearity.
+    """Banded network of identical-size blocks with a sector channel.
 
     Matrices are stored as nested tuples so the description is hashable
     and exactly comparable; they are converted to float arrays on use.
     ``d_left``/``d_right`` are the per-neighbor coupling blocks; subsystem 1
-    has only a right neighbor.
+    has only a right neighbor.  The derivation certifies every ``phi`` in
+    the sector ``[l, r]``; ``phi`` names the linear one a truncation
+    simulates, ``phi(s) = slope * s``: ``"zero"`` with slope 0,
+    ``"midpoint-linear"`` with ``(l+r)/2`` and ``"saturation"`` with
+    ``clip(1, l, r)`` (``s`` clipped to between ``l s`` and ``r s``).
     """
 
     name = "lure-banded"
@@ -185,7 +186,7 @@ class LureBanded(Family):
         if not self.sector_l < self.sector_r:
             raise ParameterError("sector requires l < r")
         if self.phi not in ("midpoint-linear", "saturation", "zero"):
-            raise ParameterError(f"unknown nonlinearity {self.phi!r}")
+            raise ParameterError(f"unknown phi {self.phi!r}")
         if self.phi == "zero" and not (self.sector_l <= 0 <= self.sector_r):
             raise ParameterError("phi = 0 lies in the sector only when l <= 0 <= r")
         n = self.n
@@ -200,27 +201,16 @@ class LureBanded(Family):
     def n(self) -> int:
         return len(self.a)
 
-    def blocks(self, i: int):  # A + (l+r)/2 E G when a midpoint-linear channel can act
+    def blocks(self, i: int):  # A + slope E G when the channel can act
         _check_index(i)
         d = {off: _mat(m) for off, m in ((1, self.d_right), (-1, self.d_left))
              if i + off >= 1 and np.any(_mat(m))}
         a = _mat(self.a)
-        if self.phi == "midpoint-linear" and np.any(self.e) and np.any(self.g):
-            slope = 0.5 * (float(self.sector_l) + float(self.sector_r))
+        if self.phi != "zero" and np.any(self.e) and np.any(self.g):
+            l, r = float(self.sector_l), float(self.sector_r)
+            slope = 0.5 * (l + r) if self.phi == "midpoint-linear" else min(max(1.0, l), r)
             a = a + slope * np.outer(_mat(self.e), _mat(self.g))
         return a, d, _mat(self.b)
-
-    def saturate(self, s):
-        """The saturation channel, vectorized: ``s`` clipped to between ``l s`` and ``r s``."""
-        s = np.asarray(s, dtype=float)
-        lo_s, hi_s = float(self.sector_l) * s, float(self.sector_r) * s
-        return np.clip(s, np.minimum(lo_s, hi_s), np.maximum(lo_s, hi_s))
-
-    def nonlinearity(self):
-        e, g = _mat(self.e).ravel(), _mat(self.g).ravel()
-        if self.phi != "saturation" or not (e.any() and g.any()):
-            return None  # phi = 0, E phi = 0, or linear and folded into the blocks
-        return e, g, self.saturate
 
     @property
     def structure(self) -> tuple[int, int]:
@@ -232,7 +222,7 @@ class LureBanded(Family):
                 for key, attr in _LURE_MATRICES}
         return cls(**mats, sector_l=as_number(coeff["sector"][0]),
                    sector_r=as_number(coeff["sector"][1]),
-                   phi=coeff.get("phi", cls.phi))
+                   phi=cls.phi if coeff.get("phi") is None else coeff["phi"])
 
     def derive_gains(self, derivation):
         try:
@@ -388,7 +378,7 @@ def generator_from_dict(obj: Mapping) -> Family:
         if name not in FAMILIES:
             raise ParameterError(f"unknown family {name!r}")
         fam = FAMILIES[name].from_json(obj.get("coefficients", {}))
-        p, q = as_number(obj.get("p", 2)), as_number(obj.get("q", 2))
+        p, q = number_at(obj, "p", 2), number_at(obj, "q", 2)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParameterError(f"malformed network description: {exc}") from exc
     if p != 2 or q != 2:

@@ -27,14 +27,10 @@ CLOSED_FORM_BUDGET = 2 ** 16  # most subsystems of a closed form, whose blocks a
 class TruncatedNetwork:
     """First N subsystems with states beyond N held at zero.
 
-    The right-hand side splits into a sparse linear part, a sparse input
-    matrix, and (for a family with an active nonlinear sector channel) a
-    vectorized nonlinearity: ``f(x, u) = A x + B u + nl(x)``.
-    ``drift_matrix`` is ``A``, gathered from the family's float table (each
-    number rounded to float once), whose blocks carry any linear sector channel, so
-    ``nonlinearity`` is None exactly when the truncation is linear
-    time-invariant.  :meth:`rhs` takes the applied input ``B u``, so a
-    caller that holds it forms it once.
+    Every truncation is linear time-invariant, ``f(x, u) = A x + B u``, with
+    a sparse ``drift_matrix`` ``A`` and ``input_matrix`` ``B``.  ``A`` is
+    gathered from the family's float table (each number rounded to float
+    once), whose blocks carry any sector channel.
 
     Past the preamble the truncation is block-Toeplitz with the cycle as
     its block, so each matrix gathers its rows from the stored preamble plus
@@ -88,20 +84,16 @@ class TruncatedNetwork:
             indptr, indices, data = _gather(ptr, c, blocks[k, r, c], rows, shift, cols)
             return sp.csr_matrix((data, indices, indptr), shape=(self.dim, cols))
 
-        self.nonlinearity = fam.nonlinearity()
         self.drift_matrix = gathered(wide, first, self.dim)
         self.input_matrix = gathered(b, input_offsets[:-1].repeat(nb), max(self.input_dim, 1))
         self._propagators: dict[float, tuple] = {}
 
     def rhs(self, x: np.ndarray, forcing: np.ndarray | None) -> np.ndarray:
-        """``A x + forcing + nl(x)``, where ``forcing`` is the applied input ``B u``."""
+        """``A x + forcing``, where ``forcing`` is the applied input ``B u``: the
+        stage-wise reference that the propagator's steps agree with."""
         out = self.drift_matrix @ x
         if forcing is not None:
             out += forcing
-        if self.nonlinearity is not None:
-            e, g, phi = self.nonlinearity
-            s = (x.reshape(self.n_subsystems, -1) * g).sum(axis=1)
-            out += (e * phi(s)[:, None]).ravel()
         return out
 
     def propagator(self, h: float) -> tuple:

@@ -82,6 +82,7 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
     with open(_DIR / _FILES[name]) as f:
         obj = load_json(f)
+    notes = obj.get("notes", "")  # a null override, as an absent one, keeps the scenario's
     if overrides:
         net_keys = ("coefficients", "p", "q")
         obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})
@@ -95,7 +96,7 @@ def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenari
         name=name, family=fam, derivation=dict(as_object(obj.get("derivation"), "'derivation'")),
         sim=dict(as_object(obj.get("sim"), "'sim'")),
         expected_outcome=Outcome(expected["kind"], expected.get("which")),
-        notes=obj.get("notes", ""))
+        notes=notes if obj.get("notes") is None else obj["notes"])
 
 
 # --------------------------------------------------------------------------

@@ -10,16 +10,14 @@ Runge-Kutta scheme.  Every input signal is separable,
 input ``B shape`` is formed once per run and scaled by ``level * unit(t)``
 at each stage time (no zero-order hold).
 
-A truncation whose sector channel cannot act, or acts linearly
-(``"midpoint-linear"``, folded into ``A`` by the family), is linear
-time-invariant; it is stepped as ``x+ = R x + w`` with RK4's stability
+Every truncation is linear time-invariant (a family folds its sector channel
+into ``A``), and is stepped as ``x+ = R x + w`` with RK4's stability
 polynomial ``R`` of ``h A`` (``TruncatedNetwork.propagator``: built once per
 truncation and step, from one period, and shared by the runs on it) and
-``w`` from three fixed images of ``B shape``.  Only an active
-``"saturation"`` channel takes the RK4 stages over ``TruncatedNetwork.rhs``.
-Both are the same iterates up to rounding: a report is byte-identical from
-run to run, and trajectory-derived floats move by about 1e-13 relative
-against the stage-wise evaluation.
+``w`` from three fixed images of ``B shape``.  These are the RK4 iterates up
+to rounding: a report is byte-identical from run to run, and
+trajectory-derived floats move by about 1e-13 relative against the
+stage-wise evaluation over ``TruncatedNetwork.rhs``.
 
 Steps fill blocks of rows.  The row a block starts from is flushed: its
 entries below ``2^-500`` times its largest magnitude, whose squares lie past
@@ -316,22 +314,6 @@ def _lti_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
     return advance
 
 
-def _rk4_stepper(net: TruncatedNetwork, h: float, forcing, levels: np.ndarray):
-    """Classical RK4 stages over ``net.rhs`` on every row, for an active sector channel."""
-    def advance(blk: np.ndarray, k0: int, s: int) -> int:
-        for j in range(len(blk) - 1):
-            k, x = k0 + j, blk[j]
-            f1, f2, f4 = [None] * 3 if forcing is None else levels[:, k, None] * forcing
-            k1 = net.rhs(x, f1)
-            k2 = net.rhs(x + 0.5 * h * k1, f2)
-            k3 = net.rhs(x + 0.5 * h * k2, f2)
-            k4 = net.rhs(x + h * k3, f4)
-            blk[j + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return net.dim
-
-    return advance
-
-
 class BoundLyapunov:
     """V restricted to one truncation: ``sum_i mu_i x_i^T P x_i``."""
 
@@ -360,12 +342,11 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
               keep: int = 0) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the truncated interconnection.
 
-    A linear time-invariant truncation (``net.nonlinearity`` is None) is
-    stepped as ``x+ = R x + w`` on its support window; one with an active
-    sector channel by the RK4 stages on every row.  Both fill one rolling block
-    of rows, whose norms and V are recorded and whose leading ``keep`` state
-    columns are stored.  Divergence (norm beyond ``_BLOW_UP``) flags the record
-    and halts integration at that step; it is a reported outcome, not an error.
+    The truncation is stepped as ``x+ = R x + w`` on its support window, in
+    one rolling block of rows, whose norms and V are recorded and whose leading
+    ``keep`` state columns are stored.  Divergence (norm beyond ``_BLOW_UP``)
+    flags the record and halts integration at that step; it is a reported
+    outcome, not an error.
     """
     if step <= 0 or horizon < step:
         raise ParameterError("need step > 0 and horizon >= step")
@@ -391,8 +372,7 @@ def integrate(net: TruncatedNetwork, x0, signal: InputSignal | None = None,
     if forcing is not None:
         _flush(forcing)
     levels = _stage_levels(signal, n_steps, step)
-    stepper = _lti_stepper if net.nonlinearity is None else _rk4_stepper
-    advance = stepper(net, step, forcing, levels)
+    advance = _lti_stepper(net, step, forcing, levels)
 
     ts = np.concatenate(([0.0], np.arange(n_steps) * step + step))
     norms = np.empty(n_steps + 1)

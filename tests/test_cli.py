@@ -404,7 +404,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, content, key", [
         ("simulate", {"sim": {"N": True}}, "'N'"),
-        ("certify", {"analysis": {"rho": "x"}}, "'rho'")])
+        ("certify", {"analysis": {"rho": "x"}}, "'rho'"),
+        ("certify", {"network": {"scenario": "chain-a", "overrides": {"p": "x"}}}, "'p'")])
     def test_number_errors_name_their_key(self, run_main, tmp_path, command, content, key):
         cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"}, **content})
         code, err = run_main([command, "--config", cfg, "--out", tmp_path / "o"])
@@ -520,16 +521,55 @@ class TestNullMeansDefault:
             assert run_main(argv) == (1, "error: x0 has dimension 0, network needs 20\n"), argv
 
     @pytest.mark.parametrize("x0", [{}, None], ids=["empty-object", "null"])
-    def test_empty_or_null_x0_is_the_zero_state(self, run_main, tmp_path, x0):
+    def test_empty_or_null_x0_is_the_zero_state(self, run_main, tmp_path, packaged_network, x0):
+        """On a description, not a scenario: over a scenario's ``x0`` an empty
+        object is merged and changes nothing."""
         runs = []
         for name, value in (("zero", {"kind": "zero"}), ("x", x0)):
-            cfg = _write(tmp_path / f"{name}.json", {"network": {"scenario": "chain-a"},
+            cfg = _write(tmp_path / f"{name}.json", {"network": packaged_network("chain-a"),
                                                      "sim": {**FAST_SIM, "x0": value}})
             out = tmp_path / name
             assert run_main(["simulate", "--config", cfg, "--out", out]) == (0, "")
             runs.append([(out / f).read_bytes() for f in ("summary.json", "trajectory.csv")])
         assert runs[1] == runs[0]
         assert json.loads(runs[1][0])["final_norm_p"] == 0.0
+
+    def test_phi_null_is_the_default(self, run_main, tmp_path, packaged_network):
+        """A description's ``"phi": null`` is the Lur'e family's default phi."""
+        net = packaged_network("lure-platoon")
+        acting = {"E": [[0.0], [0.1]], "G": [[0.2, 0.1]]}
+        outs = []
+        for name, phi in (("absent", {}), ("null", {"phi": None}),
+                          ("default", {"phi": "midpoint-linear"})):
+            coeff = {k: v for k, v in net["coefficients"].items() if k != "phi"}
+            cfg = _write(tmp_path / f"{name}.json",
+                         {"network": {**net, "coefficients": {**coeff, **acting, **phi}},
+                          "derivation": sgain.make_scenario("lure-platoon").derivation,
+                          "sim": FAST_SIM})
+            assert run_main(["simulate", "--config", cfg, "--out", tmp_path / name]) == (0, "")
+            outs.append((tmp_path / name / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert sgain.make_scenario("lure-platoon",
+                                   {"coefficients": {"phi": None}}).family.phi == "midpoint-linear"
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_exponent_null_is_two(self, run_main, tmp_path, packaged_network, key):
+        net = packaged_network("chain-a")
+        for name, value in (("two", 2), ("null", None)):
+            cfg = _write(tmp_path / f"{name}.json", {"network": {**net, key: value}})
+            assert run_main(["certify", "--config", cfg, "--out", tmp_path / name]) == (0, "")
+        assert ((tmp_path / "two" / "certificate.json").read_bytes()
+                == (tmp_path / "null" / "certificate.json").read_bytes())
+
+    def test_scenario_notes_null_is_the_scenario_text(self, run_main, tmp_path):
+        reports = []
+        for name, over in (("absent", {}), ("null", {"notes": None})):
+            cfg = _write(tmp_path / f"{name}.json", {**over, "sim": FAST_SIM})
+            out = tmp_path / name
+            assert run_main(["scenario", "chain-a", "--config", cfg, "--out", out]) == (0, "")
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1] == reports[0]
+        assert json.loads(reports[1])["notes"] == sgain.make_scenario("chain-a").notes != ""
 
 
 class TestHarness:
@@ -599,6 +639,38 @@ class TestOnePipeline:
         s = sgain.make_scenario(name, overrides)
         notes = s.family.report_notes(s.family.derive_gains(s.derivation))
         assert cert["gains"] == {k: v for k, v in report["gains"].items() if k not in notes}
+
+    def test_config_derivation_is_merged_over_the_scenario(self, run_main, tmp_path):
+        """A run configuration's ``derivation`` over a scenario is deep-merged, as
+        an override of ``sgain scenario`` is: ``tau`` 2 keeps lure-platoon's
+        ``M``, ``kappa`` and ``eps``."""
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "lure-platoon"},
+                                             "derivation": {"tau": 2}})
+        assert run_main(["certify", "--config", cfg, "--out", tmp_path / "c"]) == (0, "")
+        over = _write(tmp_path / "over.json", {"derivation": {"tau": 2}, "sim": FAST_SIM})
+        assert run_main(["scenario", "lure-platoon", "--config", over,
+                         "--out", tmp_path / "s"]) == (0, "")
+        cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert cert["gains"]["free_params"]["tau"] == 2.0
+        for key in ("gains", "bracket", "certificate"):
+            assert cert[key] == report[key], key
+
+    def test_config_sim_is_merged_over_the_scenario(self, run_main, tmp_path):
+        """``"x0": {"value": 2}`` over chain-a keeps its first-k 5, as an
+        override of ``sgain scenario`` does."""
+        sim = {**FAST_SIM, "x0": {"value": 2}}
+        cfg = _write(tmp_path / "cfg.json", {"network": {"scenario": "chain-a"}, "sim": sim})
+        plain = _write(tmp_path / "plain.json", {
+            "network": {"scenario": "chain-a"},
+            "sim": {**FAST_SIM, "x0": {"kind": "first-k", "K": 5, "value": 2}}})
+        for name, path in (("merged", cfg), ("plain", plain)):
+            assert run_main(["simulate", "--config", path, "--out", tmp_path / name]) == (0, "")
+        merged, full = ((tmp_path / name / "trajectory.csv").read_bytes()
+                        for name in ("merged", "plain"))
+        assert merged == full
+        first = merged.split(b"\r\n")[1].split(b",")
+        assert float(first[1]) == pytest.approx(2.0 * 5 ** 0.5)  # norm_p at t = 0
 
     def test_series_length_key_is_unread(self, run_main, tmp_path):
         """``analysis.K`` no longer sets anything: the series stops where it closes."""

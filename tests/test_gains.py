@@ -232,15 +232,20 @@ class TestLureDerivation:
         assert float(g.gamma_u.upper()) == 0
 
     def test_gains_do_not_depend_on_phi(self):
-        """The S-procedure accounts for an acting sector channel itself, so a
-        midpoint-linear phi, folded into the diagonal blocks, and a saturation
-        give the same gains.  Here the LMI holds for the family's own ``A``
-        and fails for the folded one (largest eigenvalues -0.026 and 0.029)."""
+        """The S-procedure accounts for an acting sector channel itself, so
+        ``"zero"`` and the two slopes folded into the diagonal blocks give the
+        same gains.  At sector [0, 2] both folds have slope 1: the LMI holds for
+        the family's own ``A`` and fails for the folded one (largest eigenvalues
+        -0.026 and 0.029)."""
         acting = {"E": [[0.0], [0.25]], "G": [[0.1, 0.2]], "sector": [0, 2]}
-        lin, sat = (sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi, **acting}})
-                    for phi in ("midpoint-linear", "saturation"))
-        assert not np.array_equal(lin.family.blocks(1)[0], sat.family.blocks(1)[0])
-        assert lin.family.derive_gains(lin.derivation) == sat.family.derive_gains(sat.derivation)
+        zero, lin, sat = (
+            sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi, **acting}})
+            for phi in ("zero", "midpoint-linear", "saturation"))
+        assert np.array_equal(lin.family.blocks(1)[0], sat.family.blocks(1)[0])
+        assert not np.array_equal(zero.family.blocks(1)[0], lin.family.blocks(1)[0])
+        assert (zero.family.derive_gains(zero.derivation)
+                == lin.family.derive_gains(lin.derivation)
+                == sat.family.derive_gains(sat.derivation))
 
 
 class TestTrafficDerivation:

@@ -221,14 +221,17 @@ class TestEvaluateRhs:
         expected = net.drift_matrix @ x + net.input_matrix @ u
         assert dx == pytest.approx(expected)
 
+    @pytest.mark.parametrize("l, r", [("1.5", "3"), ("0.2", "0.8"), ("-2", "-0.5"),
+                                      ("-0.5", "1.5")], ids=["l", "r", "r-neg", "one"])
     @pytest.mark.parametrize("phi", ["midpoint-linear", "saturation"])
-    def test_active_sector_channel_matches_block_formula(self, phi):
-        # A x + E phi(G x) + B u per block; midpoint-linear is folded into A.
-        sector = {"E": [[0.0], [0.4]], "G": [[0.3, -0.2]], "sector": ["-0.5", "1.5"]}
+    def test_active_sector_channel_matches_block_formula(self, phi, l, r):
+        """A x + E phi(G x) + B u per block, with the channel folded into A: the
+        saturation's reference is its first definition, ``s`` clipped to between
+        ``l s`` and ``r s``, whose slope ``clip(1, l, r)`` is ``l``, ``r`` or 1."""
+        sector = {"E": [[0.0], [0.4]], "G": [[0.3, -0.2]], "sector": [l, r]}
         fam = sgain.make_scenario("lure-platoon",
                                   {"coefficients": {"phi": phi, **sector}}).family
         net = truncate(fam, 6)
-        assert (net.nonlinearity is None) == (phi == "midpoint-linear")
         rng = np.random.default_rng(3)
         x = 10.0 * rng.standard_normal(net.dim)
         u = rng.standard_normal(net.input_dim)
@@ -237,7 +240,9 @@ class TestEvaluateRhs:
         a, dl, dr = (np.array(m, dtype=float) for m in (fam.a, fam.d_left, fam.d_right))
         padded = np.vstack([np.zeros(2), blocks, np.zeros(2)])
         s = blocks @ g.ravel()
-        phi_s = fam.saturate(s) if phi == "saturation" else 0.5 * (-0.5 + 1.5) * s
+        lo_s, hi_s = float(l) * s, float(r) * s
+        phi_s = (np.clip(s, np.minimum(lo_s, hi_s), np.maximum(lo_s, hi_s))
+                 if phi == "saturation" else 0.5 * (float(l) + float(r)) * s)
         expected = (blocks @ a.T + padded[:-2] @ dl.T + padded[2:] @ dr.T
                     + phi_s[:, None] * e.ravel()
                     + u[:, None] * b.ravel()).ravel()

@@ -190,8 +190,8 @@ class TestSignals:
 SIGNAL_KINDS = [Zero(), ConstantOnFirstK(7, 1.7), GeometricProfile(1.3, 0.7),
                 SinusoidOnFirstK(9, 0.9, 1.3), TrafficLights(0.03, 0.02, -1.1)]
 ACTIVE_SECTOR = {"E": [[0.0], [0.1]], "G": [[0.2, 0.1]]}
-# (scenario, overrides): linear truncations step as x+ = R x + w, the
-# saturation one by RK4 stages; all agree with the stage-wise reference.
+# (scenario, overrides): every truncation steps as x+ = R x + w, an acting
+# sector channel folded into A; all agree with the stage-wise reference.
 FORCED_NETWORKS = [
     ("traffic", {}),
     ("lure-platoon", {}),
@@ -262,23 +262,6 @@ class TestSeparableForcing:
         traj = integrate(net, x0, _UnsampledSinusoid(9, 0.9, 1.3), 0.2, 0.004, keep=net.dim)
         assert net.input_matrix.products == 1
         assert np.array_equal(traj.states, plain.states)
-
-    def test_inactive_sector_channel_is_never_evaluated(self, monkeypatch):
-        from sgain.families import LureBanded
-
-        def refuse(self, s):
-            raise AssertionError("an inactive sector channel was evaluated")
-
-        monkeypatch.setattr(LureBanded, "saturate", refuse)
-        for phi in ("zero", "saturation", "midpoint-linear"):
-            gen = sgain.make_scenario("lure-platoon", {"coefficients": {"phi": phi}}).family
-            net = truncate(gen, 10)
-            x0 = initial_state(net, {"kind": "first-k", "K": 5, "value": 1.0})
-            integrate(net, x0, GeometricProfile(1.0, 0.5), 0.02, 0.004)
-        active = {"coefficients": {"phi": "saturation", **ACTIVE_SECTOR}}
-        net = truncate(sgain.make_scenario("lure-platoon", active).family, 10)
-        with pytest.raises(AssertionError, match="inactive sector"):
-            integrate(net, np.ones(net.dim), Zero(), 0.02, 0.004)
 
 
 class TestBlocks:
@@ -475,6 +458,20 @@ class TestOnePropagator:
                                      GeometricProfile(1.0, 0.5), 0.05, 1e-3, [20, 40, 80], 5)
         assert len(sizes) == 3
 
+    @pytest.mark.parametrize("phi", ["zero", "saturation", "midpoint-linear"])
+    def test_every_sector_channel_steps_by_the_propagator(self, monkeypatch, phi):
+        """An acting channel is folded into ``A``: ``integrate`` never evaluates
+        the stage-wise right-hand side."""
+        def refuse(self, x, forcing):
+            raise AssertionError("integrate evaluated TruncatedNetwork.rhs")
+
+        sizes = self._count_builds(monkeypatch)
+        monkeypatch.setattr(sgain.network.TruncatedNetwork, "rhs", refuse)
+        coeff = {"phi": phi, **ACTIVE_SECTOR}
+        net = truncate(sgain.make_scenario("lure-platoon", {"coefficients": coeff}).family, 10)
+        integrate(net, np.ones(net.dim), GeometricProfile(1.0, 0.5), 0.02, 0.004)
+        assert len(sizes) == 1
+
     def test_one_per_step(self, monkeypatch):
         sizes = self._count_builds(monkeypatch)
         net = truncate(chain_gen(), 300)
@@ -668,8 +665,9 @@ class TestCoercivity:
 
 
 class TestLureSectorEndToEnd:
-    """Sector-active blocks: derived gains must dissipate along nonlinear
-    trajectories for any admissible nonlinearity."""
+    """Sector-active blocks: the derived gains certify every ``phi`` in the
+    sector, so they must dissipate along the trajectories of each simulated
+    one, its slope folded into the blocks."""
 
     @pytest.mark.parametrize("phi", ["saturation", "midpoint-linear"])
     def test_certified_dissipation_under_sector_nonlinearity(self, phi):
