@@ -21,105 +21,102 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 from .certificate import certificate_from_dict
 from .errors import DerivationError, InvalidCertificateError, ParameterError, SgainError
 from .families import generator_from_dict
-from .scenarios import _deep_merge, certify_gains, derive_and_check, make_scenario, run_pipeline
-from .seqrules import as_object, load_json
+from .scenarios import (ANALYSIS, ExampleScenario, _deep_merge, certify_gains, derive_and_check,
+                        make_scenario, run_pipeline)
+from .seqrules import IGNORED, REQUIRED, as_object, as_text, load_json, read
 
 # The exit code of each outcome kind a subcommand returns.
 EXIT_CODES = {"ok": 0, "certify": 0, "error": 1, "reject-assumption": 2,
               "small-gain-violated": 3, "violations": 4}
 
 
-def _json_default(o):
-    if isinstance(o, Fraction):
-        return float(o)
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def _write_report(out_dir: Path, name: str, report: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(json.dumps(report, indent=2, sort_keys=True,
-                                           default=_json_default) + "\n")
+    (out_dir / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path) -> dict:
+def _load_config(path: str) -> dict:
     """A JSON object from a file, decimals parsed exactly."""
-    if not isinstance(path, str):
-        raise ParameterError(f"expected a file path, got {path!r}")
     try:
         with open(path) as f:
-            return as_object(load_json(f), f"the content of {path}")
+            return as_object(load_json(f), path)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
 
 
-def _resolve(cfg: dict):
-    """(family, derivation, analysis, sim) of a run configuration; over a scenario,
-    its ``derivation`` and ``sim`` are deep-merged as ``sgain scenario`` overrides are."""
-    net = cfg.get("network")
-    if net is None:
-        raise ParameterError("config lacks a 'network' entry")
-    scenario = None
-    if isinstance(net, str):
-        fam = generator_from_dict(_load_config(net))
-    elif "scenario" in as_object(net, "'network'"):
-        scenario = make_scenario(net["scenario"], net.get("overrides"))
-        fam = scenario.family
-    else:
-        fam = generator_from_dict(net)
-    derivation, analysis, sim = (as_object(cfg.get(key), repr(key))
-                                 for key in ("derivation", "analysis", "sim"))
-    if scenario is not None:
-        derivation = _deep_merge(scenario.derivation, derivation)
-        sim = _deep_merge(scenario.sim, sim)
-    return fam, derivation, analysis, sim
+_SCENARIO_REF = {"scenario": (None, REQUIRED), "overrides": (None, None)}
 
 
-def _gains(args, cfg):
-    """(gains, assumption report, analysis, report) of analyze and certify."""
-    fam, derivation, analysis, _ = _resolve(cfg)
+def _network(x, path: str):
+    """A ``network`` entry: a description file's path, a scenario or a description."""
+    if isinstance(x, str):
+        return generator_from_dict(_load_config(x))
+    if "scenario" in as_object(x, path):
+        ref = read(x, _SCENARIO_REF, path)
+        return make_scenario(ref["scenario"], ref["overrides"])
+    return generator_from_dict(x, path)
+
+
+# A run configuration: ``analysis`` is read here, whatever the command, and
+# ``derivation`` by the family and ``sim`` by ``build_sim`` (after any merge
+# over a scenario's); ``schema`` and ``seed`` are informational.
+_CONFIG = {"network": (_network, REQUIRED), "derivation": (as_object, {}),
+           "analysis": (lambda x, path: read(x, ANALYSIS, path), {}),
+           "sim": (as_object, {}), "certificate": (as_text, None),
+           "schema": (None, IGNORED), "seed": (None, IGNORED)}
+
+
+def _resolve(cfg: dict) -> dict:
+    """The entries of a run configuration, its ``network`` a family; over a scenario,
+    the ``derivation`` and ``sim`` are deep-merged as ``sgain scenario`` overrides are."""
+    run = read(cfg, _CONFIG)
+    s = run["network"]
+    if isinstance(s, ExampleScenario):
+        run.update(network=s.family, derivation=_deep_merge(s.derivation, run["derivation"]),
+                   sim=_deep_merge(s.sim, run["sim"]))
+    return run
+
+
+def _gains(args, run):
+    """(gains, assumption report, report) of analyze and certify."""
     report = {"schema": "sgain/1", "command": args.command, "seed": args.seed,
-              "network_family": fam.name}
-    return (*derive_and_check(fam, derivation, report), analysis, report)
+              "network_family": run["network"].name}
+    return (*derive_and_check(run["network"], run["derivation"], report), report)
 
 
-def cmd_analyze(args, cfg) -> str:
-    _, assumptions, _, report = _gains(args, cfg)
+def cmd_analyze(args, run) -> str:
+    _, assumptions, report = _gains(args, run)
     _write_report(Path(args.out), "gains.json", report)
     return "ok" if assumptions.ok else "reject-assumption"
 
 
-def cmd_certify(args, cfg) -> str:
-    g, assumptions, analysis, report = _gains(args, cfg)
+def cmd_certify(args, run) -> str:
+    g, assumptions, report = _gains(args, run)
     kind = "reject-assumption"
     if assumptions.ok:
-        kind = "ok" if certify_gains(g, analysis, report) else "small-gain-violated"
+        kind = "ok" if certify_gains(g, run["analysis"], report) else "small-gain-violated"
     _write_report(Path(args.out), "certificate.json", report)
     return kind
 
 
-def cmd_simulate(args, cfg) -> str:
+def cmd_simulate(args, run) -> str:
     from . import sim as simmod
-    fam, derivation, analysis, sim = _resolve(cfg)
-    csv_states = sim.get("csv_states")
-    if csv_states is not None and not isinstance(csv_states, bool):
-        raise ParameterError(f"'sim.csv_states' must be true or false, got {csv_states!r}")
-    setup = simmod.build_sim(fam, sim)
+    setup = simmod.build_sim(run["network"], run["sim"])
     try:  # without gains, assumptions or a certificate: no V channel
-        g, assumptions = derive_and_check(fam, derivation, {})
+        g, assumptions = derive_and_check(run["network"], run["derivation"], {})
         ok = assumptions.ok
     except (DerivationError, InvalidCertificateError):
         ok = False
-    lyap = certify_gains(g, analysis, {}) if ok else None
+    lyap = certify_gains(g, run["analysis"], {}) if ok else None
     traj = simmod.integrate(setup.net, setup.x0, setup.signal, setup.horizon, setup.step,
-                            lyapunov=lyap, keep=setup.net.dim if csv_states else 0)
+                            lyapunov=lyap, keep=setup.net.dim if setup.csv_states else 0)
     summary = {"schema": "sgain/1", "command": "simulate", "seed": args.seed,
                **setup.to_dict(), "input": setup.signal.to_dict(),
                "diverged": traj.diverged, "u_sup_norm": traj.u_sup_norm,
@@ -136,22 +133,21 @@ def cmd_simulate(args, cfg) -> str:
     return "ok"
 
 
-def cmd_verify(args, cfg) -> str:
+def cmd_verify(args, run) -> str:
     from . import sim as simmod
-    fam, derivation, analysis, sim = _resolve(cfg)
     head: dict = {}
-    g, assumptions = derive_and_check(fam, derivation, head)
+    g, assumptions = derive_and_check(run["network"], run["derivation"], head)
     report = {"schema": "sgain/1", "command": "verify", "assumptions": head["assumptions"]}
     if not assumptions.ok:
         _write_report(Path(args.out), "verification.json", report)
         return "reject-assumption"
-    obj = _load_config(cfg["certificate"]) if cfg.get("certificate") else None
+    obj = _load_config(run["certificate"]) if run["certificate"] else None
     stored = None if obj is None else certificate_from_dict(obj.get("certificate", obj))
-    lyap = certify_gains(g, analysis, head, stored)
+    lyap = certify_gains(g, run["analysis"], head, stored)
     if lyap is None:
         print(f"error: {head['error']}", file=sys.stderr)
         return "small-gain-violated"
-    setup = simmod.build_sim(fam, sim)
+    setup = simmod.build_sim(run["network"], run["sim"])
     _, dissipation, envelope = simmod.check_run(setup, lyap, setup.signal)
     scan = head["verification"]
     bad = int(not scan["ok"]) + sum(len(c.violations) for c in (dissipation, envelope) if c)
@@ -162,8 +158,8 @@ def cmd_verify(args, cfg) -> str:
     return "violations" if bad else "ok"
 
 
-def cmd_scenario(args, cfg) -> str:
-    report = run_pipeline(make_scenario(args.name, cfg), seed=args.seed)
+def cmd_scenario(args, overrides) -> str:
+    report = run_pipeline(make_scenario(args.name, overrides), seed=args.seed)
     out = Path(args.out)
     _write_report(out, "report.json", report)
     if report.get("certificate"):
@@ -198,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        kind = args.fn(args, None if args.config is None else _load_config(args.config))
+        cfg = None if args.config is None else _load_config(args.config)
+        kind = args.fn(args, cfg if args.command == "scenario" else _resolve(cfg))
     except (SgainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         kind = "error"

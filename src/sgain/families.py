@@ -49,15 +49,9 @@ from .errors import ParameterError, ShapeError
 from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     derive_gains_lure, derive_gains_traffic,
                     traffic_small_gain_sufficient)
-from .seqrules import (ClosedFormSeq, PeriodicRows, PeriodicSeq, Real, _EventuallyPeriodic,
-                       as_number, exact_div, joint, load_json, number_at, _check_index)
-
-
-def _seq_from_json(obj) -> PeriodicSeq:
-    if isinstance(obj, Mapping):
-        return PeriodicSeq(tuple(as_number(v) for v in obj.get("preamble", [])),
-                           tuple(as_number(v) for v in obj["cycle"]))
-    return PeriodicSeq.constant(as_number(obj))
+from .seqrules import (IGNORED, REQUIRED, ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
+                       _EventuallyPeriodic, as_matrix, as_number, as_numbers, as_rule, as_text,
+                       exact_div, joint, load_json, read, subpath, _check_index)
 
 
 def _mat(x) -> np.ndarray:
@@ -75,14 +69,20 @@ class Family:
     """One subsystem family: its blocks, description reader and gain data.
 
     A subclass sets ``name`` (the ``family`` entry of a description) and
-    ``bandwidth``, and defines :meth:`blocks` and :meth:`derive_gains`;
-    one with coefficients also defines :attr:`structure` and
-    :meth:`from_json`.  The derivations read a subsystem's dynamics off
+    ``bandwidth``, and defines :meth:`blocks` and :meth:`derive`, which
+    :meth:`derive_gains` calls with the entries of a ``derivation`` section
+    read by :attr:`DERIVATION` (calling its function in :mod:`sgain.gains` by
+    this module's name for it, so a wrapper put on that name, such as the
+    benchmark's tracer, sees the call); one with coefficients also defines
+    :attr:`structure` and :attr:`COEFFICIENTS`, the table of its description's
+    ``coefficients``.  The derivations read a subsystem's dynamics off
     its blocks, and so does a truncation: neighbors and dimensions too.
     """
 
     name: ClassVar[str]
     bandwidth: ClassVar[int] = 1
+    COEFFICIENTS: ClassVar[dict] = {}  # {key: (reader, default)}, see seqrules.read
+    DERIVATION: ClassVar[dict] = {}
 
     def blocks(self, i: int):
         """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i, its entries as
@@ -110,11 +110,13 @@ class Family:
                                    tuple(map(round_blocks, t.cycle)))
 
     @classmethod
-    def from_json(cls, coeff: Mapping) -> "Family":
-        return cls()
+    def from_json(cls, coeff: dict) -> "Family":
+        """The instance of the ``coefficients`` entries read by :attr:`COEFFICIENTS`."""
+        return cls(**coeff)
 
     def derive_gains(self, derivation: Mapping) -> GainData:
-        raise NotImplementedError
+        """The gain data under the entries of a ``derivation`` section."""
+        return self.derive(**read(derivation, self.DERIVATION, "derivation"))
 
     def report_notes(self, gains: GainData) -> dict:
         """Family-specific entries of a report's gain summary, read off the derived gains."""
@@ -130,6 +132,11 @@ class LinearChain(Family):
     diag: PeriodicSeq
     sub: PeriodicSeq
     sup: PeriodicSeq
+    COEFFICIENTS = dict.fromkeys(("diag", "sub", "sup"), (as_rule, REQUIRED))
+    DERIVATION = dict.fromkeys(("eps", "delta"), (as_rule, None))
+
+    def derive(self, **entries):
+        return derive_gains_linear_chain(self, **entries)
 
     def __post_init__(self):
         if self.diag.min() <= 0:
@@ -142,14 +149,6 @@ class LinearChain(Family):
     @property
     def structure(self) -> tuple[int, int]:
         return joint(1, 1, self.diag, self.sub, self.sup)
-
-    @classmethod
-    def from_json(cls, coeff: Mapping) -> "LinearChain":
-        return cls(diag=_seq_from_json(coeff["diag"]), sub=_seq_from_json(coeff["sub"]),
-                   sup=_seq_from_json(coeff["sup"]))
-
-    def derive_gains(self, derivation):
-        return derive_gains_linear_chain(self, derivation.get("eps"), derivation.get("delta"))
 
 
 _LURE_MATRICES = (("A", "a"), ("E", "e"), ("G", "g"), ("B", "b"),
@@ -181,6 +180,14 @@ class LureBanded(Family):
     sector_l: Real
     sector_r: Real
     phi: str = "midpoint-linear"
+    COEFFICIENTS = {**{key: (as_matrix, REQUIRED) for key, _ in _LURE_MATRICES},
+                    "sector": (lambda x, path: as_numbers(x, path, 2), REQUIRED),
+                    "phi": (as_text, phi)}  # the field's default
+    DERIVATION = {"M": (as_matrix, REQUIRED), "kappa": (as_number, REQUIRED),
+                  "eps": (as_number, REQUIRED), "tau": (as_number, None)}
+
+    def derive(self, **entries):
+        return derive_gains_lure(self, **entries)
 
     def __post_init__(self):
         if not self.sector_l < self.sector_r:
@@ -217,19 +224,11 @@ class LureBanded(Family):
         return 1, 1
 
     @classmethod
-    def from_json(cls, coeff: Mapping) -> "LureBanded":
-        mats = {attr: tuple(tuple(float(as_number(x)) for x in r) for r in coeff[key])
+    def from_json(cls, coeff: dict) -> "LureBanded":
+        mats = {attr: tuple(tuple(map(float, row)) for row in coeff[key])
                 for key, attr in _LURE_MATRICES}
-        return cls(**mats, sector_l=as_number(coeff["sector"][0]),
-                   sector_r=as_number(coeff["sector"][1]),
-                   phi=cls.phi if coeff.get("phi") is None else coeff["phi"])
-
-    def derive_gains(self, derivation):
-        try:
-            m, kappa, eps = derivation["M"], derivation["kappa"], derivation["eps"]
-        except KeyError as exc:
-            raise ParameterError(f"missing derivation parameter {exc}") from None
-        return derive_gains_lure(self, m, kappa, eps, derivation.get("tau"))
+        l, r = coeff["sector"]
+        return cls(**mats, sector_l=l, sector_r=r, phi=coeff["phi"])
 
 
 # Traffic cell classes: neighbor offsets, exit multiplier (times e), and
@@ -270,6 +269,12 @@ class Traffic(Family):
     c: Real
     e: Real
     r: Real
+    COEFFICIENTS = {"v": (as_rule, REQUIRED), "l": (as_rule, REQUIRED),
+                    **dict.fromkeys("cer", (as_number, REQUIRED))}
+    DERIVATION = {"eps": (as_rule, None)}
+
+    def derive(self, **entries):
+        return derive_gains_traffic(self, **entries)
 
     def __post_init__(self):
         if not 0 < self.c < Fraction(1, 2):
@@ -300,14 +305,6 @@ class Traffic(Family):
         seq_pre, per = joint(0, 8, self.v, self.l)
         return (seq_pre + self.bandwidth if seq_pre else 3), per
 
-    @classmethod
-    def from_json(cls, coeff: Mapping) -> "Traffic":
-        return cls(v=_seq_from_json(coeff["v"]), l=_seq_from_json(coeff["l"]),
-                   c=as_number(coeff["c"]), e=as_number(coeff["e"]), r=as_number(coeff["r"]))
-
-    def derive_gains(self, derivation):
-        return derive_gains_traffic(self, derivation.get("eps"))
-
     def report_notes(self, gains):
         return {"traffic_sufficient_condition": traffic_small_gain_sufficient(
             self, gains.free_params["eps"])}
@@ -326,7 +323,7 @@ class _DecoupledScalar(Family):
         a_i, b_i = self.coefficients(i)
         return a_i, {}, b_i
 
-    def derive_gains(self, derivation):
+    def derive(self):
         lam, gamma_u = self.rules
         return GainData(lam=lam, gamma=PeriodicRows.empty(), gamma_u=gamma_u, vform=HALF_SQUARE)
 
@@ -371,19 +368,21 @@ FAMILIES: dict[str, type[Family]] = {
 # --------------------------------------------------------------------------
 
 
-def generator_from_dict(obj: Mapping) -> Family:
-    """The family of a description; its exponents ``p``, ``q`` must be 2 when given."""
-    try:
-        name = obj["family"]
-        if name not in FAMILIES:
-            raise ParameterError(f"unknown family {name!r}")
-        fam = FAMILIES[name].from_json(obj.get("coefficients", {}))
-        p, q = number_at(obj, "p", 2), number_at(obj, "q", 2)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParameterError(f"malformed network description: {exc}") from exc
-    if p != 2 or q != 2:
+# A description; ``schema``, ``mode`` and ``bandwidth`` are informational.
+_DESCRIPTION = {"family": (functools.partial(as_text, choices=FAMILIES), REQUIRED),
+                "coefficients": (None, {}),
+                "p": (as_number, 2), "q": (as_number, 2),
+                **dict.fromkeys(("schema", "mode", "bandwidth"), (None, IGNORED))}
+
+
+def generator_from_dict(obj: Mapping, path: str = "") -> Family:
+    """The family of a description at ``path``; its exponents ``p``, ``q`` must be 2."""
+    d = read(obj, _DESCRIPTION, path)
+    cls = FAMILIES[d["family"]]
+    fam = cls.from_json(read(d["coefficients"], cls.COEFFICIENTS, subpath(path, "coefficients")))
+    if (d["p"], d["q"]) != (2, 2):
         raise ParameterError("quadratic-form derivations provide gain data for p = q = 2; "
-                             f"the generator declares p = {p}, q = {q}")
+                             f"the generator declares p = {d['p']}, q = {d['q']}")
     return fam
 
 

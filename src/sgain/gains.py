@@ -38,8 +38,7 @@ import numpy as np
 from .errors import (CannotCertifyError, DerivationError,
                      InvalidCertificateError, ParameterError, ResourceError,
                      ShapeError)
-from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_number,
-                       exact_div, joint)
+from .seqrules import PeriodicRows, PeriodicSeq, Real, Seq, as_rule, exact_div, joint
 
 if TYPE_CHECKING:
     from .families import LinearChain, LureBanded, Traffic
@@ -120,9 +119,7 @@ class GainData:
 def _as_rule(x, name: str) -> PeriodicSeq:
     if x is None:
         raise ParameterError(f"missing derivation parameter {name!r}")
-    if isinstance(x, PeriodicSeq):
-        return x
-    return PeriodicSeq.constant(as_number(x, repr(name)))
+    return as_rule(x, name)
 
 
 def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicSeq]:
@@ -222,7 +219,7 @@ def check_lure_lmi(a, m, e, g, kappa, l, r, tau):
     return worst <= LMI_TOL * (1.0 + scale), worst
 
 
-def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=None) -> GainData:
+def derive_gains_lure(fam: LureBanded, M, kappa, eps, tau=None) -> GainData:
     """Gains for the sector-bounded family from a user-supplied certificate.
 
     The caller provides the quadratic-form matrix M, the decay rate kappa
@@ -237,11 +234,8 @@ def derive_gains_lure(fam: LureBanded, m_matrix, kappa, eps, tau=None) -> GainDa
     where D_i stacks the neighbor coupling blocks and the norm is the
     largest singular value (computed from the symmetric product).
     """
-    m = np.array([[float(as_number(x, "'M'")) for x in row]
-                  for row in np.atleast_2d(np.asarray(m_matrix, dtype=object))])
-    tau = 1 if tau is None else tau
-    kappa, eps, tau = (float(as_number(v, repr(k)))
-                       for k, v in (("kappa", kappa), ("eps", eps), ("tau", tau)))
+    m = np.array(M, dtype=float, ndmin=2)
+    kappa, eps, tau = float(kappa), float(eps), 1.0 if tau is None else float(tau)
     if m.shape != (fam.n, fam.n) or not np.allclose(m, m.T, atol=1e-12):
         raise InvalidCertificateError("M must be symmetric of the block dimension")
     vform = QuadraticForm(tuple(map(tuple, m.tolist())))

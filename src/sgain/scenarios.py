@@ -27,11 +27,12 @@ from typing import Mapping
 
 from .certificate import (CompositeLyapunov, SmallGainCertificate, certify,
                           verify_certificate)
-from .errors import (CannotCertifyError, ParameterError, SgainError,
+from .errors import (CannotCertifyError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import Family, generator_from_dict
 from .gains import K_MAX, AssumptionReport, GainData, check_assumptions
-from .seqrules import PeriodicSeq, as_integer, as_object, load_json, number_at
+from .seqrules import (IGNORED, REQUIRED, PeriodicSeq, as_integer, as_number, as_object,
+                       as_text, load_json, read)
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -59,44 +60,53 @@ class ExampleScenario:
 
 
 def _deep_merge(base: dict, overrides: Mapping) -> dict:
+    """``base`` with ``overrides`` merged in: an object merges entry by entry into
+    the base's object, unless its ``kind`` differs from the base object's, and
+    then, as any other value (a null too), replaces it."""
     out = dict(base)
     for k, v in overrides.items():
-        if isinstance(v, Mapping) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = v
+        b = out.get(k)
+        merge = isinstance(v, Mapping) and isinstance(b, Mapping) and (
+            v.get("kind", b.get("kind")) == b.get("kind"))
+        out[k] = _deep_merge(b, v) if merge else v
     return out
+
+
+_OUTCOME = {"kind": (as_text, REQUIRED), "which": (as_text, None)}
+# A scenario file; its ``network`` is a description (``generator_from_dict``).
+_SCENARIO = {"network": (None, REQUIRED), "derivation": (as_object, {}), "sim": (as_object, {}),
+             "expected_outcome": (lambda x, path: Outcome(**read(x, _OUTCOME, path)), REQUIRED),
+             "notes": (as_text, ""), "schema": (None, IGNORED), "name": (None, IGNORED)}
+_NETWORK_KEYS = ("coefficients", "p", "q")
+_OVERRIDES = {**dict.fromkeys(("derivation", "sim", "notes", "expected_outcome", *_NETWORK_KEYS),
+                              (None, None)),
+              **dict.fromkeys(("schema", "seed"), (None, IGNORED))}
 
 
 def make_scenario(name: str, overrides: Mapping | None = None) -> ExampleScenario:
     """Load a shipped scenario and apply overrides.
 
-    Override keys mirror the scenario file: ``coefficients`` (merged into
-    the network description), ``derivation``, ``sim``, ``p``, ``q``.
+    The override keys are ``coefficients``, ``p`` and ``q``, merged into the
+    network description (so an error in one names its path from the
+    description: ``coefficients.diag``), and ``derivation``, ``sim``,
+    ``notes`` and ``expected_outcome``, merged into the scenario file's
+    entries of those names, each by :func:`_deep_merge`; ``schema`` and
+    ``seed`` are informational.  A null override, as an absent one, leaves
+    the scenario's entry as it is; any other key is an input error.
     Out-of-range values are rejected by the family constructors with the
     documented range in the message.
     """
-    overrides = as_object(overrides, "scenario overrides")
+    given = {k: v for k, v in read(overrides, _OVERRIDES).items() if v is not None}
     if not isinstance(name, str) or name not in _FILES:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
     with open(_DIR / _FILES[name]) as f:
         obj = load_json(f)
-    notes = obj.get("notes", "")  # a null override, as an absent one, keeps the scenario's
-    if overrides:
-        net_keys = ("coefficients", "p", "q")
-        obj = _deep_merge(obj, {k: v for k, v in overrides.items() if k not in net_keys})
-        obj["network"] = _deep_merge(obj["network"],
-                                     {k: v for k, v in overrides.items() if k in net_keys})
-    fam = generator_from_dict(obj["network"])
-    expected = as_object(obj.get("expected_outcome"), "'expected_outcome'")
-    if not isinstance(expected.get("kind"), str):
-        raise ParameterError("'expected_outcome' needs a string 'kind'")
-    return ExampleScenario(
-        name=name, family=fam, derivation=dict(as_object(obj.get("derivation"), "'derivation'")),
-        sim=dict(as_object(obj.get("sim"), "'sim'")),
-        expected_outcome=Outcome(expected["kind"], expected.get("which")),
-        notes=notes if obj.get("notes") is None else obj["notes"])
+    net = {k: given.pop(k) for k in _NETWORK_KEYS if k in given}
+    s = read(_deep_merge(obj, {**given, "network": net}), _SCENARIO)
+    return ExampleScenario(name=name, family=generator_from_dict(s["network"]),
+                           derivation=dict(s["derivation"]), sim=dict(s["sim"]),
+                           expected_outcome=s["expected_outcome"], notes=s["notes"])
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +144,12 @@ def derive_and_check(fam: Family, derivation: Mapping,
     return g, assumptions
 
 
+# The ``analysis`` section; the retired keys are accepted and not read.
+ANALYSIS = {"k_max": (as_integer, K_MAX), "rho": (as_number, None),
+            **dict.fromkeys(("K", "N_max", "check_horizon", "h_start", "h_doublings"),
+                            (None, IGNORED))}
+
+
 def certify_gains(g: GainData, analysis: Mapping, report: dict,
                   stored: SmallGainCertificate | None = None) -> CompositeLyapunov | None:
     """Stage 2: certify ``g`` with the settings of an ``analysis`` section
@@ -144,9 +160,7 @@ def certify_gains(g: GainData, analysis: Mapping, report: dict,
     instead, and returns None."""
     if stored is None:
         try:
-            cert, g_used = certify(
-                g, rho=number_at(analysis, "rho"),
-                k_max=as_integer(number_at(analysis, "k_max", K_MAX), "'analysis.k_max'"))
+            cert, g_used = certify(g, **read(analysis, ANALYSIS, "analysis"))
         except (SmallGainViolatedError, CannotCertifyError) as exc:
             report["error"] = str(exc)
             if getattr(exc, "bracket", None) is not None:

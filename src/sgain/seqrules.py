@@ -15,7 +15,8 @@ tiles a stored table out to N entries.
 Values are ordinary Python numbers.  When callers supply `fractions.Fraction`
 coefficients (the scenario files are parsed that way), all derived
 quantities stay exact rationals until a genuinely numerical step
-(eigensolves, time integration) converts them to floats.
+(eigensolves, time integration) converts them to floats.  Every input tree
+is read by :func:`read`, against a table stated next to the code that uses it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,10 +46,10 @@ def _check_index(i: int) -> None:
         raise InvalidIndexError(f"subsystem index must be a positive integer, got {i!r}")
 
 
-def as_number(x, what: str = "") -> Real:
-    """Coerce scenario-file values (int/float/Fraction/str, not bool) to a finite
-    number within the float range; an error names the entry ``what`` when given."""
-    where = f"{what}: " if what else ""
+def as_number(x, path: str = "") -> Real:
+    """Coerce an input value (int/float/Fraction/str, not bool) to a finite number
+    within the float range; an error names the entry at ``path`` when given."""
+    where = f"'{path}': " if path else ""
     if isinstance(x, str):
         try:
             x = Fraction(x)
@@ -64,12 +65,35 @@ def as_number(x, what: str = "") -> Real:
     raise ParameterError(f"{where}not a finite number: {x!r}")
 
 
-def as_integer(x, what: str) -> int:
+def as_integer(x, path: str) -> int:
     """An integral number (``3``, ``"3"``, ``3.0``; not ``2.5``) as an int."""
-    v = as_number(x, what)
+    v = as_number(x, path)
     if v != int(v):
-        raise ParameterError(f"{what} must be an integer, got {float(v):g}")
+        raise ParameterError(f"'{path}': must be an integer, got {float(v):g}")
     return int(v)
+
+
+def as_text(x, path: str, choices=None) -> str:
+    """A string, one of ``choices`` when given."""
+    if not isinstance(x, str) or choices is not None and x not in choices:
+        want = "a string" if choices is None else "one of " + ", ".join(choices)
+        raise ParameterError(f"'{path}': must be {want}, got {x!r}")
+    return x
+
+
+def as_numbers(x, path: str, n: int | None = None, item: Callable = as_number) -> tuple:
+    """A JSON array, of ``n`` entries when given, of numbers or what ``item`` reads."""
+    if not isinstance(x, list | tuple) or n not in (None, len(x)):
+        raise ParameterError(f"'{path}': must be a list{f' of {n}' if n else ''}, got {x!r}")
+    return tuple([item(v, f"{path}.{k}") for k, v in enumerate(x)])
+
+
+def as_matrix(x, path: str) -> tuple:
+    """A JSON array of equally long arrays of numbers, as a tuple of tuples."""
+    rows = as_numbers(x, path, item=as_numbers)
+    if len({len(row) for row in rows}) > 1:
+        raise ParameterError(f"'{path}': rows of unequal lengths")
+    return rows
 
 
 def load_json(f):
@@ -80,17 +104,51 @@ def load_json(f):
     return json.load(f, parse_float=Fraction, parse_constant=reject)
 
 
-def as_object(x, what: str) -> Mapping:
-    """A JSON object entry of a configuration ({} when absent or null)."""
+def as_object(x, path: str) -> Mapping:
+    """A JSON object entry ({} when absent or null)."""
     if x is not None and not isinstance(x, Mapping):
-        raise ParameterError(f"{what} must be a JSON object, got {type(x).__name__}")
+        where = f"'{path}': " if path else ""
+        raise ParameterError(f"{where}must be a JSON object, got {type(x).__name__}")
     return x or {}
 
 
-def number_at(section: Mapping, key: str, default=None):
-    """The number at ``key`` of a config section, or ``default`` when absent."""
-    value = section.get(key)
-    return default if value is None else as_number(value, repr(key))
+def subpath(path: str, key) -> str:
+    """The dotted path of entry ``key`` of the entry at ``path``."""
+    return f"{path}.{key}" if path else str(key)
+
+
+# The default of an entry that must be given, and of one that is accepted and not read.
+REQUIRED, IGNORED = object(), object()
+
+
+def read(obj, table: Mapping, path: str = "") -> dict:
+    """The entries of the JSON object at ``path`` by ``table``, ``{key: (reader,
+    default)}``: ``reader(value, path)`` reads a non-null entry (None: as it is),
+    and a null or absent one takes ``default``.  A missing ``REQUIRED`` entry, one
+    the table does not name and a bad value are input errors named by their
+    dotted path; an ``IGNORED`` entry is accepted and left out."""
+    obj = as_object(obj, path)
+    for key in obj:
+        if key not in table:
+            raise ParameterError(f"'{subpath(path, key)}': unknown entry")
+    out = {}
+    for key, (reader, default) in table.items():
+        value = obj.get(key)
+        if value is not None and default is not IGNORED:
+            out[key] = value if reader is None else reader(value, subpath(path, key))
+        elif default is REQUIRED:
+            raise ParameterError(f"'{subpath(path, key)}': missing required entry")
+        elif default is not IGNORED:
+            out[key] = default
+    return out
+
+
+def read_kind(obj, kinds: Mapping[str, Mapping], default: str, path: str) -> tuple[str, dict]:
+    """``(kind, entries)`` of a JSON object read by the table ``kinds[kind]`` of
+    its ``kind`` entry, ``default`` when null or absent."""
+    kind = as_object(obj, path).get("kind")
+    kind = default if kind is None else as_text(kind, subpath(path, "kind"), kinds)
+    return kind, read(obj, {"kind": (None, IGNORED), **kinds[kind]}, path)
 
 
 def exact_div(a: Real, b: Real) -> Real:
@@ -183,6 +241,22 @@ class PeriodicSeq(_EventuallyPeriodic):
                            tuple(fn(v) for v in self.cycle))
 
     lower, upper = min, max  # exact here; a ClosedFormSeq declares its own
+
+
+_RULE = {"preamble": (as_numbers, ()), "cycle": (as_numbers, REQUIRED)}
+
+
+def as_rule(x, path: str) -> PeriodicSeq:
+    """A sequence rule: a number (a constant), a ``{"preamble", "cycle"}`` object of
+    numbers, or a PeriodicSeq as it is."""
+    if isinstance(x, PeriodicSeq):
+        return x
+    if not isinstance(x, Mapping):
+        return PeriodicSeq((), (as_number(x, path),))
+    rule = read(x, _RULE, path)
+    if not rule["cycle"]:
+        raise ParameterError(f"'{path}.cycle': must not be empty")
+    return PeriodicSeq(rule["preamble"], rule["cycle"])
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .errors import (InsufficientDataError, NumericInputError, ParameterError, R
                      ShapeError)
 from .families import Family
 from .network import TruncatedNetwork, _chained_steps, truncate
-from .seqrules import as_integer, as_number, as_object, number_at, positions
+from .seqrules import IGNORED, REQUIRED, as_integer, as_number, positions, read, read_kind
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -159,18 +159,20 @@ SIGNALS: dict[str, type[InputSignal]] = {
                               TrafficLights)}
 
 
-def signal_from_dict(obj: Mapping) -> InputSignal:
-    obj = {k: v for k, v in as_object(obj, "an input signal").items() if v is not None}
-    kind = obj.get("kind", "zero")  # a null entry, as an absent one, takes its default
-    if not isinstance(kind, str) or kind not in SIGNALS:
-        raise ParameterError(f"unknown input signal kind {kind!r}")
-    cls = SIGNALS[kind]
-    try:
-        return cls(**{f.name: as_integer(obj[f.name], "'k'") if f.name == "k"
-                      else float(as_number(obj[f.name], f"'{f.name}'"))
-                      for f in fields(cls) if f.name in obj or f.default is MISSING})
-    except KeyError as exc:
-        raise ParameterError(f"input signal {kind!r} lacks the field {exc}") from None
+def _float(x, path: str) -> float:
+    return float(as_number(x, path))
+
+
+# Each kind's entries are its fields: an int or float, required unless it has a default.
+_SIGNAL_ENTRIES = {kind: {f.name: (as_integer if f.type == "int" else _float,
+                                   REQUIRED if f.default is MISSING else f.default)
+                          for f in fields(cls)} for kind, cls in SIGNALS.items()}
+
+
+def signal_from_dict(obj: Mapping, path: str = "input") -> InputSignal:
+    """The input signal of a JSON object at ``path`` (null: the zero input)."""
+    kind, entries = read_kind(obj, _SIGNAL_ENTRIES, "zero", path)
+    return SIGNALS[kind](**entries)
 
 
 # --------------------------------------------------------------------------
@@ -178,37 +180,33 @@ def signal_from_dict(obj: Mapping) -> InputSignal:
 # --------------------------------------------------------------------------
 
 
-def initial_state(net: TruncatedNetwork, desc) -> np.ndarray:
-    """x0 from a descriptor object (zero / unit / first-k; None is the zero state) or a
-    list of numbers read by as_number.  A null entry, as an absent one, takes its default."""
+_X0_ENTRIES = {"zero": {}, "unit": {"index": (as_integer, REQUIRED), "value": (_float, 1.0)},
+               "first-k": {"K": (as_integer, REQUIRED), "value": (_float, 1.0)}}
+
+
+def initial_state(net: TruncatedNetwork, desc, path: str = "x0") -> np.ndarray:
+    """x0 from a descriptor object at ``path`` (zero / unit / first-k; None is the
+    zero state) or a list of numbers read by as_number."""
     if isinstance(desc, list | tuple):
-        desc = [float(as_number(v, "'x0'")) for v in np.asarray(desc, dtype=object).ravel()]
+        desc = [float(as_number(v, path)) for v in np.asarray(desc, dtype=object).ravel()]
     if isinstance(desc, np.ndarray | list):
         x0 = np.asarray(desc, dtype=float).ravel()
         if x0.size != net.dim:
             raise ShapeError(f"x0 has dimension {x0.size}, network needs {net.dim}")
         return x0
     if desc is not None and not isinstance(desc, Mapping):
-        raise ParameterError(f"'x0' must be an object or a list, got {desc!r}")
-    desc = {k: v for k, v in (desc or {}).items() if v is not None}
-    kind = desc.get("kind", "zero")
+        raise ParameterError(f"'{path}': must be an object or a list, got {desc!r}")
+    kind, d = read_kind(desc, _X0_ENTRIES, "zero", path)
     x0 = np.zeros(net.dim)
-    if kind == "zero":
-        return x0
     if kind == "unit":
-        i = as_integer(desc["index"], "unit index")
-        if not 1 <= i <= net.n_subsystems:
-            raise ParameterError(f"unit index {i} outside the truncation")
-        x0[net.block_offsets[i - 1]] = float(as_number(desc.get("value", 1.0), "'value'"))
-        return x0
-    if kind == "first-k":
-        k = as_integer(desc["K"], "first-k K")
-        if k < 0:
-            raise ParameterError(f"first-k needs K >= 0, got {k}")
-        k = min(k, net.n_subsystems)
-        x0[: net.block_offsets[k]] = float(as_number(desc.get("value", 1.0), "'value'"))
-        return x0
-    raise ParameterError(f"unknown initial-state kind {kind!r}")
+        if not 1 <= d["index"] <= net.n_subsystems:
+            raise ParameterError(f"'{path}.index': {d['index']} outside the truncation")
+        x0[net.block_offsets[d["index"] - 1]] = d["value"]
+    elif kind == "first-k":
+        if d["K"] < 0:
+            raise ParameterError(f"'{path}.K': must be >= 0, got {d['K']}")
+        x0[: net.block_offsets[min(d["K"], net.n_subsystems)]] = d["value"]
+    return x0
 
 
 # --------------------------------------------------------------------------
@@ -568,21 +566,31 @@ class SimSetup:
     x0: np.ndarray
     horizon: float
     step: float
+    csv_states: bool = False  # whether ``sgain simulate`` writes the states
 
     def to_dict(self) -> dict:
         return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
 
 
+def _flag(x, path: str) -> bool:
+    if not isinstance(x, bool):
+        raise ParameterError(f"'{path}': must be true or false, got {x!r}")
+    return x
+
+
+# The ``sim`` section; the retired ``store_states`` and ``c_tol`` are accepted and not read.
+SIM = {"N": (as_integer, 100), "T": (_float, 10.0), "h": (_float, 1e-3), "x0": (None, None),
+       "input": (None, None), "csv_states": (_flag, False),
+       "store_states": (None, IGNORED), "c_tol": (None, IGNORED)}
+
+
 def build_sim(fam: Family, sim: Mapping) -> SimSetup:
     """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
-    net = truncate(fam, as_integer(number_at(sim, "N", 100), "'sim.N'"))
-    try:
-        signal = signal_from_dict(as_object(sim.get("input"), "'sim.input'"))
-        x0 = initial_state(net, sim.get("x0"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed 'sim' entry: {exc}") from None
-    return SimSetup(net=net, signal=signal, x0=x0, horizon=float(number_at(sim, "T", 10.0)),
-                    step=float(number_at(sim, "h", 1e-3)))
+    s = read(sim, SIM, "sim")
+    net = truncate(fam, s["N"])
+    return SimSetup(net=net, signal=signal_from_dict(s["input"], "sim.input"),
+                    x0=initial_state(net, s["x0"], "sim.x0"), horizon=s["T"], step=s["h"],
+                    csv_states=s["csv_states"])
 
 
 def check_run(setup: SimSetup, lyap: CompositeLyapunov, signal: InputSignal):

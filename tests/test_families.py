@@ -217,7 +217,7 @@ def test_codec_rejects_exponents_other_than_two(description, p, q):
 @given(fam=st.one_of(chains, traffics), eps=fractions("1/12", "1/4"))
 def test_power_table_and_certificate(fam, eps):
     try:
-        g = fam.derive_gains({"eps": eps, "delta": eps})
+        g = fam.derive_gains(dict.fromkeys(fam.DERIVATION, eps))
     except DerivationError:
         return
     op = build_gain_operator(g)
@@ -259,7 +259,7 @@ def test_certify_verdicts(fam, eps):
     upper; an emitted certificate passes its scan, with zero tolerance when
     it is exact, and a network with lower >= 1 gets none."""
     try:
-        g = fam.derive_gains({"eps": eps, "delta": eps})
+        g = fam.derive_gains(dict.fromkeys(fam.DERIVATION, eps))
     except DerivationError:
         return
     try:
@@ -299,7 +299,7 @@ def gain_data(draw):
     eps = draw(fractions("1/4", 1)) * room / 4
     if draw(st.booleans()):
         eps = float(eps)
-    return fam.derive_gains({"eps": eps, "delta": eps})
+    return fam.derive_gains(dict.fromkeys(fam.DERIVATION, eps))
 
 
 @st.composite

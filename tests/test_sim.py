@@ -81,7 +81,7 @@ class TestInitialState:
         for bad in ([True, 0, 0], [1, "x", 0], (math.nan, 0, 0)):
             with pytest.raises(ParameterError, match="'x0'"):
                 initial_state(net, bad)
-        with pytest.raises(ParameterError, match="'value'"):
+        with pytest.raises(ParameterError, match=r"^'x0\.value': number too large for a float$"):
             initial_state(net, {"kind": "unit", "index": 2, "value": Fraction(10) ** 400})
 
     def test_null_and_absent_entries_take_their_defaults(self):
@@ -90,7 +90,8 @@ class TestInitialState:
             assert initial_state(net, desc).tolist() == [0.0] * 3
         assert initial_state(net, {"kind": "first-k", "K": 2, "value": None}).tolist() == [1, 1, 0]
         for bad in (0, False, "", "zero", 1.5):
-            with pytest.raises(ParameterError, match="'x0' must be an object or a list"):
+            with pytest.raises(ParameterError,
+                               match=rf"^'x0': must be an object or a list, got {bad!r}$"):
                 initial_state(net, bad)
 
 
