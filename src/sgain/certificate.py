@@ -46,7 +46,8 @@ from .errors import (CannotCertifyError, InternalInconsistencyError,
                      ParameterError, SmallGainViolatedError)
 from .gains import (K_MAX, GainData, PowerTable, SpectralBracket, adjoint_apply,
                     build_gain_operator, spectral_bracket)
-from .seqrules import ClosedFormSeq, PeriodicSeq, Real, as_number, exact_div, joint
+from .seqrules import (IGNORED, REQUIRED, ClosedFormSeq, PeriodicSeq, Real, as_flag, as_float,
+                       as_integer, as_numbers, as_text, exact_div, joint, read)
 
 # --------------------------------------------------------------------------
 # Step-5 rate capping
@@ -178,24 +179,32 @@ class SmallGainCertificate:
         }
 
 
-def certificate_from_dict(obj: dict) -> SmallGainCertificate:
-    """Read back ``SmallGainCertificate.to_dict``, every number as a float."""
-    def num(v):
-        return float(as_number(v))
+# A certificate as ``SmallGainCertificate.to_dict`` writes it; a file written
+# before ``lower_from`` was reported reads ``"section"``, and its retired
+# ``n_used`` and ``lower_converged`` are accepted and not read.
+_MU = {**dict.fromkeys(("preamble", "period"),
+                       (lambda x, path: as_numbers(x, path, item=as_float), REQUIRED)),
+       "mu_lo": (as_float, REQUIRED), "mu_hi": (as_float, REQUIRED)}
+_BRACKET = {"lower": (as_float, REQUIRED), "upper": (as_float, REQUIRED),
+            "k_used": (as_integer, REQUIRED), "satisfied": (as_flag, REQUIRED),
+            "lower_from": (lambda x, path: as_text(x, path, ("symbol", "section")), "section"),
+            "n_used": (None, IGNORED), "lower_converged": (None, IGNORED)}
+_CERTIFICATE = {**dict.fromkeys(("r_tilde", "lambda_inf", "rho"), (as_float, REQUIRED)),
+                "mu": (lambda x, path: read(x, _MU, path), REQUIRED),
+                "bracket": (lambda x, path: read(x, _BRACKET, path), REQUIRED),
+                "h_cap": (as_float, None), "schema": (None, IGNORED)}
 
-    try:
-        mu, br = obj["mu"], obj["bracket"]
-        return SmallGainCertificate(
-            mu=PeriodicSeq(tuple(map(num, mu["preamble"])), tuple(map(num, mu["period"]))),
-            mu_lo=num(mu["mu_lo"]), mu_hi=num(mu["mu_hi"]),
-            lambda_inf=num(obj["lambda_inf"]), r_tilde=num(obj["r_tilde"]),
-            rho=num(obj["rho"]),
-            bracket=SpectralBracket(lower=num(br["lower"]), upper=num(br["upper"]),
-                                    k_used=br["k_used"], satisfied=br["satisfied"],
-                                    lower_from=br.get("lower_from", "section")),
-            h_cap=None if obj.get("h_cap") is None else num(obj["h_cap"]))
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed certificate: {exc}") from None
+
+def certificate_from_dict(obj: dict) -> SmallGainCertificate:
+    """Read back ``SmallGainCertificate.to_dict``, every number as a float: the
+    object, or the ``certificate`` entry of a report that holds one."""
+    path = "certificate" if "certificate" in obj else ""
+    c = read(obj.get("certificate", obj), _CERTIFICATE, path)
+    mu = c["mu"]
+    return SmallGainCertificate(mu=PeriodicSeq(mu["preamble"], mu["period"]), mu_lo=mu["mu_lo"],
+                                mu_hi=mu["mu_hi"], lambda_inf=c["lambda_inf"],
+                                r_tilde=c["r_tilde"], rho=c["rho"],
+                                bracket=SpectralBracket(**c["bracket"]), h_cap=c["h_cap"])
 
 
 @dataclass(frozen=True)

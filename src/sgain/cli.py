@@ -26,8 +26,8 @@ from pathlib import Path
 from .certificate import certificate_from_dict
 from .errors import DerivationError, InvalidCertificateError, ParameterError, SgainError
 from .families import generator_from_dict
-from .scenarios import (ANALYSIS, ExampleScenario, _deep_merge, certify_gains, derive_and_check,
-                        make_scenario, run_pipeline)
+from .scenarios import (ANALYSIS, SIM, ExampleScenario, _deep_merge, certify_gains,
+                        derive_and_check, make_scenario, run_pipeline)
 from .seqrules import IGNORED, REQUIRED, as_object, as_text, load_json, read
 
 # The exit code of each outcome kind a subcommand returns.
@@ -64,9 +64,9 @@ def _network(x, path: str):
     return generator_from_dict(x, path)
 
 
-# A run configuration: ``analysis`` is read here, whatever the command, and
-# ``derivation`` by the family and ``sim`` by ``build_sim`` (after any merge
-# over a scenario's); ``schema`` and ``seed`` are informational.
+# A run configuration: ``analysis`` is read here and ``sim`` by ``_resolve``
+# (after any merge over a scenario's), whatever the command, and
+# ``derivation`` by the family; ``schema`` and ``seed`` are informational.
 _CONFIG = {"network": (_network, REQUIRED), "derivation": (as_object, {}),
            "analysis": (lambda x, path: read(x, ANALYSIS, path), {}),
            "sim": (as_object, {}), "certificate": (as_text, None),
@@ -81,6 +81,7 @@ def _resolve(cfg: dict) -> dict:
     if isinstance(s, ExampleScenario):
         run.update(network=s.family, derivation=_deep_merge(s.derivation, run["derivation"]),
                    sim=_deep_merge(s.sim, run["sim"]))
+    run["sim"] = read(run["sim"], SIM, "sim")
     return run
 
 
@@ -142,7 +143,7 @@ def cmd_verify(args, run) -> str:
         _write_report(Path(args.out), "verification.json", report)
         return "reject-assumption"
     obj = _load_config(run["certificate"]) if run["certificate"] else None
-    stored = None if obj is None else certificate_from_dict(obj.get("certificate", obj))
+    stored = None if obj is None else certificate_from_dict(obj)
     lyap = certify_gains(g, run["analysis"], head, stored)
     if lyap is None:
         print(f"error: {head['error']}", file=sys.stderr)

@@ -29,7 +29,8 @@ Each family is one :class:`Family` subclass registered in :data:`FAMILIES`
 A family instance is the network description; its ``V_i`` are quadratic,
 so the description reader accepts only the exponents p = q = 2.  An
 eventually periodic instance forms its stored blocks (a preamble plus one
-cycle) once, in :attr:`Family.block_table`, and their float rounding once, in
+cycle) once, in :attr:`Family.block_table`, a scalar family's in integer form
+(int numerators over one denominator), and their float rounding once, in
 :attr:`Family.float_table`; the derivations and every truncation of the
 instance read them there.  Nothing here imports scipy: the truncations of a
 family live in :mod:`sgain.network`.
@@ -51,7 +52,7 @@ from .gains import (HALF_SQUARE, GainData, derive_gains_linear_chain,
                     traffic_small_gain_sufficient)
 from .seqrules import (IGNORED, REQUIRED, ClosedFormSeq, PeriodicRows, PeriodicSeq, Real,
                        _EventuallyPeriodic, as_matrix, as_number, as_numbers, as_rule, as_text,
-                       exact_div, joint, load_json, read, subpath, _check_index)
+                       common_den, joint, load_json, map_numbers, read, subpath, _check_index)
 
 
 def _mat(x) -> np.ndarray:
@@ -59,9 +60,10 @@ def _mat(x) -> np.ndarray:
     return np.array(x, dtype=float, ndmin=2)
 
 
-def round_blocks(blocks: tuple) -> tuple:
-    """Blocks ``(A_ii, {offset: D}, B_i)`` as float arrays, each number rounded once."""
-    a, d, b = blocks
+def round_blocks(blocks: tuple, den: int | None = None) -> tuple:
+    """Blocks ``(A_ii, {offset: D}, B_i)`` as float arrays, each number (an int
+    numerator over ``den`` when given) rounded once."""
+    a, d, b = blocks if den is None else map_numbers(blocks, lambda n: n / den)
     return _mat(a), {off: _mat(x) for off, x in d.items()}, _mat(b)
 
 
@@ -69,14 +71,14 @@ class Family:
     """One subsystem family: its blocks, description reader and gain data.
 
     A subclass sets ``name`` (the ``family`` entry of a description) and
-    ``bandwidth``, and defines :meth:`blocks` and :meth:`derive`, which
-    :meth:`derive_gains` calls with the entries of a ``derivation`` section
-    read by :attr:`DERIVATION` (calling its function in :mod:`sgain.gains` by
-    this module's name for it, so a wrapper put on that name, such as the
-    benchmark's tracer, sees the call); one with coefficients also defines
-    :attr:`structure` and :attr:`COEFFICIENTS`, the table of its description's
-    ``coefficients``.  The derivations read a subsystem's dynamics off
-    its blocks, and so does a truncation: neighbors and dimensions too.
+    ``bandwidth``, and defines :meth:`blocks` or :attr:`block_table`, and
+    :meth:`derive`, which :meth:`derive_gains` calls with the entries of a
+    ``derivation`` section read by :attr:`DERIVATION` (calling its function in
+    :mod:`sgain.gains` by this module's name for it, so a wrapper put on that
+    name, such as the benchmark's tracer, sees the call); one with coefficients
+    also defines :attr:`structure` and :attr:`COEFFICIENTS`, the table of its
+    description's ``coefficients``.  The derivations read a subsystem's
+    dynamics off its blocks, and so does a truncation: neighbors and dimensions too.
     """
 
     name: ClassVar[str]
@@ -85,10 +87,10 @@ class Family:
     DERIVATION: ClassVar[dict] = {}
 
     def blocks(self, i: int):
-        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i, its entries as
-        the description holds them (numbers of a scalar family, float arrays
-        of a Lur'e one), ``A_ii`` with any sector channel folded in."""
-        raise NotImplementedError
+        """``(A_ii, {neighbor offset: D}, B_i)`` of subsystem i, its entries
+        exact numbers for a scalar family and float arrays for a Lur'e one,
+        ``A_ii`` with any sector channel folded in; read off the block table."""
+        return self.block_table.at(i)
 
     @property
     def structure(self) -> tuple[int, int] | None:
@@ -97,17 +99,17 @@ class Family:
 
     @functools.cached_property
     def block_table(self) -> _EventuallyPeriodic:
-        """The stored blocks ``blocks(i)``, i = 1..pre+per, as a preamble and a
-        cycle, formed once per instance: ``block_table.at(i)`` is subsystem i's.
-        A closed form has none."""
+        """The stored blocks of subsystems 1..pre+per, as a preamble and a cycle,
+        formed once per instance: ``block_table.at(i)`` is subsystem i's.  A
+        closed form has none."""
         return _EventuallyPeriodic.tabulate(self.blocks, *self.structure)
 
     @functools.cached_property
     def float_table(self) -> _EventuallyPeriodic:
         """:attr:`block_table` with each number rounded to float once."""
         t = self.block_table
-        return _EventuallyPeriodic(tuple(map(round_blocks, t.preamble)),
-                                   tuple(map(round_blocks, t.cycle)))
+        return _EventuallyPeriodic(*(tuple(round_blocks(b, t.den) for b in part)
+                                     for part in (t.preamble, t.cycle)))
 
     @classmethod
     def from_json(cls, coeff: dict) -> "Family":
@@ -142,9 +144,15 @@ class LinearChain(Family):
         if self.diag.min() <= 0:
             raise ParameterError("diagonal coefficients b_ii must be positive")
 
-    def blocks(self, i: int):  # (-b_ii, {-1: b_i(i-1), 1: b_i(i+1)} less zeros, B_i = 0)
-        b_sub = 0 if i == 1 else self.sub.at(i)
-        return -self.diag.at(i), {off: v for off, v in ((-1, b_sub), (1, self.sup.at(i))) if v}, 0
+    @functools.cached_property
+    def block_table(self):  # (-b_ii, {-1: b_i(i-1), 1: b_i(i+1)} less zeros, B_i = 0)
+        pre, per = self.structure
+        n = pre + per
+        nums, den = common_den(self.diag.ratios(n) + self.sub.ratios(n) + self.sup.ratios(n))
+        diag, sub, sup = nums[:n], [0] + nums[n + 1:2 * n], nums[2 * n:]  # b_10 = 0
+        blocks = [(-a, {off: v for off, v in ((-1, s), (1, p)) if v}, 0)
+                  for a, s, p in zip(diag, sub, sup)]
+        return _EventuallyPeriodic(tuple(blocks[:pre]), tuple(blocks[pre:]), den=den)
 
     @property
     def structure(self) -> tuple[int, int]:
@@ -232,17 +240,17 @@ class LureBanded(Family):
 
 
 # Traffic cell classes: neighbor offsets, exit multiplier (times e), and
-# entry coefficient (times r).
-_TRAFFIC_CLASSES: dict[str, tuple[tuple[int, ...], int, Fraction]] = {
-    "S1": ((1,), 0, Fraction(0)),
-    "S2": ((4,), 0, Fraction(1)),
-    "S3": ((-4,), 0, Fraction(1, 2)),
-    "S4": ((-1, 4), 0, Fraction(0)),
-    "S5": ((-4, 1), 1, Fraction(0)),
-    "S6": ((1, 4), 0, Fraction(0)),
-    "S7": ((-4, -1), 0, Fraction(0)),
-    "S8": ((-1, 4), 2, Fraction(0)),
-    "S9": ((-4, 1), 0, Fraction(0)),
+# entry coefficient (times r / 2).
+_TRAFFIC_CLASSES: dict[str, tuple[tuple[int, ...], int, int]] = {
+    "S1": ((1,), 0, 0),
+    "S2": ((4,), 0, 2),
+    "S3": ((-4,), 0, 1),
+    "S4": ((-1, 4), 0, 0),
+    "S5": ((-4, 1), 1, 0),
+    "S6": ((1, 4), 0, 0),
+    "S7": ((-4, -1), 0, 0),
+    "S8": ((-1, 4), 2, 0),
+    "S9": ((-4, 1), 0, 0),
 }
 
 _TRAFFIC_RESIDUE = {4: "S2", 5: "S3", 6: "S4", 1: "S5",
@@ -288,15 +296,21 @@ class Traffic(Family):
 
     @functools.cached_property
     def flows(self) -> PeriodicSeq:
-        """The outflow rates ``v_j / l_j``, each divided once per instance."""
-        return PeriodicSeq.tabulate(lambda j: exact_div(self.v.at(j), self.l.at(j)),
-                                    *joint(0, 1, self.v, self.l))
+        """The outflow rates ``v_j / l_j`` in integer form, formed once per instance."""
+        pre, per = joint(0, 1, self.v, self.l)
+        return PeriodicSeq.of_quotients([(p * s, q * r) for (p, q), (r, s) in zip(
+            self.v.ratios(pre + per), self.l.ratios(pre + per))], pre)
 
-    def blocks(self, i: int):  # (-(v_i/l_i + e_i), {j - i: c v_j/l_j}, B_i) by the class of cell i
-        offsets, e_mult, b_factor = _TRAFFIC_CLASSES[classify_traffic_cell(i)]
-        flow = self.flows.at
-        return (-(flow(i) + e_mult * self.e), {off: self.c * flow(i + off) for off in offsets},
-                b_factor * self.r)
+    @functools.cached_property
+    def block_table(self):  # (-(v_i/l_i + e_i), {j - i: c v_j/l_j}, B_i) by the class of cell i
+        f = self.flows
+        (c, e, r), q = common_den(x.as_integer_ratio() for x in (self.c, self.e, self.r))
+
+        def block(i: int):  # over 2 q f.den
+            offsets, e_mult, b_halves = _TRAFFIC_CLASSES[classify_traffic_cell(i)]
+            return (-2 * (q * f.entry(i) + e_mult * e * f.den),
+                    {off: 2 * c * f.entry(i + off) for off in offsets}, b_halves * r * f.den)
+        return _EventuallyPeriodic.tabulate(block, *self.structure, den=2 * q * f.den)
 
     @property
     def structure(self) -> tuple[int, int]:

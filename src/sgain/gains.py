@@ -13,6 +13,11 @@ sequence, the band off ``gamma``.  The *gain operator* is the infinite
 nonnegative matrix with entries ``psi_ij = gamma_ij / lambda_i``; the
 network-level stability condition is that its l1 spectral radius is below one.
 
+The chain and traffic derivations and the operator run on the integer form
+of their tables (:mod:`sgain.seqrules`): a stored value costs int products
+and one gcd, and a `Fraction` is formed only where a value leaves for a
+report or the certificate layer.  Lur'e gains are floats and stay so.
+
 The operator inherits the band and the eventual periodicity of the
 coefficients, so Psi is a :class:`PeriodicRows`, and Theta = Psi^T maps an
 eventually periodic :class:`PeriodicSeq` to another.  One eigen-solve of
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import (CannotCertifyError, DerivationError,
                      InvalidCertificateError, ParameterError, ResourceError,
                      ShapeError)
-from .seqrules import PeriodicRows, PeriodicSeq, Real, Seq, as_rule, exact_div, joint
+from .seqrules import PeriodicRows, PeriodicSeq, Real, Seq, as_rule, common_den, exact_div, joint
 
 if TYPE_CHECKING:
     from .families import LinearChain, LureBanded, Traffic
@@ -102,7 +107,7 @@ class GainData:
     def gamma_hi(self) -> Real:
         """Exact sup over all single internal gains gamma_ij."""
         rows = self.gamma.preamble + self.gamma.cycle
-        return max((max(r.values()) for r in rows if r), default=0)
+        return self.gamma.value_of(max((max(r.values()) for r in rows if r), default=0))
 
     @property
     def conservative(self) -> bool:
@@ -127,17 +132,15 @@ def optimize_chain_free_params(fam: LinearChain) -> tuple[PeriodicSeq, PeriodicS
     chain derivation: ``eps_i + delta_i = b_ii / 2`` in the ratio ``|b_i(i-1)| : |b_i(i+1)|``,
     for the row sum ``(|b_i(i-1)| + |b_i(i+1)|)^2 / b_ii^2``.  The side of a zero
     coupling, whose parameter must still be positive, gets ``b_ii / 100``."""
-    @functools.cache
-    def split(i: int) -> tuple[Real, Real]:
-        a, d, _ = fam.block_table.at(i)
-        bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
-        half, tiny = exact_div(bd, 2), exact_div(bd, 100)
-        e = (tiny if bs == 0 else half - tiny if bp == 0
-             else exact_div(half * abs(bs), abs(bs) + abs(bp)))
-        return e, half - e
-
-    return tuple(PeriodicSeq.tabulate(lambda i, k=k: split(i)[k], *fam.structure)
-                 for k in (0, 1))
+    t = fam.block_table
+    eps, delta = [], []
+    for a, d, _ in t.entries(t.preamble_len + t.period):  # b_ii = -a / t.den, and so on
+        bs, bp = abs(d.get(-1, 0)), abs(d.get(1, 0))
+        e = (-a, 100 * t.den) if bs == 0 else (
+            -49 * a, 100 * t.den) if bp == 0 else (-a * bs, 2 * t.den * (bs + bp))
+        eps.append(e)
+        delta.append((-a * e[1] - 2 * t.den * e[0], 2 * t.den * e[1]))  # b_ii / 2 - eps_i
+    return tuple(PeriodicSeq.of_quotients(rule, t.preamble_len) for rule in (eps, delta))
 
 
 def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainData:
@@ -153,29 +156,25 @@ def derive_gains_linear_chain(fam: LinearChain, eps=None, delta=None) -> GainDat
         eps, delta = optimize_chain_free_params(fam)
     eps_r, delta_r = _as_rule(eps, "eps"), _as_rule(delta, "delta")
     pre, per = joint(*fam.structure, eps_r, delta_r)
-
-    @functools.cache
-    def cell(i: int) -> tuple[Real, dict]:
-        a, d, _ = fam.block_table.at(i)
-        bd, bs, bp = -a, d.get(-1, 0), d.get(1, 0)
-        e_i, d_i = eps_r.at(i), delta_r.at(i)
+    n, t = pre + per, fam.block_table
+    nums, q = common_den(eps_r.ratios(n) + delta_r.ratios(n))  # eps_i, delta_i over q
+    lam, gamma = [], []
+    for i, (a, d, _) in enumerate(t.entries(n), start=1):  # b_ii = -a / t.den, and so on
+        e_i, d_i = nums[i - 1], nums[n + i - 1]
         if e_i <= 0 or d_i <= 0:
             raise ParameterError("eps and delta must be positive")
-        lam_i = 2 * (bd - e_i - d_i)
+        lam_i = -2 * (a * q + (e_i + d_i) * t.den)  # over t.den q
         if lam_i <= 0:
             where = f"preamble index {i}" if i <= pre else f"residue {(i - pre - 1) % per} of the cycle"
             raise DerivationError(
-                f"nonpositive decay rate 2(b_ii - eps - delta) = {float(lam_i)} at {where}")
-        row = {}
-        if bs != 0:
-            row[-1] = exact_div(bs * bs, 2 * e_i)
-        if bp != 0:
-            row[1] = exact_div(bp * bp, 2 * d_i)
-        return lam_i, row
+                f"nonpositive decay rate 2(b_ii - eps - delta) = {lam_i / (t.den * q)} at {where}")
+        lam.append((lam_i, t.den * q))
+        gamma.append({off: (b * b * q, 2 * split * t.den ** 2)
+                      for off, b, split in ((-1, d.get(-1), e_i), (1, d.get(1), d_i)) if b})
 
     return GainData(
-        lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
-        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
+        lam=PeriodicSeq.of_quotients(lam, pre),
+        gamma=PeriodicRows.of_quotients(gamma, pre, bandwidth=fam.bandwidth),
         gamma_u=PeriodicSeq.constant(0), vform=HALF_SQUARE,
         free_params={"eps": eps_r, "delta": delta_r})
 
@@ -277,28 +276,31 @@ def derive_gains_traffic(fam: Traffic, eps=None) -> GainData:
     every j in the cell's neighbor set, and ``gamma_iu = B_i^2 / (2 eps_i)``,
     all read off the cell's blocks.  eps is 1/10 when None.
     """
-    eps_r = _as_rule(eps if eps is not None else Fraction(1, 10), "eps")
+    eps_r = _as_rule(eps if eps is not None else "1/10", "eps")
     if eps_r.min() <= 0:
         raise ParameterError("eps must be positive")
     pre, per = joint(*fam.structure, eps_r)
+    n, t = pre + per, fam.block_table
 
-    flow_lo = exact_div(fam.v.min(), fam.l.max())
-    if flow_lo - 2 * eps_r.max() <= 0:
+    (v_lo, l_hi, e_hi), r = common_den(x.as_integer_ratio()
+                                       for x in (fam.v.min(), fam.l.max(), eps_r.max()))
+    margin = v_lo * r - 2 * e_hi * l_hi  # (v_lo/l_hi - 2 sup(eps)) l_hi r
+    if margin <= 0:
         raise DerivationError(
-            "uniform decay fails: v_lo/l_hi - 2 sup(eps) = "
-            f"{float(flow_lo - 2 * eps_r.max())} <= 0")
+            f"uniform decay fails: v_lo/l_hi - 2 sup(eps) = {margin / (l_hi * r)} <= 0")
 
-    @functools.cache
-    def cell(i: int) -> tuple[Real, dict, Real]:
-        a, d, b_i = fam.block_table.at(i)
-        eps_i = eps_r.at(i)
-        gamma_i = exact_div(sum(w * w for w in d.values()), 2 * eps_i)  # every neighbor's gain
-        return (-2 * (a + 2 * eps_i), dict.fromkeys(d, gamma_i), exact_div(b_i * b_i, 2 * eps_i))
+    nums, q = common_den(eps_r.ratios(n))  # eps_i over q
+    lam, gamma, gamma_u = [], [], []
+    for (a, d, b_i), e_i in zip(t.entries(n), nums):  # A_ii = a / t.den, and so on
+        den = 2 * e_i * t.den ** 2  # of every neighbor's gain and the input gain
+        lam.append((-2 * (a * q + 2 * e_i * t.den), t.den * q))
+        gamma.append(dict.fromkeys(d, (sum(w * w for w in d.values()) * q, den)))
+        gamma_u.append((b_i * b_i * q, den))
 
     return GainData(
-        lam=PeriodicSeq.tabulate(lambda i: cell(i)[0], pre, per),
-        gamma=PeriodicRows.tabulate(lambda i: cell(i)[1], pre, per, bandwidth=fam.bandwidth),
-        gamma_u=PeriodicSeq.tabulate(lambda i: cell(i)[2], pre, per), vform=HALF_SQUARE,
+        lam=PeriodicSeq.of_quotients(lam, pre),
+        gamma=PeriodicRows.of_quotients(gamma, pre, bandwidth=fam.bandwidth),
+        gamma_u=PeriodicSeq.of_quotients(gamma_u, pre), vform=HALF_SQUARE,
         free_params={"eps": eps_r})
 
 
@@ -306,9 +308,9 @@ def traffic_small_gain_sufficient(fam: Traffic, eps) -> float:
     """Value of the family's conservative sufficient condition
     ``2 (c v_hi)^2 / (eps_lo l_lo^2) / (v_lo/l_hi - 2 eps_hi) < 1``."""
     eps_r = _as_rule(eps, "eps")
-    num = exact_div(2 * (fam.c * fam.v.max()) ** 2, eps_r.min() * fam.l.min() ** 2)
-    den = exact_div(fam.v.min(), fam.l.max()) - 2 * eps_r.max()
-    return float(exact_div(num, den))
+    (c, v_hi, v_lo, l_hi, l_lo, e_hi, e_lo), q = common_den(x.as_integer_ratio() for x in (
+        fam.c, fam.v.max(), fam.v.min(), fam.l.max(), fam.l.min(), eps_r.max(), eps_r.min()))
+    return 2 * (c * v_hi) ** 2 * l_hi / (e_lo * l_lo ** 2 * (v_lo * q - 2 * e_hi * l_hi))
 
 
 # --------------------------------------------------------------------------
@@ -323,16 +325,21 @@ START_SCALE, START_FLOOR = 10 ** 6, 10 ** 3  # start vector max(ceil(S x), F), x
 
 def build_gain_operator(g: GainData) -> PeriodicRows:
     """The rows of Psi: each gain row divided by its decay rate, preserving
-    periodicity."""
+    periodicity; in integer form unless a gain is a float."""
     if not isinstance(g.lam, PeriodicSeq):
         raise CannotCertifyError(
             "decay rates are not eventually periodic; apply a rate cap first")
-
-    def row(i: int) -> dict:
-        inv = exact_div(1, g.lam.at(i))
-        return {off: v * inv for off, v in g.gamma.row(i).items()}
-
-    return PeriodicRows.tabulate(row, *joint(0, 1, g.gamma, g.lam), bandwidth=g.gamma.bandwidth)
+    pre, per = joint(0, 1, g.gamma, g.lam)
+    rows, d = g.gamma.integer_form
+    if d is None:  # float gains: psi_ij = gamma_ij * (1 / lambda_i)
+        return PeriodicRows.tabulate(
+            lambda i: {off: v * (1 / g.lam.at(i)) for off, v in g.gamma.row(i).items()},
+            pre, per, bandwidth=g.gamma.bandwidth)
+    # psi_ij = (v / d) / (lam / q): v / d is gamma_ij, lam / q is lambda_i
+    return PeriodicRows.of_quotients(
+        [{off: (v * q, d * lam) for off, v in row.items()}
+         for row, (lam, q) in zip(rows.entries(pre + per), g.lam.ratios(pre + per))],
+        pre, bandwidth=g.gamma.bandwidth)
 
 
 def adjoint_apply(theta: PeriodicRows, v: PeriodicSeq) -> PeriodicSeq:
@@ -474,9 +481,8 @@ def _perron_vector(a: np.ndarray) -> tuple[list[int], int]:
     returned as int numerators over the lcm of their denominators."""
     vals, vecs = np.linalg.eig(a)
     x = np.abs(vecs[:, np.argmax(np.abs(vals))])
-    ratios = [_limit_denominator(t) if t >= 1e-12 else (0, 1) for t in (x / x.max()).tolist()]
-    den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
+    return common_den(_limit_denominator(t) if t >= 1e-12 else (0, 1)
+                      for t in (x / x.max()).tolist())
 
 
 def _collatz_wielandt(rows, v, d: int | None) -> Real:

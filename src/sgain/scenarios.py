@@ -31,8 +31,8 @@ from .errors import (CannotCertifyError, SgainError,
                      SmallGainViolatedError, UnknownScenarioError)
 from .families import Family, generator_from_dict
 from .gains import K_MAX, AssumptionReport, GainData, check_assumptions
-from .seqrules import (IGNORED, REQUIRED, PeriodicSeq, as_integer, as_number, as_object,
-                       as_text, load_json, read)
+from .seqrules import (IGNORED, REQUIRED, PeriodicSeq, as_flag, as_float, as_integer, as_number,
+                       as_object, as_text, load_json, read)
 
 SCENARIO_NAMES = ("chain-a", "lure-platoon", "traffic", "counter-slow", "counter-gain")
 
@@ -120,8 +120,8 @@ def _gain_summary(g: GainData) -> dict:
 
     def param(v):
         if isinstance(v, PeriodicSeq):
-            return {"preamble": [float(x) for x in v.preamble],
-                    "cycle": [float(x) for x in v.cycle]}
+            values = [float(x) for x in v.values()]
+            return {"preamble": values[:v.preamble_len], "cycle": values[v.preamble_len:]}
         return float(v)
 
     return {"p": 2.0, "q": 2.0, "bandwidth": g.gamma.bandwidth,
@@ -148,6 +148,11 @@ def derive_and_check(fam: Family, derivation: Mapping,
 ANALYSIS = {"k_max": (as_integer, K_MAX), "rho": (as_number, None),
             **dict.fromkeys(("K", "N_max", "check_horizon", "h_start", "h_doublings"),
                             (None, IGNORED))}
+# The ``sim`` section, read by ``sim.build_sim``: ``x0`` and ``input`` by their own
+# tables there; the retired ``store_states`` and ``c_tol`` are accepted and not read.
+SIM = {"N": (as_integer, 100), "T": (as_float, 10.0), "h": (as_float, 1e-3), "x0": (None, None),
+       "input": (None, None), "csv_states": (as_flag, False),
+       "store_states": (None, IGNORED), "c_tol": (None, IGNORED)}
 
 
 def certify_gains(g: GainData, analysis: Mapping, report: dict,

@@ -12,20 +12,23 @@ Tables are built one way: ``tabulate`` reads a rule at 1..pre+per, over
 the structure that :func:`joint` gives several tables, and :func:`positions`
 tiles a stored table out to N entries.
 
-Values are ordinary Python numbers.  When callers supply `fractions.Fraction`
-coefficients (the scenario files are parsed that way), all derived
-quantities stay exact rationals until a genuinely numerical step
-(eigensolves, time integration) converts them to floats.  Every input tree
+A table holds its values (ints, Fractions or floats), or int numerators over
+one denominator ``den``, its *integer form*: the exact layer derives gains and
+the gain operator from int and `Fraction` coefficients (the scenario files are
+parsed that way) in that form, without a `Fraction` per entry.  Its values are
+formed as Fractions once, on the first read, and a genuinely numerical step
+(eigensolves, time integration) rounds each to float once.  Every input tree
 is read by :func:`read`, against a table stated next to the code that uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -63,6 +66,18 @@ def as_number(x, path: str = "") -> Real:
     except OverflowError:  # an exact decimal beyond the largest float
         raise ParameterError(f"{where}number too large for a float") from None
     raise ParameterError(f"{where}not a finite number: {x!r}")
+
+
+def as_float(x, path: str) -> float:
+    """A number (read by :func:`as_number`) rounded to float."""
+    return float(as_number(x, path))
+
+
+def as_flag(x, path: str) -> bool:
+    """``true`` or ``false``."""
+    if not isinstance(x, bool):
+        raise ParameterError(f"'{path}': must be true or false, got {x!r}")
+    return x
 
 
 def as_integer(x, path: str) -> int:
@@ -158,15 +173,39 @@ def exact_div(a: Real, b: Real) -> Real:
     return Fraction(a) / Fraction(b)
 
 
+def common_den(quotients) -> tuple[list[int], int]:
+    """Quotients ``(p, q)`` of ints, q > 0, as int numerators over their least
+    common denominator: the lcm of the q over its gcd with every numerator."""
+    quotients = list(quotients)
+    den = math.lcm(*(q for _, q in quotients))
+    nums = [p * (den // q) for p, q in quotients]
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
+def map_numbers(x, f):
+    """``x`` with ``f`` applied to each of its numbers, through tuples and dicts."""
+    if isinstance(x, dict):
+        return {k: f(v) for k, v in x.items()}
+    return tuple(map_numbers(v, f) for v in x) if isinstance(x, tuple) else f(x)
+
+
+def _flat(entries) -> list:
+    """The numbers of table entries that are numbers or dicts of numbers."""
+    return [v for e in entries for v in (e.values() if isinstance(e, dict) else (e,))]
+
+
 @dataclass(frozen=True)
 class _EventuallyPeriodic:
-    """``preamble`` then ``cycle`` repeated forever.
-
-    Index convention is 1-based throughout the package.
+    """``preamble`` then ``cycle`` repeated forever; in integer form with ``den``:
+    each stored number (in an entry's tuples and dicts too) is an int numerator
+    over den.  :meth:`entry` reads what is stored, :meth:`at` and :meth:`head`
+    the values.  Index convention is 1-based throughout the package.
     """
 
     preamble: tuple
     cycle: tuple
+    den: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if len(self.cycle) < 1:
@@ -180,16 +219,49 @@ class _EventuallyPeriodic:
     def period(self) -> int:
         return len(self.cycle)
 
-    def at(self, i: int):
+    def entry(self, i: int):
+        """The stored entry i."""
         _check_index(i)
         if i <= len(self.preamble):
             return self.preamble[i - 1]
         return self.cycle[(i - len(self.preamble) - 1) % len(self.cycle)]
 
-    def head(self, n: int) -> list:
-        """Entries 1 to n: the preamble, then the cycle repeated."""
+    def entries(self, n: int) -> list:
+        """Stored entries 1 to n: the preamble, then the cycle repeated."""
         reps = -(-max(0, n - self.preamble_len) // self.period)
         return (list(self.preamble) + list(self.cycle) * reps)[:n]
+
+    def at(self, i: int):
+        return (self if self.den is None else self.exact).entry(i)
+
+    def head(self, n: int) -> list:
+        """The values of entries 1 to n."""
+        return (self if self.den is None else self.exact).entries(n)
+
+    @cached_property
+    def exact(self) -> "_EventuallyPeriodic":
+        """The table in integer form with its values stored, as Fractions; formed once."""
+        value = functools.partial(map_numbers, f=lambda n: Fraction(n, self.den))
+        return replace(self, preamble=tuple(map(value, self.preamble)),
+                       cycle=tuple(map(value, self.cycle)), den=None)
+
+    def value_of(self, n):  # the value of a stored number
+        return n if self.den is None else Fraction(n, self.den)
+
+    def ratios(self, n: int) -> list[tuple[int, int]]:
+        """Entries 1 to n of a table of numbers as quotients ``(p, q)``, floats read exactly."""
+        return [v.as_integer_ratio() if self.den is None else (v, self.den)
+                for v in self.entries(n)]
+
+    @classmethod
+    def of_quotients(cls, entries: list, pre: int, **kw):
+        """The table of ``entries``, quotients ``(p, q)`` of ints (q > 0) or dicts of
+        them, in integer form over the least common denominator; ``pre`` entries
+        make the preamble."""
+        nums, den = common_den(_flat(entries))
+        it = iter(nums)
+        out = [{k: next(it) for k in e} if isinstance(e, dict) else next(it) for e in entries]
+        return cls(tuple(out[:pre]), tuple(out[pre:]), den=den, **kw)
 
     @classmethod
     def tabulate(cls, fn: Callable[[int], object], pre: int, per: int, **kw):
@@ -226,19 +298,18 @@ class PeriodicSeq(_EventuallyPeriodic):
 
     def values(self) -> tuple[Real, ...]:
         """All distinct-position values (preamble plus one cycle)."""
-        return self.preamble + self.cycle
+        return tuple(self.head(self.preamble_len + self.period))
 
     def min(self) -> Real:
         """Exact infimum over all i (attained on preamble + cycle)."""
-        return min(self.values())
+        return self.value_of(min(self.preamble + self.cycle))
 
     def max(self) -> Real:
         """Exact supremum over all i."""
-        return max(self.values())
+        return self.value_of(max(self.preamble + self.cycle))
 
     def map(self, fn: Callable[[Real], Real]) -> "PeriodicSeq":
-        return PeriodicSeq(tuple(fn(v) for v in self.preamble),
-                           tuple(fn(v) for v in self.cycle))
+        return PeriodicSeq.tabulate(lambda i: fn(self.at(i)), self.preamble_len, self.period)
 
     lower, upper = min, max  # exact here; a ClosedFormSeq declares its own
 
@@ -296,7 +367,7 @@ class PeriodicRows(_EventuallyPeriodic):
     value; offsets are confined to [-bandwidth, bandwidth] \\ {0}.  Rows in
     the cycle must never reference an index below 1, which is validated at
     construction for the smallest index at which each cycle row occurs.
-    Rows without a float entry have an :attr:`integer_form`: int rows times a
+    Rows without a float entry have an :attr:`integer_form`: int rows over a
     common denominator d, so powers apply as int numerators over ``d^k``.
     """
 
@@ -338,26 +409,26 @@ class PeriodicRows(_EventuallyPeriodic):
         m = self.bandwidth
         n = self.preamble_len + m + self.period
         cols = [{} for _ in range(n)]
-        for i, row in enumerate(self.head(n + m), start=1):
+        for i, row in enumerate(self.entries(n + m), start=1):
             for off, v in row.items():
                 if v and i + off <= n:
                     cols[i + off - 1][-off] = v
-        return PeriodicRows(tuple(cols[:n - self.period]), tuple(cols[n - self.period:]), m)
+        return PeriodicRows(tuple(cols[:n - self.period]), tuple(cols[n - self.period:]), m,
+                            den=self.den)
 
     @cached_property
     def integer_form(self) -> tuple["PeriodicRows", int | None]:
-        """``(d * self, d)`` with d the lcm of the entry denominators, every
-        entry of the first an int; formed once.  ``(self, 1)`` when d = 1, and
-        ``(self, None)`` for rows with a float entry, which have no such form."""
-        entries = [v for row in self.preamble + self.cycle for v in row.values()]
-        if any(isinstance(v, float) for v in entries):
+        """``(d * self, d)``, every entry of the first an int, with d the least
+        common denominator (rows in integer form give their numerators); formed
+        once.  ``(self, None)`` for rows with a float entry, which have no such
+        form."""
+        stored = self.preamble + self.cycle
+        if self.den is None and any(isinstance(v, float) for v in _flat(stored)):
             return self, None
-        d = math.lcm(*(v.denominator for v in entries))
-        if d == 1:
-            return self, 1
-        return PeriodicRows.tabulate(
-            lambda i: {off: v.numerator * (d // v.denominator) for off, v in self.row(i).items()},
-            self.preamble_len, self.period, bandwidth=self.bandwidth), d
+        t = self if self.den is not None else PeriodicRows.of_quotients(
+            [map_numbers(row, lambda v: v.as_integer_ratio()) for row in stored],
+            self.preamble_len, bandwidth=self.bandwidth)
+        return replace(t, den=None), t.den
 
     def sup_column_sum(self) -> Real:
         """Exact sup over all columns j of the column sum, formed once."""
@@ -366,15 +437,15 @@ class PeriodicRows(_EventuallyPeriodic):
     @cached_property
     def _sup_column_sum(self) -> Real:
         t = self.transpose()
-        return max(sum(row.values(), start=0) for row in t.preamble + t.cycle)
+        return self.value_of(max(sum(row.values(), start=0) for row in t.preamble + t.cycle))
 
     def section(self, n: int) -> np.ndarray:
         """Dense leading n-by-n principal submatrix (float entries)."""
         out = np.zeros((n, n))
-        for i, row in enumerate(self.head(n)):
+        for i, row in enumerate(self.entries(n)):
             for off, v in row.items():
                 if 0 <= i + off < n:
-                    out[i, i + off] = float(v)
+                    out[i, i + off] = float(v) if self.den is None else v / self.den
         return out
 
     def symbol(self) -> list[list[Real]]:
@@ -384,4 +455,4 @@ class PeriodicRows(_EventuallyPeriodic):
         for r, row in enumerate(self.cycle):
             for off, v in row.items():
                 out[r][(r + off) % self.period] += v
-        return out
+        return [[self.value_of(v) if v else v for v in row] for row in out]

@@ -47,7 +47,8 @@ from .errors import (InsufficientDataError, NumericInputError, ParameterError, R
                      ShapeError)
 from .families import Family
 from .network import TruncatedNetwork, _chained_steps, truncate
-from .seqrules import IGNORED, REQUIRED, as_integer, as_number, positions, read, read_kind
+from .scenarios import SIM
+from .seqrules import REQUIRED, as_float, as_integer, as_number, positions, read, read_kind
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -159,12 +160,8 @@ SIGNALS: dict[str, type[InputSignal]] = {
                               TrafficLights)}
 
 
-def _float(x, path: str) -> float:
-    return float(as_number(x, path))
-
-
 # Each kind's entries are its fields: an int or float, required unless it has a default.
-_SIGNAL_ENTRIES = {kind: {f.name: (as_integer if f.type == "int" else _float,
+_SIGNAL_ENTRIES = {kind: {f.name: (as_integer if f.type == "int" else as_float,
                                    REQUIRED if f.default is MISSING else f.default)
                           for f in fields(cls)} for kind, cls in SIGNALS.items()}
 
@@ -180,8 +177,8 @@ def signal_from_dict(obj: Mapping, path: str = "input") -> InputSignal:
 # --------------------------------------------------------------------------
 
 
-_X0_ENTRIES = {"zero": {}, "unit": {"index": (as_integer, REQUIRED), "value": (_float, 1.0)},
-               "first-k": {"K": (as_integer, REQUIRED), "value": (_float, 1.0)}}
+_X0_ENTRIES = {"zero": {}, "unit": {"index": (as_integer, REQUIRED), "value": (as_float, 1.0)},
+               "first-k": {"K": (as_integer, REQUIRED), "value": (as_float, 1.0)}}
 
 
 def initial_state(net: TruncatedNetwork, desc, path: str = "x0") -> np.ndarray:
@@ -572,20 +569,9 @@ class SimSetup:
         return {"N": self.net.n_subsystems, "T": self.horizon, "h": self.step}
 
 
-def _flag(x, path: str) -> bool:
-    if not isinstance(x, bool):
-        raise ParameterError(f"'{path}': must be true or false, got {x!r}")
-    return x
-
-
-# The ``sim`` section; the retired ``store_states`` and ``c_tol`` are accepted and not read.
-SIM = {"N": (as_integer, 100), "T": (_float, 10.0), "h": (_float, 1e-3), "x0": (None, None),
-       "input": (None, None), "csv_states": (_flag, False),
-       "store_states": (None, IGNORED), "c_tol": (None, IGNORED)}
-
-
 def build_sim(fam: Family, sim: Mapping) -> SimSetup:
-    """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section."""
+    """Stage 3: the truncation, input signal and ``x0`` of a ``sim`` section
+    (read by :data:`sgain.scenarios.SIM`)."""
     s = read(sim, SIM, "sim")
     net = truncate(fam, s["N"])
     return SimSetup(net=net, signal=signal_from_dict(s["input"], "sim.input"),

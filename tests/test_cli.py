@@ -488,14 +488,16 @@ class TestExitCodes:
          "derivation.epsilon"),
         ("certify", {"analysis": {"kmax": 3}}, "analysis.kmax"),
         ("analyze", {"analysis": {"kmax": 3}}, "analysis.kmax"),
+        ("analyze", {"sim": {"n": 7}}, "sim.n"),
+        ("certify", {"sim": {**FAST_SIM, "n": 7}}, "sim.n"),
         ("scenario", {"coefficients": {"dia": 1}}, "coefficients.dia"),
         ("certify", {"simm": {"N": 7}}, "simm"),
         ("simulate", {"sim": {**FAST_SIM, "x0": {"kind": "zero", "value": 2}}}, "sim.x0.value"),
         ("certify", {"network": {"family": "linear-chain", "coefficients": {
             "diag": {"cycle": [1], "cylce": [9]}, "sub": 0.1, "sup": 0.1}}},
          "network.coefficients.diag.cylce")],
-        ids=["sim", "derivation", "analysis", "analysis-analyze", "override", "top-level", "x0",
-             "rule"])
+        ids=["sim", "derivation", "analysis", "analysis-analyze", "sim-analyze", "sim-certify",
+             "override", "top-level", "x0", "rule"])
     def test_unknown_entries_name_their_path(self, run_main, tmp_path, command, content, path):
         """An entry that no table reads is an input error named by its dotted path."""
         if command == "scenario":
@@ -506,6 +508,30 @@ class TestExitCodes:
         code, err = run_main([*argv, "--out", tmp_path / "o"])
         assert (code, err) == (1, f"error: '{path}': unknown entry\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("wrapped, edit, message", [
+        (False, lambda c: c["bracket"].update(k_used="x"), "'bracket.k_used': not a number: 'x'"),
+        (False, lambda c: c["bracket"].update(satisfied="no"),
+         "'bracket.satisfied': must be true or false, got 'no'"),
+        (False, lambda c: c.update(extra=1), "'extra': unknown entry"),
+        (False, lambda c: c.pop("mu"), "'mu': missing required entry"),
+        (True, lambda c: c["mu"].update(period=["x"]),
+         "'certificate.mu.period.0': not a number: 'x'"),
+        (True, lambda c: c["bracket"].update(lower_from="both"),
+         "'certificate.bracket.lower_from': must be one of symbol, section, got 'both'")],
+        ids=["k_used", "satisfied", "extra", "no-mu", "mu-entry", "lower_from"])
+    def test_malformed_certificate_names_its_path(self, run_main, tmp_path, chain_cfg,
+                                                  wrapped, edit, message):
+        """A certificate file, bare or in a report, is read by one table: a bad or
+        unknown entry is an input error named by its dotted path."""
+        assert run_main(["certify", "--config", chain_cfg, "--out", tmp_path / "o"])[0] == 0
+        report = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        edit(report["certificate"])
+        bad = _write(tmp_path / "bad.json", report if wrapped else report["certificate"])
+        cfg = _write(tmp_path / "cfg2.json", {**json.loads(chain_cfg.read_text()),
+                                              "certificate": str(bad)})
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "o2"]) == (
+            1, f"error: {message}\n")
 
     @pytest.mark.parametrize("sector", [[-1, 1, 7], [-1]], ids=["three", "one"])
     def test_sector_is_exactly_two_numbers(self, run_main, tmp_path, packaged_network, sector):

@@ -375,9 +375,10 @@ def reference_lower_bounds(psi):
     from Fraction Perron vectors: the symbol's over Theta's cycle rows, the
     section's on a window of columns rebuilt entry by entry."""
     m, per, theta = psi.bandwidth, psi.period, psi.transpose()
+    cycle = theta.head(theta.preamble_len + per)[theta.preamble_len:]  # values, not numerators
     x = reference_perron(np.array(psi.symbol(), dtype=float).T)
     symbol = min(sum(v * x[(m + r + o) % per] for o, v in row.items()) / x[(m + r) % per]
-                 for r, row in enumerate(theta.cycle) if x[(m + r) % per])
+                 for r, row in enumerate(cycle) if x[(m + r) % per])
     n = min(psi.preamble_len + 2 * per, 64)
     v = reference_perron(psi.section(n).T)
     section = min(a / b for a, b in zip(window_theta(psi, v + [0] * m, n), v) if b)
@@ -484,11 +485,12 @@ def test_integer_form():
     s = make_scenario("chain-a")
     psi = build_gain_operator(s.family.derive_gains(s.derivation))
     rows, d = psi.integer_form
-    entries = [v for row in psi.preamble + psi.cycle for v in row.values()]
+    values = psi.head(psi.preamble_len + psi.period)
+    entries = [v for row in values for v in row.values()]
     assert d == math.lcm(*(v.denominator for v in entries)) > 1
     assert (rows.preamble_len, rows.period, rows.bandwidth) == (
         psi.preamble_len, psi.period, psi.bandwidth)
-    for row, scaled in zip(psi.preamble + psi.cycle, rows.preamble + rows.cycle):
+    for row, scaled in zip(values, rows.preamble + rows.cycle):
         assert scaled == {off: v * d for off, v in row.items()}
         assert all(type(v) is int for v in scaled.values())
     assert psi.integer_form is psi.integer_form  # formed once
@@ -497,7 +499,8 @@ def test_integer_form():
     mixed = PeriodicRows(({1: Fraction(1, 3)},), ({-1: 0.25, 1: Fraction(1, 3)},), 1)
     whole = PeriodicRows(({1: Fraction(3)},), ({-1: Fraction(2), 1: Fraction(3)},), 1)
     for rows, d in ((floats, None), (mixed, None), (whole, 1)):
-        assert rows.integer_form == (rows, d) and rows.integer_form[0] is rows
+        assert rows.integer_form == (rows, d)
+        assert (rows.integer_form[0] is rows) == (d is None)
 
 
 @pytest.mark.parametrize("name", ["traffic", "chain-a"])

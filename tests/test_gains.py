@@ -13,12 +13,13 @@ import sgain
 from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    ParameterError, ResourceError,
                    build_gain_operator, check_assumptions, check_lure_lmi,
-                   derive_gains_linear_chain, derive_gains_lure,
+                   classify_traffic_cell, derive_gains_linear_chain, derive_gains_lure,
                    derive_gains_traffic,
                    operator_power_column_sums, spectral_bracket)
 from sgain.families import LureBanded
 from sgain.gains import _certified_root, _limit_denominator
 from sgain.seqrules import PeriodicRows, PeriodicSeq
+from test_families import chains, fractions, rules, traffics
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -619,3 +620,77 @@ class TestErrorPaths:
         with pytest.raises(DerivationError, match="residue"):
             derive_gains_linear_chain(fam,
                                       Fraction(1, 10), Fraction(1, 10))
+
+
+# The documented cell classes of a traffic network: neighbor offsets, exit
+# multiplier (times e) and entry coefficient (times r).
+_CELLS = {"S1": ((1,), 0, 0), "S2": ((4,), 0, 1), "S3": ((-4,), 0, Fraction(1, 2)),
+          "S4": ((-1, 4), 0, 0), "S5": ((-4, 1), 1, 0), "S6": ((1, 4), 0, 0),
+          "S7": ((-4, -1), 0, 0), "S8": ((-1, 4), 2, 0), "S9": ((-4, 1), 0, 0)}
+
+
+def _chain_reference(fam, eps, delta, i):
+    """``(lambda_i, {offset: gamma_ij}, gamma_iu)`` of the chain derivation in
+    Fraction arithmetic, from the formulas of its docstrings."""
+    b, bp = Fraction(fam.diag.at(i)), fam.sup.at(i)
+    bs = 0 if i == 1 else fam.sub.at(i)
+    if eps is None:  # the default split: b_ii / 2 in the ratio |b_i(i-1)| : |b_i(i+1)|
+        e = b / 100 if bs == 0 else b / 2 - b / 100 if bp == 0 else b / 2 * abs(bs) / (
+            abs(bs) + abs(bp))
+        d = b / 2 - e
+    else:
+        e, d = eps.at(i), delta.at(i)
+    gamma = {off: c * c / (2 * s) for off, c, s in ((-1, bs, e), (1, bp, d)) if c}
+    return 2 * (b - e - d), gamma, 0
+
+
+def _traffic_reference(fam, eps, i):
+    """The same of the traffic derivation, its blocks formed from the coefficients."""
+    def flow(j):
+        return Fraction(fam.v.at(j)) / fam.l.at(j)
+
+    offsets, exits, entry = _CELLS[classify_traffic_cell(i)]
+    e = Fraction(1, 10) if eps is None else eps.at(i)
+    gain = sum((fam.c * flow(i + off)) ** 2 for off in offsets) / (2 * e)
+    return (2 * (flow(i) + exits * fam.e - 2 * e), dict.fromkeys(offsets, gain),
+            (entry * fam.r) ** 2 / (2 * e))
+
+
+@st.composite
+def _described_gains(draw):
+    """A random rational chain or traffic network, with preambles and cycles, and
+    its derivation: split rules small enough to keep every decay rate positive,
+    or the default."""
+    kind = draw(st.sampled_from(["chain", "traffic"]))
+    fam = draw(chains if kind == "chain" else traffics)
+    room = fam.diag.min() if kind == "chain" else Fraction(fam.v.min()) / fam.l.max()
+    split = rules(fractions("1/12", 1)).map(lambda r: r.map(lambda x: x * room / 4))
+    default_ok = kind == "chain" or room > Fraction(1, 5)  # traffic's default eps is 1/10
+    eps = draw(st.one_of(st.none(), split) if default_ok else split)
+    if kind == "chain":
+        delta = None if eps is None else draw(split)
+        return fam, derive_gains_linear_chain(fam, eps, delta), (
+            lambda i: _chain_reference(fam, eps, delta, i))
+    return fam, derive_gains_traffic(fam, eps), lambda i: _traffic_reference(fam, eps, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(described=_described_gains())
+def test_integer_derivations_match_fraction_reference(described):
+    """Every lambda_i, gamma_ij and gamma_iu of the integer-form derivations is
+    the Fraction value of the documented formulas, and Theta's integer form
+    ``(rows, d)`` holds ``Psi^T`` entry by entry as int numerators over d."""
+    fam, g, reference = described
+    n = g.lam.preamble_len + 2 * g.lam.period + g.gamma.bandwidth
+    refs = {i: reference(i) for i in range(1, n + 1)}
+    for i, (lam, gamma, gamma_u) in refs.items():
+        assert (g.lam.at(i), g.gamma.row(i), g.gamma_u.at(i)) == (lam, gamma, gamma_u)
+    rows, d = build_gain_operator(g).transpose().integer_form
+    m = g.gamma.bandwidth
+    theta = {(i + off, i): v / lam for i, (lam, gamma, _) in refs.items()
+             for off, v in gamma.items() if v}
+    for j in range(1, n - m + 1):
+        row = rows.row(j)
+        assert all(type(v) is int for v in row.values())
+        assert {(j, j + off): Fraction(v, d) for off, v in row.items()} == {
+            key: v for key, v in theta.items() if key[0] == j}

@@ -143,3 +143,35 @@ def test_exported_names_resolve():
         assert scope[name] is value, name
     with pytest.raises(AttributeError):
         sgain.no_such_name  # noqa: B018
+
+
+# The exact layer's integer path: the functions (and methods, by name) that run
+# on int numerators over one denominator.
+INTEGER_PATH = {"families": {"flows", "block_table", "float_table"},
+                "gains": {"optimize_chain_free_params", "derive_gains_linear_chain",
+                          "derive_gains_traffic", "traffic_small_gain_sufficient",
+                          "build_gain_operator", "check_assumptions"},
+                "seqrules": {"integer_form"}}
+
+
+def _names_read(tree, functions):
+    """{function name: every name and attribute read in its body} of the
+    functions and methods in ``tree`` named in ``functions``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            out.setdefault(node.name, set()).update(
+                n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)))
+    return out
+
+
+def test_integer_path_forms_no_fraction():
+    """The derivations, the operator and Theta's integer form name neither
+    ``Fraction`` nor ``exact_div``: a Fraction is formed only where a value leaves."""
+    assert _names_read(ast.parse("def f(x):\n    return Fraction(x)"), {"f"})["f"] >= {"Fraction"}
+    for stem, functions in INTEGER_PATH.items():
+        found = _names_read(ast.parse((SRC / f"{stem}.py").read_text()), functions)
+        assert found.keys() == functions, stem
+        for name, names in found.items():
+            assert not names & {"Fraction", "exact_div"}, (stem, name)

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -79,20 +80,23 @@ class TestBlockTable:
 
     @pytest.mark.parametrize("name", ["traffic", "chain-a"])
     def test_each_stored_block_is_formed_once(self, name, monkeypatch):
+        """The table is formed once, and no block is read subsystem by subsystem."""
         s = sgain.make_scenario(name)
-        calls = collections.Counter()
-        blocks = type(s.family).blocks
+        cls, calls = type(s.family), collections.Counter()
+        form = cls.block_table.func
 
-        def counted(fam, i):
-            calls[i] += 1
-            return blocks(fam, i)
+        def counted(fam):
+            calls["table"] += 1
+            return form(fam)
 
-        monkeypatch.setattr(type(s.family), "blocks", counted)
+        table = functools.cached_property(counted)
+        table.__set_name__(cls, "block_table")
+        monkeypatch.setattr(cls, "block_table", table)
+        monkeypatch.setattr(cls, "blocks", lambda fam, i: pytest.fail(f"blocks({i}) read"))
         s.family.derive_gains(s.derivation)
         for n in (20, 40, 80):
             truncate(s.family, n)
-        pre, per = s.family.structure
-        assert calls == dict.fromkeys(range(1, pre + per + 1), 1)
+        assert calls == {"table": 1}
 
     def test_the_tables_are_per_instance(self):
         fam = traffic_gen()

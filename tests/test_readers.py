@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgain import FAMILIES, ParameterError, cli, families, scenarios, seqrules, sim
+from sgain import FAMILIES, ParameterError, certificate, cli, families, scenarios, seqrules, sim
 from sgain.seqrules import IGNORED, REQUIRED, read
 
 
@@ -18,6 +18,8 @@ def _scenario_file(name):
 
 _FILES = {name: _scenario_file(name) for name in ("chain-a", "traffic", "lure-platoon")}
 _NETWORKS = {f["network"]["family"]: f for f in _FILES.values()}
+_MU = {"preamble": [], "period": [1.0], "mu_lo": 1.0, "mu_hi": 1.0}
+_BRACKET = {"lower": 0.1, "upper": 0.2, "k_used": 1, "satisfied": True, "lower_from": "symbol"}
 
 
 def _required(table):
@@ -35,7 +37,11 @@ TABLES = {
     "analysis": (scenarios.ANALYSIS, {}, "analysis"),
     "description": (families._DESCRIPTION, _FILES["traffic"]["network"], "network"),
     "rule": (seqrules._RULE, {"cycle": [1]}, "coefficients.v"),
-    "sim": (sim.SIM, {}, "sim"),
+    "sim": (scenarios.SIM, {}, "sim"),
+    "certificate": (certificate._CERTIFICATE, {"r_tilde": 0.5, "lambda_inf": 1.0, "rho": 0.1,
+                                               "mu": _MU, "bracket": _BRACKET}, "certificate"),
+    "certificate mu": (certificate._MU, _MU, "certificate.mu"),
+    "certificate bracket": (certificate._BRACKET, _BRACKET, "certificate.bracket"),
     **{f"{name} coefficients": (cls.COEFFICIENTS,
                                 _NETWORKS[name]["network"]["coefficients"] if name in _NETWORKS
                                 else {}, "coefficients") for name, cls in FAMILIES.items()},
