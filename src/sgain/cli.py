@@ -45,8 +45,6 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as f:
             return as_object(load_json(f), path)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
 

@@ -43,7 +43,8 @@ import numpy as np
 from .errors import (CannotCertifyError, DerivationError,
                      InvalidCertificateError, ParameterError, ResourceError,
                      ShapeError)
-from .seqrules import PeriodicRows, PeriodicSeq, Real, Seq, as_rule, common_den, exact_div, joint
+from .seqrules import (PeriodicRows, PeriodicSeq, Real, Seq, as_integer, as_rule, common_den,
+                       exact_div, joint)
 
 if TYPE_CHECKING:
     from .families import LinearChain, LureBanded, Traffic
@@ -409,6 +410,7 @@ def operator_power_column_sums(psi: PeriodicRows, k_max: int,
     weighted by w sums to (Theta^k w)_j, so each norm is exact and, for
     rational Psi, no entry pays a gcd (see :attr:`PeriodicRows.integer_form`).
     """
+    k_max = as_integer(k_max, "k_max")
     if k_max < 0:
         raise ParameterError("power must be nonnegative")
     if k_max * psi.bandwidth > BAND_BUDGET:
@@ -451,45 +453,23 @@ class SpectralBracket:
                 "satisfied": bool(self.satisfied)}
 
 
-def _limit_denominator(t: float) -> tuple[int, int]:
-    """``Fraction(t).limit_denominator(10 ** 12)`` as its (numerator,
-    denominator): the same continued-fraction recurrence on
-    ``t.as_integer_ratio()``, and the same choice of the nearer of the two
-    last candidates."""
-    cap = 10 ** 12
-    n, d = t.as_integer_ratio()
-    if d <= cap:
-        return n, d
-    whole = d  # t = n / whole
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (cap - q0) // q1
-    # p1/q1 lies d / (q1 whole) from t, the other candidate 1 / (q1 (q0 + k q1)) from p1/q1.
-    return (p1, q1) if 2 * d * (q0 + k * q1) <= whole else (p0 + k * p1, q0 + k * q1)
-
-
 def _perron_vector(a: np.ndarray) -> tuple[list[int], int]:
     """``|x|`` for an eigenvector x of the nonnegative ``a`` at an eigenvalue
-    of largest modulus r, so ``a |x| >= r |x|``; scaled to max 1, float noise
-    below 1e-12 dropped and the rest rounded to rationals (relative 1e-12),
-    returned as int numerators over the lcm of their denominators."""
+    of largest modulus r, so ``a |x| >= r |x|``; scaled to max 1 and float
+    noise below 1e-12 dropped, as the binary rationals the eigensolve
+    returned: int numerators over one power of two, each entry exactly."""
     vals, vecs = np.linalg.eig(a)
     x = np.abs(vecs[:, np.argmax(np.abs(vals))])
-    return common_den(_limit_denominator(t) if t >= 1e-12 else (0, 1)
+    return common_den(t.as_integer_ratio() if t >= 1e-12 else (0, 1)
                       for t in (x / x.max()).tolist())
 
 
 def _collatz_wielandt(rows, v, d: int | None) -> Real:
     """``s = min (Theta v)_j / v_j`` over the rows ``(j, row)`` of Theta's
-    integer form (``d`` its denominator, ``j`` 0-based) at which ``v(j)`` is
-    nonzero: ``Theta v >= s v`` holds there and wherever v is zero.  ``v(j)``
-    reads int numerators, or Fractions for float Theta (d None)."""
+    integer form (``d`` its denominator, None for float Theta; ``j`` 0-based)
+    at which ``v(j)`` is nonzero: ``Theta v >= s v`` holds there and wherever
+    v is zero.  ``v(j)`` reads int numerators, whose common denominator
+    cancels in the quotient."""
     return _extreme([(sum(w * v(j + o) for o, w in row.items()), y)
                      for j, row in rows if (y := v(j))], d, operator.lt)
 
@@ -516,29 +496,29 @@ def spectral_bracket(psi: PeriodicRows, k_max: int = K_MAX) -> SpectralBracket:
 
     One eigen-solve of the period symbol gives its Perron vector x: the
     power table starts from the positive int vector it rounds to, and the
-    symbol lower bound uses x itself.  The Gelfand estimates are exact;
-    the k = 1 value is kept in exact arithmetic so that rational inputs
-    give a rational upper bound whenever it is the best estimate, and
-    higher roots are rounded up so every candidate is a true upper bound
-    (a k whose root cannot be certified is left out).  The lower bound is
-    the larger of the symbol and the section bounds.  On rational gains
-    both lower bounds and the root checks run on ints: Theta's integer
-    form applied to the Perron vectors' int numerators, one Fraction per
-    bound.  Float gains apply Theta to the Perron vectors as Fractions.
+    symbol lower bound uses x itself, as the eigensolve returned it.  The
+    Gelfand estimates are exact; the k = 1 value is kept in exact
+    arithmetic so that rational inputs give a rational upper bound whenever
+    it is the best estimate, and higher roots are rounded up so every
+    candidate is a true upper bound (a k whose root cannot be certified is
+    left out).  The lower bound is the larger of the symbol and the section
+    bounds.  Both apply Theta's integer form to the Perron vectors' int
+    numerators over a power of two: on rational gains one Fraction per
+    bound, on float gains the floats of the vectors' values, since scaling
+    by a power of two commutes with rounding.  The root checks run on ints.
     """
+    k_max = as_integer(k_max, "k_max")
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
-    num, den = _perron_vector(np.array(psi.symbol(), dtype=float).T)
-    table = operator_power_column_sums(psi, k_max, _start_vector(psi, num, den))
+    x, den = _perron_vector(np.array(psi.symbol(), dtype=float).T)
+    table = operator_power_column_sums(psi, k_max, _start_vector(psi, x, den))
     norms = table.norms
     roots = [(norms[1], 1)] + [(_certified_root(norms[k], k), k) for k in range(2, k_max + 1)]
     best, best_k = min(roots, key=lambda root: root[0])  # ties keep the smaller k
     rows, d = psi.transpose().integer_form
     m, per = psi.bandwidth, psi.period
     size = min(psi.preamble_len + 2 * per, SECTION_CAP)
-    (x, den), (v, q) = (num, den), _perron_vector(psi.section(size).T)
-    if d is None:  # float Theta applies to the Perron vectors as Fractions
-        x, v = [Fraction(t, den) for t in x], [Fraction(t, q) for t in v]
+    v = _perron_vector(psi.section(size).T)[0]
     # Symbol: laid out in the cycle's phase, x has Theta^k x >= s^k x far out, so
     # ||Psi^k|| >= s^k: past preamble + m, Theta's cycle row r reads x at residue m + r + offset.
     symbol = _collatz_wielandt(enumerate(rows.cycle, m), lambda j: x[j % per], d)

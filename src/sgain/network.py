@@ -18,7 +18,7 @@ from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec,
 
 from .errors import ParameterError, ResourceError
 from .families import Family, round_blocks
-from .seqrules import positions
+from .seqrules import as_integer, positions
 
 DIM_BUDGET = 2 ** 24  # most states a truncation holds (a state vector of 128 MiB)
 CLOSED_FORM_BUDGET = 2 ** 16  # most subsystems of a closed form, whose blocks are read one by one
@@ -40,10 +40,10 @@ class TruncatedNetwork:
     """
 
     def __init__(self, fam: Family, n_subsystems: int):
-        if n_subsystems < 1:
+        self.n_subsystems = n = as_integer(n_subsystems, "N")
+        if n < 1:
             raise ParameterError("truncation needs at least one subsystem")
         self.family = fam
-        self.n_subsystems = n = n_subsystems
         pre, per = fam.structure or (n, 1)
         if fam.structure is None:
             stored = [round_blocks(fam.blocks(1))]

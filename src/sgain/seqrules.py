@@ -112,11 +112,18 @@ def as_matrix(x, path: str) -> tuple:
 
 
 def load_json(f):
-    """A JSON document from an open file, decimals as Fractions; ``NaN`` and
-    ``Infinity`` are input errors."""
+    """A JSON document from an open file, decimals as Fractions; malformed
+    JSON, ``NaN``, ``Infinity`` and bytes that are not text of the file's
+    encoding are input errors that name the file."""
     def reject(token):
         raise ParameterError(f"non-finite number {token} in {f.name}")
-    return json.load(f, parse_float=Fraction, parse_constant=reject)
+    try:
+        return json.load(f, parse_float=Fraction, parse_constant=reject)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{f.name} is not {f.encoding} text: {exc.reason} "
+                             f"at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"malformed JSON in {f.name}: {exc}") from exc
 
 
 def as_object(x, path: str) -> Mapping:

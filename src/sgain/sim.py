@@ -48,7 +48,8 @@ from .errors import (InsufficientDataError, NumericInputError, ParameterError, R
 from .families import Family
 from .network import TruncatedNetwork, _chained_steps, truncate
 from .scenarios import SIM
-from .seqrules import REQUIRED, as_float, as_integer, as_number, positions, read, read_kind
+from .seqrules import (REQUIRED, as_float, as_integer, as_number, as_numbers, positions, read,
+                       read_kind)
 
 # --------------------------------------------------------------------------
 # Input signals
@@ -531,7 +532,7 @@ def truncation_convergence_probe(fam: Family, x0_desc, signal,
     of the retained window.  No convergence claim is made; the numbers are
     the evidence.
     """
-    n_list = list(n_list)
+    n_list = as_numbers(list(n_list), "n_list", item=as_integer)
     if not n_list:
         raise ParameterError("the probe needs at least one truncation size")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

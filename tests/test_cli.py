@@ -39,6 +39,21 @@ def chain_cfg(tmp_path):
 
 
 class TestExitCodes:
+    def test_input_that_is_not_text_is_input_error(self, run_main, tmp_path):
+        """A config, scenario config or description file holding bytes that do
+        not decode is an input error that names the file, as is loading it or
+        a malformed description."""
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        net = _write(tmp_path / "net.json", {"network": str(bad)})
+        for command, cfg in ((["analyze"], bad), (["scenario", "chain-a"], bad), (["certify"], net)):
+            code, err = run_main([*command, "--config", cfg, "--out", tmp_path / "o"])
+            assert code == 1 and err.startswith(f"error: {bad} is not ") and "Traceback" not in err
+        with pytest.raises(sgain.ParameterError, match="utf16.json is not"):
+            sgain.load_generator(bad)
+        with pytest.raises(sgain.ParameterError, match="malformed JSON in .*broken.json"):
+            sgain.load_generator(_write(tmp_path / "broken.json", "{not json"))
+
     def test_analyze_ok(self, cli, tmp_path, chain_cfg):
         r = cli(["analyze", "--config", str(chain_cfg), "--out", str(tmp_path / "o")], tmp_path)
         assert r.returncode == 0, r.stderr

@@ -362,12 +362,11 @@ def bits(values):
 
 
 def reference_perron(a):
-    """The Perron vector of ``a`` scaled to max 1, rounded entry by entry to
-    one Fraction each."""
+    """The Perron vector of ``a`` scaled to max 1, each entry from 1e-12 on
+    the Fraction of its float, the rest 0."""
     vals, vecs = np.linalg.eig(a)
     x = np.abs(vecs[:, np.argmax(np.abs(vals))])
-    return [Fraction(t).limit_denominator(10 ** 12) if t >= 1e-12 else Fraction(0)
-            for t in (x / x.max()).tolist()]
+    return [Fraction(t) if t >= 1e-12 else Fraction(0) for t in (x / x.max()).tolist()]
 
 
 def reference_lower_bounds(psi):
@@ -389,16 +388,13 @@ def reference_lower_bounds(psi):
 @given(psi=operators)
 def test_lower_bounds_match_fraction_reference(psi):
     """Rational gains give each bound as one Fraction from int numerators,
-    float gains the same floats: type and bits equal the reference's."""
+    float gains the same floats from the same ints: type and bits equal the
+    reference's, which reads each Perron vector as Fractions."""
     symbol, section = reference_lower_bounds(psi)
     rows, d = psi.transpose().integer_form
     m, per, n = psi.bandwidth, psi.period, min(psi.preamble_len + 2 * psi.period, 64)
-
-    def exact(p, q):  # the Perron vector as the bound reads it
-        return [Fraction(t, q) for t in p] if d is None else p
-
-    x = exact(*_perron_vector(np.array(psi.symbol(), dtype=float).T))
-    v = exact(*_perron_vector(psi.section(n).T))
+    x = _perron_vector(np.array(psi.symbol(), dtype=float).T)[0]
+    v = _perron_vector(psi.section(n).T)[0]
     got = (_collatz_wielandt(enumerate(rows.cycle, m), lambda j: x[j % per], d),
            _collatz_wielandt(enumerate(rows.head(n)), lambda j: v[j] if j < n else 0, d))
     assert bits(got) == bits([symbol, section])

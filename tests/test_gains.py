@@ -17,9 +17,9 @@ from sgain import (DerivationError, InvalidCertificateError, LinearChain,
                    derive_gains_traffic,
                    operator_power_column_sums, spectral_bracket)
 from sgain.families import LureBanded
-from sgain.gains import _certified_root, _limit_denominator
-from sgain.seqrules import PeriodicRows, PeriodicSeq
-from test_families import chains, fractions, rules, traffics
+from sgain.gains import _certified_root, _perron_vector, _start_vector
+from sgain.seqrules import PeriodicRows, PeriodicSeq, common_den
+from test_families import chains, fractions, reference_perron, rules, traffics
 
 
 def chain_gen(b_diag=1, b_off=Fraction(1, 10)):
@@ -495,14 +495,29 @@ norms = st.one_of(
 class TestIntegerBracket:
     """The bracket's int arithmetic against Fraction references."""
 
-    @settings(max_examples=500, deadline=None)
-    @given(t=st.floats(1e-12, 1))
-    @example(t=1e-12)
-    @example(t=1.0)
-    @example(t=1 / 3)
-    def test_rounding_matches_limit_denominator(self, t):
-        f = Fraction(t).limit_denominator(10 ** 12)
-        assert _limit_denominator(t) == (f.numerator, f.denominator)
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @example(a=[[1.0, 0.0], [1e-13, 0.5]])  # the Perron vector (1, 2e-13): one entry below the floor
+    def test_perron_vector_is_the_eigensolve_exactly(self, a):
+        """Over a power of two, each numerator is the max-normalised float entry
+        scaled exactly, or 0 below 1e-12."""
+        a = np.array(a)
+        num, den = _perron_vector(a)
+        assert den >= 1 and den & (den - 1) == 0
+        assert [Fraction(p, den) for p in num] == reference_perron(a)
+
+    @pytest.mark.parametrize("name", ["chain-a", "lure-platoon", "traffic"])
+    def test_start_vector_keeps_the_old_rounding(self, name):
+        """On the shipped operators the start vector from the exact Perron vector
+        is the one from its entries rounded by ``limit_denominator(10 ** 12)``."""
+        s = sgain.make_scenario(name)
+        psi = build_gain_operator(s.family.derive_gains(s.derivation))
+        a = np.array(psi.symbol(), dtype=float).T
+        rounded = common_den(f.limit_denominator(10 ** 12).as_integer_ratio()
+                             for f in reference_perron(a))
+        assert _start_vector(psi, *_perron_vector(a)) == _start_vector(psi, *rounded)
 
     @settings(max_examples=300, deadline=None)
     @given(s=norms, k=st.integers(2, 60))
@@ -620,6 +635,21 @@ class TestErrorPaths:
         with pytest.raises(DerivationError, match="residue"):
             derive_gains_linear_chain(fam,
                                       Fraction(1, 10), Fraction(1, 10))
+
+    @pytest.mark.parametrize("k_max, message", [
+        (2.5, "'k_max': must be an integer, got 2.5"), (True, "'k_max': not a number: True"),
+        ("x", "'k_max': not a number: 'x'")])
+    def test_k_max_is_read_as_a_count(self, chain_gains, chain_operator, k_max, message):
+        for run in (lambda: spectral_bracket(chain_operator, k_max),
+                    lambda: operator_power_column_sums(chain_operator, k_max),
+                    lambda: sgain.certify(chain_gains, k_max=k_max)):
+            with pytest.raises(ParameterError) as exc:
+                run()
+            assert str(exc.value) == message
+
+    def test_integral_k_max_reads_as_its_int(self, chain_operator):
+        br = spectral_bracket(chain_operator, 4)
+        assert spectral_bracket(chain_operator, 4.0) == spectral_bracket(chain_operator, "4") == br
 
 
 # The documented cell classes of a traffic network: neighbor offsets, exit

@@ -150,7 +150,8 @@ def test_exported_names_resolve():
 INTEGER_PATH = {"families": {"flows", "block_table", "float_table"},
                 "gains": {"optimize_chain_free_params", "derive_gains_linear_chain",
                           "derive_gains_traffic", "traffic_small_gain_sufficient",
-                          "build_gain_operator", "check_assumptions"},
+                          "build_gain_operator", "check_assumptions", "_perron_vector",
+                          "spectral_bracket"},
                 "seqrules": {"integer_form"}}
 
 
@@ -167,8 +168,9 @@ def _names_read(tree, functions):
 
 
 def test_integer_path_forms_no_fraction():
-    """The derivations, the operator and Theta's integer form name neither
-    ``Fraction`` nor ``exact_div``: a Fraction is formed only where a value leaves."""
+    """The derivations, the operator, Theta's integer form, the Perron vectors
+    and the bracket name neither ``Fraction`` nor ``exact_div``: a Fraction is
+    formed only where a value leaves."""
     assert _names_read(ast.parse("def f(x):\n    return Fraction(x)"), {"f"})["f"] >= {"Fraction"}
     for stem, functions in INTEGER_PATH.items():
         found = _names_read(ast.parse((SRC / f"{stem}.py").read_text()), functions)

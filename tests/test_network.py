@@ -152,6 +152,17 @@ class TestTrafficClassification:
 
 
 class TestTruncate:
+    @pytest.mark.parametrize("n, message", [
+        (10.5, "'N': must be an integer, got 10.5"), (True, "'N': not a number: True"),
+        ([10], "'N': not a number: [10]")])
+    def test_count_is_read_as_an_integer(self, n, message):
+        with pytest.raises(ParameterError) as exc:
+            truncate(chain_gen(), n)
+        assert str(exc.value) == message
+
+    def test_integral_count_reads_as_its_int(self):
+        assert truncate(chain_gen(), "10").n_subsystems == truncate(chain_gen(), 10.0).n_subsystems == 10
+
     def test_single_subsystem_reads_zero_boundary(self):
         net = truncate(chain_gen(), 1)
         assert net.dim == 1

@@ -752,6 +752,20 @@ class TestTruncationProbe:
                 chain_gen(), {"kind": "first-k", "K": 5}, Zero(),
                 1.0, 1e-2, n_list=(4, 8), first_k=5)
 
+    @pytest.mark.parametrize("n_list, message", [
+        ((8, 10.5), "'n_list.1': must be an integer, got 10.5"),
+        ((True, 8), "'n_list.0': not a number: True"),
+        ((8, "16"), None)])
+    def test_sizes_are_read_as_integers(self, n_list, message):
+        args = (chain_gen(), {"kind": "first-k", "K": 3, "value": 1.0}, Zero(), 0.1, 1e-2)
+        if message is None:
+            assert truncation_convergence_probe(*args, n_list, 3) == \
+                truncation_convergence_probe(*args, (8, 16), 3)
+            return
+        with pytest.raises(ParameterError) as exc:
+            truncation_convergence_probe(*args, n_list, 3)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("first_k", [-3, 0, 5, 2.5])
     def test_window_outside_the_smallest_truncation(self, first_k):
         with pytest.raises(ParameterError, match="first_k"):
